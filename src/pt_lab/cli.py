@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +58,14 @@ from .pblm import (
 from .statevector import EvolutionConfig, StateVector, evolve_trotter, run_pt_protocol
 
 
-def _load_instance_checked(path):
+def _read_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+def _load_checked(path, load=load_instance):
     try:
-        return load_instance(path)
+        return load(path)
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     except FileNotFoundError as e:
@@ -126,6 +130,8 @@ def _fmt(x):
 def _cmd_gen_instance(args, out_dir, manifest):
     seed = args.get("seed") or 0
     if args["kind"] == "impurity-band":
+        if args.get("m") is None:
+            raise UsageError("gen-instance --kind impurity-band requires --m")
         inst = gen_impurity_band(args["n"], args["m"], args["w"],
                                  eps_law=args.get("eps_law", "uniform"),
                                  seed=seed, B_perp=_or_default(args.get("b_perp"), 1.0))
@@ -140,7 +146,7 @@ def _cmd_gen_instance(args, out_dir, manifest):
 
 
 def _cmd_spectrum(args, out_dir, manifest):
-    inst = _load_instance_checked(args["instance"])
+    inst = _load_checked(args["instance"])
     summary = spectrum_summary(inst, bins=args.get("bins") or 64)
     rows = [(repr(float(lo)), repr(float(hi)), int(c))
             for lo, hi, c in zip(summary.bin_edges[:-1], summary.bin_edges[1:],
@@ -161,7 +167,7 @@ def _top_k_rows(inst, z0, probs, k):
 
 
 def _cmd_evolve(args, out_dir, manifest):
-    inst = _override_b_perp(_load_instance_checked(args["instance"]),
+    inst = _override_b_perp(_load_checked(args["instance"]),
                             args.get("b_perp"))
     z0 = _choose_start(inst, args.get("z0", "auto"))
     if args.get("time") is None:
@@ -198,7 +204,7 @@ def _emit_pt_result(inst, result, out_dir, manifest, top_k, prefix="pt"):
 
 
 def _cmd_pt_run(args, out_dir, manifest):
-    inst = _override_b_perp(_load_instance_checked(args["instance"]),
+    inst = _override_b_perp(_load_checked(args["instance"]),
                             args.get("b_perp"))
     z0 = _choose_start(inst, args.get("z0", "auto"))
     config = _evolution_config(args)
@@ -214,7 +220,7 @@ def _cmd_pt_run(args, out_dir, manifest):
 
 
 def _cmd_downfold(args, out_dir, manifest):
-    inst = _load_instance_checked(args["instance"])
+    inst = _load_checked(args["instance"])
     if not isinstance(inst, ImpurityBandInstance):
         raise UsageError("downfold needs an impurity-band instance")
     params = TunnelingParams(
@@ -239,7 +245,7 @@ def _one_pblm_realization(config, seed, eta, fit_gammas, window):
     return seed, sigma, omegas, gammas
 
 
-def _cmd_pblm_ensemble(args, out_dir, manifest, threads=1):
+def _cmd_pblm_ensemble(args, out_dir, manifest):
     config = PBLMConfig(M=args["m"], gamma=args["gamma"],
                         lam=_or_default(args.get("lam"), 1.0),
                         V_typ_unit=_or_default(args.get("v_typ"), 1.0))
@@ -250,15 +256,8 @@ def _cmd_pblm_ensemble(args, out_dir, manifest, threads=1):
     fit_gammas = bool(args.get("fit_gammas"))
     seeds = [base_seed + r for r in range(R)]
     manifest.seeds.extend(seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda s: _one_pblm_realization(config, s, eta, fit_gammas, window),
-                seeds))
-    else:
-        results = [_one_pblm_realization(config, s, eta, fit_gammas, window)
-                   for s in seeds]
-    results.sort(key=lambda r: r[0])
+    results = [_one_pblm_realization(config, s, eta, fit_gammas, window)
+               for s in seeds]
 
     site_rows, omega_rows = [], []
     pooled_sigma2 = []
@@ -336,7 +335,7 @@ def _cmd_grover_sweep(args, out_dir, manifest):
 
 
 def _cmd_sd(args, out_dir, manifest):
-    inst = _load_instance_checked(args["instance"])
+    inst = _load_checked(args["instance"])
     z0 = _choose_start(inst, args.get("z0", "auto"))
     rec = steepest_descent(inst, z0)
     write_json(out_dir / "sd.json",
@@ -351,7 +350,7 @@ def _bitstring(z, n):
 
 
 def _cmd_minima(args, out_dir, manifest):
-    inst = _load_instance_checked(args["instance"])
+    inst = _load_checked(args["instance"])
     records = sorted(enumerate_local_minima(inst), key=lambda r: (r.energy, r.z))
     write_csv(out_dir / "minima.csv",
               ["z", "bitstring", "energy", "basin_probability_uniform"],
@@ -362,7 +361,7 @@ def _cmd_minima(args, out_dir, manifest):
 
 
 def _cmd_pipeline(args, out_dir, manifest):
-    inst = _load_instance_checked(args["instance"])
+    inst = _load_checked(args["instance"])
     z0 = _choose_start(inst, args.get("z0", "auto"))
     config = _evolution_config(args)
     result = run_pt_protocol(inst, z0, config)
@@ -447,6 +446,9 @@ def _cmd_pipeline(args, out_dir, manifest):
 def _cmd_stats_fit(args, out_dir, manifest):
     from .io_utils import read_csv_columns
 
+    beta = _or_default(args.get("beta"), 1.0)
+    if not -1.0 <= beta <= 1.0:
+        raise UsageError(f"--beta must lie in [-1, 1], got {beta}")
     cols = read_csv_columns(args["input"])
     name = args.get("column") or "sigma_doubleprime_energy"
     if name not in cols:
@@ -455,7 +457,7 @@ def _cmd_stats_fit(args, out_dir, manifest):
     samples = samples[np.isfinite(samples)]
     if args.get("positive_only"):
         samples = samples[samples > 0]
-    fit = fit_stable_quantiles(samples, beta=_or_default(args.get("beta"), 1.0))
+    fit = fit_stable_quantiles(samples, beta=beta)
     doc = {"input": str(args["input"]), "column": name,
            "count": int(len(samples)),
            "fit": {"alpha": fit.alpha, "beta": fit.beta, "C": fit.C,
@@ -493,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Population-transfer protocol simulator and statistics toolkit")
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--out-dir", help="run directory (default $PT_LAB_OUT or ./pt_lab_out)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent realizations")
     p.add_argument("--replay", metavar="MANIFEST",
                    help="re-run a recorded manifest and verify output hashes")
     sub = p.add_subparsers(dest="subcommand")
@@ -582,30 +582,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run(subcommand: str, args: dict, out_dir: Path, threads: int) -> RunManifest:
-    manifest = RunManifest(subcommand=subcommand, args=args, threads=threads)
+def _run(subcommand: str, args: dict, out_dir: Path) -> RunManifest:
+    manifest = RunManifest(subcommand=subcommand, args=args)
     if "seed" in args and args.get("seed") is not None:
         manifest.seeds.append(args["seed"])
-    handler = _HANDLERS[subcommand]
-    if subcommand == "pblm-ensemble":
-        handler(args, out_dir, manifest, threads=threads)
-    else:
-        handler(args, out_dir, manifest)
+    _HANDLERS[subcommand](args, out_dir, manifest)
     manifest.write(out_dir)
     return manifest
 
 
-def _replay(manifest_path: str, out_dir_flag: str | None, threads: int) -> int:
-    try:
-        with open(manifest_path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        print(f"error: {manifest_path}:{e.lineno}:{e.colno}: {e.msg}",
-              file=sys.stderr)
-        return 2
-    out_dir = resolve_out_dir(out_dir_flag)
-    manifest = _run(doc["subcommand"], doc["args"], out_dir,
-                    doc.get("threads", threads))
+def _replay(manifest_path: str, out_dir_flag: str | None) -> int:
+    doc = _load_checked(manifest_path, _read_json)
+    if (not isinstance(doc, dict) or doc.get("subcommand") not in _HANDLERS
+            or not isinstance(doc.get("args"), dict)):
+        raise UsageError(f"{manifest_path}: not a run manifest")
+    manifest = _run(doc["subcommand"], doc["args"], resolve_out_dir(out_dir_flag))
     old = {Path(o["path"]).name: o["sha256"] for o in doc.get("outputs", [])}
     ok = True
     for entry in manifest.outputs:
@@ -620,16 +611,15 @@ def _replay(manifest_path: str, out_dir_flag: str | None, threads: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.replay:
-        return _replay(ns.replay, ns.out_dir, ns.threads)
-    if not ns.subcommand:
+    if not (ns.replay or ns.subcommand):
         parser.print_usage(sys.stderr)
         return 2
-    args = {k: v for k, v in vars(ns).items()
-            if k not in ("subcommand", "out_dir", "threads", "replay")}
-    out_dir = resolve_out_dir(ns.out_dir)
     try:
-        _run(ns.subcommand, args, out_dir, ns.threads)
+        if ns.replay:
+            return _replay(ns.replay, ns.out_dir)
+        args = {k: v for k, v in vars(ns).items()
+                if k not in ("subcommand", "out_dir", "replay")}
+        _run(ns.subcommand, args, resolve_out_dir(ns.out_dir))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

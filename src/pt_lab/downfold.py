@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,17 @@ class DownfoldedMatrix:
     @property
     def M(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of `matrix` from one np.linalg.eigh,
+        computed on first access and kept. Both arrays are read-only because
+        every caller shares them; `matrix` must not change after this is read.
+        """
+        vals, vecs = np.linalg.eigh(self.matrix)
+        vals.flags.writeable = False
+        vecs.flags.writeable = False
+        return vals, vecs
 
     @property
     def diagonal(self) -> np.ndarray:

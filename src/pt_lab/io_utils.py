@@ -68,7 +68,6 @@ class RunManifest:
     subcommand: str
     args: dict
     seeds: list = field(default_factory=list)
-    threads: int = 1
     outputs: list = field(default_factory=list)
     version: str = __version__
     format_version: int = FORMAT_VERSION
@@ -76,7 +75,7 @@ class RunManifest:
     @property
     def hash(self) -> str:
         doc = {"subcommand": self.subcommand, "args": self.args,
-               "seeds": self.seeds, "threads": self.threads,
+               "seeds": self.seeds,
                "version": self.version, "format_version": self.format_version}
         return hashlib.sha256(_canonical_json(doc)).hexdigest()[:16]
 
@@ -90,7 +89,6 @@ class RunManifest:
             "subcommand": self.subcommand,
             "args": self.args,
             "seeds": self.seeds,
-            "threads": self.threads,
             "manifest_hash": self.hash,
             "outputs": self.outputs,
         }

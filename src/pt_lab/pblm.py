@@ -14,8 +14,9 @@ Stable densities here use the physics convention
     L_1^{beta, C=1}(x) = (1/pi) * int_0^inf e^{-k} cos(k x + (2 beta/pi) k log k) dk,
 
 which has the heavy right tail for beta = +1; general scale C and shift
-enter as a pure affine map of x. scipy's S1-parametrized sampler differs
-from this by the factor 2/pi in x.
+enter as a pure affine map of x. At alpha = 1 and unit scale this is
+Nolan's S1 parameterisation, the one scipy.stats.levy_stable uses, so
+scipy's quantiles and samples need no rescaling.
 """
 
 from __future__ import annotations
@@ -211,29 +212,14 @@ def stable_sample(params: LevyStableParams, count: int, seed: int = 0) -> np.nda
 
 @lru_cache(maxsize=8)
 def _standard_quantiles(beta: float, probs: tuple = (0.25, 0.5, 0.75)) -> tuple:
-    """Quantiles of the standard law by CDF quadrature and inversion.
+    """Quantiles of the standard law from scipy's S1 levy_stable.
 
-    Mass outside the core grid is integrated on logarithmic tail grids
-    out to |x| = 500 and the remainder restored from the alpha = 1
-    asymptotics, CCDF -> (1 + beta)/(pi x) on the right and
-    (1 - beta)/(pi |x|) on the left; without this the truncation bias
-    is visible already in the quartiles.
+    scipy.stats is imported here rather than at module level: its import
+    takes about a second that only the quantile fit needs.
     """
-    far = 500.0
-    lo = -(8.0 + 40.0 * (1.0 - beta))
-    hi = 8.0 + 40.0 * (1.0 + beta)
-    xs = np.linspace(lo, hi, 7001)
-    pdf = _standard_pdf(xs, beta)
-    cdf = np.concatenate([[0.0], np.cumsum(
-        0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs))])
-    right_xs = np.geomspace(hi, far, 1001)
-    right = np.trapezoid(_standard_pdf(right_xs, beta), right_xs)
-    right += (1.0 + beta) / (math.pi * far)
-    left_xs = -np.geomspace(-lo, far, 1001)[::-1]
-    left = np.trapezoid(_standard_pdf(left_xs, beta), left_xs)
-    left += (1.0 - beta) / (math.pi * far)
-    cdf = (left + cdf) / (left + cdf[-1] + right)
-    return tuple(float(np.interp(p, cdf, xs)) for p in probs)
+    from scipy.stats import levy_stable
+
+    return tuple(float(q) for q in levy_stable.ppf(probs, 1.0, beta))
 
 
 def fit_stable_quantiles(samples, beta: float = 1.0) -> LevyStableParams:
@@ -242,6 +228,8 @@ def fit_stable_quantiles(samples, beta: float = 1.0) -> LevyStableParams:
     The interquartile spread sets C, the median sets the shift; both are
     robust to the law's infinite mean.
     """
+    if not -1.0 <= beta <= 1.0:
+        raise ValueError("|beta| must be <= 1")
     s = np.asarray(samples, dtype=float)
     s = s[np.isfinite(s)]
     if len(s) < 8:
@@ -278,6 +266,14 @@ def _as_matrix(matrix) -> np.ndarray:
     if isinstance(matrix, DownfoldedMatrix):
         return matrix.matrix
     return np.asarray(matrix, dtype=float)
+
+
+def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(vals, vecs) of the matrix; a DownfoldedMatrix computes them once
+    and shares them with every later call."""
+    if isinstance(matrix, DownfoldedMatrix):
+        return matrix.eigensystem
+    return np.linalg.eigh(_as_matrix(matrix))
 
 
 def _survival(vals: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -325,17 +321,15 @@ def extract_gamma(matrix, site: int, window: tuple = (0.9, 0.37)) -> float:
     bounded away from the short-time quadratic regime and the long-time
     tail. Returns nan for censored (non-decaying or oscillatory) sites.
     """
-    mat = _as_matrix(matrix)
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = _eigh(matrix)
     return _fit_decay(vals, vecs[site] ** 2, window)
 
 
 def gamma_samples(matrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
     """extract_gamma for every site with a single diagonalization."""
-    mat = _as_matrix(matrix)
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = _eigh(matrix)
     return np.array([_fit_decay(vals, vecs[j] ** 2, window)
-                     for j in range(mat.shape[0])])
+                     for j in range(len(vals))])
 
 
 def site_self_energies(matrix, eta: float | None = None) -> np.ndarray:
@@ -346,14 +340,13 @@ def site_self_energies(matrix, eta: float | None = None) -> np.ndarray:
     Sigma'' = Im(1/G_jj) - eta. eta defaults to the mean level spacing
     (W/M when metadata is available).
     """
-    mat = _as_matrix(matrix)
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = _eigh(matrix)
     if eta is None:
         if isinstance(matrix, DownfoldedMatrix):
             eta = matrix.W / matrix.M
         else:
             eta = (vals[-1] - vals[0]) / len(vals)
-    eps = np.diag(mat)
+    eps = np.diag(_as_matrix(matrix))
     W2 = vecs ** 2
     G = (W2 / ((eps + 1j * eta)[:, None] - vals[None, :])).sum(axis=1)
     inv = 1.0 / G
@@ -362,8 +355,7 @@ def site_self_energies(matrix, eta: float | None = None) -> np.ndarray:
 
 def participation_ratios(matrix) -> np.ndarray:
     """Omega_beta = 1 / sum_j |psi_beta(j)|^4 for every eigenstate."""
-    mat = _as_matrix(matrix)
-    _, vecs = np.linalg.eigh(mat)
+    _, vecs = _eigh(matrix)
     return 1.0 / (vecs ** 4).sum(axis=0)
 
 

@@ -171,6 +171,14 @@ def test_gen_instance_zero_field_is_kept(tmp_path):
     assert load_instance(tmp_path / "zero.json").B_perp == 0.0
 
 
+def test_gen_instance_impurity_band_requires_m(tmp_path, capsys):
+    rc = main(["--out-dir", str(tmp_path), "gen-instance", "--kind",
+               "impurity-band", "--n", "6"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--m" in err[0]
+
+
 def test_gen_instance_no_dimers(tmp_path):
     rc = main(["--out-dir", str(tmp_path), "gen-instance", "--kind",
                "spin-glass", "--n", "8", "--no-dimers", "--seed", "2"])
@@ -267,6 +275,18 @@ def test_stats_fit_on_emitted_column(tmp_path):
                "--input", str(tmp_path / "pblm_sites.csv"),
                "--column", "no_such_column"])
     assert rc == 2
+
+
+def test_stats_fit_rejects_beta_outside_unit_interval(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    write_csv(path, ["sigma_doubleprime_energy"],
+              [(float(x),) for x in range(1, 21)])
+    rc = main(["--out-dir", str(tmp_path), "stats-fit", "--input", str(path),
+               "--beta", "1.5"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--beta" in err[0]
+    assert not (tmp_path / "stats_fit.json").exists()
 
 
 def test_grover_sweep_rows(tmp_path):
@@ -379,3 +399,21 @@ def test_replay_malformed_manifest(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["--out-dir", str(tmp_path), "--replay", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+    bad.write_text('{"subcommand": "no-such-command", "args": {}}')
+    assert main(["--out-dir", str(tmp_path), "--replay", str(bad)]) == 2
+    assert "not a run manifest" in capsys.readouterr().err
+
+
+def test_replay_missing_input_is_usage_error(tmp_path, ib_instance, capsys):
+    inst = tmp_path / "instance.json"
+    inst.write_bytes(ib_instance.read_bytes())
+    run = tmp_path / "run"
+    assert main(["--out-dir", str(run), "pt-run", "--instance", str(inst),
+                 "--time", "3", "--steps", "50"]) == 0
+    inst.unlink()
+    capsys.readouterr()
+    rc = main(["--out-dir", str(tmp_path / "redo"), "--replay",
+               str(run / "manifest.json")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -179,6 +179,8 @@ def test_stable_params_validation():
     with pytest.raises(ValueError):
         stable_pdf(0.0, LevyStableParams(alpha=1.8, beta=0.0, C=1.0,
                                          shift=0.0))
+    with pytest.raises(ValueError):
+        fit_stable_quantiles(np.arange(100.0), beta=1.5)
 
 
 def test_standard_quantiles_match_external_evaluation():
@@ -190,11 +192,14 @@ def test_standard_quantiles_match_external_evaluation():
     np.testing.assert_allclose(cau, (-1.0, 0.0, 1.0), atol=1e-3)
 
 
-def test_stable_sample_matches_quantiles():
-    params = LevyStableParams(alpha=1.0, beta=1.0, C=1.0, shift=0.0)
+@pytest.mark.parametrize("beta", [1.0, 0.5, -0.5])
+def test_stable_sample_matches_quantiles(beta):
+    # the Chambers-Mallows-Stuck sampler and the quantile lookup are
+    # independent implementations of the same law
+    params = LevyStableParams(alpha=1.0, beta=beta, C=1.0, shift=0.0)
     s = stable_sample(params, 200_000, seed=1)
     got = np.percentile(s, [25.0, 50.0, 75.0])
-    np.testing.assert_allclose(got, _standard_quantiles(1.0), atol=0.02)
+    np.testing.assert_allclose(got, _standard_quantiles(beta), atol=0.02)
     assert np.array_equal(s, stable_sample(params, 200_000, seed=1))
 
 
@@ -305,6 +310,23 @@ def test_participation_ratio_limits():
     H = np.array([[0.0, 0.3], [0.3, 0.0]])
     two = DownfoldedMatrix(matrix=H, V_typ=0.3, W=1.0)
     np.testing.assert_allclose(participation_ratios(two), 2.0, atol=1e-12)
+
+
+def test_one_eigendecomposition_per_matrix(monkeypatch):
+    mat = sample_pblm(PBLMConfig(M=48, gamma=1.5, lam=1.0), seed=4)
+    fresh = lambda: DownfoldedMatrix(matrix=mat.matrix.copy(), V_typ=mat.V_typ,
+                                     W=mat.W)
+    want = (site_self_energies(fresh()), participation_ratios(fresh()),
+            gamma_samples(fresh()))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(1) or eigh(a))
+    got = (site_self_energies(mat), participation_ratios(mat),
+           gamma_samples(mat))
+    assert len(calls) == 1
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_diagnose_matrix_fields():
