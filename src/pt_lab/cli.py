@@ -104,15 +104,18 @@ def _choose_start(inst, z0_arg):
 
 
 def _evolution_config(args) -> EvolutionConfig:
-    return EvolutionConfig(
-        total_time=args.get("time"),
-        trotter_steps=args.get("steps"),
-        dt=args.get("dt"),
-        splitting=args.get("splitting", "symmetric"),
-        start_time=_or_default(args.get("start_time"), 1.0),
-        saturation_rtol=_or_default(args.get("saturation_rtol"), 0.01),
-        max_doublings=_or_default(args.get("max_doublings"), 16),
-    )
+    try:
+        return EvolutionConfig(
+            total_time=args.get("time"),
+            trotter_steps=args.get("steps"),
+            dt=args.get("dt"),
+            splitting=args.get("splitting", "symmetric"),
+            start_time=_or_default(args.get("start_time"), 1.0),
+            saturation_rtol=_or_default(args.get("saturation_rtol"), 0.01),
+            max_doublings=_or_default(args.get("max_doublings"), 16),
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from e
 
 
 def _fmt(x):

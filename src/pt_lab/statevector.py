@@ -2,7 +2,12 @@
 
 The Hamiltonian is H = H_cl + H_D with H_cl diagonal in the computational
 basis and H_D diagonal in the x basis, so evolution alternates between the
-two bases via a fast Walsh-Hadamard transform. Two drivers are supported:
+two bases via a fast Walsh-Hadamard transform. The transform is blocked: it
+applies a 16 x 16 Hadamard block to 4 index bits per matrix product, with
+one scratch state. A transfer run advances each rung of its time ladder as
+one Trotter segment and reads the survival trace inside it, in the x basis
+for the symmetric splitting, without closing the splitting per sample.
+Two drivers are supported:
 
 * uniform transverse field, H_D = -B_perp * sum_i sigma^x_i;
 * matched driver for the spin glass,
@@ -31,6 +36,14 @@ TROTTER_MAX_N = 24
 DENSE_MAX_N = 14
 NORM_TOL = 1e-8
 _BLOCK = 1 << 18
+
+# Sylvester Hadamard block H_4, (-1)^{popcount(i & j)}; its top-left
+# 2^k x 2^k corner is H_k
+_HADAMARD_BITS = 4
+_HADAMARD = 1.0 - 2.0 * (
+    np.bitwise_count(np.arange(16)[:, None] & np.arange(16)) & 1)
+# the same block acting on the (re, im) pairs of a complex state's float view
+_HADAMARD_PAIRS = np.kron(_HADAMARD, np.eye(2))
 
 
 @dataclass
@@ -94,6 +107,17 @@ class EvolutionConfig:
             raise ValueError("total_time must be >= 0")
         if self.trotter_steps is not None and self.trotter_steps < 1:
             raise ValueError("trotter_steps must be >= 1")
+        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not (np.isfinite(self.start_time) and self.start_time > 0):
+            raise ValueError("start_time must be finite and > 0, "
+                             f"got {self.start_time}")
+        if not (np.isfinite(self.saturation_rtol) and self.saturation_rtol >= 0):
+            raise ValueError("saturation_rtol must be finite and >= 0, "
+                             f"got {self.saturation_rtol}")
+        if self.max_doublings < 0:
+            raise ValueError("max_doublings must be >= 0, "
+                             f"got {self.max_doublings}")
 
     def resolve_steps(self, total_time: float) -> int:
         if self.trotter_steps is not None:
@@ -134,50 +158,85 @@ def driver_x_diagonal(inst, driver: str = "auto") -> np.ndarray:
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place unnormalized Walsh-Hadamard transform (matrix entries +-1)."""
-    N = a.shape[0]
-    h = 1
-    while h < N:
-        a = a.reshape(-1, 2, h)
-        x = a[:, 0, :].copy()
-        a[:, 0, :] = x + a[:, 1, :]
-        a[:, 1, :] = x - a[:, 1, :]
-        a = a.reshape(N)
-        h *= 2
-    return a
+    """Unnormalized Walsh-Hadamard transform (matrix entries +-1) of a
+    contiguous complex128 vector of length 2^n.
 
-
-def _trotter_segment(psi, ph_cl, ph_half, ph_full, steps, splitting):
-    """Advance by `steps` Trotter steps in place; psi enters and leaves in the z basis.
-
-    Segments at fixed dt compose exactly, so a long run may be split into
-    chunks for trace recording without changing the result.
+    Works on the float64 view of `a`, 4 index bits per np.matmul pass with
+    the 16 x 16 Sylvester block; when 4 does not divide n the last pass uses
+    the block's 2^k x 2^k corner, which is H_k. The lowest pass multiplies
+    (re, im) pairs from the right by H_4 (x) I_2, so it is one matrix
+    product rather than one per 16-element group. Passes alternate between
+    `a` and one scratch buffer, so the extra memory is one state. The
+    transform is returned; it may live in `a`'s buffer or in the scratch,
+    and `a` is overwritten either way, so call it as `psi = _fwht(psi)`.
     """
-    N = psi.shape[0]
-    inv_N = 1.0 / N
+    n = a.shape[0].bit_length() - 1
+    src = a.view(np.float64)
+    dst = np.empty_like(src)
+    for lo in range(0, n, _HADAMARD_BITS):
+        K = 1 << min(_HADAMARD_BITS, n - lo)
+        if lo == 0:
+            np.matmul(src.reshape(-1, 2 * K), _HADAMARD_PAIRS[:2 * K, :2 * K],
+                      out=dst.reshape(-1, 2 * K))
+        else:
+            np.matmul(_HADAMARD[:K, :K], src.reshape(-1, K, 2 << lo),
+                      out=dst.reshape(-1, K, 2 << lo))
+        src, dst = dst, src
+    return src.view(np.complex128)
+
+
+def _survival_probe(n: int, z0: int, ph_half: np.ndarray) -> np.ndarray:
+    """r with <z0|psi> = r . phi for the x-basis state phi of the symmetric
+    splitting before its closing half-phase: r = (-1)^{x.z0} ph_half / N."""
+    sign = 1.0 - 2.0 * (np.bitwise_count(index_array(n) & np.uint64(z0)) & 1)
+    return sign * ph_half / (1 << n)
+
+
+def _trotter_segment(psi, ph_cl, ph_half, ph_full, steps, splitting,
+                     every=0, z0=0, probe=None):
+    """Advance by `steps` Trotter steps; psi enters and leaves in the z basis.
+
+    ph_cl carries the 1/N of the two unnormalized transforms of each step
+    (see _phase_tables). Returns (psi, samples): with every > 0, samples
+    holds the survival |<z0|psi>|^2 after every `every`-th step and after
+    the last one. The "first" splitting is in the z basis between steps
+    and reads psi[z0]. The symmetric one stays in the x basis between
+    steps, so a sample inside the segment is |probe . phi|^2 with phi the
+    x-basis state before the closing half-phase and probe from
+    _survival_probe; the last sample reads psi[z0] after the segment
+    closes. Segments at fixed dt compose exactly.
+    """
+    samples = []
     if splitting == "first":
-        for _ in range(steps):
+        for k in range(1, steps + 1):
             psi *= ph_cl
             psi = _fwht(psi)
             psi *= ph_full
             psi = _fwht(psi)
-            psi *= inv_N
-        return psi
+            if every and (k % every == 0 or k == steps):
+                samples.append(float(abs(psi[z0]) ** 2))
+        return psi, samples
     psi = _fwht(psi)
     psi *= ph_half
-    for k in range(steps):
+    for k in range(1, steps + 1):
         psi = _fwht(psi)
-        psi *= inv_N
         psi *= ph_cl
         psi = _fwht(psi)
-        psi *= ph_full if k < steps - 1 else ph_half
+        if every and k % every == 0 and k < steps:
+            samples.append(float(abs(np.dot(probe, psi)) ** 2))
+        psi *= ph_full if k < steps else ph_half
     psi = _fwht(psi)
-    psi *= inv_N
-    return psi
+    psi *= 1.0 / psi.shape[0]
+    if every:
+        samples.append(float(abs(psi[z0]) ** 2))
+    return psi, samples
 
 
 def _phase_tables(E, Dx, dt):
+    """Phase tables of one step; ph_cl includes the 1/N of the transforms
+    (a power of two, so the scaling is exact)."""
     ph_cl = np.exp(-1j * dt * E)
+    ph_cl *= 1.0 / ph_cl.shape[0]
     ph_half = np.exp(-0.5j * dt * Dx)
     return ph_cl, ph_half, ph_half * ph_half
 
@@ -206,7 +265,8 @@ def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVe
     E = all_classical_energies(inst)
     Dx = driver_x_diagonal(inst, config.driver)
     ph_cl, ph_half, ph_full = _phase_tables(E, Dx, dt)
-    psi = _trotter_segment(psi, ph_cl, ph_half, ph_full, steps, config.splitting)
+    psi, _ = _trotter_segment(psi, ph_cl, ph_half, ph_full, steps,
+                              config.splitting)
     return StateVector(psi, state.n)
 
 
@@ -334,18 +394,19 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None) -> PTR
         total_t = 0.0
     else:
         ph_cl, ph_half, ph_full = _phase_tables(E, Dx, dt)
+        probe = (_survival_probe(n, z0, ph_half)
+                 if config.splitting == "symmetric" else None)
 
         def advance(n_steps, t_base):
+            # one segment per rung, sampled every `rec` steps and at its end
             nonlocal psi
             rec = max(1, n_steps // max(1, config.trace_points - 1))
-            done = 0
-            while done < n_steps:
-                chunk = min(rec, n_steps - done)
-                psi = _trotter_segment(psi, ph_cl, ph_half, ph_full, chunk,
-                                       config.splitting)
-                done += chunk
-                times.append(t_base + done * dt)
-                survival.append(float(np.abs(psi[z0]) ** 2))
+            psi, samples = _trotter_segment(psi, ph_cl, ph_half, ph_full,
+                                            n_steps, config.splitting,
+                                            every=rec, z0=z0, probe=probe)
+            done = [*range(rec, n_steps, rec), n_steps]
+            times.extend(t_base + k * dt for k in done)
+            survival.extend(samples)
 
         if ladder:
             advance(seg_steps, 0.0)

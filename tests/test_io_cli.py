@@ -152,6 +152,28 @@ def test_evolve_requires_time(tmp_path, ib_instance, capsys):
     assert "--time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("pipeline", "--dt", "0"),
+    ("pt-run", "--dt", "nan"),
+    ("evolve", "--dt", "-0.1"),
+    ("pt-run", "--start-time", "inf"),
+    ("pipeline", "--start-time", "-1"),
+    ("pt-run", "--saturation-rtol", "-1"),
+    ("pt-run", "--max-doublings", "-1"),
+    ("evolve", "--time", "-1"),
+])
+def test_evolution_settings_out_of_range(tmp_path, ib_instance, capsys,
+                                         cmd, flag, value):
+    extra = ["--time", "1"] if cmd == "evolve" and flag != "--time" else []
+    rc = main(["--out-dir", str(tmp_path), cmd, "--instance", str(ib_instance),
+               *extra, flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    name = flag.lstrip("-").replace("-", "_")
+    name = "total_time" if name == "time" else name
+    assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+
+
 # ---------------------------------------------------------------- subcommands
 
 def test_gen_instance_impurity_band(tmp_path, ib_instance):

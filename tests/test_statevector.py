@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import hadamard
 
 from pt_lab.instances import (ImpurityBandInstance, all_classical_energies,
                               gen_impurity_band, gen_spin_glass)
@@ -33,12 +36,36 @@ def test_two_level_rabi_oscillation():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_fwht_is_self_inverse():
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=64) + 1j * rng.normal(size=64)
+@pytest.mark.parametrize("n", range(1, 12))
+def test_fwht_is_self_inverse(n):
+    # n = 1..11 covers sizes below the 4-bit block and every remainder;
+    # scipy's Sylvester matrix is the independent reference, since a
+    # permuted transform would also be self-inverse
+    N = 1 << n
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=N) + 1j * rng.normal(size=N)
     w = _fwht(v.copy())
-    back = _fwht(w) / 64.0
+    np.testing.assert_allclose(w, hadamard(N) @ v, atol=1e-12 * N)
+    back = _fwht(w) / N
     np.testing.assert_allclose(back, v, atol=1e-12)
+
+
+def test_fwht_allocates_one_scratch_state():
+    N = 1 << 16
+    v = np.random.default_rng(0).normal(size=N) + 0j
+    tracemalloc.start()
+    try:
+        # numpy reports its buffers to tracemalloc, or the bound is vacuous
+        probe = np.empty(N, dtype=np.complex128)
+        assert tracemalloc.get_traced_memory()[1] >= probe.nbytes
+        del probe
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        v = _fwht(v)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= v.nbytes + 64 * 1024
 
 
 def test_driver_spectrum_matches_dense():
@@ -120,9 +147,15 @@ def test_long_time_average_dephases():
     assert mean == pytest.approx(target, rel=0.02)
 
 
-def test_trotter_converges_to_exact():
-    g = gen_spin_glass(n=6, seed=1)
-    z0 = 9
+@pytest.mark.parametrize("kind", ["matched", "uniform"])
+def test_trotter_converges_to_exact(kind):
+    # the spin glass runs the matched driver, the impurity band the uniform one
+    if kind == "matched":
+        g = gen_spin_glass(n=6, seed=1)
+        z0 = 9
+    else:
+        g = gen_impurity_band(n=6, M=4, W=0.3, seed=1)
+        z0 = g.marked[0]
     T = 4.0
     vals, vecs = exact_eigs(g)
     phases = np.exp(-1j * vals * T)
@@ -149,6 +182,25 @@ def test_trotter_segments_compose():
     again = evolve_trotter(half, g,
                            EvolutionConfig(total_time=1.0, trotter_steps=100))
     np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("splitting", ["symmetric", "first"])
+def test_survival_trace_matches_fixed_time_runs(splitting):
+    # rungs of 10, 10 and 20 steps at trace_points=4 sample every 3, 3
+    # and 6 steps, each rung ending on a shorter leftover chunk
+    g = gen_spin_glass(n=6, seed=5)
+    z0, dt = 21, 0.1
+    res = run_pt_protocol(g, z0, EvolutionConfig(
+        dt=dt, start_time=1.0, max_doublings=2, saturation_rtol=1e-12,
+        splitting=splitting, trace_points=4))
+    steps = np.rint(res.times / dt).astype(int)
+    np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19, 20,
+                                          26, 32, 38, 40])
+    state = StateVector.basis_state(6, z0)
+    for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
+        psi = evolve_trotter(state, g, EvolutionConfig(
+            total_time=t, trotter_steps=k, splitting=splitting)).amplitudes
+        assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=25)
