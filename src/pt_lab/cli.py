@@ -11,12 +11,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bits import index_array
+from .bits import check_bitstring, hamming_array
 from .downfold import TunnelingParams, build_downfolded
 from .grover import GroverSetup, error_time_report, grover_time, reduced_transfer
 from .instances import (
@@ -38,7 +39,6 @@ from .io_utils import (
 )
 from .optimize import (
     alternation_contrast,
-    basin_distribution,
     enrichment_ratio,
     enumerate_local_minima,
     median_hamming,
@@ -82,21 +82,29 @@ def _or_default(value, fallback):
     return fallback if value is None else value
 
 
+def _count_arg(args, name, fallback):
+    value = _or_default(args.get(name), fallback)
+    if value < 1:
+        raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+    return value
+
+
 def _override_b_perp(inst, b_perp):
     if b_perp is None:
         return inst
     if not isinstance(inst, ImpurityBandInstance):
         raise UsageError("--B-perp override applies to impurity-band instances")
-    return ImpurityBandInstance(n=inst.n, marked=inst.marked, eps=inst.eps,
-                                W=inst.W, B_perp=b_perp,
-                                base_energy=inst.base_energy, seed=inst.seed)
+    return replace(inst, B_perp=b_perp)
 
 
 def _choose_start(inst, z0_arg):
     """'auto' picks the lowest-energy marked state (impurity band) or the
     second-lowest local minimum (glass), a low but non-global start."""
     if z0_arg != "auto":
-        return int(z0_arg, 0)
+        try:
+            return check_bitstring(int(z0_arg, 0), inst.n)
+        except ValueError as e:
+            raise UsageError(f"--z0: {e}") from e
     if isinstance(inst, ImpurityBandInstance):
         return inst.marked[int(np.argmin(inst.eps))]
     records = sorted(enumerate_local_minima(inst), key=lambda r: (r.energy, r.z))
@@ -150,7 +158,7 @@ def _cmd_gen_instance(args, out_dir, manifest):
 
 def _cmd_spectrum(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
-    summary = spectrum_summary(inst, bins=args.get("bins") or 64)
+    summary = spectrum_summary(inst, bins=_count_arg(args, "bins", 64))
     rows = [(repr(float(lo)), repr(float(hi)), int(c))
             for lo, hi, c in zip(summary.bin_edges[:-1], summary.bin_edges[1:],
                                  summary.counts)]
@@ -163,10 +171,9 @@ def _cmd_spectrum(args, out_dir, manifest):
 
 def _top_k_rows(inst, z0, probs, k):
     E = all_classical_energies(inst)
-    d = np.bitwise_count(index_array(inst.n) ^ np.uint64(z0)).astype(np.int64)
     order = np.lexsort((np.arange(len(probs)), -probs))[:k]
-    return [(int(z), repr(float(probs[z])), repr(float(E[z])), int(d[z]))
-            for z in order]
+    return [(int(z), repr(float(probs[z])), repr(float(E[z])), int(d))
+            for z, d in zip(order, hamming_array(order, z0))]
 
 
 def _cmd_evolve(args, out_dir, manifest):
@@ -176,11 +183,12 @@ def _cmd_evolve(args, out_dir, manifest):
     if args.get("time") is None:
         raise UsageError("evolve requires --time")
     config = _evolution_config(args)
+    top_k = _count_arg(args, "top_k", 1024)
     state = evolve_trotter(StateVector.basis_state(inst.n, z0), inst, config)
     probs = state.probabilities()
     write_csv(out_dir / "evolve_state.csv",
               ["z", "probability", "classical_energy", "hamming_from_z0"],
-              _top_k_rows(inst, z0, probs, args.get("top_k") or 1024), manifest)
+              _top_k_rows(inst, z0, probs, top_k), manifest)
     write_json(out_dir / "evolve.json",
                {"z0": z0, "time": args["time"], "steps": config.resolve_steps(args["time"]),
                 "splitting": config.splitting, "norm": state.norm(),
@@ -211,8 +219,9 @@ def _cmd_pt_run(args, out_dir, manifest):
                             args.get("b_perp"))
     z0 = _choose_start(inst, args.get("z0", "auto"))
     config = _evolution_config(args)
+    top_k = _count_arg(args, "top_k", 1024)
     result = run_pt_protocol(inst, z0, config)
-    _emit_pt_result(inst, result, out_dir, manifest, args.get("top_k") or 1024)
+    _emit_pt_result(inst, result, out_dir, manifest, top_k)
     write_json(out_dir / "pt_result.json",
                {"z0": result.z0, "total_time": result.total_time,
                 "saturated": result.saturated,
@@ -252,7 +261,7 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
     config = PBLMConfig(M=args["m"], gamma=args["gamma"],
                         lam=_or_default(args.get("lam"), 1.0),
                         V_typ_unit=_or_default(args.get("v_typ"), 1.0))
-    R = args.get("realizations") or 20
+    R = _count_arg(args, "realizations", 20)
     base_seed = args.get("seed") or 0
     eta = args.get("eta")
     window = (0.9, 0.37)
@@ -367,8 +376,9 @@ def _cmd_pipeline(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
     z0 = _choose_start(inst, args.get("z0", "auto"))
     config = _evolution_config(args)
+    top_k = _count_arg(args, "top_k", 1024)
     result = run_pt_protocol(inst, z0, config)
-    _emit_pt_result(inst, result, out_dir, manifest, args.get("top_k") or 1024)
+    _emit_pt_result(inst, result, out_dir, manifest, top_k)
 
     E = all_classical_energies(inst)
     N = 1 << inst.n
@@ -376,11 +386,10 @@ def _cmd_pipeline(args, out_dir, manifest):
     edges = result.energy_edges
 
     # panel 1: normalized energy weights of DOS, SD, PT, SD-PT
-    labels, energies_min, mass_u = basin_distribution(inst, "uniform")
-    _, _, mass_pt = basin_distribution(inst, probs)
+    lab, en, ratio, m_pt, m_u = enrichment_ratio(inst, probs)
     dos_w, _ = np.histogram(E, bins=edges)
-    sd_w, _ = np.histogram(energies_min, bins=edges, weights=mass_u)
-    sdpt_w, _ = np.histogram(energies_min, bins=edges, weights=mass_pt)
+    sd_w, _ = np.histogram(en, bins=edges, weights=m_u)
+    sdpt_w, _ = np.histogram(en, bins=edges, weights=m_pt)
     write_csv(out_dir / "fig_energy_panels.csv",
               ["bin_lo_energy", "bin_hi_energy", "dos_weight", "sd_weight",
                "pt_weight", "sd_pt_weight"],
@@ -393,12 +402,12 @@ def _cmd_pipeline(args, out_dir, manifest):
     # 1-sigma window around the weighted mean output energy
     lo_e, hi_e = pt_energy_window(probs, E)
     window = (E >= lo_e) & (E <= hi_e)
-    d_from_z0 = np.bitwise_count(index_array(inst.n) ^ np.uint64(z0)).astype(np.int64)
-    pt_win = np.bincount(d_from_z0[window], weights=probs[window],
-                         minlength=inst.n + 1)
-    uni_win = np.bincount(d_from_z0[window], minlength=inst.n + 1).astype(float)
+    sel = np.nonzero(window)[0]
+    d_sel = hamming_array(sel, z0)
+    pt_win = np.bincount(d_sel, weights=probs[sel], minlength=inst.n + 1)
+    uni_win = np.bincount(d_sel, minlength=inst.n + 1).astype(float)
     uni_win /= max(uni_win.sum(), 1.0)
-    pt_full = np.bincount(d_from_z0, weights=probs, minlength=inst.n + 1)
+    pt_full = result.hamming_hist
     write_csv(out_dir / "fig_hamming_from_start.csv",
               ["hamming_distance", "pt_window_weight", "uniform_window_weight",
                "pt_full_weight"],
@@ -407,14 +416,12 @@ def _cmd_pipeline(args, out_dir, manifest):
               manifest)
 
     # pairwise Hamming structure inside the window
-    sel = np.nonzero(window)[0]
     pair_hist = pair_hamming_histogram(sel, probs[sel], inst.n)
     write_csv(out_dir / "fig_pair_hamming.csv",
               ["hamming_distance", "joint_probability_weight"],
               [(d, repr(float(w))) for d, w in enumerate(pair_hist)], manifest)
 
     # enrichment of every local minimum
-    lab, en, ratio, m_pt, m_u = enrichment_ratio(inst, probs)
     write_csv(out_dir / "fig_enrichment.csv",
               ["z", "bitstring", "energy", "basin_mass_uniform",
                "basin_mass_pt", "enrichment_ratio"],

@@ -101,7 +101,9 @@ def projector_hamiltonian_dense(setup: GroverSetup) -> np.ndarray:
 
 
 def reduced_transfer(setup: GroverSetup, times) -> np.ndarray:
-    """Total marked population vs time, starting in the driver state."""
+    """Total marked population vs time, starting in the driver state, summed
+    over the marked subspace: 1 - survival (statevector.spectral_propagation)
+    would lose relative precision when the population is small."""
     H = build_reduced_hamiltonian(setup)
     vals, vecs = np.linalg.eigh(H)
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))

@@ -161,28 +161,35 @@ def ib_energy(inst: ImpurityBandInstance, z: int) -> float:
 
 
 def pair_energies(h: np.ndarray, J: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Quadratic form h.s + sum_{i<j} J s s evaluated on given labels."""
-    s = spins_from_labels(labels, len(h))
-    return s @ h + 0.5 * np.einsum("zi,ij,zj->z", s, J, s, optimize=True)
+    """Quadratic form h.s + sum_{i<j} J s s evaluated on given labels, in
+    blocks of 2^18 labels so the spin matrix stays small."""
+    out = np.empty(len(labels))
+    for lo in range(0, len(labels), _ENUM_BLOCK):
+        s = spins_from_labels(labels[lo:lo + _ENUM_BLOCK], len(h))
+        out[lo:lo + _ENUM_BLOCK] = s @ h + 0.5 * np.einsum("zi,ij,zj->z", s, J, s,
+                                                           optimize=True)
+    return out
 
 
 def all_classical_energies(inst) -> np.ndarray:
     """Dense vector of classical energies over all 2^n basis states.
 
-    Supports both instance families; capped at n = 24 for memory.
+    Supports both instance families; capped at n = 24 for memory. The first
+    call for an instance object keeps the vector on it, read-only, and later
+    calls share it, so the instance's arrays must not change after that.
     """
     n = inst.n
     if n > ENUMERATION_MAX_N:
         raise ValueError(f"full enumeration capped at n = {ENUMERATION_MAX_N}")
+    if "_energies" in vars(inst):
+        return inst._energies
     if isinstance(inst, ImpurityBandInstance):
         E = np.zeros(1 << n)
         E[np.fromiter(inst.marked, dtype=np.int64)] = inst.base_energy + inst.eps
-        return E
-    E = np.empty(1 << n)
-    idx = index_array(n)
-    for lo in range(0, 1 << n, _ENUM_BLOCK):
-        block = idx[lo:lo + _ENUM_BLOCK]
-        E[lo:lo + _ENUM_BLOCK] = pair_energies(inst.h, inst.J, block)
+    else:
+        E = pair_energies(inst.h, inst.J, index_array(n))
+    E.flags.writeable = False
+    object.__setattr__(inst, "_energies", E)
     return E
 
 

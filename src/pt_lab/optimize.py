@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import check_bitstring, index_array, spins_from_labels
+from .bits import check_bitstring, hamming_array, index_array, spins_from_labels
 from .instances import (
     ImpurityBandInstance,
     SpinGlassInstance,
@@ -44,9 +44,7 @@ def _energy_of(inst, z: int) -> float:
 def _neighbor_energies(inst, z: int) -> np.ndarray:
     if isinstance(inst, SpinGlassInstance):
         s = spins_from_labels(np.array([z]), inst.n)[0]
-        f = inst.h + inst.J @ s
-        base = float(inst.h @ s + 0.5 * s @ inst.J @ s)
-        return base - 2.0 * s * f
+        return classical_energy(inst, z) - 2.0 * s * (inst.h + inst.J @ s)
     return np.array([ib_energy(inst, z ^ (1 << i)) for i in range(inst.n)])
 
 
@@ -95,18 +93,34 @@ def _basin_roots(E: np.ndarray, n: int) -> np.ndarray:
         nxt = hop
 
 
-def enumerate_local_minima(inst) -> list[LocalMinimumRecord]:
-    """All single-flip local minima with their uniform-start basin masses."""
+def _basins(inst, *start_laws):
+    """(minima labels, energies, one mass array per start law) from one
+    pass over the descent basins; labels are sorted ascending."""
     n = inst.n
     if n > SD_MAX_N:
         raise ValueError(f"full enumeration capped at n = {SD_MAX_N}")
     E = all_classical_energies(inst)
-    roots = _basin_roots(E, n)
-    minima, counts = np.unique(roots, return_counts=True)
-    inv_N = 1.0 / (1 << n)
-    return [LocalMinimumRecord(z=int(z), energy=float(E[z]),
-                               basin_probability=float(c * inv_N))
-            for z, c in zip(minima, counts)]
+    minima, inverse = np.unique(_basin_roots(E, n), return_inverse=True)
+    masses = []
+    for law in start_laws:
+        if isinstance(law, str):
+            if law != "uniform":
+                raise ValueError(f"unknown start law {law!r}")
+            masses.append(np.bincount(inverse, minlength=len(minima)) / (1 << n))
+            continue
+        p = np.asarray(law, dtype=float)
+        if p.shape != (1 << n,):
+            raise ValueError("start distribution must cover all 2^n states")
+        if not math.isclose(p.sum(), 1.0, rel_tol=0, abs_tol=1e-6):
+            raise ValueError("start distribution must sum to 1")
+        masses.append(np.bincount(inverse, weights=p, minlength=len(minima)))
+    return minima.astype(np.int64), E[minima], *masses
+
+
+def enumerate_local_minima(inst) -> list[LocalMinimumRecord]:
+    """All single-flip local minima with their uniform-start basin masses."""
+    return [LocalMinimumRecord(z=int(z), energy=float(e), basin_probability=float(m))
+            for z, e, m in zip(*_basins(inst, "uniform"))]
 
 
 def basin_distribution(inst, start_law="uniform"):
@@ -116,36 +130,17 @@ def basin_distribution(inst, start_law="uniform"):
     2^n states (for example a transfer output distribution). Returns
     (minima labels, energies, masses) with labels sorted ascending.
     """
-    n = inst.n
-    if n > SD_MAX_N:
-        raise ValueError(f"full enumeration capped at n = {SD_MAX_N}")
-    E = all_classical_energies(inst)
-    roots = _basin_roots(E, n)
-    minima, inverse = np.unique(roots, return_inverse=True)
-    if isinstance(start_law, str):
-        if start_law != "uniform":
-            raise ValueError(f"unknown start law {start_law!r}")
-        mass = np.bincount(inverse, minlength=len(minima)) / (1 << n)
-    else:
-        p = np.asarray(start_law, dtype=float)
-        if p.shape != (1 << n,):
-            raise ValueError("start distribution must cover all 2^n states")
-        total = p.sum()
-        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
-            raise ValueError("start distribution must sum to 1")
-        mass = np.bincount(inverse, weights=p, minlength=len(minima))
-    return minima.astype(np.int64), E[minima], mass
+    return _basins(inst, start_law)
 
 
 def enrichment_ratio(inst, pt_output):
     """Per-minimum ratio of descent mass under the transfer output
-    distribution to descent mass under uniform starts.
+    distribution to descent mass under uniform starts, in one basin pass.
 
     Returns (labels, energies, ratio, mass_pt, mass_uniform); 0/0 cases
     are reported as nan (undefined), x/0 as inf.
     """
-    labels, energies, mass_u = basin_distribution(inst, "uniform")
-    _, _, mass_pt = basin_distribution(inst, pt_output)
+    labels, energies, mass_u, mass_pt = _basins(inst, "uniform", pt_output)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = mass_pt / mass_u
     return labels, energies, ratio, mass_pt, mass_u
@@ -230,7 +225,7 @@ def pt_energy_window(probabilities: np.ndarray, energies: np.ndarray):
 
 def hamming_histogram_from(z0: int, probabilities: np.ndarray, n: int) -> np.ndarray:
     """Output-weighted histogram of Hamming distance from z0."""
-    d = np.bitwise_count(index_array(n) ^ np.uint64(z0)).astype(np.int64)
+    d = hamming_array(index_array(n), z0)
     return np.bincount(d, weights=probabilities, minlength=n + 1)
 
 

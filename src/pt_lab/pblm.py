@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .downfold import DownfoldedMatrix
+from .statevector import spectral_propagation
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -276,11 +277,6 @@ def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_as_matrix(matrix))
 
 
-def _survival(vals: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    amp = np.exp(-1j * np.outer(times, vals)) @ weights.astype(complex)
-    return np.abs(amp) ** 2
-
-
 def _fit_decay(vals, weights, window, max_time_factor=1e4):
     """Log-linear fit of the survival curve inside the window; nan = censored."""
     hi, lo = window
@@ -293,7 +289,7 @@ def _fit_decay(vals, weights, window, max_time_factor=1e4):
     t_cross = None
     while t_hi <= t_cap:
         times = np.linspace(0.0, t_hi, 256)
-        surv = _survival(vals, weights, times)
+        surv = spectral_propagation(vals, weights, times)
         below = np.nonzero(surv < lo)[0]
         if len(below):
             t_cross = times[below[0]]
@@ -302,11 +298,11 @@ def _fit_decay(vals, weights, window, max_time_factor=1e4):
     if t_cross is None:
         return math.nan
     # oscillatory (non-decaying) sites revive above the window top
-    revival = _survival(vals, weights, np.linspace(t_cross, 5.0 * t_cross, 200))
+    revival = spectral_propagation(vals, weights, np.linspace(t_cross, 5.0 * t_cross, 200))
     if np.any(revival >= hi):
         return math.nan
     times = np.linspace(0.0, 1.02 * t_cross, 800)
-    surv = _survival(vals, weights, times)
+    surv = spectral_propagation(vals, weights, times)
     mask = (surv <= hi) & (surv >= lo)
     if mask.sum() < 3:
         return math.nan

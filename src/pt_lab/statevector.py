@@ -20,7 +20,7 @@ spectral formulas that need the full eigenbasis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,11 +31,11 @@ from .instances import (
     all_classical_energies,
     pair_energies,
 )
+from .optimize import hamming_histogram_from
 
 TROTTER_MAX_N = 24
 DENSE_MAX_N = 14
 NORM_TOL = 1e-8
-_BLOCK = 1 << 18
 
 # Sylvester Hadamard block H_4, (-1)^{popcount(i & j)}; its top-left
 # 2^k x 2^k corner is H_k
@@ -144,17 +144,10 @@ def driver_x_diagonal(inst, driver: str = "auto") -> np.ndarray:
     """Eigenvalues of H_D over the x basis, ordered by x-basis label."""
     hx, Jx = driver_terms(inst, driver)
     n = inst.n
-    N = 1 << n
     if Jx is None:
-        k = index_array(n)
-        pop = np.bitwise_count(k).astype(np.int64)
+        pop = np.bitwise_count(index_array(n)).astype(np.int64)
         return hx[0] * (n - 2.0 * pop)
-    D = np.empty(N)
-    labels = index_array(n)
-    for lo in range(0, N, _BLOCK):
-        block = labels[lo:lo + _BLOCK]
-        D[lo:lo + _BLOCK] = pair_energies(hx, Jx, block)
-    return D
+    return pair_energies(hx, Jx, index_array(n))
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
@@ -294,22 +287,25 @@ def exact_eigs(inst, driver: str = "auto", B_perp: float | None = None):
     if B_perp is not None:
         if not isinstance(inst, ImpurityBandInstance):
             raise ValueError("B_perp override applies to impurity-band instances")
-        inst = ImpurityBandInstance(n=inst.n, marked=inst.marked, eps=inst.eps,
-                                    W=inst.W, B_perp=B_perp,
-                                    base_energy=inst.base_energy, seed=inst.seed)
+        inst = replace(inst, B_perp=B_perp)
     H = dense_hamiltonian(inst, driver)
     vals, vecs = np.linalg.eigh(H)
     return vals, vecs
 
 
+def spectral_propagation(vals: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
+    """|sum_gamma w_gamma e^{-i E_gamma t}|^2 at each of `times`, given the
+    eigenvalues E_gamma and the weights w_gamma."""
+    t_arr = np.atleast_1d(np.asarray(times, dtype=float))
+    amp = np.exp(-1j * np.outer(t_arr, vals)) @ weights.astype(complex)
+    return np.abs(amp) ** 2
+
+
 def transition_probability(eigs, z0: int, z: int, t):
     """P(t, z | z0) = |sum_gamma <z|psi_gamma><psi_gamma|z0> e^{-i E_gamma t}|^2."""
     vals, vecs = eigs
-    weights = vecs[z] * vecs[z0]
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    amp = np.exp(-1j * np.outer(t_arr, vals)) @ weights.astype(complex)
-    P = np.abs(amp) ** 2
-    return float(P[0]) if np.isscalar(t) or np.ndim(t) == 0 else P
+    P = spectral_propagation(vals, vecs[z] * vecs[z0], t)
+    return float(P[0]) if np.ndim(t) == 0 else P
 
 
 def transition_distribution(eigs, z0: int, t: float) -> np.ndarray:
@@ -321,12 +317,7 @@ def transition_distribution(eigs, z0: int, t: float) -> np.ndarray:
 
 def survival_probability(eigs, z0: int, times):
     """psi^2(z0, t) = |sum_gamma |<psi_gamma|z0>|^2 e^{-i E_gamma t}|^2."""
-    vals, vecs = eigs
-    w = (vecs[z0] ** 2).astype(complex)
-    t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    amp = np.exp(-1j * np.outer(t_arr, vals)) @ w
-    P = np.abs(amp) ** 2
-    return float(P[0]) if np.ndim(times) == 0 else P
+    return transition_probability(eigs, z0, z0, times)
 
 
 @dataclass
@@ -433,12 +424,11 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None) -> PTR
 
     edges = np.histogram_bin_edges(E, bins=64)
     e_hist, _ = np.histogram(E, bins=edges, weights=probs)
-    d = np.bitwise_count(index_array(n) ^ np.uint64(z0)).astype(np.int64)
-    h_hist = np.bincount(d, weights=probs, minlength=n + 1)
     return PTResult(
         n=n, z0=z0, total_time=float(total_t), probabilities=probs,
         times=np.asarray(times), survival=np.asarray(survival),
-        energy_edges=edges, energy_hist=e_hist, hamming_hist=h_hist,
+        energy_edges=edges, energy_hist=e_hist,
+        hamming_hist=hamming_histogram_from(z0, probs, n),
         transferred_weight=transferred_weight(inst, z0, probs),
         saturated=saturated, ladder_times=ladder_times,
         ladder_weights=ladder_weights,

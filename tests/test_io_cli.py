@@ -174,6 +174,42 @@ def test_evolution_settings_out_of_range(tmp_path, ib_instance, capsys,
     assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
 
 
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("pblm-ensemble", "--realizations", "0"),
+    ("evolve", "--top-k", "0"),
+    ("pt-run", "--top-k", "0"),
+    ("pipeline", "--top-k", "0"),
+    ("pt-run", "--top-k", "-1"),
+    ("spectrum", "--bins", "0"),
+])
+def test_count_flags_below_one(tmp_path, ib_instance, capsys, cmd, flag, value):
+    if cmd == "pblm-ensemble":
+        extra = ["--m", "8", "--gamma", "1.5"]
+    else:
+        extra = ["--instance", str(ib_instance)]
+        extra += ["--time", "1"] if cmd == "evolve" else []
+    rc = main(["--out-dir", str(tmp_path), cmd, *extra, flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cmd, z0", [
+    ("pt-run", "abc"),
+    ("pipeline", "0x1ff"),
+    ("evolve", "0x100"),
+    ("sd", "-1"),
+])
+def test_bad_z0_is_usage_error(tmp_path, ib_instance, capsys, cmd, z0):
+    extra = ["--time", "1"] if cmd == "evolve" else []
+    rc = main(["--out-dir", str(tmp_path), cmd, "--instance", str(ib_instance),
+               *extra, "--z0", z0])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --z0")
+
+
 # ---------------------------------------------------------------- subcommands
 
 def test_gen_instance_impurity_band(tmp_path, ib_instance):
@@ -378,6 +414,37 @@ def test_pipeline_summary_and_figures(tmp_path, glass_instance):
             "fig_enrichment.csv", "pt_output.csv"} <= names
     for entry in manifest["outputs"]:
         assert sha256_file(entry["path"]) == entry["sha256"]
+
+
+def test_pipeline_shares_one_landscape(tmp_path, glass_instance, monkeypatch):
+    import pt_lab.instances as instances
+    import pt_lab.optimize as optimize
+
+    calls = {"pair_energies": 0, "_basin_roots": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    # one enumeration of all 2^n energies is one pair_energies call
+    counted(instances, "pair_energies")
+    counted(optimize, "_basin_roots")
+    rc = main(["--out-dir", str(tmp_path), "pipeline",
+               "--instance", str(glass_instance), "--dt", "0.1",
+               "--start-time", "1", "--max-doublings", "1"])
+    assert rc == 0
+    assert calls["pair_energies"] == 1
+    assert calls["_basin_roots"] <= 2
+
+    inst = load_instance(glass_instance)
+    E = instances.all_classical_energies(inst)
+    assert instances.all_classical_energies(inst) is E
+    with pytest.raises(ValueError):
+        E[0] = 0.0
 
 
 # ---------------------------------------------------------------- determinism
