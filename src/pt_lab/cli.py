@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--realizations", type=int, default=20)
     pe.add_argument("--eta", type=float, default=None)
     pe.add_argument("--fit-gammas", action="store_true",
-                    help="also fit per-site survival decay rates (slow)")
+                    help="also fit per-site survival decay rates")
     pe.add_argument("--seed", type=int, default=0)
 
     gs = sub.add_parser("grover-sweep", help="driver-error sweep of the reduced model")

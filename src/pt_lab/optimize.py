@@ -68,18 +68,16 @@ def steepest_descent(inst, z: int) -> LocalMinimumRecord:
 
 
 def _descent_pointers(E: np.ndarray, n: int) -> np.ndarray:
-    """next-state pointer for every z: best single flip, self if fixed point."""
-    N = 1 << n
-    idx = index_array(n).astype(np.int64)
-    nxt = np.empty(N, dtype=np.int64)
-    for lo in range(0, N, _BLOCK):
-        blk = idx[lo:lo + _BLOCK]
-        flips = np.stack([E[blk ^ (1 << i)] for i in range(n)])
-        best = flips.argmin(axis=0)
-        bestE = flips[best, np.arange(len(blk))]
-        tgt = blk ^ (np.int64(1) << best)
-        stay = bestE >= E[blk]
-        nxt[lo:lo + _BLOCK] = np.where(stay, blk, tgt)
+    """next-state pointer for every z: best single flip (lowest bit on ties), self if fixed point."""
+    nxt = index_array(n).astype(np.int64)
+    for lo in range(0, 1 << n, _BLOCK):
+        best = nxt[lo:lo + _BLOCK]
+        blk, bestE = best.copy(), E[best]
+        for i in range(n):
+            tgt = blk ^ (1 << i)
+            better = E[tgt] < bestE
+            best[better] = tgt[better]
+            bestE[better] = E[tgt[better]]
     return nxt
 
 

@@ -35,6 +35,7 @@ EULER_GAMMA = 0.5772156649015329
 _K_MAX = 60.0
 _K_POINTS = 200001
 _X_CHUNK = 64
+_GRID_PER_DECADE = 256
 
 
 @dataclass(frozen=True)
@@ -277,55 +278,47 @@ def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_as_matrix(matrix))
 
 
-def _fit_decay(vals, weights, window, max_time_factor=1e4):
-    """Log-linear fit of the survival curve inside the window; nan = censored."""
+def gamma_samples(matrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
+    """Decay rate Gamma_j of every basis state j under e^{-i H t}; nan = censored.
+
+    Every survival curve S_j(t) comes from one spectral product on a shared
+    log time grid, 0.1/max spread to 5e4/min spread at _GRID_PER_DECADE
+    points per decade, with spread_j the off-diagonal norm of row j of H.
+    For window (hi, lo), t_cross is the first grid time with S_j < lo. Site
+    j is censored if spread_j = 0, if t_cross > 1e4/spread_j (or S_j never
+    crosses), if S_j >= hi again in [t_cross, 5 t_cross] (an oscillation),
+    or if fewer than 3 samples with t <= 1.02 t_cross lie in [lo, hi].
+    Else Gamma_j is minus the slope of log S_j on those samples, by least
+    squares weighted by t, the log grid's spacing; a slope >= 0 is censored.
+    """
     hi, lo = window
-    mean = float(weights @ vals)
-    spread = math.sqrt(max(float(weights @ (vals - mean) ** 2), 1e-300))
-    if spread == 0.0:
-        return math.nan
-    t_hi = 1.0 / spread
-    t_cap = max_time_factor / spread
-    t_cross = None
-    while t_hi <= t_cap:
-        times = np.linspace(0.0, t_hi, 256)
-        surv = spectral_propagation(vals, weights, times)
-        below = np.nonzero(surv < lo)[0]
-        if len(below):
-            t_cross = times[below[0]]
-            break
-        t_hi *= 2.0
-    if t_cross is None:
-        return math.nan
-    # oscillatory (non-decaying) sites revive above the window top
-    revival = spectral_propagation(vals, weights, np.linspace(t_cross, 5.0 * t_cross, 200))
-    if np.any(revival >= hi):
-        return math.nan
-    times = np.linspace(0.0, 1.02 * t_cross, 800)
-    surv = spectral_propagation(vals, weights, times)
-    mask = (surv <= hi) & (surv >= lo)
-    if mask.sum() < 3:
-        return math.nan
-    slope = np.polyfit(times[mask], np.log(surv[mask]), 1)[0]
-    return float(-slope) if slope < 0 else math.nan
+    vals, vecs = _eigh(matrix)
+    H = _as_matrix(matrix)
+    spread = np.linalg.norm(H - np.diag(np.diag(H)), axis=1)
+    coupled = spread > 0.0
+    if not coupled.any():
+        return np.full(len(vals), math.nan)
+    t_lo, t_hi = 0.1 / spread.max(), 5e4 / spread[coupled].min()
+    t = np.geomspace(t_lo, t_hi, math.ceil(_GRID_PER_DECADE * math.log10(t_hi / t_lo)) + 1)
+    surv = spectral_propagation(vals, (vecs ** 2).T, t)
+    below = surv < lo
+    t_cross = t[below.argmax(axis=0)]
+    ok = coupled & below.any(axis=0) & (t_cross * spread <= 1e4)
+    col = t[:, None]
+    ok &= ~((surv >= hi) & (col >= t_cross) & (col <= 5.0 * t_cross)).any(axis=0)
+    fit = (col <= 1.02 * t_cross) & (surv >= lo) & (surv <= hi)
+    # t-weighted moments over the fit samples; S = 1 elsewhere adds log 1 = 0
+    w0, w1, w2 = np.stack([t, t ** 2, t ** 3]) @ fit.astype(float)
+    surv[~fit] = 1.0
+    y0, y1 = np.stack([t, t ** 2]) @ np.log(surv, out=surv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (y1 - w1 * y0 / w0) / (w2 - w1 ** 2 / w0)
+    return np.where(ok & (fit.sum(axis=0) >= 3) & (slope < 0), -slope, math.nan)
 
 
 def extract_gamma(matrix, site: int, window: tuple = (0.9, 0.37)) -> float:
-    """Decay rate Gamma_j of basis state `site` under e^{-i H t}.
-
-    Fits log survival over the window where it lies in [0.37, 0.9],
-    bounded away from the short-time quadratic regime and the long-time
-    tail. Returns nan for censored (non-decaying or oscillatory) sites.
-    """
-    vals, vecs = _eigh(matrix)
-    return _fit_decay(vals, vecs[site] ** 2, window)
-
-
-def gamma_samples(matrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
-    """extract_gamma for every site with a single diagonalization."""
-    vals, vecs = _eigh(matrix)
-    return np.array([_fit_decay(vals, vecs[j] ** 2, window)
-                     for j in range(len(vals))])
+    """Decay rate of basis state `site`: gamma_samples(matrix, window)[site]."""
+    return float(gamma_samples(matrix, window)[site])
 
 
 def site_self_energies(matrix, eta: float | None = None) -> np.ndarray:

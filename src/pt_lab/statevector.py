@@ -36,6 +36,7 @@ from .optimize import hamming_histogram_from
 TROTTER_MAX_N = 24
 DENSE_MAX_N = 14
 NORM_TOL = 1e-8
+_TIME_BLOCK = 32
 
 # Sylvester Hadamard block H_4, (-1)^{popcount(i & j)}; its top-left
 # 2^k x 2^k corner is H_k
@@ -295,10 +296,16 @@ def exact_eigs(inst, driver: str = "auto", B_perp: float | None = None):
 
 def spectral_propagation(vals: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     """|sum_gamma w_gamma e^{-i E_gamma t}|^2 at each of `times`, given the
-    eigenvalues E_gamma and the weights w_gamma."""
+    eigenvalues E_gamma and real weights w_gamma; (M, L) weights give L
+    curves as a (T, L) array. The phases are formed _TIME_BLOCK times at a
+    time, as a cosine and a sine so that both products stay real."""
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    amp = np.exp(-1j * np.outer(t_arr, vals)) @ weights.astype(complex)
-    return np.abs(amp) ** 2
+    out = np.empty(t_arr.shape + weights.shape[1:])
+    for lo in range(0, len(t_arr), _TIME_BLOCK):
+        phases = np.outer(t_arr[lo:lo + _TIME_BLOCK], vals)
+        re, im = np.cos(phases) @ weights, np.sin(phases) @ weights
+        out[lo:lo + _TIME_BLOCK] = re ** 2 + im ** 2
+    return out
 
 
 def transition_probability(eigs, z0: int, z: int, t):

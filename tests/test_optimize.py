@@ -9,7 +9,8 @@ from pt_lab.optimize import (AnnealSchedule, LocalMinimumRecord,
                              enrichment_ratio, enumerate_local_minima,
                              hamming_histogram_from, median_hamming,
                              pair_hamming_histogram, pt_energy_window,
-                             simulated_annealing, steepest_descent)
+                             simulated_annealing, steepest_descent,
+                             _descent_pointers)
 
 
 def _greedy_reference(E, n, z):
@@ -64,6 +65,23 @@ def test_enumerate_local_minima_is_exhaustive():
         counts[_greedy_reference(E, 8, z)[0]] += 1
     for z, c in counts.items():
         assert by_z[z].basin_probability == pytest.approx(c / 256.0)
+
+
+def _stacked_pointers(E, n):
+    # every state's n flip energies in one stack; argmin keeps the lowest
+    # bit among tied flips, and a state moves only to a strictly lower one
+    z = np.arange(1 << n)
+    flips = np.stack([E[z ^ (1 << i)] for i in range(n)])
+    return np.where(flips.min(axis=0) < E, z ^ (1 << flips.argmin(axis=0)), z)
+
+
+@pytest.mark.parametrize("inst", [gen_impurity_band(n=9, M=6, W=0.3, seed=4),
+                                  gen_spin_glass(n=12, seed=1)],
+                         ids=["impurity-band", "spin-glass"])
+def test_descent_pointers_match_stacked_argmin(inst):
+    E = all_classical_energies(inst)
+    np.testing.assert_array_equal(_descent_pointers(E, inst.n),
+                                  _stacked_pointers(E, inst.n))
 
 
 def test_marked_states_are_impurity_minima():

@@ -283,6 +283,59 @@ def test_diagonal_matrix_is_censored():
     assert np.all(np.isnan(g))
 
 
+def _survival(vals, w, t):
+    return np.abs(np.exp(-1j * np.outer(t, vals)) @ w) ** 2
+
+
+def _per_site_gamma(vals, w, window=(0.9, 0.37)):
+    # the decay-fit rules for one site on uniform grids: double the search
+    # range from 1/spread until the survival drops below lo (giving up past
+    # 1e4/spread), censor a revival to >= hi in [t_cross, 5 t_cross], then
+    # fit log S against t where lo <= S <= hi on 800 points up to 1.02 t_cross
+    hi, lo = window
+    spread = np.sqrt(w @ (vals - w @ vals) ** 2)
+    t_hi = 1.0 / spread
+    while True:
+        if t_hi > 1e4 / spread:
+            return np.nan
+        t = np.linspace(0.0, t_hi, 256)
+        below = np.nonzero(_survival(vals, w, t) < lo)[0]
+        if len(below):
+            t_cross = t[below[0]]
+            break
+        t_hi *= 2.0
+    if np.any(_survival(vals, w, np.linspace(t_cross, 5.0 * t_cross, 200)) >= hi):
+        return np.nan
+    t = np.linspace(0.0, 1.02 * t_cross, 800)
+    s = _survival(vals, w, t)
+    keep = (s >= lo) & (s <= hi)
+    if keep.sum() < 3:
+        return np.nan
+    slope = np.polyfit(t[keep], np.log(s[keep]), 1)[0]
+    return -slope if slope < 0 else np.nan
+
+
+# seed 5 has two censored sites, seed 0 none
+@pytest.mark.parametrize("seed", [0, 5])
+def test_gamma_samples_match_per_site_reference(seed):
+    mat = sample_pblm(PBLMConfig(M=64, gamma=1.5, lam=1.0), seed=seed)
+    vals, vecs = np.linalg.eigh(mat.matrix)
+    want = np.array([_per_site_gamma(vals, vecs[j] ** 2) for j in range(64)])
+    got = gamma_samples(mat)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=0.01)
+
+
+def test_uncoupled_site_is_censored_and_leaves_the_rest_alone():
+    block = sample_pblm(PBLMConfig(M=64, gamma=1.5, lam=1.0), seed=2).matrix
+    H = np.insert(np.insert(block, 17, 0.0, axis=0), 17, 0.0, axis=1)
+    H[17, 17] = 0.3
+    got = gamma_samples(H)
+    assert np.isnan(got[17])
+    np.testing.assert_allclose(np.delete(got, 17), gamma_samples(block),
+                               rtol=1e-9)
+
+
 # ---------------------------------------------------------------- resolvent
 
 def test_site_self_energies_two_level_analytic():
