@@ -55,7 +55,13 @@ from .pblm import (
     sample_pblm,
     site_self_energies,
 )
-from .statevector import EvolutionConfig, StateVector, evolve_trotter, run_pt_protocol
+from .statevector import (
+    DENSE_MAX_N,
+    EvolutionConfig,
+    StateVector,
+    evolve_trotter,
+    run_pt_protocol,
+)
 
 
 def _read_json(path):
@@ -170,8 +176,14 @@ def _cmd_spectrum(args, out_dir, manifest):
 
 
 def _top_k_rows(inst, z0, probs, k):
+    """The k most probable states, by decreasing probability and then by
+    label. Only the states at or above the k-th largest probability are
+    sorted."""
     E = all_classical_energies(inst)
-    order = np.lexsort((np.arange(len(probs)), -probs))[:k]
+    k = min(k, len(probs))
+    kth = np.partition(probs, len(probs) - k)[len(probs) - k]
+    cand = np.flatnonzero(probs >= kth)
+    order = cand[np.lexsort((cand, -probs[cand]))][:k]
     return [(int(z), repr(float(probs[z])), repr(float(E[z])), int(d))
             for z, d in zip(order, hamming_array(order, z0))]
 
@@ -235,6 +247,9 @@ def _cmd_downfold(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
     if not isinstance(inst, ImpurityBandInstance):
         raise UsageError("downfold needs an impurity-band instance")
+    if args.get("phase_mode") == "numeric_extraction" and inst.n > DENSE_MAX_N:
+        raise UsageError(f"--phase-mode numeric_extraction is limited to "
+                         f"n <= {DENSE_MAX_N}, got n = {inst.n}")
     params = TunnelingParams(
         n=inst.n, B_perp=inst.B_perp,
         amplitude_prefactor_mode=args.get("amplitude_mode") or "unit_A",

@@ -23,6 +23,12 @@ from functools import cached_property
 import numpy as np
 
 from .instances import ImpurityBandInstance
+from .statevector import DENSE_MAX_N
+
+# a level Gram's eigenvalues below this fraction of its largest count as
+# zero: over n <= 14 and M <= 100 its zero eigenvalues come out below 1e-14
+# of the largest and its nonzero ones above 1e-6
+_GRAM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -169,8 +175,9 @@ def build_downfolded(inst: ImpurityBandInstance, params: TunnelingParams,
     Off-diagonal magnitudes are V(d_ij); the unknown phase factor is
     drawn per phase_mode: independent signs (default) or sqrt(2) sin of
     a uniform phase. numeric_extraction instead projects the exact
-    Hamiltonian onto its M impurity-band eigenstates (n <= 14) and keeps
-    whatever diagonal that projection produces.
+    Hamiltonian onto its M impurity-band eigenstates (n <= DENSE_MAX_N),
+    taken from marked_eigensystem, and keeps whatever diagonal that
+    projection produces.
     """
     if inst.n != params.n:
         raise ValueError("instance and params disagree on n")
@@ -180,9 +187,7 @@ def build_downfolded(inst: ImpurityBandInstance, params: TunnelingParams,
         shift = float(np.mean(np.diag(mat) - inst.eps)) if M else 0.0
     else:
         rng = np.random.default_rng(seed)
-        z = np.fromiter(inst.marked, dtype=np.uint64)
-        dist = np.bitwise_count(z[:, None] ^ z[None, :]).astype(np.int64)
-        V = amplitude_table(params)[dist]
+        V = amplitude_table(params)[_marked_distances(inst)]
         iu = np.triu_indices(M, 1)
         if params.phase_mode == "random_sign":
             phase = rng.choice(np.array([-1.0, 1.0]), size=len(iu[0]))
@@ -198,19 +203,65 @@ def build_downfolded(inst: ImpurityBandInstance, params: TunnelingParams,
                             W=inst.W, B_perp=params.B_perp, n=inst.n, shift=shift)
 
 
+def _marked_distances(inst: ImpurityBandInstance) -> np.ndarray:
+    """M x M Hamming distances between the marked states."""
+    z = np.fromiter(inst.marked, dtype=np.uint64)
+    return np.bitwise_count(z[:, None] ^ z[None, :]).astype(np.int64)
+
+
+def _krawtchouk_table(n: int) -> np.ndarray:
+    """K_j(d) = sum_k (-1)^k C(d, k) C(n-d, j-k) for j, d = 0..n, summed as
+    exact integers; row j, column d."""
+    return np.array([[sum((-1) ** k * math.comb(d, k) * math.comb(n - d, j - k)
+                          for k in range(j + 1))
+                      for d in range(n + 1)] for j in range(n + 1)], dtype=float)
+
+
+def marked_eigensystem(inst: ImpurityBandInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and marked components (M x D, one column per
+    eigenstate, rows in `inst.marked` order) of every eigenstate of the
+    impurity-band H that can carry marked weight; all other eigenstates
+    have none.
+
+    H is the uniform driver plus a diagonal term on the marked states only,
+    so span{P_j |m_a>}, with P_j the projector onto driver level j
+    (energy -B_perp (n - 2j)), is H-invariant and holds |m_a> = sum_j P_j |m_a>.
+    Its level-j Gram is <m_a|P_j|m_b> = 2^-n K_j(d_ab); an orthonormal basis
+    of each level comes from that Gram's eigenvectors Q_j with nonzero
+    eigenvalues L_j, and has marked components B_j = Q_j L_j^(1/2). In the
+    stacked basis B (M x D, D <= M (n+1)) H is
+    diag(-B_perp (n - 2j)) + B^T diag(base_energy + eps) B, whose
+    eigenvectors Y give marked components B Y. Capped at n = DENSE_MAX_N,
+    the largest size at which the dense reference (exact_eigs) can check it.
+    """
+    n = inst.n
+    if n > DENSE_MAX_N:
+        raise ValueError(f"numeric extraction is limited to n <= {DENSE_MAX_N}")
+    dist = _marked_distances(inst)
+    blocks, levels = [], []
+    for j, K_j in enumerate(_krawtchouk_table(n)):
+        lam, Q = np.linalg.eigh(K_j[dist])
+        keep = lam > _GRAM_RTOL * lam[-1]
+        blocks.append(Q[:, keep] * np.sqrt(lam[keep] / 2.0 ** n))
+        levels.append(np.full(int(keep.sum()), -inst.B_perp * (n - 2 * j)))
+    B = np.hstack(blocks)
+    marked_energy = inst.base_energy + inst.eps
+    H = np.diag(np.concatenate(levels)) + B.T @ (marked_energy[:, None] * B)
+    vals, Y = np.linalg.eigh(H)
+    return vals, B @ Y
+
+
 def _numeric_downfold(inst: ImpurityBandInstance) -> np.ndarray:
-    """Orthogonalized projection of the dense H onto the band eigenstates.
+    """Orthogonalized projection of H onto its impurity-band eigenstates.
 
     The M eigenstates with the largest total marked weight define the
-    band; projecting onto the marked basis and symmetrically
-    orthogonalizing yields an M x M matrix whose spectrum equals the band
-    eigenvalues whenever the overlap matrix is well conditioned.
+    band; their marked components come from marked_eigensystem, without
+    forming the 2^n-dimensional H. Projecting onto the marked basis and
+    symmetrically orthogonalizing yields an M x M matrix whose spectrum
+    equals the band eigenvalues whenever the overlap matrix is well
+    conditioned.
     """
-    from .statevector import exact_eigs
-
-    vals, vecs = exact_eigs(inst)
-    marked = np.fromiter(inst.marked, dtype=np.int64)
-    amp = vecs[marked, :]
+    vals, amp = marked_eigensystem(inst)
     weight = (amp ** 2).sum(axis=0)
     sel = np.sort(np.argsort(weight)[-inst.M:])
     A = amp[:, sel]
@@ -271,15 +322,12 @@ def extract_numeric_elements(inst: ImpurityBandInstance,
     states are identified by their marked weight. Requires M = 2 and
     eps_1 = eps_2 within atol.
     """
-    from .statevector import exact_eigs
-
     if inst.M != 2:
         raise ValueError("needs exactly two marked states")
     if abs(inst.eps[0] - inst.eps[1]) > atol:
         raise ValueError("marked energies must be degenerate for a resonant pair")
-    vals, vecs = exact_eigs(inst)
-    marked = np.fromiter(inst.marked, dtype=np.int64)
-    weight = (vecs[marked, :] ** 2).sum(axis=0)
+    vals, amp = marked_eigensystem(inst)
+    weight = (amp ** 2).sum(axis=0)
     sel = np.argsort(weight)[-2:]
     return float(abs(vals[sel[0]] - vals[sel[1]]) / 2.0)
 

@@ -30,7 +30,10 @@ COUPLING_GRID = np.linspace(-1.0, 1.0, 64)
 DIMER_J = -4.0
 
 ENUMERATION_MAX_N = 24
-_ENUM_BLOCK = 1 << 18
+# pair_energies gives the same bits for any block that is a multiple of 4
+# labels; some other sizes (1-3, 6, 7, ...) round differently in the matrix
+# kernels, so keep it a multiple of 4
+_ENUM_BLOCK = 1 << 12
 
 
 def quantize_couplings(x: np.ndarray) -> np.ndarray:
@@ -162,7 +165,8 @@ def ib_energy(inst: ImpurityBandInstance, z: int) -> float:
 
 def pair_energies(h: np.ndarray, J: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Quadratic form h.s + sum_{i<j} J s s evaluated on given labels, in
-    blocks of 2^18 labels so the spin matrix stays small."""
+    blocks of _ENUM_BLOCK = 2^12 labels, so the block x n spin matrix and the
+    intermediates built from it stay at a few hundred KiB."""
     out = np.empty(len(labels))
     for lo in range(0, len(labels), _ENUM_BLOCK):
         s = spins_from_labels(labels[lo:lo + _ENUM_BLOCK], len(h))

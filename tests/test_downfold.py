@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -9,9 +10,10 @@ from pt_lab.instances import gen_impurity_band, ImpurityBandInstance
 from pt_lab.downfold import (DownfoldedMatrix, TunnelingParams,
                              amplitude_table, build_downfolded,
                              calibrate_prefactor, cdf_w,
-                             extract_numeric_elements, pdf_w,
-                             reference_amplitude, sample_w,
+                             extract_numeric_elements, marked_eigensystem,
+                             pdf_w, reference_amplitude, sample_w,
                              tunneling_amplitude, theta, v_typ)
+from pt_lab.statevector import exact_eigs
 
 mp.mp.dps = 30
 
@@ -218,3 +220,110 @@ def test_calibrate_prefactor_roundtrip():
     idle = tunneling_amplitude(5, TunnelingParams(n=10, B_perp=1.5,
                                                   calibration_A=A))
     assert idle == tunneling_amplitude(5, TunnelingParams(n=10, B_perp=1.5))
+
+
+# ------------------------------------------- marked-subspace eigensystem
+
+def _dense_marked(inst):
+    """Eigenvalues and marked rows of the eigenvectors of the dense H."""
+    vals, vecs = exact_eigs(inst)
+    return vals, vecs[np.fromiter(inst.marked, dtype=np.int64), :]
+
+
+def _dense_projection(inst):
+    """Löwdin projection onto the M largest-marked-weight eigenstates of the
+    dense H, with the base energy taken off the diagonal."""
+    vals, amp = _dense_marked(inst)
+    sel = np.sort(np.argsort((amp ** 2).sum(axis=0))[-inst.M:])
+    A = amp[:, sel]
+    s_vals, s_vecs = np.linalg.eigh(A @ A.T)
+    S_inv_half = (s_vecs / np.sqrt(s_vals)) @ s_vecs.T
+    H = S_inv_half @ (A * vals[sel]) @ A.T @ S_inv_half
+    return 0.5 * (H + H.T) - inst.base_energy * np.eye(inst.M)
+
+
+def _cumulative_weight(vals, weight, at):
+    """Marked weight of the eigenstates with eigenvalue <= each of `at`."""
+    order = np.argsort(vals)
+    cum = np.concatenate([[0.0], np.cumsum(weight[order])])
+    return cum[np.searchsorted(vals[order], at, side="right")]
+
+
+_SUBSPACE_CASES = {
+    "n11-seed0": lambda: gen_impurity_band(11, 6, 0.5, seed=0, B_perp=2.0),
+    "n10-seed1": lambda: gen_impurity_band(10, 6, 0.5, seed=1, B_perp=2.0),
+    "n10-seed2": lambda: gen_impurity_band(10, 6, 0.5, seed=2, B_perp=2.0),
+    "n10-seed3": lambda: gen_impurity_band(10, 6, 0.5, seed=3, B_perp=2.0),
+    # the band energy -n lies on the driver level -B(n - 2j) at j = 2
+    "on-pole": lambda: gen_impurity_band(8, 6, 0.5, seed=0, B_perp=2.0),
+    "M16": lambda: gen_impurity_band(9, 16, 0.5, seed=0, B_perp=2.0),
+    # more marked states than C(6, j) for every j, so every level Gram
+    # is rank deficient
+    "M40": lambda: gen_impurity_band(6, 40, 0.5, seed=0, B_perp=2.0),
+    "B0.6": lambda: gen_impurity_band(9, 6, 0.5, seed=2, B_perp=0.6),
+    "d1": lambda: ImpurityBandInstance(n=10, marked=(0, 1), eps=(0.0, 0.0),
+                                       W=0.1, B_perp=1.5),
+    "antipodal": lambda: ImpurityBandInstance(n=10, marked=(0, 1023),
+                                              eps=(0.0, 0.0), W=0.1, B_perp=1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_SUBSPACE_CASES))
+def test_marked_eigensystem_matches_dense(case):
+    inst = _SUBSPACE_CASES[case]()
+    vals, amp = marked_eigensystem(inst)
+    weight = (amp ** 2).sum(axis=0)
+    assert len(vals) <= inst.M * (inst.n + 1)
+    # every marked state lies in the subspace
+    assert weight.sum() == pytest.approx(inst.M, abs=1e-12)
+    d_vals, d_amp = _dense_marked(inst)
+    d_weight = (d_amp ** 2).sum(axis=0)
+    # same marked weight below every eigenvalue (a degenerate dense
+    # eigenspace may spread its weight over any basis of itself)
+    at = np.concatenate([vals - 1e-9, vals + 1e-9])
+    np.testing.assert_allclose(_cumulative_weight(vals, weight, at),
+                               _cumulative_weight(d_vals, d_weight, at),
+                               rtol=0, atol=1e-12)
+    sel = np.sort(np.argsort(weight)[-inst.M:])
+    d_sel = np.sort(np.argsort(d_weight)[-inst.M:])
+    np.testing.assert_allclose(vals[sel], d_vals[d_sel], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weight[sel], d_weight[d_sel], rtol=0, atol=1e-12)
+    with warnings.catch_warnings():
+        # V_typ's theta series warns below B_perp = 1; the matrix ignores it
+        warnings.simplefilter("ignore", UserWarning)
+        mat = build_downfolded(inst, TunnelingParams(
+            n=inst.n, B_perp=inst.B_perp, phase_mode="numeric_extraction"))
+    np.testing.assert_allclose(mat.matrix, _dense_projection(inst),
+                               rtol=0, atol=1e-12)
+    if inst.M == 2:
+        top = np.argsort(d_weight)[-2:]
+        assert extract_numeric_elements(inst) == pytest.approx(
+            abs(d_vals[top[0]] - d_vals[top[1]]) / 2, abs=1e-12)
+
+
+def test_numeric_extraction_never_forms_the_dense_hamiltonian(monkeypatch):
+    import pt_lab.statevector as sv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path called")
+
+    monkeypatch.setattr(sv, "exact_eigs", refuse)
+    monkeypatch.setattr(sv, "dense_hamiltonian", refuse)
+    inst = gen_impurity_band(14, 3, 0.5, seed=0, B_perp=2.0)
+    params = TunnelingParams(n=14, B_perp=2.0, phase_mode="numeric_extraction")
+    tracemalloc.start()
+    try:
+        build_downfolded(inst, params)
+        assert calibrate_prefactor(n=14, B_perp=1.5, distances=(3, 7)) > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the subspace has at most M (n + 1) = 45 dimensions, while one float64
+    # vector over the 2^14 basis states takes 128 KiB
+    assert peak < 8 << 14
+
+
+def test_numeric_extraction_keeps_its_size_limit():
+    inst = gen_impurity_band(15, 3, 0.5, seed=0, B_perp=2.0)
+    with pytest.raises(ValueError, match="numeric extraction is limited to n <= 14"):
+        marked_eigensystem(inst)

@@ -11,6 +11,7 @@ from pt_lab.instances import (COUPLING_GRID, DIMER_J, ImpurityBandInstance,
                               instance_from_dict, instance_to_dict,
                               load_instance, pair_energies, quantize_couplings,
                               save_instance, spectrum_summary)
+from pt_lab import instances
 from pt_lab.bits import spins_from_labels
 
 
@@ -227,3 +228,14 @@ def test_glass_energy_symmetric_under_global_flip_of_fields(seed):
     flipped = E[::-1].copy()  # z -> ~z reverses the index order bitwise
     np.testing.assert_allclose(np.sort(E), np.sort(flipped), rtol=1e-12)
     assert classical_energy(g0, 0) == pytest.approx(classical_energy(g0, 63))
+
+
+@pytest.mark.parametrize("block", [4, 12, 64])
+def test_pair_energies_independent_of_block_size(monkeypatch, block):
+    # blocks of a multiple of 4 labels give the same bits; some other sizes
+    # (1-3, 6, 7, ...) round differently in the matrix kernels
+    g = gen_spin_glass(n=10, seed=2)
+    labels = np.arange(1 << 10, dtype=np.uint64)
+    expect = pair_energies(g.h, g.J, labels)
+    monkeypatch.setattr(instances, "_ENUM_BLOCK", block)
+    assert np.array_equal(pair_energies(g.h, g.J, labels), expect)

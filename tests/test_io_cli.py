@@ -10,9 +10,9 @@ import json
 import numpy as np
 import pytest
 
-from pt_lab.cli import main
+from pt_lab.cli import _top_k_rows, main
 from pt_lab.downfold import DownfoldedMatrix, TunnelingParams, build_downfolded
-from pt_lab.instances import gen_impurity_band, load_instance
+from pt_lab.instances import all_classical_energies, gen_impurity_band, load_instance
 from pt_lab.io_utils import (RunManifest, load_downfolded, read_csv_columns,
                              resolve_out_dir, save_downfolded, sha256_file,
                              write_csv, write_json)
@@ -208,6 +208,32 @@ def test_bad_z0_is_usage_error(tmp_path, ib_instance, capsys, cmd, z0):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --z0")
+
+
+def test_numeric_downfold_past_its_size_limit_is_usage_error(tmp_path, capsys):
+    inp, out = tmp_path / "in", tmp_path / "out"
+    assert main(["--out-dir", str(inp), "gen-instance", "--kind", "impurity-band",
+                 "--n", "15", "--m", "3", "--w", "0.5"]) == 0
+    capsys.readouterr()
+    rc = main(["--out-dir", str(out), "downfold", "--instance",
+               str(inp / "instance.json"), "--phase-mode", "numeric_extraction"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --phase-mode numeric_extraction is limited to "
+                   "n <= 14, got n = 15"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("k", [1, 5, 17, 63, 64, 65, 1000])
+def test_top_k_rows_match_full_sort(k):
+    inst = gen_impurity_band(6, 3, 0.5, seed=2)
+    # four distinct values, so ties cross every cut
+    probs = np.random.default_rng(0).integers(0, 4, size=64) / 96.0
+    E = all_classical_energies(inst)
+    order = np.lexsort((np.arange(64), -probs))[:k]
+    expect = [(int(z), repr(float(probs[z])), repr(float(E[z])), bin(int(z) ^ 5).count("1"))
+              for z in order]
+    assert _top_k_rows(inst, 5, probs, k) == expect
 
 
 # ---------------------------------------------------------------- subcommands
