@@ -132,6 +132,13 @@ def _evolution_config(args) -> EvolutionConfig:
         raise UsageError(str(e)) from e
 
 
+def _print_rung(total_time, weight, change):
+    """Ladder progress, one stderr line per rung; never part of an artifact."""
+    rel = "" if change is None else f", relative change {change:.3g}"
+    print(f"rung: total time {total_time:.6g}, transferred weight {weight:.6g}"
+          f"{rel}", file=sys.stderr)
+
+
 def _fmt(x):
     if x is None:
         return ""
@@ -232,7 +239,7 @@ def _cmd_pt_run(args, out_dir, manifest):
     z0 = _choose_start(inst, args.get("z0", "auto"))
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k", 1024)
-    result = run_pt_protocol(inst, z0, config)
+    result = run_pt_protocol(inst, z0, config, on_rung=_print_rung)
     _emit_pt_result(inst, result, out_dir, manifest, top_k)
     write_json(out_dir / "pt_result.json",
                {"z0": result.z0, "total_time": result.total_time,
@@ -392,7 +399,7 @@ def _cmd_pipeline(args, out_dir, manifest):
     z0 = _choose_start(inst, args.get("z0", "auto"))
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k", 1024)
-    result = run_pt_protocol(inst, z0, config)
+    result = run_pt_protocol(inst, z0, config, on_rung=_print_rung)
     _emit_pt_result(inst, result, out_dir, manifest, top_k)
 
     E = all_classical_energies(inst)

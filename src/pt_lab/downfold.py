@@ -289,12 +289,10 @@ def pdf_w(w):
 
 def cdf_w(w):
     """CDF erf(sqrt(log w)); log w is Gamma(1/2, 1) distributed."""
-    from scipy.special import erf
-
     w_arr = np.asarray(w, dtype=float)
     if np.any(w_arr < 1.0):
         raise ValueError("the law is supported on w >= 1")
-    out = erf(np.sqrt(np.log(w_arr)))
+    out = np.vectorize(math.erf, otypes=[float])(np.sqrt(np.log(w_arr)))
     return float(out) if np.ndim(w) == 0 else out
 
 

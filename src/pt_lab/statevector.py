@@ -355,14 +355,18 @@ def transferred_weight(inst, z0: int, probabilities: np.ndarray) -> float:
     return float(1.0 - probabilities[z0])
 
 
-def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None) -> PTResult:
+def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
+                    on_rung=None) -> PTResult:
     """Prepare |z0>, switch the driver on at constant strength, evolve, measure.
 
     The diabatic ramps are idealized as instantaneous. With
     config.total_time = None the run doubles its length until the
     transferred weight is stationary at the configured tolerance (the
     saturation criterion is a relative change below saturation_rtol over
-    one doubling of t); otherwise it runs for exactly total_time.
+    one doubling of t); otherwise it runs for exactly total_time. After
+    each rung of that ladder, on_rung (if given) is called with the total
+    time, the transferred weight and its relative change (None on the
+    first rung).
     """
     config = config or EvolutionConfig()
     n = inst.n
@@ -407,19 +411,19 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None) -> PTR
             survival.extend(samples)
 
         if ladder:
-            advance(seg_steps, 0.0)
-            total_steps = seg_steps
-            w_prev = transferred_weight(inst, z0, np.abs(psi) ** 2)
-            ladder_times.append(total_steps * dt)
-            ladder_weights.append(w_prev)
-            saturated = False
-            for _ in range(config.max_doublings):
-                advance(total_steps, total_steps * dt)
-                total_steps *= 2
+            # the first rung runs start_time, each later one doubles the total
+            total_steps, saturated, w_prev = 0, False, None
+            for _ in range(config.max_doublings + 1):
+                rung = total_steps or seg_steps
+                advance(rung, total_steps * dt)
+                total_steps += rung
                 w_new = transferred_weight(inst, z0, np.abs(psi) ** 2)
                 ladder_times.append(total_steps * dt)
                 ladder_weights.append(w_new)
-                if abs(w_new - w_prev) <= config.saturation_rtol * max(w_new, 1e-12):
+                change = None if w_prev is None else abs(w_new - w_prev)
+                if on_rung is not None:
+                    on_rung(total_steps * dt, w_new, change and change / max(w_new, 1e-12))
+                if change is not None and change <= config.saturation_rtol * max(w_new, 1e-12):
                     saturated = True
                     break
                 w_prev = w_new

@@ -485,6 +485,32 @@ def test_same_args_same_bytes_across_dirs(tmp_path, ib_instance):
         assert sha256_file(a / name) == sha256_file(b / name)
 
 
+@pytest.mark.parametrize("cmd", ["pt-run", "pipeline"])
+def test_ladder_progress_on_stderr_only(tmp_path, ib_instance, capsys,
+                                        monkeypatch, cmd):
+    import pt_lab.cli as cli
+
+    argv = [cmd, "--instance", str(ib_instance), "--dt", "0.1",
+            "--start-time", "1", "--max-doublings", "2",
+            "--saturation-rtol", "0"]
+    shown, quiet = tmp_path / "shown", tmp_path / "quiet"
+    assert main(["--out-dir", str(shown)] + argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len([ln for ln in err if ln.startswith("rung:")]) == 3
+    # the same run without the callback writes the same bytes
+    plain = cli.run_pt_protocol
+    monkeypatch.setattr(cli, "run_pt_protocol",
+                        lambda inst, z0, config, on_rung=None:
+                        plain(inst, z0, config))
+    assert main(["--out-dir", str(quiet)] + argv) == 0
+    assert "rung:" not in capsys.readouterr().err
+    names = sorted(p.name for p in shown.iterdir())
+    assert names == sorted(p.name for p in quiet.iterdir())
+    for name in names:
+        if name != "manifest.json":  # it records the run directory
+            assert (shown / name).read_bytes() == (quiet / name).read_bytes()
+
+
 def test_replay_verifies_hashes(tmp_path, ib_instance, capsys):
     run = tmp_path / "run"
     assert main(["--out-dir", str(run), "pt-run", "--instance",

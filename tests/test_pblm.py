@@ -227,6 +227,67 @@ def test_fit_needs_enough_samples():
         fit_stable_quantiles(np.arange(5.0))
 
 
+# ------------------------------------------------- Nolan integral vs scipy
+# scipy.stats.levy_stable is a test-only reference: the package evaluates
+# the law from Nolan's finite-interval integral and never imports it
+
+TAIL_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_standard_quantiles_match_scipy_ppf(beta):
+    from scipy.stats import levy_stable
+    np.testing.assert_allclose(_standard_quantiles(beta, TAIL_PROBS),
+                               levy_stable.ppf(TAIL_PROBS, 1.0, beta),
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_standard_quantiles_reflect_with_beta(beta):
+    # q(p; -beta) = -q(1 - p; beta)
+    mirrored = _standard_quantiles(beta, tuple(1.0 - p for p in TAIL_PROBS))
+    np.testing.assert_allclose(_standard_quantiles(-beta, TAIL_PROBS),
+                               -np.array(mirrored), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_standard_pdf_matches_scipy_pdf(beta):
+    from scipy.stats import levy_stable
+    x = np.linspace(-2.0, 20.0, 89)
+    np.testing.assert_allclose(_standard_pdf(x, beta),
+                               levy_stable.pdf(x, 1.0, beta), rtol=0, atol=1e-8)
+
+
+def test_standard_pdf_far_right_tail():
+    # past the range where scipy's density is reliable, against 2/(pi x^2)
+    x = np.array([320.0, 640.0])
+    np.testing.assert_allclose(_standard_pdf(x, 1.0), 2.0 / (np.pi * x**2),
+                               rtol=0.05)
+
+
+def test_ensemble_cli_runs_without_scipy_stats(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pt_lab
+
+    src = str(Path(pt_lab.__file__).resolve().parents[1])
+    probe = ("import sys; from pt_lab.cli import main; rc = main(sys.argv[1:]); "
+             "print(rc, 'scipy.stats' in sys.modules)")
+    runs = [["pblm-ensemble", "--m", "64", "--gamma", "1.5",
+             "--realizations", "2"],
+            ["stats-fit", "--input", str(tmp_path / "pblm_sites.csv"),
+             "--positive-only"]]
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-c", probe, "--out-dir",
+                               str(tmp_path), *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src},
+                              check=True)
+        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
+
 # ---------------------------------------------------------------- shifts
 
 def test_cauchy_shift_pdf_shape():
