@@ -485,7 +485,13 @@ def _cmd_stats_fit(args, out_dir, manifest):
     name = args.get("column") or "sigma_doubleprime_energy"
     if name not in cols:
         raise UsageError(f"column {name!r} not in {args['input']}")
-    samples = np.asarray(cols[name], dtype=float)
+    col = cols[name]
+    if col.dtype.kind == "U":  # blank cells, such as censored decay rates
+        col = np.where(col == "", "nan", col)
+    try:
+        samples = col.astype(float)
+    except ValueError:
+        raise UsageError(f"column {name!r} holds non-numeric cells") from None
     samples = samples[np.isfinite(samples)]
     if args.get("positive_only"):
         samples = samples[samples > 0]

@@ -1,18 +1,24 @@
 """Exact quantum dynamics: Trotter evolution and dense diagonalization.
 
 The Hamiltonian is H = H_cl + H_D with H_cl diagonal in the computational
-basis and H_D diagonal in the x basis, so evolution alternates between the
-two bases via a fast Walsh-Hadamard transform. The transform is blocked: it
-applies a 16 x 16 Hadamard block to 4 index bits per matrix product, with
-one scratch state. A transfer run advances each rung of its time ladder as
-one Trotter segment and reads the survival trace inside it, in the x basis
-for the symmetric splitting, without closing the splitting per sample.
-Two drivers are supported:
+basis. Two drivers are supported:
 
-* uniform transverse field, H_D = -B_perp * sum_i sigma^x_i;
+* uniform transverse field, H_D = -B_perp * sum_i sigma^x_i, for the
+  impurity band. e^{-i H_D t} is a tensor product of single-qubit
+  x-rotations, so each Trotter step stays in the z basis: it multiplies the
+  M marked amplitudes (the only states with nonzero classical energy) by
+  their phases and applies one blocked pass of rotation blocks, which are
+  real in the frame of S = diag(1, i) on every qubit.
 * matched driver for the spin glass,
   H_D = driver_scale * [sum_i (|h_i|+1) sigma^x_i
                         + sum_{i<j} (|J_ij|+1) sigma^x_i sigma^x_j].
+  H_D is diagonal in the x basis, so evolution alternates between the two
+  bases via a fast Walsh-Hadamard transform.
+
+Both passes are blocked the same way: one 16 x 16 block per 4 index bits
+per matrix product, with one scratch state. A transfer run advances each
+rung of its time ladder as one Trotter segment and reads the survival trace
+inside it, without closing the symmetric splitting per sample.
 
 A dense eigensolver backend covers small systems for cross-checks and for
 spectral formulas that need the full eigenbasis.
@@ -21,6 +27,7 @@ spectral formulas that need the full eigenbasis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -38,13 +45,20 @@ DENSE_MAX_N = 14
 NORM_TOL = 1e-8
 _TIME_BLOCK = 32
 
+# index bits per blocked matrix product
+_BLOCK_BITS = 4
 # Sylvester Hadamard block H_4, (-1)^{popcount(i & j)}; its top-left
 # 2^k x 2^k corner is H_k
-_HADAMARD_BITS = 4
 _HADAMARD = 1.0 - 2.0 * (
     np.bitwise_count(np.arange(16)[:, None] & np.arange(16)) & 1)
 # the same block acting on the (re, im) pairs of a complex state's float view
 _HADAMARD_PAIRS = np.kron(_HADAMARD, np.eye(2))
+# _fwht's blocks by size 2^k: H_k from the left, H_k (x) I_2 on the pairs
+_HADAMARD_LEFT = {1 << k: _HADAMARD[:1 << k, :1 << k] for k in range(1, 5)}
+_HADAMARD_RIGHT = {1 << k: _HADAMARD_PAIRS[:2 << k, :2 << k]
+                   for k in range(1, 5)}
+# i^d for d mod 4
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass
@@ -151,32 +165,79 @@ def driver_x_diagonal(inst, driver: str = "auto") -> np.ndarray:
     return pair_energies(hx, Jx, index_array(n))
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform (matrix entries +-1) of a
-    contiguous complex128 vector of length 2^n.
+def _blocked_pass(a: np.ndarray, left: dict, right: dict) -> np.ndarray:
+    """Apply a real tensor-product operator to a contiguous complex128
+    vector of length 2^n, 4 index bits per np.matmul pass on its float64
+    view.
 
-    Works on the float64 view of `a`, 4 index bits per np.matmul pass with
-    the 16 x 16 Sylvester block; when 4 does not divide n the last pass uses
-    the block's 2^k x 2^k corner, which is H_k. The lowest pass multiplies
-    (re, im) pairs from the right by H_4 (x) I_2, so it is one matrix
-    product rather than one per 16-element group. Passes alternate between
-    `a` and one scratch buffer, so the extra memory is one state. The
-    transform is returned; it may live in `a`'s buffer or in the scratch,
-    and `a` is overwritten either way, so call it as `psi = _fwht(psi)`.
+    A group of k index bits (4, or n mod 4 in the last pass) gets the real
+    2^k x 2^k block left[2^k] from the left. The lowest group instead
+    multiplies (re, im) pairs from the right by right[2^k] (the transposed
+    block (x) I_2), so it is one matrix product rather than one per
+    16-element group. Passes alternate between `a` and one scratch buffer,
+    so the extra memory is one state. The result is returned; it may live
+    in `a`'s buffer or in the scratch, and `a` is overwritten either way,
+    so call it as `psi = _blocked_pass(psi, ...)`.
     """
     n = a.shape[0].bit_length() - 1
     src = a.view(np.float64)
     dst = np.empty_like(src)
-    for lo in range(0, n, _HADAMARD_BITS):
-        K = 1 << min(_HADAMARD_BITS, n - lo)
+    for lo in range(0, n, _BLOCK_BITS):
+        K = 1 << min(_BLOCK_BITS, n - lo)
         if lo == 0:
-            np.matmul(src.reshape(-1, 2 * K), _HADAMARD_PAIRS[:2 * K, :2 * K],
+            np.matmul(src.reshape(-1, 2 * K), right[K],
                       out=dst.reshape(-1, 2 * K))
         else:
-            np.matmul(_HADAMARD[:K, :K], src.reshape(-1, K, 2 << lo),
+            np.matmul(left[K], src.reshape(-1, K, 2 << lo),
                       out=dst.reshape(-1, K, 2 << lo))
         src, dst = dst, src
     return src.view(np.complex128)
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform (matrix entries +-1) of a
+    contiguous complex128 vector of length 2^n: one _blocked_pass with the
+    16 x 16 Sylvester block, or its 2^k x 2^k corner H_k when 4 does not
+    divide n. Call it as `psi = _fwht(psi)`."""
+    return _blocked_pass(a, _HADAMARD_LEFT, _HADAMARD_RIGHT)
+
+
+def _frame_rotation(k: int, theta: float, a, b) -> np.ndarray:
+    """Entries (a, b) of [[c, -s], [s, c]]^{(x) k}, c = cos(theta) and
+    s = sin(theta): c^{k-d} s^d (-1)^{popcount(b & ~a)}, d = popcount(a ^ b),
+    gathered from the k + 1 values c^{k-d} s^d.
+
+    This is the x-rotation (c I + i s X)^{(x) k} seen in the frame
+    phi = S^{-(x) k} psi with S = diag(1, i), where it is real.
+    """
+    d = np.arange(k + 1)
+    by_distance = np.cos(theta) ** (k - d) * np.sin(theta) ** d
+    sign = 1.0 - 2.0 * (np.bitwise_count(b & ~a) & 1)
+    return by_distance[np.bitwise_count(a ^ b)] * sign
+
+
+def _rotation_blocks(n: int, theta: float) -> tuple[dict, dict]:
+    """_blocked_pass's (left, right) blocks by size 2^k for the frame
+    rotation of (cos(theta) I + i sin(theta) X)^{(x) n}."""
+    left, right = {}, {}
+    for k in {min(_BLOCK_BITS, n - lo) for lo in range(0, n, _BLOCK_BITS)}:
+        a = np.arange(1 << k)
+        left[1 << k] = _frame_rotation(k, theta, a[:, None], a)
+        right[1 << k] = np.kron(left[1 << k].T, np.eye(2))
+    return left, right
+
+
+def _s_frame(psi: np.ndarray, inverse: bool = False) -> None:
+    """Multiply psi[z] by i^{popcount(z)} in place (i^{-popcount(z)} with
+    inverse), the diagonal of S^{(x) n}, as two broadcast products over the
+    high and low halves of the index bits. The factors are powers of i, so
+    the products are exact."""
+    n = psi.shape[0].bit_length() - 1
+    powers = _I_POWERS.conj() if inverse else _I_POWERS
+    h = n // 2
+    rows = psi.reshape(1 << (n - h), 1 << h)
+    rows *= powers[np.bitwise_count(np.arange(1 << (n - h))) % 4][:, None]
+    rows *= powers[np.bitwise_count(np.arange(1 << h)) % 4]
 
 
 def _survival_probe(n: int, z0: int, ph_half: np.ndarray) -> np.ndarray:
@@ -186,20 +247,22 @@ def _survival_probe(n: int, z0: int, ph_half: np.ndarray) -> np.ndarray:
     return sign * ph_half / (1 << n)
 
 
-def _trotter_segment(psi, ph_cl, ph_half, ph_full, steps, splitting,
-                     every=0, z0=0, probe=None):
-    """Advance by `steps` Trotter steps; psi enters and leaves in the z basis.
+def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
+                     probe=None):
+    """Advance by `steps` Trotter steps of the FWHT path (the matched
+    driver); psi enters and leaves in the z basis.
 
-    ph_cl carries the 1/N of the two unnormalized transforms of each step
-    (see _phase_tables). Returns (psi, samples): with every > 0, samples
-    holds the survival |<z0|psi>|^2 after every `every`-th step and after
-    the last one. The "first" splitting is in the z basis between steps
-    and reads psi[z0]. The symmetric one stays in the x basis between
-    steps, so a sample inside the segment is |probe . phi|^2 with phi the
-    x-basis state before the closing half-phase and probe from
-    _survival_probe; the last sample reads psi[z0] after the segment
-    closes. Segments at fixed dt compose exactly.
+    tables are (ph_cl, ph_half, ph_full) from _phase_tables; ph_cl carries
+    the 1/N of the two unnormalized transforms of each step. Returns
+    (psi, samples): with every > 0, samples holds the survival
+    |<z0|psi>|^2 after every `every`-th step and after the last one. The
+    "first" splitting is in the z basis between steps and reads psi[z0].
+    The symmetric one stays in the x basis between steps, so a sample inside
+    the segment is |probe . phi|^2 with phi the x-basis state before the
+    closing half-phase and probe from _survival_probe; the last sample reads
+    psi[z0] after the segment closes. Segments at fixed dt compose exactly.
     """
+    ph_cl, ph_half, ph_full = tables
     samples = []
     if splitting == "first":
         for k in range(1, steps + 1):
@@ -226,6 +289,44 @@ def _trotter_segment(psi, ph_cl, ph_half, ph_full, steps, splitting,
     return psi, samples
 
 
+def _rotation_segment(psi, steps, tables, splitting, every=0, z0=0,
+                      probe=None):
+    """Advance by `steps` Trotter steps of the uniform driver; psi enters
+    and leaves in the z basis and stays there. Inside the segment it is
+    held in the frame phi = S^{-(x) n} psi (see _frame_rotation, _s_frame),
+    where the rotation blocks are real.
+
+    tables are (marked, ph_marked, half, full): the marked labels, their
+    phases e^{-i dt (base + eps_a)}, and the (left, right) rotation blocks
+    of e^{-i H_D dt/2} and e^{-i H_D dt}. A step multiplies the marked
+    amplitudes by their phases (every other state has energy 0) and applies
+    one rotation pass. The symmetric splitting applies R(dt/2) first, then
+    [phase, R(dt)] per step, and closes its last step with R(dt/2) instead
+    of R(dt); the "first" splitting is [phase, R(dt)] per step. Samples are
+    taken as in _trotter_segment: between symmetric steps the state is
+    R(dt/2) psi_k, so a sample inside the segment is |probe . phi|^2 with
+    the real probe built by _segment_for. Segments at fixed dt compose
+    exactly.
+    """
+    marked, ph_marked, half, full = tables
+    symmetric = splitting == "symmetric"
+    samples = []
+    _s_frame(psi, inverse=True)
+    if symmetric:
+        psi = _blocked_pass(psi, *half)
+    for k in range(1, steps + 1):
+        psi[marked] *= ph_marked
+        psi = _blocked_pass(psi, *(half if symmetric and k == steps else full))
+        if every and (k % every == 0 or k == steps):
+            if symmetric and k < steps:
+                amp = probe @ psi.view(np.float64).reshape(-1, 2)
+                samples.append(float(amp @ amp))
+            else:
+                samples.append(float(abs(psi[z0]) ** 2))
+    _s_frame(psi)
+    return psi, samples
+
+
 def _phase_tables(E, Dx, dt):
     """Phase tables of one step; ph_cl includes the 1/N of the transforms
     (a power of two, so the scaling is exact)."""
@@ -235,12 +336,52 @@ def _phase_tables(E, Dx, dt):
     return ph_cl, ph_half, ph_half * ph_half
 
 
+def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None):
+    """The Trotter segment of inst's driver at step dt, with its tables
+    built once: segment(psi, steps, every=0) -> (psi, samples).
+
+    The uniform driver (the impurity band) gets _rotation_segment with the
+    M marked phases and the rotation blocks; the matched driver gets
+    _trotter_segment with its 2^n phase tables. With z0 given the segment
+    samples the survival of |z0>, and the symmetric splitting builds the
+    probe it needs for samples inside a segment.
+    """
+    hx, _ = driver_terms(inst, config.driver)
+    symmetric = config.splitting == "symmetric"
+    probe = None
+    if isinstance(inst, ImpurityBandInstance):
+        # e^{-i hx t X} = cos(theta) I + i sin(theta) X with theta = -hx t
+        theta = -float(hx[0]) * dt
+        tables = (np.fromiter(inst.marked, dtype=np.int64),
+                  np.exp(-1j * dt * (inst.base_energy + inst.eps)),
+                  _rotation_blocks(inst.n, 0.5 * theta),
+                  _rotation_blocks(inst.n, theta))
+        if symmetric and z0 is not None:
+            # row z0 of R(-dt/2) in the frame: real, and |probe . phi| is
+            # |<z0|psi_k>| (the two differ by the phase i^{popcount(z0)})
+            probe = _frame_rotation(inst.n, -0.5 * theta, np.uint64(z0),
+                                    index_array(inst.n))
+        segment = _rotation_segment
+    else:
+        E = all_classical_energies(inst)
+        Dx = driver_x_diagonal(inst, config.driver)
+        tables = _phase_tables(E, Dx, dt)
+        if symmetric and z0 is not None:
+            probe = _survival_probe(inst.n, z0, tables[1])
+        segment = _trotter_segment
+    return partial(segment, tables=tables, splitting=config.splitting,
+                   z0=z0 or 0, probe=probe)
+
+
 def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVector:
     """Product-formula propagation of `state` under inst's Hamiltonian.
 
     The symmetric splitting applies
     e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step; the "first"
     mode applies the plain product (e^{-i H_D dt} e^{-i H_cl dt})^steps.
+    The uniform driver runs both in the z basis as one rotation pass per
+    step and builds no 2^n table; the matched driver alternates bases via
+    the FWHT (see _segment_for).
     """
     if inst.n != state.n:
         raise ValueError("state and instance sizes differ")
@@ -256,11 +397,7 @@ def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVe
         return StateVector(psi, state.n)
     steps = config.resolve_steps(T)
     dt = T / steps
-    E = all_classical_energies(inst)
-    Dx = driver_x_diagonal(inst, config.driver)
-    ph_cl, ph_half, ph_full = _phase_tables(E, Dx, dt)
-    psi, _ = _trotter_segment(psi, ph_cl, ph_half, ph_full, steps,
-                              config.splitting)
+    psi, _ = _segment_for(inst, config, dt)(psi, steps)
     return StateVector(psi, state.n)
 
 
@@ -374,7 +511,6 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     if n > TROTTER_MAX_N:
         raise ValueError(f"Trotter backend capped at n = {TROTTER_MAX_N}")
     E = all_classical_energies(inst)
-    Dx = driver_x_diagonal(inst, config.driver)
     psi = StateVector.basis_state(n, z0).amplitudes
 
     ladder = config.total_time is None
@@ -395,17 +531,13 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         probs = np.abs(psi) ** 2
         total_t = 0.0
     else:
-        ph_cl, ph_half, ph_full = _phase_tables(E, Dx, dt)
-        probe = (_survival_probe(n, z0, ph_half)
-                 if config.splitting == "symmetric" else None)
+        segment = _segment_for(inst, config, dt, z0)
 
         def advance(n_steps, t_base):
             # one segment per rung, sampled every `rec` steps and at its end
             nonlocal psi
             rec = max(1, n_steps // max(1, config.trace_points - 1))
-            psi, samples = _trotter_segment(psi, ph_cl, ph_half, ph_full,
-                                            n_steps, config.splitting,
-                                            every=rec, z0=z0, probe=probe)
+            psi, samples = segment(psi, n_steps, every=rec)
             done = [*range(rec, n_steps, rec), n_steps]
             times.extend(t_base + k * dt for k in done)
             survival.extend(samples)

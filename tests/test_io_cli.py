@@ -361,6 +361,32 @@ def test_stats_fit_on_emitted_column(tmp_path):
     assert rc == 2
 
 
+def test_stats_fit_skips_censored_decay_rates(tmp_path):
+    # this ensemble censors some sites, whose gamma_rate cells are blank
+    assert main(["--out-dir", str(tmp_path), "pblm-ensemble", "--m", "192",
+                 "--gamma", "1.5", "--realizations", "2", "--seed", "0",
+                 "--fit-gammas"]) == 0
+    rates = read_csv_columns(tmp_path / "pblm_sites.csv")["gamma_rate"]
+    blank = int(np.sum(rates == ""))
+    assert blank > 0
+    rc = main(["--out-dir", str(tmp_path), "stats-fit",
+               "--input", str(tmp_path / "pblm_sites.csv"),
+               "--column", "gamma_rate"])
+    assert rc == 0
+    doc = json.loads((tmp_path / "stats_fit.json").read_text())
+    assert doc["count"] == len(rates) - blank
+
+
+def test_stats_fit_rejects_text_column(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    write_csv(path, ["label"], [("a",), ("",), ("b",)])
+    rc = main(["--out-dir", str(tmp_path), "stats-fit", "--input", str(path),
+               "--column", "label"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "label" in err[0]
+
+
 def test_stats_fit_rejects_beta_outside_unit_interval(tmp_path, capsys):
     path = tmp_path / "s.csv"
     write_csv(path, ["sigma_doubleprime_energy"],

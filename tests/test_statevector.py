@@ -13,7 +13,8 @@ from pt_lab.statevector import (EvolutionConfig, StateVector,
                                 run_pt_protocol, sample_output,
                                 survival_probability, transferred_weight,
                                 transition_distribution,
-                                transition_probability, _fwht)
+                                transition_probability, _blocked_pass,
+                                _fwht, _rotation_blocks, _s_frame)
 
 
 def _two_level_instance(B, delta):
@@ -66,6 +67,103 @@ def test_fwht_allocates_one_scratch_state():
     finally:
         tracemalloc.stop()
     assert peak <= v.nbytes + 64 * 1024
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_rotation_pass_matches_kron(n):
+    # n = 1..11 covers sizes below the 4-bit block and every remainder;
+    # the frame pass is [[c, -s], [s, c]]^{(x) n}, and conjugating it by
+    # S^{(x) n}, S = diag(1, i), gives the x-rotation (c I + i s X)^{(x) n}
+    theta = 0.37 + 0.1 * n
+    c, s = np.cos(theta), np.sin(theta)
+    frame, rot = np.ones((1, 1)), np.ones((1, 1))
+    for _ in range(n):
+        frame = np.kron(frame, [[c, -s], [s, c]])
+        rot = np.kron(rot, [[c, 1j * s], [1j * s, c]])
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    blocks = _rotation_blocks(n, theta)
+    np.testing.assert_allclose(_blocked_pass(v.copy(), *blocks), frame @ v,
+                               atol=1e-12)
+    w = v.copy()
+    _s_frame(w, inverse=True)
+    w = _blocked_pass(w, *blocks)
+    _s_frame(w)
+    np.testing.assert_allclose(w, rot @ v, atol=1e-12)
+
+
+def _fwht_reference(inst, z0, T, steps, splitting):
+    # the basis-alternating product formula: e^{-i H_D t} is H_n times the
+    # x-basis phases times H_n / N, with H_D's x-basis eigenvalues
+    # -B (n - 2 popcount(x))
+    n, N = inst.n, 1 << inst.n
+    dt = T / steps
+    Dx = -inst.B_perp * (n - 2.0 * np.bitwise_count(np.arange(N)))
+    ph_cl = np.exp(-1j * dt * all_classical_energies(inst))
+
+    def drive(psi, t):
+        return _fwht(np.exp(-1j * t * Dx) * _fwht(psi)) / N
+
+    psi = np.zeros(N, dtype=complex)
+    psi[z0] = 1.0
+    for _ in range(steps):
+        if splitting == "symmetric":
+            psi = drive(ph_cl * drive(psi, dt / 2), dt / 2)
+        else:
+            psi = drive(ph_cl * psi, dt)
+    return psi
+
+
+@pytest.mark.parametrize("splitting", ["symmetric", "first"])
+@pytest.mark.parametrize("B", [0.0, 0.6, 2.0])
+@pytest.mark.parametrize("n", [1, 3, 5, 8, 11])
+def test_uniform_trotter_matches_fwht_reference(n, B, splitting):
+    inst = gen_impurity_band(n=n, M=min(4, 1 << n), W=0.5, seed=n, B_perp=B)
+    z0 = inst.marked[-1]
+    cfg = EvolutionConfig(total_time=3.0, trotter_steps=40,
+                          splitting=splitting)
+    got = evolve_trotter(StateVector.basis_state(n, z0), inst, cfg)
+    want = _fwht_reference(inst, z0, 3.0, 40, splitting)
+    np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+
+
+def test_uniform_trotter_builds_no_state_sized_table(monkeypatch):
+    # the uniform path keeps the state and one scratch: no 2^n phase
+    # table, no x-basis driver diagonal, no classical-energy vector
+    import pt_lab.statevector as sv
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the uniform driver needs no 2^n table")
+
+    monkeypatch.setattr(sv, "driver_x_diagonal", forbidden)
+    monkeypatch.setattr(sv, "all_classical_energies", forbidden)
+    inst = gen_impurity_band(n=16, M=64, W=0.5, seed=0, B_perp=2.0)
+    state = StateVector.basis_state(16, inst.marked[0])
+    cfg = EvolutionConfig(total_time=1.0, trotter_steps=4)
+    tracemalloc.start()
+    try:
+        # numpy reports its buffers to tracemalloc, or the bound is vacuous
+        probe = np.empty(1 << 16, dtype=np.complex128)
+        assert tracemalloc.get_traced_memory()[1] >= probe.nbytes
+        del probe
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = evolve_trotter(state, inst, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.amplitudes.nbytes
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_uniform_trotter_norm_drift_over_long_runs():
+    # 20 000 steps at n = 12; the bound is fixed here, not fitted
+    inst = gen_impurity_band(n=12, M=8, W=0.5, seed=3, B_perp=2.0)
+    state = StateVector.basis_state(12, inst.marked[0])
+    for splitting in ("symmetric", "first"):
+        out = evolve_trotter(state, inst, EvolutionConfig(
+            total_time=1000.0, trotter_steps=20000, splitting=splitting))
+        assert abs(out.norm() - 1.0) <= 1e-10
 
 
 def test_driver_spectrum_matches_dense():
@@ -201,6 +299,38 @@ def test_survival_trace_matches_fixed_time_runs(splitting):
         psi = evolve_trotter(state, g, EvolutionConfig(
             total_time=t, trotter_steps=k, splitting=splitting)).amplitudes
         assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("splitting", ["symmetric", "first"])
+def test_uniform_survival_trace_matches_fixed_time_runs(splitting):
+    # the impurity-band copy of the test above: same rungs and samples,
+    # read inside rotation-pass segments
+    g = gen_impurity_band(n=6, M=5, W=0.5, seed=5, B_perp=1.3)
+    z0, dt = g.marked[0], 0.1
+    res = run_pt_protocol(g, z0, EvolutionConfig(
+        dt=dt, start_time=1.0, max_doublings=2, saturation_rtol=1e-12,
+        splitting=splitting, trace_points=4))
+    steps = np.rint(res.times / dt).astype(int)
+    np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19, 20,
+                                          26, 32, 38, 40])
+    state = StateVector.basis_state(6, z0)
+    for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
+        psi = evolve_trotter(state, g, EvolutionConfig(
+            total_time=t, trotter_steps=k, splitting=splitting)).amplitudes
+        assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
+    assert not np.allclose(res.survival, 1.0)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 500), st.floats(0.1, 5.0), st.integers(1, 60),
+       st.sampled_from(["symmetric", "first"]), st.floats(0.0, 3.0))
+def test_uniform_trotter_preserves_norm(seed, T, steps, splitting, B):
+    g = gen_impurity_band(n=5, M=4, W=0.5, seed=seed, B_perp=B)
+    state = StateVector.basis_state(5, g.marked[seed % 4])
+    cfg = EvolutionConfig(total_time=T, trotter_steps=steps,
+                          splitting=splitting)
+    out = evolve_trotter(state, g, cfg)
+    assert out.norm() == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=25)
