@@ -7,6 +7,8 @@ convention bit 0 -> s = +1, bit 1 -> s = -1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAX_N = 32
@@ -45,3 +47,18 @@ def spins_from_labels(labels: np.ndarray, n: int) -> np.ndarray:
 
 def index_array(n: int) -> np.ndarray:
     return np.arange(1 << n, dtype=np.uint64)
+
+
+def hamming_table(labels) -> np.ndarray:
+    """Pairwise Hamming distances of a sequence of labels, as int64."""
+    z = np.asarray(labels, dtype=np.uint64)
+    return np.bitwise_count(z[:, None] ^ z[None, :]).astype(np.int64)
+
+
+def krawtchouk_table(n: int) -> np.ndarray:
+    """K_j(d) = sum_k (-1)^k C(d, k) C(n-d, j-k) for j, d = 0..n, summed as
+    exact integers; row j, column d. 2^-n K_j(d(z, c)) is <z|P_j|c>, with
+    P_j the projector onto the x-basis states of popcount j."""
+    return np.array([[sum((-1) ** k * math.comb(d, k) * math.comb(n - d, j - k)
+                          for k in range(j + 1))
+                      for d in range(n + 1)] for j in range(n + 1)], dtype=float)

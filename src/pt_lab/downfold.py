@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bits import hamming_table, krawtchouk_table
 from .instances import ImpurityBandInstance
 from .statevector import DENSE_MAX_N
 
@@ -187,7 +188,7 @@ def build_downfolded(inst: ImpurityBandInstance, params: TunnelingParams,
         shift = float(np.mean(np.diag(mat) - inst.eps)) if M else 0.0
     else:
         rng = np.random.default_rng(seed)
-        V = amplitude_table(params)[_marked_distances(inst)]
+        V = amplitude_table(params)[hamming_table(inst.marked)]
         iu = np.triu_indices(M, 1)
         if params.phase_mode == "random_sign":
             phase = rng.choice(np.array([-1.0, 1.0]), size=len(iu[0]))
@@ -201,20 +202,6 @@ def build_downfolded(inst: ImpurityBandInstance, params: TunnelingParams,
         mat[np.diag_indices(M)] = inst.eps + shift
     return DownfoldedMatrix(matrix=mat, V_typ=reference_amplitude(params),
                             W=inst.W, B_perp=params.B_perp, n=inst.n, shift=shift)
-
-
-def _marked_distances(inst: ImpurityBandInstance) -> np.ndarray:
-    """M x M Hamming distances between the marked states."""
-    z = np.fromiter(inst.marked, dtype=np.uint64)
-    return np.bitwise_count(z[:, None] ^ z[None, :]).astype(np.int64)
-
-
-def _krawtchouk_table(n: int) -> np.ndarray:
-    """K_j(d) = sum_k (-1)^k C(d, k) C(n-d, j-k) for j, d = 0..n, summed as
-    exact integers; row j, column d."""
-    return np.array([[sum((-1) ** k * math.comb(d, k) * math.comb(n - d, j - k)
-                          for k in range(j + 1))
-                      for d in range(n + 1)] for j in range(n + 1)], dtype=float)
 
 
 def marked_eigensystem(inst: ImpurityBandInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +224,9 @@ def marked_eigensystem(inst: ImpurityBandInstance) -> tuple[np.ndarray, np.ndarr
     n = inst.n
     if n > DENSE_MAX_N:
         raise ValueError(f"numeric extraction is limited to n <= {DENSE_MAX_N}")
-    dist = _marked_distances(inst)
+    dist = hamming_table(inst.marked)
     blocks, levels = [], []
-    for j, K_j in enumerate(_krawtchouk_table(n)):
+    for j, K_j in enumerate(krawtchouk_table(n)):
         lam, Q = np.linalg.eigh(K_j[dist])
         keep = lam > _GRAM_RTOL * lam[-1]
         blocks.append(Q[:, keep] * np.sqrt(lam[keep] / 2.0 ** n))

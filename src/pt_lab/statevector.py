@@ -4,21 +4,28 @@ The Hamiltonian is H = H_cl + H_D with H_cl diagonal in the computational
 basis. Two drivers are supported:
 
 * uniform transverse field, H_D = -B_perp * sum_i sigma^x_i, for the
-  impurity band. e^{-i H_D t} is a tensor product of single-qubit
-  x-rotations, so each Trotter step stays in the z basis: it multiplies the
-  M marked amplitudes (the only states with nonzero classical energy) by
-  their phases and applies one blocked pass of rotation blocks, which are
-  real in the frame of S = diag(1, i) on every qubit.
+  impurity band. H_D is diagonal in the x basis with n + 1 levels (x-basis
+  popcount j, energy -B_perp (n - 2j)), and only the M marked states carry
+  classical energy, so span{P_j |c_b>} over the levels j and the marked
+  states (plus the start state when it is unmarked) is invariant under both
+  Trotter factors. A run from a basis state takes its steps in those
+  (n + 1) x M level coordinates, at O(n^2 M + M^2) per step, reads the
+  survival and the transferred weight there, and forms the 2^n state once
+  at the end (_Levels). Any other input state, or a band with more centres
+  than the state has labels to spare (_LEVEL_CROSSOVER), stays in the
+  z basis: each step multiplies the M marked amplitudes by their phases and
+  applies one blocked pass of rotation blocks, which are real in the frame
+  of S = diag(1, i) on every qubit.
 * matched driver for the spin glass,
   H_D = driver_scale * [sum_i (|h_i|+1) sigma^x_i
                         + sum_{i<j} (|J_ij|+1) sigma^x_i sigma^x_j].
   H_D is diagonal in the x basis, so evolution alternates between the two
   bases via a fast Walsh-Hadamard transform.
 
-Both passes are blocked the same way: one 16 x 16 block per 4 index bits
-per matrix product, with one scratch state. A transfer run advances each
-rung of its time ladder as one Trotter segment and reads the survival trace
-inside it, without closing the symmetric splitting per sample.
+Both z-basis passes are blocked the same way: one 16 x 16 block per 4 index
+bits per matrix product, with one scratch state. A transfer run advances
+each rung of its time ladder as one Trotter segment and reads the survival
+trace inside it, without closing the symmetric splitting per sample.
 
 A dense eigensolver backend covers small systems for cross-checks and for
 spectral formulas that need the full eigenbasis.
@@ -31,7 +38,8 @@ from functools import partial
 
 import numpy as np
 
-from .bits import check_bitstring, check_n, index_array
+from .bits import (check_bitstring, check_n, hamming_table, index_array,
+                   krawtchouk_table)
 from .instances import (
     ImpurityBandInstance,
     SpinGlassInstance,
@@ -59,6 +67,9 @@ _HADAMARD_RIGHT = {1 << k: _HADAMARD_PAIRS[:2 << k, :2 << k]
                    for k in range(1, 5)}
 # i^d for d mod 4
 _I_POWERS = np.array([1, 1j, -1, -1j])
+# a basis-state start on a band takes level coordinates while its centre
+# count M_c has M_c^2 <= _LEVEL_CROSSOVER * 2^n (see BENCH_11.json)
+_LEVEL_CROSSOVER = 1
 
 
 @dataclass
@@ -327,6 +338,149 @@ def _rotation_segment(psi, steps, tables, splitting, every=0, z0=0,
     return psi, samples
 
 
+def _parity_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(-1)^{popcount(a_i & b_k)} as a float (len(a), len(b)) table."""
+    return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & b) & 1)
+
+
+class _Levels:
+    """Level coordinates of the uniform driver around a start state |z0>:
+    psi = sum_j P_j sum_b W[j, b] |c_b>, with P_j the projector onto the
+    x-basis states of popcount j and W an (n + 1) x M_c complex array. The
+    centres c_b are the marked states in inst.marked order, then z0 when it
+    is unmarked. Both Trotter factors keep this form: the driver scales row
+    j by its level phase, and the classical phase adds
+    (e^{-i dt E_a} - 1) <m_a|psi> to column a of every row.
+
+    <c_a|P_j|c_b> = 2^-n K_j(d(c_a, c_b)) with K the Krawtchouk table, so
+    the centres' amplitudes cost one (n + 1) x (n + 1) product and an
+    M_c x M_c gather (overlaps); the distances d(c_a, c_b) are kept only
+    as that gather's flat indices.
+    """
+
+    def __init__(self, inst: ImpurityBandInstance, z0: int):
+        centres = [*inst.marked, *(() if z0 in inst.marked else (z0,))]
+        self.n = inst.n
+        self.marked_count = inst.M
+        self.centres = np.array(centres, dtype=np.uint64)
+        self.start = centres.index(z0)
+        m = len(centres)
+        dist = hamming_table(self.centres)
+        self.kraw = krawtchouk_table(self.n) / (1 << self.n)
+        self._kraw_t = np.ascontiguousarray(self.kraw.T)
+        self._gather = dist * m + np.arange(m)
+        self._start_dist = dist[self.start]
+
+    def start_state(self, amplitude: complex) -> np.ndarray:
+        """W of amplitude |z0>: |z0> = sum_j P_j |z0>."""
+        W = np.zeros((self.n + 1, len(self.centres)), dtype=np.complex128)
+        W[:, self.start] = amplitude
+        return W
+
+    def overlaps(self, W: np.ndarray) -> np.ndarray:
+        """<c_a|psi> for every centre: sum_b g[d(c_a, c_b), b] with
+        g = K^T W / 2^n, one real product on W's float64 view."""
+        g = (self._kraw_t @ W.view(np.float64)).view(np.complex128)
+        return np.take(g, self._gather).sum(axis=1)
+
+    def survival_probes(self, half: np.ndarray):
+        """(p_end, p_mid) with <z0|psi> = vdot(p, W): p_end for W of psi
+        itself, p_mid for W of e^{-i H_D dt/2} psi, whose level phases
+        `half` (an (n + 1) x 1 column) it undoes."""
+        p_end = self.kraw[:, self._start_dist]
+        return p_end, p_end * half
+
+    def transferred_weight(self, W: np.ndarray) -> float:
+        """Weight on the marked states other than z0."""
+        amp = self.overlaps(W)[:self.marked_count]
+        others = np.arange(self.marked_count) != self.start
+        return float(np.sum(np.abs(amp[others]) ** 2))
+
+    def amplitudes(self, W: np.ndarray) -> np.ndarray:
+        """The 2^n state, psi = 2^-n F phi with F the unnormalized
+        Walsh-Hadamard transform (one _fwht) and phi from _x_amplitudes."""
+        psi = _fwht(self._x_amplitudes(W).reshape(-1))
+        psi *= 1.0 / (1 << self.n)
+        return psi
+
+    def _x_amplitudes(self, W: np.ndarray) -> np.ndarray:
+        """phi(x) = sum_b W[|x|, b] (-1)^{x.c_b}, as a (2^(n-h), 2^h) array
+        of high bits xh by low bits xl, h = n // 2.
+
+        For each high popcount p, the rows |xh| = p of phi are S_p @ T_p,
+        with S_p[xh, b] = (-1)^{xh.ch_b} and T_p[b, xl] = W[p + |xl|, b]
+        (-1)^{xl.cl_b}: one real product on T_p's float64 view per p, into
+        one reused buffer.
+        """
+        n, h = self.n, self.n // 2
+        lo = np.arange(1 << h, dtype=np.uint64)
+        hi = np.arange(1 << (n - h), dtype=np.uint64)
+        pop_lo, pop_hi = np.bitwise_count(lo), np.bitwise_count(hi)
+        sign_lo = _parity_signs(self.centres & lo[-1], lo).astype(np.complex128)
+        c_hi = self.centres >> np.uint64(h)
+        W_t = np.ascontiguousarray(W.T)
+        groups = np.split(np.argsort(pop_hi, kind="stable"),
+                          np.cumsum(np.bincount(pop_hi))[:-1])
+        phi = np.empty((len(hi), len(lo)), dtype=np.complex128)
+        buf = np.empty((max(map(len, groups)), len(lo)), dtype=np.complex128)
+        for p, rows in enumerate(groups):
+            T = np.take(W_t, p + pop_lo, axis=1)
+            T *= sign_lo
+            out = buf[:len(rows)]
+            np.matmul(_parity_signs(hi[rows], c_hi), T.view(np.float64),
+                      out=out.view(np.float64))
+            phi[rows] = out
+        return phi
+
+
+def _basis_label(amps: np.ndarray) -> int | None:
+    """z when amps is a multiple of the basis state |z>, else None."""
+    nonzero = amps != 0
+    return int(nonzero.argmax()) if np.count_nonzero(nonzero) == 1 else None
+
+
+def _levels_around(inst, z0: int) -> _Levels | None:
+    """The level coordinates a run from |z0> takes on inst, or None when it
+    stays in the z basis: the level path needs an impurity band with
+    B_perp > 0 (with no field nothing moves, and the z-basis pass keeps
+    |z0> exactly) and M_c^2 <= _LEVEL_CROSSOVER * 2^n centres, past which
+    one rotation pass is cheaper than the M_c x M_c gather and the gather
+    table outgrows the state."""
+    if not isinstance(inst, ImpurityBandInstance) or inst.B_perp == 0:
+        return None
+    m = inst.M + (z0 not in inst.marked)
+    if m * m > _LEVEL_CROSSOVER << inst.n:
+        return None
+    return _Levels(inst, z0)
+
+
+def _level_segment(W, steps, tables, splitting, every=0, probes=None):
+    """Advance W (see _Levels) by `steps` Trotter steps of the uniform
+    driver, in place; returns (W, samples).
+
+    tables are (levels, ph_marked, half, full): the _Levels, e^{-i dt E_a}
+    - 1 per centre (0 for an unmarked z0), and the level phases of
+    e^{-i H_D dt/2} and e^{-i H_D dt} as (n + 1) x 1 columns. The factors
+    come in the order of _rotation_segment, and samples are taken at the
+    same steps: inside a
+    symmetric segment W holds e^{-i H_D dt/2} psi_k, which probes[1] reads,
+    and everywhere else probes[0] (see _Levels.survival_probes). Segments
+    at fixed dt compose exactly.
+    """
+    levels, ph_marked, half, full = tables
+    symmetric = splitting == "symmetric"
+    samples = []
+    if symmetric:
+        W *= half
+    for k in range(1, steps + 1):
+        W += ph_marked * levels.overlaps(W)
+        W *= half if symmetric and k == steps else full
+        if every and (k % every == 0 or k == steps):
+            probe = probes[symmetric and k < steps]
+            samples.append(float(abs(np.vdot(probe, W)) ** 2))
+    return W, samples
+
+
 def _phase_tables(E, Dx, dt):
     """Phase tables of one step; ph_cl includes the 1/N of the transforms
     (a power of two, so the scaling is exact)."""
@@ -336,18 +490,33 @@ def _phase_tables(E, Dx, dt):
     return ph_cl, ph_half, ph_half * ph_half
 
 
-def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None):
+def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None,
+                 levels: _Levels | None = None):
     """The Trotter segment of inst's driver at step dt, with its tables
-    built once: segment(psi, steps, every=0) -> (psi, samples).
+    built once: segment(held, steps, every=0) -> (held, samples).
 
-    The uniform driver (the impurity band) gets _rotation_segment with the
-    M marked phases and the rotation blocks; the matched driver gets
-    _trotter_segment with its 2^n phase tables. With z0 given the segment
-    samples the survival of |z0>, and the symmetric splitting builds the
-    probe it needs for samples inside a segment.
+    With levels given (see _levels_around), the uniform driver gets
+    _level_segment, which holds W in those level coordinates, with the
+    centres' phases and the n + 1 level phases. Otherwise the held state is
+    the 2^n state in the z basis: the uniform driver (the impurity band)
+    gets _rotation_segment with the M marked phases and the rotation
+    blocks, and the matched driver gets _trotter_segment with its 2^n phase
+    tables. With z0 given the segment samples the survival of |z0>; the
+    z-basis symmetric splitting builds the probe it needs for samples
+    inside a segment.
     """
     hx, _ = driver_terms(inst, config.driver)
     symmetric = config.splitting == "symmetric"
+    if levels is not None:
+        n = inst.n
+        energy = hx[0] * (n - 2.0 * np.arange(n + 1)[:, None])
+        half = np.exp(-0.5j * dt * energy)
+        ph_marked = np.zeros(len(levels.centres), dtype=np.complex128)
+        ph_marked[:inst.M] = np.expm1(-1j * dt * (inst.base_energy + inst.eps))
+        tables = (levels, ph_marked, half, np.exp(-1j * dt * energy))
+        probes = levels.survival_probes(half) if z0 is not None else None
+        return partial(_level_segment, tables=tables,
+                       splitting=config.splitting, probes=probes)
     probe = None
     if isinstance(inst, ImpurityBandInstance):
         # e^{-i hx t X} = cos(theta) I + i sin(theta) X with theta = -hx t
@@ -379,9 +548,12 @@ def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVe
     The symmetric splitting applies
     e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step; the "first"
     mode applies the plain product (e^{-i H_D dt} e^{-i H_cl dt})^steps.
-    The uniform driver runs both in the z basis as one rotation pass per
-    step and builds no 2^n table; the matched driver alternates bases via
-    the FWHT (see _segment_for).
+    On an impurity band a basis-state input (times any phase) runs in level
+    coordinates and the 2^n state is formed once, from them, at the end;
+    any other input runs in the z basis as one rotation pass per step. The
+    uniform driver builds no 2^n table and never copies the input on the
+    level path; the matched driver alternates bases via the FWHT (see
+    _levels_around and _segment_for).
     """
     if inst.n != state.n:
         raise ValueError("state and instance sizes differ")
@@ -392,13 +564,19 @@ def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVe
     if config.total_time is None:
         raise ValueError("evolve_trotter needs an explicit total_time")
     T = float(config.total_time)
-    psi = state.amplitudes.copy()
+    amps = state.amplitudes
     if T == 0.0:
-        return StateVector(psi, state.n)
+        return StateVector(amps.copy(), state.n)
     steps = config.resolve_steps(T)
     dt = T / steps
-    psi, _ = _segment_for(inst, config, dt)(psi, steps)
-    return StateVector(psi, state.n)
+    z0 = _basis_label(amps) if isinstance(inst, ImpurityBandInstance) else None
+    levels = None if z0 is None else _levels_around(inst, z0)
+    if levels is None:
+        psi, _ = _segment_for(inst, config, dt)(amps.copy(), steps)
+        return StateVector(psi, state.n)
+    W, _ = _segment_for(inst, config, dt, levels=levels)(
+        levels.start_state(amps[z0]), steps)
+    return StateVector(levels.amplitudes(W), state.n)
 
 
 def dense_hamiltonian(inst, driver: str = "auto") -> np.ndarray:
@@ -503,7 +681,9 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     one doubling of t); otherwise it runs for exactly total_time. After
     each rung of that ladder, on_rung (if given) is called with the total
     time, the transferred weight and its relative change (None on the
-    first rung).
+    first rung). On an impurity band the run stays in level coordinates
+    where _levels_around allows, reads each rung's weight there, and forms
+    the 2^n state once, after the last rung.
     """
     config = config or EvolutionConfig()
     n = inst.n
@@ -511,7 +691,6 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     if n > TROTTER_MAX_N:
         raise ValueError(f"Trotter backend capped at n = {TROTTER_MAX_N}")
     E = all_classical_energies(inst)
-    psi = StateVector.basis_state(n, z0).amplitudes
 
     ladder = config.total_time is None
     if ladder:
@@ -528,16 +707,20 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     saturated: bool | None = None
 
     if not ladder and (config.total_time == 0.0 or dt == 0.0):
-        probs = np.abs(psi) ** 2
+        probs = np.abs(StateVector.basis_state(n, z0).amplitudes) ** 2
         total_t = 0.0
     else:
-        segment = _segment_for(inst, config, dt, z0)
+        # the held state: W in level coordinates, or the 2^n state
+        levels = _levels_around(inst, z0)
+        held = (levels.start_state(1.0) if levels is not None
+                else StateVector.basis_state(n, z0).amplitudes)
+        segment = _segment_for(inst, config, dt, z0, levels)
 
         def advance(n_steps, t_base):
             # one segment per rung, sampled every `rec` steps and at its end
-            nonlocal psi
+            nonlocal held
             rec = max(1, n_steps // max(1, config.trace_points - 1))
-            psi, samples = segment(psi, n_steps, every=rec)
+            held, samples = segment(held, n_steps, every=rec)
             done = [*range(rec, n_steps, rec), n_steps]
             times.extend(t_base + k * dt for k in done)
             survival.extend(samples)
@@ -549,7 +732,8 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
                 rung = total_steps or seg_steps
                 advance(rung, total_steps * dt)
                 total_steps += rung
-                w_new = transferred_weight(inst, z0, np.abs(psi) ** 2)
+                w_new = (levels.transferred_weight(held) if levels is not None
+                         else transferred_weight(inst, z0, np.abs(held) ** 2))
                 ladder_times.append(total_steps * dt)
                 ladder_weights.append(w_new)
                 change = None if w_prev is None else abs(w_new - w_prev)
@@ -563,6 +747,7 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         else:
             advance(steps, 0.0)
             total_t = config.total_time
+        psi = levels.amplitudes(held) if levels is not None else held
         probs = np.abs(psi) ** 2
 
     edges = np.histogram_bin_edges(E, bins=64)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pt_lab.bits import (check_bitstring, check_n, hamming, hamming_array,
-                         index_array, spins_from_labels)
+                         hamming_table, index_array, krawtchouk_table,
+                         spins_from_labels)
 
 
 def test_hamming_matches_popcount():
@@ -27,6 +28,23 @@ def test_hamming_array_matches_scalar():
     z0 = 0b1010110011110001
     d = hamming_array(zs, z0)
     assert d.tolist() == [hamming(int(z), z0) for z in zs]
+
+
+def test_hamming_table_matches_scalar():
+    labels = [0b1011, 0, 0b0110, 0b1111]
+    assert hamming_table(labels).tolist() == [
+        [hamming(a, b) for b in labels] for a in labels]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_krawtchouk_table_sums_characters(n):
+    # K_j(d) = sum over popcount-j labels x of (-1)^{popcount(x & z)}
+    # for any z of popcount d
+    labels = range(1 << n)
+    want = [[sum((-1) ** hamming(x & ((1 << d) - 1), 0)
+                 for x in labels if hamming(x, 0) == j)
+             for d in range(n + 1)] for j in range(n + 1)]
+    assert krawtchouk_table(n).tolist() == want
 
 
 def test_spin_convention():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import hadamard
 
+from pt_lab.bits import hamming_array, krawtchouk_table
 from pt_lab.instances import (ImpurityBandInstance, all_classical_energies,
                               gen_impurity_band, gen_spin_glass)
 from pt_lab.statevector import (EvolutionConfig, StateVector,
@@ -14,7 +15,7 @@ from pt_lab.statevector import (EvolutionConfig, StateVector,
                                 survival_probability, transferred_weight,
                                 transition_distribution,
                                 transition_probability, _blocked_pass,
-                                _fwht, _rotation_blocks, _s_frame)
+                                _fwht, _Levels, _rotation_blocks, _s_frame)
 
 
 def _two_level_instance(B, delta):
@@ -116,15 +117,137 @@ def _fwht_reference(inst, z0, T, steps, splitting):
 
 @pytest.mark.parametrize("splitting", ["symmetric", "first"])
 @pytest.mark.parametrize("B", [0.0, 0.6, 2.0])
-@pytest.mark.parametrize("n", [1, 3, 5, 8, 11])
-def test_uniform_trotter_matches_fwht_reference(n, B, splitting):
-    inst = gen_impurity_band(n=n, M=min(4, 1 << n), W=0.5, seed=n, B_perp=B)
-    z0 = inst.marked[-1]
+@pytest.mark.parametrize("n, M, start", [
+    *(pytest.param(n, min(4, 1 << n), "marked", id=str(n))
+      for n in [1, 3, 5, 8, 11]),
+    # every state marked: more centres than the level path takes
+    pytest.param(3, 8, "marked", id="3-dense"),
+    pytest.param(5, 32, "marked", id="5-dense"),
+    pytest.param(12, 16, "marked", id="12-m16"),
+    # an unmarked start joins the centres with no classical phase
+    pytest.param(8, 4, "unmarked", id="8-unmarked"),
+])
+def test_uniform_trotter_matches_fwht_reference(n, M, start, B, splitting):
+    inst = gen_impurity_band(n=n, M=M, W=0.5, seed=n, B_perp=B)
+    z0 = (inst.marked[-1] if start == "marked"
+          else min(set(range(1 << n)) - set(inst.marked)))
     cfg = EvolutionConfig(total_time=3.0, trotter_steps=40,
                           splitting=splitting)
     got = evolve_trotter(StateVector.basis_state(n, z0), inst, cfg)
     want = _fwht_reference(inst, z0, 3.0, 40, splitting)
     np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+
+
+def _spy_paths(monkeypatch):
+    # counts the segments each path runs
+    import pt_lab.statevector as sv
+
+    calls = {"level": 0, "rotation": 0}
+
+    def spy(name, segment):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return segment(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(sv, "_level_segment", spy("level", sv._level_segment))
+    monkeypatch.setattr(sv, "_rotation_segment",
+                        spy("rotation", sv._rotation_segment))
+    return calls
+
+
+@pytest.mark.parametrize("extra, start, B, path", [
+    # n = 8: the level path takes M_c^2 <= crossover * 2^8 centres
+    (0, "marked", 2.0, "level"),
+    (1, "marked", 2.0, "rotation"),
+    (-1, "unmarked", 2.0, "level"),
+    (0, "unmarked", 2.0, "rotation"),
+    # a basis state times a phase is still a basis-state start
+    (0, "phase", 2.0, "level"),
+    (0, "superposition", 2.0, "rotation"),
+    # with no field the z-basis pass keeps the start exactly
+    (0, "marked", 0.0, "rotation"),
+])
+def test_uniform_path_selection(monkeypatch, extra, start, B, path):
+    import math
+    import pt_lab.statevector as sv
+
+    n = 8
+    M = math.isqrt(sv._LEVEL_CROSSOVER << n) + extra
+    inst = gen_impurity_band(n=n, M=M, W=0.5, seed=2, B_perp=B)
+    amps = np.zeros(1 << n, dtype=complex)
+    if start == "unmarked":
+        amps[min(set(range(1 << n)) - set(inst.marked))] = 1.0
+    elif start == "superposition":
+        amps[list(inst.marked[:2])] = np.sqrt(0.5)
+    else:
+        amps[inst.marked[0]] = 1j if start == "phase" else 1.0
+    state = StateVector(amps, n)
+    calls = _spy_paths(monkeypatch)
+    cfg = EvolutionConfig(total_time=1.0, trotter_steps=5)
+    got = evolve_trotter(state, inst, cfg).amplitudes
+    assert calls == {"level": path == "level", "rotation": path == "rotation"}
+    if start != "superposition":
+        z0 = int(np.flatnonzero(amps)[0])
+        want = amps[z0] * _fwht_reference(inst, z0, 1.0, 5, "symmetric")
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        res = run_pt_protocol(inst, z0, cfg)
+        assert calls[path] == 2
+        np.testing.assert_allclose(res.probabilities, np.abs(want) ** 2,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_level_reconstruction_matches_distance_sum(n):
+    # psi(z) = sum_b f_b(d(z, c_b)) with f_b = 2^-n K W[:, b]; n = 1 leaves
+    # the low half of the grouped products empty, odd n splits unevenly
+    rng = np.random.default_rng(n)
+    marked = tuple(int(z) for z in rng.choice(1 << n, size=min(5, 1 << n),
+                                              replace=False))
+    inst = ImpurityBandInstance(n=n, marked=marked, eps=np.zeros(len(marked)),
+                                W=1.0, B_perp=1.0)
+    z0 = min(set(range(1 << n)) - set(marked)) if n > 2 else marked[0]
+    levels = _Levels(inst, z0)
+    W = (rng.normal(size=(n + 1, len(levels.centres)))
+         + 1j * rng.normal(size=(n + 1, len(levels.centres))))
+    f = krawtchouk_table(n).T @ W / (1 << n)
+    want = sum(f[hamming_array(np.arange(1 << n), c), b]
+               for b, c in enumerate(levels.centres))
+    np.testing.assert_allclose(levels.amplitudes(W), want, atol=1e-12)
+    np.testing.assert_allclose(levels.overlaps(W), want[levels.centres],
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("splitting", ["symmetric", "first"])
+def test_band_segments_compose(monkeypatch, splitting):
+    # the first half runs in level coordinates; its output is no basis
+    # state, so the second half takes the rotation pass
+    inst = gen_impurity_band(n=8, M=6, W=0.5, seed=4, B_perp=1.3)
+    state = StateVector.basis_state(8, inst.marked[2])
+    whole = evolve_trotter(state, inst, EvolutionConfig(
+        total_time=2.0, trotter_steps=200, splitting=splitting))
+    calls = _spy_paths(monkeypatch)
+    half = evolve_trotter(state, inst, EvolutionConfig(
+        total_time=1.0, trotter_steps=100, splitting=splitting))
+    again = evolve_trotter(half, inst, EvolutionConfig(
+        total_time=1.0, trotter_steps=100, splitting=splitting))
+    assert calls == {"level": 1, "rotation": 1}
+    np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("splitting", ["symmetric", "first"])
+def test_band_ladder_weights_match_full_state_runs(splitting):
+    inst = gen_impurity_band(n=7, M=5, W=0.5, seed=6, B_perp=1.1)
+    z0, dt = inst.marked[1], 0.1
+    res = run_pt_protocol(inst, z0, EvolutionConfig(
+        dt=dt, start_time=1.0, max_doublings=3, saturation_rtol=1e-12,
+        splitting=splitting))
+    np.testing.assert_allclose(res.ladder_times, [1.0, 2.0, 4.0, 8.0])
+    for t, w in zip(res.ladder_times, res.ladder_weights):
+        psi = _fwht_reference(inst, z0, t, round(t / dt), splitting)
+        assert w == pytest.approx(
+            transferred_weight(inst, z0, np.abs(psi) ** 2), abs=1e-12)
+    assert res.ladder_weights[-1] > 0.01
 
 
 def test_uniform_trotter_builds_no_state_sized_table(monkeypatch):
