@@ -11,9 +11,8 @@ basis. Two drivers are supported:
   Trotter factors. A run from a basis state takes its steps in those
   (n + 1) x M level coordinates, at O(n^2 M + M^2) per step, reads the
   survival and the transferred weight there, and forms the 2^n state once
-  at the end (_Levels). Any other input state, or a band with more centres
-  than the state has labels to spare (_LEVEL_CROSSOVER), stays in the
-  z basis: each step multiplies the M marked amplitudes by their phases and
+  at the end (_Levels). Any other input state, or a band with
+  M_c^2 > 2^n centres (see _levels_around), stays in the z basis: each step multiplies the M marked amplitudes by their phases and
   applies one blocked pass of rotation blocks, which are real in the frame
   of S = diag(1, i) on every qubit.
 * matched driver for the spin glass,
@@ -67,9 +66,6 @@ _HADAMARD_RIGHT = {1 << k: _HADAMARD_PAIRS[:2 << k, :2 << k]
                    for k in range(1, 5)}
 # i^d for d mod 4
 _I_POWERS = np.array([1, 1j, -1, -1j])
-# a basis-state start on a band takes level coordinates while its centre
-# count M_c has M_c^2 <= _LEVEL_CROSSOVER * 2^n (see BENCH_11.json)
-_LEVEL_CROSSOVER = 1
 
 
 @dataclass
@@ -441,15 +437,16 @@ def _basis_label(amps: np.ndarray) -> int | None:
 
 def _levels_around(inst, z0: int) -> _Levels | None:
     """The level coordinates a run from |z0> takes on inst, or None when it
-    stays in the z basis: the level path needs an impurity band with
-    B_perp > 0 (with no field nothing moves, and the z-basis pass keeps
-    |z0> exactly) and M_c^2 <= _LEVEL_CROSSOVER * 2^n centres, past which
-    one rotation pass is cheaper than the M_c x M_c gather and the gather
-    table outgrows the state."""
-    if not isinstance(inst, ImpurityBandInstance) or inst.B_perp == 0:
+    stays in the z basis.
+
+    The level path needs an impurity band with M_c^2 <= 2^n centres: past
+    that, one rotation pass is cheaper than the M_c x M_c gather and the
+    gather table outgrows the state (the per-step rows of BENCH_11.json).
+    """
+    if not isinstance(inst, ImpurityBandInstance):
         return None
     m = inst.M + (z0 not in inst.marked)
-    if m * m > _LEVEL_CROSSOVER << inst.n:
+    if m * m > 1 << inst.n:
         return None
     return _Levels(inst, z0)
 

@@ -15,7 +15,8 @@ from pt_lab.statevector import (EvolutionConfig, StateVector,
                                 survival_probability, transferred_weight,
                                 transition_distribution,
                                 transition_probability, _blocked_pass,
-                                _fwht, _Levels, _rotation_blocks, _s_frame)
+                                _fwht, _levels_around, _Levels,
+                                _rotation_blocks, _s_frame)
 
 
 def _two_level_instance(B, delta):
@@ -157,7 +158,7 @@ def _spy_paths(monkeypatch):
 
 
 @pytest.mark.parametrize("extra, start, B, path", [
-    # n = 8: the level path takes M_c^2 <= crossover * 2^8 centres
+    # n = 8: the level path takes M_c^2 <= 2^8 centres
     (0, "marked", 2.0, "level"),
     (1, "marked", 2.0, "rotation"),
     (-1, "unmarked", 2.0, "level"),
@@ -165,15 +166,13 @@ def _spy_paths(monkeypatch):
     # a basis state times a phase is still a basis-state start
     (0, "phase", 2.0, "level"),
     (0, "superposition", 2.0, "rotation"),
-    # with no field the z-basis pass keeps the start exactly
-    (0, "marked", 0.0, "rotation"),
+    # with no field too: W's start column stays exact, and
+    # test_zero_field_run_returns_input reads a transferred weight of 0.0
+    (0, "marked", 0.0, "level"),
 ])
 def test_uniform_path_selection(monkeypatch, extra, start, B, path):
-    import math
-    import pt_lab.statevector as sv
-
     n = 8
-    M = math.isqrt(sv._LEVEL_CROSSOVER << n) + extra
+    M = 16 + extra
     inst = gen_impurity_band(n=n, M=M, W=0.5, seed=2, B_perp=B)
     amps = np.zeros(1 << n, dtype=complex)
     if start == "unmarked":
@@ -252,7 +251,9 @@ def test_band_ladder_weights_match_full_state_runs(splitting):
 
 def test_uniform_trotter_builds_no_state_sized_table(monkeypatch):
     # the uniform path keeps the state and one scratch: no 2^n phase
-    # table, no x-basis driver diagonal, no classical-energy vector
+    # table, no x-basis driver diagonal, no classical-energy vector. The
+    # basis-state start runs in level coordinates, the superposition of
+    # two marked states on the rotation pass
     import pt_lab.statevector as sv
 
     def forbidden(*args, **kwargs):
@@ -260,33 +261,46 @@ def test_uniform_trotter_builds_no_state_sized_table(monkeypatch):
 
     monkeypatch.setattr(sv, "driver_x_diagonal", forbidden)
     monkeypatch.setattr(sv, "all_classical_energies", forbidden)
+    calls = _spy_paths(monkeypatch)
     inst = gen_impurity_band(n=16, M=64, W=0.5, seed=0, B_perp=2.0)
-    state = StateVector.basis_state(16, inst.marked[0])
+    pair = np.zeros(1 << 16, dtype=np.complex128)
+    pair[list(inst.marked[:2])] = np.sqrt(0.5)
     cfg = EvolutionConfig(total_time=1.0, trotter_steps=4)
-    tracemalloc.start()
-    try:
-        # numpy reports its buffers to tracemalloc, or the bound is vacuous
-        probe = np.empty(1 << 16, dtype=np.complex128)
-        assert tracemalloc.get_traced_memory()[1] >= probe.nbytes
-        del probe
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = evolve_trotter(state, inst, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * out.amplitudes.nbytes
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    for state, path in [(StateVector.basis_state(16, inst.marked[0]), "level"),
+                        (StateVector(pair, 16), "rotation")]:
+        calls.update(level=0, rotation=0)
+        tracemalloc.start()
+        try:
+            # numpy reports its buffers to tracemalloc, or the bound is
+            # vacuous
+            probe = np.empty(1 << 16, dtype=np.complex128)
+            assert tracemalloc.get_traced_memory()[1] >= probe.nbytes
+            del probe
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = evolve_trotter(state, inst, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert calls == {"level": path == "level",
+                         "rotation": path == "rotation"}
+        assert peak < 3 * out.amplitudes.nbytes
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_uniform_trotter_norm_drift_over_long_runs():
-    # 20 000 steps at n = 12; the bound is fixed here, not fitted
-    inst = gen_impurity_band(n=12, M=8, W=0.5, seed=3, B_perp=2.0)
-    state = StateVector.basis_state(12, inst.marked[0])
-    for splitting in ("symmetric", "first"):
-        out = evolve_trotter(state, inst, EvolutionConfig(
-            total_time=1000.0, trotter_steps=20000, splitting=splitting))
-        assert abs(out.norm() - 1.0) <= 1e-10
+def test_uniform_trotter_norm_drift_over_long_runs(monkeypatch):
+    # 20 000 steps at n = 12; the bound is fixed here, not fitted. M = 8
+    # runs in level coordinates, the dense band (M = 65, M^2 > 2^12) on
+    # the rotation pass, whose drift is linear in the step count
+    calls = _spy_paths(monkeypatch)
+    for M in (8, 65):
+        inst = gen_impurity_band(n=12, M=M, W=0.5, seed=3, B_perp=2.0)
+        state = StateVector.basis_state(12, inst.marked[0])
+        for splitting in ("symmetric", "first"):
+            out = evolve_trotter(state, inst, EvolutionConfig(
+                total_time=1000.0, trotter_steps=20000, splitting=splitting))
+            assert abs(out.norm() - 1.0) <= 1e-10
+    assert calls == {"level": 2, "rotation": 2}
 
 
 def test_driver_spectrum_matches_dense():
@@ -425,35 +439,46 @@ def test_survival_trace_matches_fixed_time_runs(splitting):
 
 
 @pytest.mark.parametrize("splitting", ["symmetric", "first"])
-def test_uniform_survival_trace_matches_fixed_time_runs(splitting):
+def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch,
+                                                       splitting):
     # the impurity-band copy of the test above: same rungs and samples,
-    # read inside rotation-pass segments
-    g = gen_impurity_band(n=6, M=5, W=0.5, seed=5, B_perp=1.3)
-    z0, dt = g.marked[0], 0.1
-    res = run_pt_protocol(g, z0, EvolutionConfig(
-        dt=dt, start_time=1.0, max_doublings=2, saturation_rtol=1e-12,
-        splitting=splitting, trace_points=4))
-    steps = np.rint(res.times / dt).astype(int)
-    np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19, 20,
-                                          26, 32, 38, 40])
-    state = StateVector.basis_state(6, z0)
-    for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
-        psi = evolve_trotter(state, g, EvolutionConfig(
-            total_time=t, trotter_steps=k, splitting=splitting)).amplitudes
-        assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
-    assert not np.allclose(res.survival, 1.0)
+    # read inside level-coordinate segments (M = 5) and, on a dense band
+    # (M = 9, M^2 > 2^6), inside rotation-pass segments
+    calls = _spy_paths(monkeypatch)
+    for M, path in [(5, "level"), (9, "rotation")]:
+        calls.update(level=0, rotation=0)
+        g = gen_impurity_band(n=6, M=M, W=0.5, seed=5, B_perp=1.3)
+        z0, dt = g.marked[0], 0.1
+        res = run_pt_protocol(g, z0, EvolutionConfig(
+            dt=dt, start_time=1.0, max_doublings=2, saturation_rtol=1e-12,
+            splitting=splitting, trace_points=4))
+        steps = np.rint(res.times / dt).astype(int)
+        np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19,
+                                              20, 26, 32, 38, 40])
+        state = StateVector.basis_state(6, z0)
+        for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
+            psi = evolve_trotter(state, g, EvolutionConfig(
+                total_time=t, trotter_steps=k, splitting=splitting)).amplitudes
+            assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
+        assert not np.allclose(res.survival, 1.0)
+        assert {name for name, count in calls.items() if count} == {path}
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 500), st.floats(0.1, 5.0), st.integers(1, 60),
        st.sampled_from(["symmetric", "first"]), st.floats(0.0, 3.0))
 def test_uniform_trotter_preserves_norm(seed, T, steps, splitting, B):
-    g = gen_impurity_band(n=5, M=4, W=0.5, seed=seed, B_perp=B)
-    state = StateVector.basis_state(5, g.marked[seed % 4])
-    cfg = EvolutionConfig(total_time=T, trotter_steps=steps,
-                          splitting=splitting)
-    out = evolve_trotter(state, g, cfg)
-    assert out.norm() == pytest.approx(1.0, abs=1e-9)
+    # M = 4 runs in level coordinates, the dense band M = 6 (M^2 > 2^5)
+    # on the rotation pass
+    for M in (4, 6):
+        g = gen_impurity_band(n=5, M=M, W=0.5, seed=seed, B_perp=B)
+        z0 = g.marked[seed % 4]
+        assert (_levels_around(g, z0) is None) == (M == 6)
+        state = StateVector.basis_state(5, z0)
+        cfg = EvolutionConfig(total_time=T, trotter_steps=steps,
+                              splitting=splitting)
+        out = evolve_trotter(state, g, cfg)
+        assert out.norm() == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=25)
