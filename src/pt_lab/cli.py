@@ -76,6 +76,8 @@ def _load_checked(path, load=load_instance):
         raise UsageError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     except FileNotFoundError as e:
         raise UsageError(str(e)) from e
+    except ValueError as e:
+        raise UsageError(f"{path}: {e}") from e
 
 
 class UsageError(Exception):
@@ -153,16 +155,19 @@ def _fmt(x):
 
 def _cmd_gen_instance(args, out_dir, manifest):
     seed = args.get("seed") or 0
-    if args["kind"] == "impurity-band":
-        if args.get("m") is None:
-            raise UsageError("gen-instance --kind impurity-band requires --m")
-        inst = gen_impurity_band(args["n"], args["m"], args["w"],
-                                 eps_law=args.get("eps_law", "uniform"),
-                                 seed=seed, B_perp=_or_default(args.get("b_perp"), 1.0))
-    else:
-        count = 0 if args.get("no_dimers") else args.get("dimer_count")
-        inst = gen_spin_glass(args["n"], dimer_count=count, seed=seed,
-                              driver_scale=_or_default(args.get("driver_scale"), 0.2))
+    try:
+        if args["kind"] == "impurity-band":
+            if args.get("m") is None:
+                raise UsageError("gen-instance --kind impurity-band requires --m")
+            inst = gen_impurity_band(args["n"], args["m"], args["w"],
+                                     eps_law=args.get("eps_law", "uniform"), seed=seed,
+                                     B_perp=_or_default(args.get("b_perp"), 1.0))
+        else:
+            count = 0 if args.get("no_dimers") else args.get("dimer_count")
+            inst = gen_spin_glass(args["n"], dimer_count=count, seed=seed,
+                                  driver_scale=_or_default(args.get("driver_scale"), 0.2))
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     doc = instance_to_dict(inst)
     path = out_dir / (args.get("out") or "instance.json")
     write_json(path, doc, manifest)
@@ -280,12 +285,17 @@ def _one_pblm_realization(config, seed, eta, fit_gammas, window):
 
 
 def _cmd_pblm_ensemble(args, out_dir, manifest):
-    config = PBLMConfig(M=args["m"], gamma=args["gamma"],
-                        lam=_or_default(args.get("lam"), 1.0),
-                        V_typ_unit=_or_default(args.get("v_typ"), 1.0))
+    try:
+        config = PBLMConfig(M=args["m"], gamma=args["gamma"],
+                            lam=_or_default(args.get("lam"), 1.0),
+                            V_typ_unit=_or_default(args.get("v_typ"), 1.0))
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     R = _count_arg(args, "realizations", 20)
     base_seed = args.get("seed") or 0
     eta = args.get("eta")
+    if eta is not None and not eta > 0:
+        raise UsageError(f"--eta must be positive, got {eta}")
     window = (0.9, 0.37)
     fit_gammas = bool(args.get("fit_gammas"))
     seeds = [base_seed + r for r in range(R)]

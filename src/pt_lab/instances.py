@@ -205,7 +205,9 @@ def gen_impurity_band(n, M, W, eps_law="uniform", seed=0, B_perp=1.0) -> Impurit
     """
     n = check_n(n)
     if M < 1 or M > (1 << n):
-        raise ValueError("need 1 <= M <= 2^n")
+        raise ValueError(f"need 1 <= M <= 2^n = {1 << n}, got M = {M}")
+    if not W > 0:
+        raise ValueError(f"W must be positive, got {W}")
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
     seen: set[int] = set()
@@ -241,8 +243,9 @@ def gen_spin_glass(n, dimer_count=None, seed=0, driver_scale=0.2) -> SpinGlassIn
     n = check_n(n)
     if dimer_count is None:
         dimer_count = n // 2
-    if 2 * dimer_count > n:
-        raise ValueError("dimer pairs must fit disjointly")
+    if not 0 <= 2 * dimer_count <= n:
+        raise ValueError(f"dimer count must lie in [0, n // 2 = {n // 2}], "
+                         f"got {dimer_count}")
     rng = np.random.default_rng(seed)
     h = quantize_couplings(rng.uniform(-1, 1, size=n))
     J = np.zeros((n, n))
@@ -319,8 +322,23 @@ def instance_to_dict(inst) -> dict:
     raise TypeError(f"not an instance: {type(inst)!r}")
 
 
+# keys an instance document must hold, by kind
+_REQUIRED_KEYS = {
+    "impurity_band": ("n", "marked", "eps", "W", "B_perp"),
+    "spin_glass": ("n", "h", "J", "dimers", "driver_scale"),
+}
+
+
 def instance_from_dict(doc: dict):
+    """Instance from its JSON document; ValueError names what is malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
+    if kind not in _REQUIRED_KEYS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    missing = [k for k in _REQUIRED_KEYS[kind] if k not in doc]
+    if missing:
+        raise ValueError(f"{kind} instance lacks {', '.join(map(repr, missing))}")
     if kind == "impurity_band":
         return ImpurityBandInstance(
             n=doc["n"], marked=tuple(doc["marked"]),
@@ -328,18 +346,16 @@ def instance_from_dict(doc: dict):
             W=doc["W"], B_perp=doc["B_perp"],
             base_energy=doc.get("base_energy"), seed=doc.get("seed"),
         )
-    if kind == "spin_glass":
-        n = doc["n"]
-        h = COUPLING_GRID[np.asarray(doc["h"], dtype=int)]
-        J = np.zeros((n, n))
-        for i, j, k in doc["J"]:
-            J[i, j] = J[j, i] = COUPLING_GRID[k]
-        dimers = tuple(tuple(p) for p in doc["dimers"])
-        for i, j in dimers:
-            J[i, j] = J[j, i] = doc.get("dimer_J", DIMER_J)
-        return SpinGlassInstance(n=n, h=h, J=J, dimers=dimers,
-                                 driver_scale=doc["driver_scale"], seed=doc.get("seed"))
-    raise ValueError(f"unknown instance kind {kind!r}")
+    n = doc["n"]
+    h = COUPLING_GRID[np.asarray(doc["h"], dtype=int)]
+    J = np.zeros((n, n))
+    for i, j, k in doc["J"]:
+        J[i, j] = J[j, i] = COUPLING_GRID[k]
+    dimers = tuple(tuple(p) for p in doc["dimers"])
+    for i, j in dimers:
+        J[i, j] = J[j, i] = doc.get("dimer_J", DIMER_J)
+    return SpinGlassInstance(n=n, h=h, J=J, dimers=dimers,
+                             driver_scale=doc["driver_scale"], seed=doc.get("seed"))
 
 
 def save_instance(inst, path):

@@ -30,13 +30,15 @@ from functools import lru_cache
 import numpy as np
 
 from .downfold import DownfoldedMatrix
-from .statevector import spectral_propagation
+from .statevector import spectral_blocks
 
 EULER_GAMMA = 0.5772156649015329
 
 _GRID_PER_DECADE = 256
 _PIECE_NODES = 30
 _PIECES = 31
+# rows per block of the per-site row passes (self-energies, row spreads)
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,12 @@ class PBLMConfig:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError("M must be >= 2")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not self.gamma >= 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not self.lam > 0:
+            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not self.V_typ_unit > 0:
+            raise ValueError(f"V_typ must be positive, got {self.V_typ_unit}")
         if self.diagonal_law != "uniform":
             raise ValueError("only the uniform diagonal law is implemented")
 
@@ -333,6 +337,21 @@ def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_as_matrix(matrix))
 
 
+def _row_blocks(M: int):
+    """Slices of at most _ROW_BLOCK rows covering range(M)."""
+    return (slice(lo, min(lo + _ROW_BLOCK, M)) for lo in range(0, M, _ROW_BLOCK))
+
+
+def _off_diagonal_norms(H: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of H without its diagonal entry."""
+    out = np.empty(len(H))
+    for rows in _row_blocks(len(H)):
+        block = H[rows].copy()
+        np.fill_diagonal(block[:, rows], 0.0)
+        out[rows] = np.linalg.norm(block, axis=1)
+    return out
+
+
 def gamma_samples(matrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
     """Decay rate Gamma_j of every basis state j under e^{-i H t}; nan = censored.
 
@@ -345,30 +364,50 @@ def gamma_samples(matrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
     or if fewer than 3 samples with t <= 1.02 t_cross lie in [lo, hi].
     Else Gamma_j is minus the slope of log S_j on those samples, by least
     squares weighted by t, the log grid's spacing; a slope >= 0 is censored.
+
+    The grid is consumed in the time blocks of statevector.spectral_blocks:
+    each site carries its t_cross (inf until it crosses), a revival flag, a
+    fit-sample count and five t-weighted moments across blocks, so the
+    working memory beyond the eigensystem is O(block x M). The loop stops
+    once every site is censored or past 5 t_cross, where the rest of the
+    grid can change no rate.
     """
     hi, lo = window
     vals, vecs = _eigh(matrix)
-    H = _as_matrix(matrix)
-    spread = np.linalg.norm(H - np.diag(np.diag(H)), axis=1)
+    spread = _off_diagonal_norms(_as_matrix(matrix))
     coupled = spread > 0.0
     if not coupled.any():
         return np.full(len(vals), math.nan)
     t_lo, t_hi = 0.1 / spread.max(), 5e4 / spread[coupled].min()
     t = np.geomspace(t_lo, t_hi, math.ceil(_GRID_PER_DECADE * math.log10(t_hi / t_lo)) + 1)
-    surv = spectral_propagation(vals, (vecs ** 2).T, t)
-    below = surv < lo
-    t_cross = t[below.argmax(axis=0)]
-    ok = coupled & below.any(axis=0) & (t_cross * spread <= 1e4)
-    col = t[:, None]
-    ok &= ~((surv >= hi) & (col >= t_cross) & (col <= 5.0 * t_cross)).any(axis=0)
-    fit = (col <= 1.02 * t_cross) & (surv >= lo) & (surv <= hi)
-    # t-weighted moments over the fit samples; S = 1 elsewhere adds log 1 = 0
-    w0, w1, w2 = np.stack([t, t ** 2, t ** 3]) @ fit.astype(float)
-    surv[~fit] = 1.0
-    y0, y1 = np.stack([t, t ** 2]) @ np.log(surv, out=surv)
+    M = len(vals)
+    t_cross = np.full(M, math.inf)
+    revived = np.zeros(M, dtype=bool)
+    count = np.zeros(M, dtype=int)
+    w = np.zeros((3, M))  # sums of t, t^2, t^3 over the fit samples
+    y = np.zeros((2, M))  # sums of t log S, t^2 log S over the fit samples
+    for tb, surv in spectral_blocks(vals, (vecs ** 2).T, t):
+        below = surv < lo
+        t_cross = np.minimum(t_cross, np.where(below.any(axis=0),
+                                               tb[below.argmax(axis=0)], math.inf))
+        col = tb[:, None]
+        revived |= ((surv >= hi) & (col >= t_cross) & (col <= 5.0 * t_cross)).any(axis=0)
+        fit = (col <= 1.02 * t_cross) & (surv >= lo) & (surv <= hi)
+        count += fit.sum(axis=0)
+        w += np.stack([tb, tb ** 2, tb ** 3]) @ fit.astype(float)
+        # S = 1 off the fit samples adds log 1 = 0
+        surv[~fit] = 1.0
+        y += np.stack([tb, tb ** 2]) @ np.log(surv, out=surv)
+        crossed = np.isfinite(t_cross)
+        late = np.where(crossed, t_cross, tb[-1]) * spread > 1e4
+        if np.all(~coupled | revived | late | (tb[-1] >= 5.0 * t_cross)):
+            break  # later samples can neither fit nor revive nor uncensor a site
+    ok = coupled & crossed & ~revived & ~late & (count >= 3)
+    w0, w1, w2 = w
+    y0, y1 = y
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = (y1 - w1 * y0 / w0) / (w2 - w1 ** 2 / w0)
-    return np.where(ok & (fit.sum(axis=0) >= 3) & (slope < 0), -slope, math.nan)
+    return np.where(ok & (slope < 0), -slope, math.nan)
 
 
 def extract_gamma(matrix, site: int, window: tuple = (0.9, 0.37)) -> float:
@@ -391,8 +430,16 @@ def site_self_energies(matrix, eta: float | None = None) -> np.ndarray:
         else:
             eta = (vals[-1] - vals[0]) / len(vals)
     eps = np.diag(_as_matrix(matrix))
-    W2 = vecs ** 2
-    G = (W2 / ((eps + 1j * eta)[:, None] - vals[None, :])).sum(axis=1)
+    M = len(vals)
+    G = np.empty(M, dtype=complex)
+    # every block works in place in these two buffers; fresh temporaries per
+    # block ran up to 3x slower at M = 2048, depending on the block size
+    w2 = np.empty((min(_ROW_BLOCK, M), M))
+    den = np.empty(w2.shape, dtype=complex)
+    for rows in _row_blocks(M):
+        w, d = w2[:rows.stop - rows.start], den[:rows.stop - rows.start]
+        np.subtract((eps[rows] + 1j * eta)[:, None], vals, out=d)
+        G[rows] = np.divide(np.square(vecs[rows], out=w), d, out=d).sum(axis=1)
     inv = 1.0 / G
     return -inv.real + 1j * (inv.imag - eta)
 

@@ -136,13 +136,22 @@ def test_no_subcommand_is_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_malformed_instance_reports_position(tmp_path, capsys):
+@pytest.mark.parametrize("text, where", [
+    pytest.param('{"kind": "impurity_band", oops\n', ":1:", id="syntax"),
+    pytest.param("[1, 2]\n", ": an instance must be a JSON object", id="list"),
+    pytest.param('{"kind": "impurity_band", "n": 4, "eps": [0.1], "W": 1, '
+                 '"B_perp": 1}\n', ": impurity_band instance lacks 'marked'",
+                 id="no-marked"),
+    pytest.param('{"kind": "foo"}\n', ": unknown instance kind 'foo'",
+                 id="unknown-kind"),
+])
+def test_malformed_instance_reports_position(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": "impurity_band", oops\n')
+    bad.write_text(text)
     rc = main(["--out-dir", str(tmp_path), "sd", "--instance", str(bad)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and ":1:" in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}{where}")
 
 
 def test_evolve_requires_time(tmp_path, ib_instance, capsys):
@@ -192,6 +201,32 @@ def test_count_flags_below_one(tmp_path, ib_instance, capsys, cmd, flag, value):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["gen-instance", "--kind", "impurity-band", "--n", "0", "--m", "3"], "qubit count"),
+    (["gen-instance", "--kind", "spin-glass", "--n", "40"], "qubit count"),
+    (["gen-instance", "--kind", "impurity-band", "--n", "4", "--m", "0"], "M = 0"),
+    (["gen-instance", "--kind", "impurity-band", "--n", "4", "--m", "20"], "M = 20"),
+    (["gen-instance", "--kind", "spin-glass", "--n", "8", "--dimer-count", "9"],
+     "dimer count"),
+    (["gen-instance", "--kind", "impurity-band", "--n", "4", "--m", "3",
+      "--w", "-1"], "W must be positive"),
+    (["pblm-ensemble", "--m", "1", "--gamma", "1.5"], "M must be"),
+    (["pblm-ensemble", "--m", "8", "--gamma", "-1"], "gamma must be"),
+    (["pblm-ensemble", "--m", "8", "--gamma", "nan"], "gamma must be"),
+    (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--lam", "nan"], "lambda must be"),
+    (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--v-typ", "0"], "V_typ must be"),
+    (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--eta", "-1"], "--eta"),
+    (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--eta", "0"], "--eta"),
+], ids=["n0", "n40", "m0", "m20", "dimers9", "w-1", "pblm-m1", "gamma-1",
+        "gamma-nan", "lam-nan", "v-typ0", "eta-1", "eta0"])
+def test_generator_arguments_out_of_range(tmp_path, capsys, argv, word):
+    rc = main(["--out-dir", str(tmp_path), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
     assert not any(tmp_path.iterdir())
 
 

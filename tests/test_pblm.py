@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pt_lab import pblm
 from pt_lab.downfold import DownfoldedMatrix
 from pt_lab.pblm import (GammaLawPrediction, LevyStableParams,
                          MinibandDiagnostics, PBLMConfig, cauchy_shift_pdf,
@@ -10,7 +14,8 @@ from pt_lab.pblm import (GammaLawPrediction, LevyStableParams,
                          predicted_gamma_law, pt_scaling_time, pt_time,
                          sample_pblm, sigma_omega, sigma_prime_typ,
                          site_self_energies, stable_pdf, stable_sample,
-                         _standard_pdf, _standard_quantiles)
+                         _GRID_PER_DECADE, _standard_pdf, _standard_quantiles)
+from pt_lab.statevector import spectral_propagation
 
 REF = PBLMConfig(M=1024, gamma=1.5, lam=1.0)
 
@@ -397,7 +402,109 @@ def test_uncoupled_site_is_censored_and_leaves_the_rest_alone():
                                rtol=1e-9)
 
 
+def _log_grid(H):
+    spread = np.linalg.norm(H - np.diag(np.diag(H)), axis=1)
+    t_lo, t_hi = 0.1 / spread.max(), 5e4 / spread[spread > 0].min()
+    return spread, np.geomspace(
+        t_lo, t_hi, math.ceil(_GRID_PER_DECADE * math.log10(t_hi / t_lo)) + 1)
+
+
+def _whole_grid_gamma(H, window=(0.9, 0.37)):
+    # the same fit on the whole (T, M) survival table at once
+    hi, lo = window
+    vals, vecs = np.linalg.eigh(H)
+    spread, t = _log_grid(H)
+    surv = spectral_propagation(vals, (vecs ** 2).T, t)
+    below = surv < lo
+    t_cross = t[below.argmax(axis=0)]
+    ok = (spread > 0) & below.any(axis=0) & (t_cross * spread <= 1e4)
+    col = t[:, None]
+    ok &= ~((surv >= hi) & (col >= t_cross) & (col <= 5.0 * t_cross)).any(axis=0)
+    fit = (col <= 1.02 * t_cross) & (surv >= lo) & (surv <= hi)
+    w0, w1, w2 = np.stack([t, t ** 2, t ** 3]) @ fit.astype(float)
+    surv[~fit] = 1.0
+    y0, y1 = np.stack([t, t ** 2]) @ np.log(surv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (y1 - w1 * y0 / w0) / (w2 - w1 ** 2 / w0)
+    return np.where(ok & (fit.sum(axis=0) >= 3) & (slope < 0), -slope, np.nan)
+
+
+@pytest.mark.parametrize("M", [64, 192])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("gamma", [1.2, 1.5, 1.8])
+def test_streamed_decay_fits_match_whole_grid_fit(M, seed, gamma):
+    mat = sample_pblm(PBLMConfig(M=M, gamma=gamma, lam=1.0), seed=seed)
+    got, want = gamma_samples(mat), _whole_grid_gamma(mat.matrix)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_decay_fits_stop_once_every_site_is_settled(monkeypatch):
+    consumed = []
+    blocks = pblm.spectral_blocks
+
+    def counting(*args):
+        for tb, surv in blocks(*args):
+            consumed.append(len(tb))
+            yield tb, surv
+
+    monkeypatch.setattr(pblm, "spectral_blocks", counting)
+    mat = sample_pblm(PBLMConfig(M=64, gamma=1.5, lam=1.0), seed=0)
+    got = gamma_samples(mat)
+    assert 0 < sum(consumed) < len(_log_grid(mat.matrix)[1]) / 2
+    np.testing.assert_allclose(got, _whole_grid_gamma(mat.matrix), rtol=1e-12)
+
+
+def test_late_crossing_site_keeps_its_rate():
+    # a far-detuned partner sets site 0's spread and the band its decay, so
+    # S_0 crosses lo near t = 3000 / spread: late, but inside 1e4 / spread
+    band, V, delta = _flat_band_matrix()
+    H = np.pad(band.matrix, (0, 1))
+    H[0, -1] = H[-1, 0] = 12.0
+    H[-1, -1] = 1e4
+    got = gamma_samples(H)
+    assert np.linalg.norm(H[0, 1:]) / got[0] > 1e3
+    assert got[0] == pytest.approx(2.0 * np.pi * V ** 2 / delta, rel=0.05)
+    want = _whole_grid_gamma(H)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decay_fits_hold_no_survival_table():
+    M = 512
+    mat = sample_pblm(PBLMConfig(M=M, gamma=1.5, lam=1.0), seed=0)
+    mat.eigensystem
+    T = len(_log_grid(mat.matrix)[1])
+    assert _traced_peak(gamma_samples, mat) < T * M * 8
+
+
 # ---------------------------------------------------------------- resolvent
+
+def test_self_energies_hold_no_square_temporary():
+    M = 512
+    mat = sample_pblm(PBLMConfig(M=M, gamma=1.5, lam=1.0), seed=0)
+    mat.eigensystem
+    assert _traced_peak(site_self_energies, mat) < M * M * 16
+
+
+@pytest.mark.parametrize("eta", [None, 0.3])
+def test_row_blocked_self_energies_equal_unblocked_expression(eta):
+    mat = sample_pblm(PBLMConfig(M=200, gamma=1.5, lam=1.0), seed=3)
+    vals, vecs = mat.eigensystem
+    e = mat.W / mat.M if eta is None else eta
+    G = (vecs ** 2 / ((np.diag(mat.matrix) + 1j * e)[:, None] - vals[None, :])).sum(axis=1)
+    want = -(1.0 / G).real + 1j * ((1.0 / G).imag - e)
+    np.testing.assert_array_equal(site_self_energies(mat, eta), want)
+
 
 def test_site_self_energies_two_level_analytic():
     a, b, v, eta = 0.2, -0.4, 0.05, 0.01
