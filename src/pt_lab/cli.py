@@ -10,9 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# One OpenBLAS thread per CLI process unless the user sets the variable.
+# The CLI's work is many small products and eigh calls (M <= 1024). On a
+# 2-vCPU machine a second thread took 55-70% more CPU time on the spin-glass
+# pipeline, impurity-band and ensemble benchmark workloads and saved at most
+# 8% of their wall time; it also sums in another order, so artifact bytes
+# depended on the core count. Large states do gain (n=20 FWHT about 20 ->
+# 13 ms); an explicit OPENBLAS_NUM_THREADS selects that. This must run
+# before the process first imports numpy, which is why ``pt_lab`` imports
+# its submodules lazily.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -284,13 +296,17 @@ def _one_pblm_realization(config, seed, eta, fit_gammas, window):
     return seed, sigma, omegas, gammas
 
 
-def _cmd_pblm_ensemble(args, out_dir, manifest):
+def _pblm_config(args) -> PBLMConfig:
     try:
-        config = PBLMConfig(M=args["m"], gamma=args["gamma"],
-                            lam=_or_default(args.get("lam"), 1.0),
-                            V_typ_unit=_or_default(args.get("v_typ"), 1.0))
+        return PBLMConfig(M=args["m"], gamma=args["gamma"],
+                          lam=_or_default(args.get("lam"), 1.0),
+                          V_typ_unit=_or_default(args.get("v_typ"), 1.0))
     except ValueError as e:
         raise UsageError(str(e)) from e
+
+
+def _cmd_pblm_ensemble(args, out_dir, manifest):
+    config = _pblm_config(args)
     R = _count_arg(args, "realizations", 20)
     base_seed = args.get("seed") or 0
     eta = args.get("eta")
@@ -491,6 +507,9 @@ def _cmd_stats_fit(args, out_dir, manifest):
     beta = _or_default(args.get("beta"), 1.0)
     if not -1.0 <= beta <= 1.0:
         raise UsageError(f"--beta must lie in [-1, 1], got {beta}")
+    config = None
+    if args.get("m") is not None and args.get("gamma") is not None:
+        config = _pblm_config(args)
     cols = read_csv_columns(args["input"])
     name = args.get("column") or "sigma_doubleprime_energy"
     if name not in cols:
@@ -510,10 +529,8 @@ def _cmd_stats_fit(args, out_dir, manifest):
            "count": int(len(samples)),
            "fit": {"alpha": fit.alpha, "beta": fit.beta, "C": fit.C,
                    "shift": fit.shift}}
-    if args.get("m") and args.get("gamma") is not None:
-        pred = predicted_gamma_law(PBLMConfig(
-            M=args["m"], gamma=args["gamma"], lam=_or_default(args.get("lam"), 1.0),
-            V_typ_unit=_or_default(args.get("v_typ"), 1.0)))
+    if config is not None:
+        pred = predicted_gamma_law(config)
         doc["predicted"] = {"sigma_typ": pred.sigma_typ, "scale": pred.scale,
                             "sigma_star": pred.sigma_star, "omega": pred.omega}
         doc["ratios"] = {"shift_over_predicted": fit.shift / pred.sigma_typ,
@@ -645,6 +662,10 @@ def _replay(manifest_path: str, out_dir_flag: str | None) -> int:
             or not isinstance(doc.get("args"), dict)):
         raise UsageError(f"{manifest_path}: not a run manifest")
     manifest = _run(doc["subcommand"], doc["args"], resolve_out_dir(out_dir_flag))
+    # the BLAS thread count can move the outputs' last bits (README), so a
+    # reader of the verdicts below needs the setting the run used
+    print("replay: OPENBLAS_NUM_THREADS="
+          + os.environ.get("OPENBLAS_NUM_THREADS", "unset"), file=sys.stderr)
     old = {Path(o["path"]).name: o["sha256"] for o in doc.get("outputs", [])}
     ok = True
     for entry in manifest.outputs:

@@ -5,11 +5,17 @@ emitted artifacts can be checked without subprocess plumbing.
 """
 
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pt_lab
 from pt_lab.cli import _top_k_rows, main
 from pt_lab.downfold import DownfoldedMatrix, TunnelingParams, build_downfolded
 from pt_lab.instances import all_classical_energies, gen_impurity_band, load_instance
@@ -423,15 +429,22 @@ def test_stats_fit_rejects_text_column(tmp_path, capsys):
 
 
 def test_stats_fit_rejects_beta_outside_unit_interval(tmp_path, capsys):
+    # and every predicted-law parameter that PBLMConfig rejects
     path = tmp_path / "s.csv"
     write_csv(path, ["sigma_doubleprime_energy"],
               [(float(x),) for x in range(1, 21)])
-    rc = main(["--out-dir", str(tmp_path), "stats-fit", "--input", str(path),
-               "--beta", "1.5"])
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "--beta" in err[0]
-    assert not (tmp_path / "stats_fit.json").exists()
+    for flags, word in [(["--beta", "1.5"], "--beta"),
+                        (["--m", "1", "--gamma", "1.5"], "M must be"),
+                        (["--m", "0", "--gamma", "1.5"], "M must be"),
+                        (["--m", "64", "--gamma", "nan"], "gamma"),
+                        (["--m", "64", "--gamma", "1.5", "--lam", "0"], "lambda"),
+                        (["--m", "64", "--gamma", "1.5", "--v-typ", "0"], "V_typ")]:
+        rc = main(["--out-dir", str(tmp_path), "stats-fit", "--input",
+                   str(path), *flags])
+        assert rc == 2, flags
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+        assert not (tmp_path / "stats_fit.json").exists()
 
 
 def test_grover_sweep_rows(tmp_path):
@@ -546,6 +559,61 @@ def test_same_args_same_bytes_across_dirs(tmp_path, ib_instance):
         assert sha256_file(a / name) == sha256_file(b / name)
 
 
+_SRC = str(Path(pt_lab.__file__).resolve().parents[1])
+
+
+def _cli_subprocess(argv, blas_threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = _SRC
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    subprocess.run([sys.executable, "-m", "pt_lab.cli", *argv], env=env,
+                   check=True, capture_output=True)
+
+
+@pytest.mark.parametrize("cmd", ["pblm-ensemble", "pipeline"])
+def test_unset_blas_threads_write_the_one_thread_bytes(tmp_path, cmd):
+    """A CLI process runs on one OpenBLAS thread unless OPENBLAS_NUM_THREADS
+    is set, so leaving it unset writes the same bytes as setting it to 1.
+    With two or more cores a second thread sums the ensemble's products and
+    eigh calls, and the glass pipeline's survival trace, in another order,
+    which moves their last bits. On a one-core machine OpenBLAS starts one
+    thread either way and this passes trivially."""
+    if cmd == "pblm-ensemble":
+        argv = ["pblm-ensemble", "--m", "512", "--gamma", "1.5",
+                "--realizations", "1", "--fit-gammas"]
+    else:  # the glass-pipeline benchmark's settings
+        assert main(["--out-dir", str(tmp_path), "gen-instance", "--kind",
+                     "spin-glass", "--n", "16", "--seed", "3"]) == 0
+        argv = ["pipeline", "--instance", str(tmp_path / "instance.json"),
+                "--dt", "0.1", "--start-time", "10", "--max-doublings", "1",
+                "--saturation-rtol", "0.01"]
+    unset, one = tmp_path / "unset", tmp_path / "one"
+    _cli_subprocess(["--out-dir", str(unset), *argv], None)
+    _cli_subprocess(["--out-dir", str(one), *argv], "1")
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in unset.iterdir())
+    want = ({"pblm_sites.csv", "pblm_states.csv", "pblm_fit.json"}
+            if cmd == "pblm-ensemble" else {"pt_survival.csv", "pt_output.csv"})
+    assert want <= set(names)
+    for name in names:
+        if name != "manifest.json":  # it records the run directory
+            assert (unset / name).read_bytes() == (one / name).read_bytes(), name
+
+
+def test_import_loads_no_numpy_and_exports_resolve():
+    probe = ("import pt_lab, sys; assert 'numpy' not in sys.modules; "
+             "assert pt_lab.pblm.__name__ == 'pt_lab.pblm'")
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": _SRC})
+    assert sorted(pt_lab.__all__) == sorted(pt_lab._SOURCE)
+    for name, module in pt_lab._SOURCE.items():
+        owner = importlib.import_module(f"pt_lab.{module}")
+        assert getattr(pt_lab, name) is getattr(owner, name), name
+    with pytest.raises(AttributeError):
+        pt_lab.no_such_name
+
+
 @pytest.mark.parametrize("cmd", ["pt-run", "pipeline"])
 def test_ladder_progress_on_stderr_only(tmp_path, ib_instance, capsys,
                                         monkeypatch, cmd):
@@ -572,15 +640,22 @@ def test_ladder_progress_on_stderr_only(tmp_path, ib_instance, capsys,
             assert (shown / name).read_bytes() == (quiet / name).read_bytes()
 
 
-def test_replay_verifies_hashes(tmp_path, ib_instance, capsys):
+def test_replay_verifies_hashes(tmp_path, ib_instance, capsys, monkeypatch):
     run = tmp_path / "run"
     assert main(["--out-dir", str(run), "pt-run", "--instance",
                  str(ib_instance), "--time", "3", "--steps", "50"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     rc = main(["--out-dir", str(tmp_path / "redo"), "--replay",
                str(run / "manifest.json")])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "match: pt_output.csv" in out and "MISMATCH" not in out
+    captured = capsys.readouterr()
+    assert "match: pt_output.csv" in captured.out
+    assert "MISMATCH" not in captured.out
+    # the thread setting is reported on stderr and written to no file
+    assert captured.err.splitlines() == ["replay: OPENBLAS_NUM_THREADS=3"]
+    for path in (tmp_path / "redo").iterdir():
+        assert b"OPENBLAS" not in path.read_bytes()
 
 
 def test_replay_detects_tamper(tmp_path, ib_instance, capsys):

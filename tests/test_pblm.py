@@ -470,6 +470,22 @@ def test_late_crossing_site_keeps_its_rate():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def test_site_with_two_fit_samples_is_censored():
+    # on the flat band's exponential decay the narrow window (0.5, 0.495)
+    # holds two grid samples of site 0 before it crosses: a slope exists,
+    # but the rule asks for three; the window (0.5, 0.49) holds three
+    band, _, _ = _flat_band_matrix(M=32, V_scale=0.5)
+    H = band.matrix
+    vals, vecs = np.linalg.eigh(H)
+    t = _log_grid(H)[1]
+    surv = _survival(vals, vecs[0] ** 2, t)
+    hi, lo = 0.5, 0.495
+    t_cross = t[np.argmax(surv < lo)]
+    assert np.sum((t <= 1.02 * t_cross) & (surv >= lo) & (surv <= hi)) == 2
+    assert np.isnan(gamma_samples(H, (hi, lo))[0])
+    assert np.isfinite(gamma_samples(H, (hi, 0.49))[0])
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
