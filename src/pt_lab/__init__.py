@@ -40,8 +40,8 @@ _EXPORTS = {
         "perturbative_transfer", "pt_time_with_error"),
     "optimize": (
         "LocalMinimumRecord", "AnnealSchedule", "steepest_descent",
-        "enumerate_local_minima", "basin_distribution", "enrichment_ratio",
-        "simulated_annealing"),
+        "enumerate_local_minima", "local_minima", "basin_distribution",
+        "enrichment_ratio", "simulated_annealing"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_SOURCE)

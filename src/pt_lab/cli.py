@@ -53,6 +53,7 @@ from .optimize import (
     alternation_contrast,
     enrichment_ratio,
     enumerate_local_minima,
+    local_minima,
     median_hamming,
     pair_hamming_histogram,
     pt_energy_window,
@@ -119,7 +120,8 @@ def _override_b_perp(inst, b_perp):
 
 def _choose_start(inst, z0_arg):
     """'auto' picks the lowest-energy marked state (impurity band) or the
-    second-lowest local minimum (glass), a low but non-global start."""
+    second-lowest local minimum (glass), a low but non-global start; ties
+    in energy go to the lower label."""
     if z0_arg != "auto":
         try:
             return check_bitstring(int(z0_arg, 0), inst.n)
@@ -127,8 +129,9 @@ def _choose_start(inst, z0_arg):
             raise UsageError(f"--z0: {e}") from e
     if isinstance(inst, ImpurityBandInstance):
         return inst.marked[int(np.argmin(inst.eps))]
-    records = sorted(enumerate_local_minima(inst), key=lambda r: (r.energy, r.z))
-    return records[1].z if len(records) > 1 else records[0].z
+    labels, energies = local_minima(inst)
+    order = np.lexsort((labels, energies))
+    return int(labels[order[min(1, len(order) - 1)]])
 
 
 def _evolution_config(args) -> EvolutionConfig:
@@ -507,9 +510,11 @@ def _cmd_stats_fit(args, out_dir, manifest):
     beta = _or_default(args.get("beta"), 1.0)
     if not -1.0 <= beta <= 1.0:
         raise UsageError(f"--beta must lie in [-1, 1], got {beta}")
-    config = None
-    if args.get("m") is not None and args.get("gamma") is not None:
-        config = _pblm_config(args)
+    missing = [f"--{k}" for k in ("m", "gamma") if args.get(k) is None]
+    if len(missing) == 1:
+        raise UsageError(f"stats-fit: {missing[0]} is missing; --m and "
+                         "--gamma together select the predicted law")
+    config = None if missing else _pblm_config(args)
     cols = read_csv_columns(args["input"])
     name = args.get("column") or "sigma_doubleprime_energy"
     if name not in cols:
@@ -640,8 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--column", default="sigma_doubleprime_energy")
     sf.add_argument("--beta", type=float, default=1.0)
     sf.add_argument("--positive-only", action="store_true")
-    sf.add_argument("--m", type=int, default=None)
-    sf.add_argument("--gamma", type=float, default=None)
+    sf.add_argument("--m", type=int, default=None,
+                    help="with --gamma, compare the fit with the predicted law")
+    sf.add_argument("--gamma", type=float, default=None,
+                    help="with --m, compare the fit with the predicted law")
     sf.add_argument("--lam", type=float, default=1.0)
     sf.add_argument("--v-typ", type=float, default=1.0)
     return p

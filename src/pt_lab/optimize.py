@@ -68,17 +68,43 @@ def steepest_descent(inst, z: int) -> LocalMinimumRecord:
 
 
 def _descent_pointers(E: np.ndarray, n: int) -> np.ndarray:
-    """next-state pointer for every z: best single flip (lowest bit on ties), self if fixed point."""
-    nxt = index_array(n).astype(np.int64)
-    for lo in range(0, 1 << n, _BLOCK):
+    """next-state pointer for every z: best single flip (lowest bit on ties), self if fixed point.
+
+    Runs over blocks of _BLOCK states. The energies after flipping bit i are
+    read through views, not gathered: within a block, its
+    (-1, 2, 2^i) reshape with the two halves swapped; for bits at or above
+    the block size, the block that starts at lo ^ 2^i.
+    """
+    N = 1 << n
+    nxt = np.arange(N, dtype=np.int64)
+    for lo in range(0, N, _BLOCK):
         best = nxt[lo:lo + _BLOCK]
-        blk, bestE = best.copy(), E[best]
+        blk, bestE = best.copy(), E[lo:lo + _BLOCK].copy()
         for i in range(n):
-            tgt = blk ^ (1 << i)
-            better = E[tgt] < bestE
-            best[better] = tgt[better]
-            bestE[better] = E[tgt[better]]
+            bit = 1 << i
+            if bit < len(blk):
+                shape = (-1, 2, bit)
+                flip = E[lo:lo + _BLOCK].reshape(shape)[:, ::-1]
+            else:
+                shape = (len(blk),)
+                flip = E[lo ^ bit:(lo ^ bit) + len(blk)]
+            view = bestE.reshape(shape)
+            better = flip < view
+            np.copyto(view, flip, where=better)
+            np.copyto(best.reshape(shape), (blk ^ bit).reshape(shape), where=better)
     return nxt
+
+
+def local_minima(inst) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, energies) of every single-flip local minimum, labels
+    ascending: the fixed points of the descent pointers, without building
+    the basins."""
+    n = inst.n
+    if n > SD_MAX_N:
+        raise ValueError(f"full enumeration capped at n = {SD_MAX_N}")
+    E = all_classical_energies(inst)
+    z = np.flatnonzero(_descent_pointers(E, n) == np.arange(1 << n))
+    return z, E[z]
 
 
 def _basin_roots(E: np.ndarray, n: int) -> np.ndarray:

@@ -34,6 +34,11 @@ from .statevector import spectral_blocks
 
 EULER_GAMMA = 0.5772156649015329
 
+# _standard_quantiles(1.0): the S1(1, 1) quartiles, frozen so that a fit at
+# beta = 1 (every pblm-ensemble and default stats-fit call) runs no solver;
+# test_frozen_quartiles_match_solver holds the solver to these bits
+_S1_QUARTILES = (-0.41776476405072077, 0.5756301439450774, 2.550815682820456)
+
 _GRID_PER_DECADE = 256
 _PIECE_NODES = 30
 _PIECES = 31
@@ -295,7 +300,8 @@ def fit_stable_quantiles(samples, beta: float = 1.0) -> LevyStableParams:
     s = s[np.isfinite(s)]
     if len(s) < 8:
         raise ValueError("too few samples for a quantile fit")
-    q25s, q50s, q75s = _standard_quantiles(beta)
+    q25s, q50s, q75s = (_S1_QUARTILES if beta == 1.0
+                        else _standard_quantiles(beta))
     s25, s50, s75 = np.percentile(s, [25.0, 50.0, 75.0])
     C = (s75 - s25) / (q75s - q25s)
     if C <= 0:

@@ -24,7 +24,9 @@ basis. Two drivers are supported:
 Both z-basis passes are blocked the same way: one 16 x 16 block per 4 index
 bits per matrix product, with one scratch state. A transfer run advances
 each rung of its time ladder as one Trotter segment and reads the survival
-trace inside it, without closing the symmetric splitting per sample.
+trace inside it, without closing the symmetric splitting per sample. A
+spin-glass run holds five 2^n complex arrays at most: the state, the
+segment's scratch and three phase tables (see _segment_for).
 
 A dense eigensolver backend covers small systems for cross-checks and for
 spectral formulas that need the full eigenbasis.
@@ -172,7 +174,8 @@ def driver_x_diagonal(inst, driver: str = "auto") -> np.ndarray:
     return pair_energies(hx, Jx, index_array(n))
 
 
-def _blocked_pass(a: np.ndarray, left: dict, right: dict) -> np.ndarray:
+def _blocked_pass(a: np.ndarray, left: dict, right: dict,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Apply a real tensor-product operator to a contiguous complex128
     vector of length 2^n, 4 index bits per np.matmul pass on its float64
     view.
@@ -181,14 +184,15 @@ def _blocked_pass(a: np.ndarray, left: dict, right: dict) -> np.ndarray:
     2^k x 2^k block left[2^k] from the left. The lowest group instead
     multiplies (re, im) pairs from the right by right[2^k] (the transposed
     block (x) I_2), so it is one matrix product rather than one per
-    16-element group. Passes alternate between `a` and one scratch buffer,
-    so the extra memory is one state. The result is returned; it may live
-    in `a`'s buffer or in the scratch, and `a` is overwritten either way,
-    so call it as `psi = _blocked_pass(psi, ...)`.
+    16-element group. Passes alternate between `a` and one scratch buffer
+    (`scratch` when given, a state of a's shape, else a new one), so the
+    extra memory is at most one state. The result is returned; it may live
+    in `a`'s buffer or in the scratch, and both are overwritten, so call it
+    as `psi = _blocked_pass(psi, ...)`.
     """
     n = a.shape[0].bit_length() - 1
     src = a.view(np.float64)
-    dst = np.empty_like(src)
+    dst = np.empty_like(src) if scratch is None else scratch.view(np.float64)
     for lo in range(0, n, _BLOCK_BITS):
         K = 1 << min(_BLOCK_BITS, n - lo)
         if lo == 0:
@@ -207,6 +211,13 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     16 x 16 Sylvester block, or its 2^k x 2^k corner H_k when 4 does not
     divide n. Call it as `psi = _fwht(psi)`."""
     return _blocked_pass(a, _HADAMARD_LEFT, _HADAMARD_RIGHT)
+
+
+def _fwht_swap(psi: np.ndarray, spare: np.ndarray):
+    """_fwht of psi with spare as its scratch: (transform, free buffer),
+    the free buffer being whichever of the two the transform left."""
+    out = _blocked_pass(psi, _HADAMARD_LEFT, _HADAMARD_RIGHT, spare)
+    return out, (spare if np.may_share_memory(out, psi) else psi)
 
 
 def _frame_rotation(k: int, theta: float, a, b) -> np.ndarray:
@@ -247,11 +258,37 @@ def _s_frame(psi: np.ndarray, inverse: bool = False) -> None:
     rows *= powers[np.bitwise_count(np.arange(1 << h)) % 4]
 
 
-def _survival_probe(n: int, z0: int, ph_half: np.ndarray) -> np.ndarray:
-    """r with <z0|psi> = r . phi for the x-basis state phi of the symmetric
-    splitting before its closing half-phase: r = (-1)^{x.z0} ph_half / N."""
-    sign = 1.0 - 2.0 * (np.bitwise_count(index_array(n) & np.uint64(z0)) & 1)
-    return sign * ph_half / (1 << n)
+def _parity_factors(n: int, z0: int):
+    """(-1)^{popcount(x & z0)} as a (2^(n-h), 1) factor over the high index
+    bits and a (1, 2^h) factor over the low ones, h = n // 2: their product
+    broadcast over a state's (2^(n-h), 2^h) reshape."""
+    h = n // 2
+    return (_parity_signs(np.arange(1 << (n - h)), np.array([z0 >> h])),
+            _parity_signs(np.array([z0]), np.arange(1 << h)))
+
+
+def _survival_probe(z0: int, ph_half: np.ndarray) -> np.ndarray:
+    """Turn ph_half, in place, into the probe r with <z0|psi> = r . phi for
+    the x-basis state phi of the symmetric splitting before its closing
+    half-phase: r = (-1)^{x.z0} ph_half / N. Both factors are exact, so
+    _half_from_probe gets ph_half back bit for bit."""
+    hi, lo = _parity_factors(ph_half.shape[0].bit_length() - 1, z0)
+    rows = ph_half.reshape(len(hi), -1)
+    rows *= hi
+    rows *= lo
+    ph_half *= 1.0 / ph_half.shape[0]
+    return ph_half
+
+
+def _half_from_probe(probe: np.ndarray, z0: int, out: np.ndarray) -> np.ndarray:
+    """ph_half = (-1)^{x.z0} N probe, the inverse of _survival_probe,
+    written into out."""
+    hi, lo = _parity_factors(probe.shape[0].bit_length() - 1, z0)
+    rows = out.reshape(len(hi), -1)
+    np.multiply(probe.reshape(rows.shape), hi, out=rows)
+    rows *= lo
+    out *= float(out.shape[0])
+    return out
 
 
 def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
@@ -260,36 +297,45 @@ def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
     driver); psi enters and leaves in the z basis.
 
     tables are (ph_cl, ph_half, ph_full) from _phase_tables; ph_cl carries
-    the 1/N of the two unnormalized transforms of each step. Returns
+    the 1/N of the two unnormalized transforms of each step. The segment
+    owns one scratch state, which every transform shares. Returns
     (psi, samples): with every > 0, samples holds the survival
     |<z0|psi>|^2 after every `every`-th step and after the last one. The
-    "first" splitting is in the z basis between steps and reads psi[z0].
-    The symmetric one stays in the x basis between steps, so a sample inside
-    the segment is |probe . phi|^2 with phi the x-basis state before the
-    closing half-phase and probe from _survival_probe; the last sample reads
-    psi[z0] after the segment closes. Segments at fixed dt compose exactly.
+    "first" splitting is in the z basis between steps, reads psi[z0] and
+    needs no ph_half. The symmetric one stays in the x basis between steps,
+    so a sample inside the segment is |probe . phi|^2 with phi the x-basis
+    state before the closing half-phase and probe from _survival_probe; the
+    last sample reads psi[z0] after the segment closes. With a probe,
+    ph_half is None: the opening and the closing half-phase rebuild it from
+    the probe into the free buffer (_half_from_probe). Segments at fixed dt
+    compose exactly.
     """
     ph_cl, ph_half, ph_full = tables
+    spare = np.empty_like(psi)
     samples = []
+
+    def half():
+        return ph_half if probe is None else _half_from_probe(probe, z0, spare)
+
     if splitting == "first":
         for k in range(1, steps + 1):
             psi *= ph_cl
-            psi = _fwht(psi)
+            psi, spare = _fwht_swap(psi, spare)
             psi *= ph_full
-            psi = _fwht(psi)
+            psi, spare = _fwht_swap(psi, spare)
             if every and (k % every == 0 or k == steps):
                 samples.append(float(abs(psi[z0]) ** 2))
         return psi, samples
-    psi = _fwht(psi)
-    psi *= ph_half
+    psi, spare = _fwht_swap(psi, spare)
+    psi *= half()
     for k in range(1, steps + 1):
-        psi = _fwht(psi)
+        psi, spare = _fwht_swap(psi, spare)
         psi *= ph_cl
-        psi = _fwht(psi)
+        psi, spare = _fwht_swap(psi, spare)
         if every and k % every == 0 and k < steps:
             samples.append(float(abs(np.dot(probe, psi)) ** 2))
-        psi *= ph_full if k < steps else ph_half
-    psi = _fwht(psi)
+        psi *= ph_full if k < steps else half()
+    psi, spare = _fwht_swap(psi, spare)
     psi *= 1.0 / psi.shape[0]
     if every:
         samples.append(float(abs(psi[z0]) ** 2))
@@ -479,11 +525,14 @@ def _level_segment(W, steps, tables, splitting, every=0, probes=None):
 
 
 def _phase_tables(E, Dx, dt):
-    """Phase tables of one step; ph_cl includes the 1/N of the transforms
+    """Phase tables (ph_cl, ph_half, ph_full) of one step, each exponent
+    formed in its table's buffer; ph_cl includes the 1/N of the transforms
     (a power of two, so the scaling is exact)."""
-    ph_cl = np.exp(-1j * dt * E)
+    ph_cl = np.multiply(-1j * dt, E)
+    np.exp(ph_cl, out=ph_cl)
     ph_cl *= 1.0 / ph_cl.shape[0]
-    ph_half = np.exp(-0.5j * dt * Dx)
+    ph_half = np.multiply(-0.5j * dt, Dx)
+    np.exp(ph_half, out=ph_half)
     return ph_cl, ph_half, ph_half * ph_half
 
 
@@ -500,7 +549,9 @@ def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None,
     blocks, and the matched driver gets _trotter_segment with its 2^n phase
     tables. With z0 given the segment samples the survival of |z0>; the
     z-basis symmetric splitting builds the probe it needs for samples
-    inside a segment.
+    inside a segment. The matched driver keeps three 2^n tables: ph_cl,
+    ph_full, and ph_half, which a symmetric run with z0 turns into the
+    probe in place and a "first" one drops.
     """
     hx, _ = driver_terms(inst, config.driver)
     symmetric = config.splitting == "symmetric"
@@ -529,11 +580,14 @@ def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None,
                                     index_array(inst.n))
         segment = _rotation_segment
     else:
-        E = all_classical_energies(inst)
-        Dx = driver_x_diagonal(inst, config.driver)
-        tables = _phase_tables(E, Dx, dt)
-        if symmetric and z0 is not None:
-            probe = _survival_probe(inst.n, z0, tables[1])
+        ph_cl, ph_half, ph_full = _phase_tables(
+            all_classical_energies(inst), driver_x_diagonal(inst, config.driver),
+            dt)
+        if not symmetric:
+            ph_half = None
+        elif z0 is not None:
+            probe, ph_half = _survival_probe(z0, ph_half), None
+        tables = (ph_cl, ph_half, ph_full)
         segment = _trotter_segment
     return partial(segment, tables=tables, splitting=config.splitting,
                    z0=z0 or 0, probe=probe)
@@ -680,6 +734,19 @@ def transferred_weight(inst, z0: int, probabilities: np.ndarray) -> float:
     return float(1.0 - probabilities[z0])
 
 
+def _rung_weight(inst, z0: int, held, levels: _Levels | None) -> float:
+    """transferred_weight of the held state, read in level coordinates or
+    from the amplitudes it needs, without |psi|^2 over all 2^n states: on a
+    glass that is 1 - |psi(z0)|^2. The slices keep numpy's array abs, whose
+    bits can differ from the scalar one's."""
+    if levels is not None:
+        return levels.transferred_weight(held)
+    if isinstance(inst, ImpurityBandInstance):
+        others = [z for z in inst.marked if z != z0]
+        return float((np.abs(held[others]) ** 2).sum())
+    return float(1.0 - (np.abs(held[z0:z0 + 1]) ** 2)[0])
+
+
 def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
                     on_rung=None) -> PTResult:
     """Prepare |z0>, switch the driver on at constant strength, evolve, measure.
@@ -693,7 +760,9 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     time, the transferred weight and its relative change (None on the
     first rung). On an impurity band the run stays in level coordinates
     where _levels_around allows, reads each rung's weight there, and forms
-    the 2^n state once, after the last rung.
+    the 2^n state once, after the last rung. Elsewhere a rung's weight is
+    read from the few amplitudes it needs (_rung_weight), and the phase
+    tables are released before the output distribution is formed.
     """
     config = config or EvolutionConfig()
     n = inst.n
@@ -742,8 +811,7 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
                 rung = total_steps or seg_steps
                 advance(rung, total_steps * dt)
                 total_steps += rung
-                w_new = (levels.transferred_weight(held) if levels is not None
-                         else transferred_weight(inst, z0, np.abs(held) ** 2))
+                w_new = _rung_weight(inst, z0, held, levels)
                 ladder_times.append(total_steps * dt)
                 ladder_weights.append(w_new)
                 change = None if w_prev is None else abs(w_new - w_prev)
@@ -757,6 +825,8 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         else:
             advance(steps, 0.0)
             total_t = config.total_time
+        # the phase tables go before the output distribution is formed
+        del segment
         psi = levels.amplitudes(held) if levels is not None else held
         probs = np.abs(psi) ** 2
 

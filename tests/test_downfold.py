@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -301,7 +300,8 @@ def test_marked_eigensystem_matches_dense(case):
             abs(d_vals[top[0]] - d_vals[top[1]]) / 2, abs=1e-12)
 
 
-def test_numeric_extraction_never_forms_the_dense_hamiltonian(monkeypatch):
+def test_numeric_extraction_never_forms_the_dense_hamiltonian(monkeypatch,
+                                                               traced_peak):
     import pt_lab.statevector as sv
 
     def refuse(*args, **kwargs):
@@ -311,13 +311,13 @@ def test_numeric_extraction_never_forms_the_dense_hamiltonian(monkeypatch):
     monkeypatch.setattr(sv, "dense_hamiltonian", refuse)
     inst = gen_impurity_band(14, 3, 0.5, seed=0, B_perp=2.0)
     params = TunnelingParams(n=14, B_perp=2.0, phase_mode="numeric_extraction")
-    tracemalloc.start()
-    try:
+
+    def run():
         build_downfolded(inst, params)
-        assert calibrate_prefactor(n=14, B_perp=1.5, distances=(3, 7)) > 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return calibrate_prefactor(n=14, B_perp=1.5, distances=(3, 7))
+
+    prefactor, peak = traced_peak(run)
+    assert prefactor > 0
     # the subspace has at most M (n + 1) = 45 dimensions, while one float64
     # vector over the 2^14 basis states takes 128 KiB
     assert peak < 8 << 14

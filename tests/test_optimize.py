@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from pt_lab.instances import (all_classical_energies, classical_energy,
                               gen_impurity_band, gen_spin_glass)
+from pt_lab import optimize
 from pt_lab.optimize import (AnnealSchedule, LocalMinimumRecord,
                              alternation_contrast, basin_distribution,
                              enrichment_ratio, enumerate_local_minima,
-                             hamming_histogram_from, median_hamming,
+                             hamming_histogram_from, local_minima,
+                             median_hamming,
                              pair_hamming_histogram, pt_energy_window,
                              simulated_annealing, steepest_descent,
                              _descent_pointers)
@@ -82,6 +84,27 @@ def test_descent_pointers_match_stacked_argmin(inst):
     E = all_classical_energies(inst)
     np.testing.assert_array_equal(_descent_pointers(E, inst.n),
                                   _stacked_pointers(E, inst.n))
+
+
+@pytest.mark.parametrize("inst", [gen_impurity_band(n=9, M=6, W=0.3, seed=4),
+                                  gen_spin_glass(n=12, seed=1)],
+                         ids=["impurity-band", "spin-glass"])
+def test_descent_pointers_read_flips_across_blocks(inst, monkeypatch):
+    # with 32-state blocks, flips of bit 5 and up land in another block
+    monkeypatch.setattr(optimize, "_BLOCK", 1 << 5)
+    E = all_classical_energies(inst)
+    np.testing.assert_array_equal(_descent_pointers(E, inst.n),
+                                  _stacked_pointers(E, inst.n))
+
+
+@pytest.mark.parametrize("inst", [gen_impurity_band(n=9, M=6, W=0.3, seed=4),
+                                  gen_spin_glass(n=12, seed=1)],
+                         ids=["impurity-band", "spin-glass"])
+def test_local_minima_are_the_basin_minima(inst):
+    labels, energies = local_minima(inst)
+    recs = enumerate_local_minima(inst)
+    np.testing.assert_array_equal(labels, [r.z for r in recs])
+    np.testing.assert_array_equal(energies, [r.energy for r in recs])
 
 
 def test_marked_states_are_impurity_minima():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from pt_lab.pblm import (GammaLawPrediction, LevyStableParams,
                          predicted_gamma_law, pt_scaling_time, pt_time,
                          sample_pblm, sigma_omega, sigma_prime_typ,
                          site_self_energies, stable_pdf, stable_sample,
-                         _GRID_PER_DECADE, _standard_pdf, _standard_quantiles)
+                         _GRID_PER_DECADE, _S1_QUARTILES, _standard_pdf,
+                         _standard_quantiles)
 from pt_lab.statevector import spectral_propagation
 
 REF = PBLMConfig(M=1024, gamma=1.5, lam=1.0)
@@ -195,6 +195,11 @@ def test_standard_quantiles_match_external_evaluation():
     np.testing.assert_allclose(got, want, atol=1e-3)
     cau = _standard_quantiles(0.0)
     np.testing.assert_allclose(cau, (-1.0, 0.0, 1.0), atol=1e-3)
+
+
+def test_frozen_quartiles_match_solver():
+    # fit_stable_quantiles reads the beta = 1 quartiles from this constant
+    assert _standard_quantiles.__wrapped__(1.0) == _S1_QUARTILES
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5, -0.5])
@@ -486,30 +491,21 @@ def test_site_with_two_fit_samples_is_censored():
     assert np.isfinite(gamma_samples(H, (hi, 0.49))[0])
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_decay_fits_hold_no_survival_table():
+def test_decay_fits_hold_no_survival_table(traced_peak):
     M = 512
     mat = sample_pblm(PBLMConfig(M=M, gamma=1.5, lam=1.0), seed=0)
     mat.eigensystem
     T = len(_log_grid(mat.matrix)[1])
-    assert _traced_peak(gamma_samples, mat) < T * M * 8
+    assert traced_peak(gamma_samples, mat)[1] < T * M * 8
 
 
 # ---------------------------------------------------------------- resolvent
 
-def test_self_energies_hold_no_square_temporary():
+def test_self_energies_hold_no_square_temporary(traced_peak):
     M = 512
     mat = sample_pblm(PBLMConfig(M=M, gamma=1.5, lam=1.0), seed=0)
     mat.eigensystem
-    assert _traced_peak(site_self_energies, mat) < M * M * 16
+    assert traced_peak(site_self_energies, mat)[1] < M * M * 16
 
 
 @pytest.mark.parametrize("eta", [None, 0.3])

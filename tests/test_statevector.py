@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,21 +51,10 @@ def test_fwht_is_self_inverse(n):
     np.testing.assert_allclose(back, v, atol=1e-12)
 
 
-def test_fwht_allocates_one_scratch_state():
+def test_fwht_allocates_one_scratch_state(traced_peak):
     N = 1 << 16
     v = np.random.default_rng(0).normal(size=N) + 0j
-    tracemalloc.start()
-    try:
-        # numpy reports its buffers to tracemalloc, or the bound is vacuous
-        probe = np.empty(N, dtype=np.complex128)
-        assert tracemalloc.get_traced_memory()[1] >= probe.nbytes
-        del probe
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        v = _fwht(v)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    v, peak = traced_peak(_fwht, v)
     assert peak <= v.nbytes + 64 * 1024
 
 
@@ -249,7 +236,7 @@ def test_band_ladder_weights_match_full_state_runs(splitting):
     assert res.ladder_weights[-1] > 0.01
 
 
-def test_uniform_trotter_builds_no_state_sized_table(monkeypatch):
+def test_uniform_trotter_builds_no_state_sized_table(monkeypatch, traced_peak):
     # the uniform path keeps the state and one scratch: no 2^n phase
     # table, no x-basis driver diagonal, no classical-energy vector. The
     # basis-state start runs in level coordinates, the superposition of
@@ -269,23 +256,31 @@ def test_uniform_trotter_builds_no_state_sized_table(monkeypatch):
     for state, path in [(StateVector.basis_state(16, inst.marked[0]), "level"),
                         (StateVector(pair, 16), "rotation")]:
         calls.update(level=0, rotation=0)
-        tracemalloc.start()
-        try:
-            # numpy reports its buffers to tracemalloc, or the bound is
-            # vacuous
-            probe = np.empty(1 << 16, dtype=np.complex128)
-            assert tracemalloc.get_traced_memory()[1] >= probe.nbytes
-            del probe
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = evolve_trotter(state, inst, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(evolve_trotter, state, inst, cfg)
         assert calls == {"level": path == "level",
                          "rotation": path == "rotation"}
         assert peak < 3 * out.amplitudes.nbytes
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_glass_trotter_holds_five_states(traced_peak):
+    # the state, the segment's scratch and three phase tables: ph_cl,
+    # ph_full and ph_half, which a sampled symmetric run keeps as its
+    # survival probe. Rung weights read one amplitude, and the output
+    # distribution is formed after the tables are released
+    g = gen_spin_glass(n=16, seed=3)
+    all_classical_energies(g)  # kept on the instance, before the trace
+    z0 = 59518
+    state = StateVector.basis_state(16, z0)
+    bound = 5.25 * state.amplitudes.nbytes
+    res, peak = traced_peak(run_pt_protocol, g, z0, EvolutionConfig(
+        dt=0.1, start_time=0.5, max_doublings=1, saturation_rtol=0.0))
+    # two rungs of 5 steps, sampled after every step
+    assert len(res.survival) == 11 and len(res.ladder_weights) == 2
+    assert peak <= bound
+    _, peak = traced_peak(evolve_trotter, state, g,
+                          EvolutionConfig(total_time=0.5, trotter_steps=5))
+    assert peak <= bound
 
 
 def test_uniform_trotter_norm_drift_over_long_runs(monkeypatch):
@@ -436,6 +431,8 @@ def test_survival_trace_matches_fixed_time_runs(splitting):
         psi = evolve_trotter(state, g, EvolutionConfig(
             total_time=t, trotter_steps=k, splitting=splitting)).amplitudes
         assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
+    # the rung weight reads one amplitude, the output weight all of them
+    assert res.ladder_weights[-1] == res.transferred_weight
 
 
 @pytest.mark.parametrize("splitting", ["symmetric", "first"])
@@ -462,6 +459,8 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch,
             assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
         assert not np.allclose(res.survival, 1.0)
         assert {name for name, count in calls.items() if count} == {path}
+        if path == "rotation":  # rung weights read the marked amplitudes
+            assert res.ladder_weights[-1] == res.transferred_weight
 
 
 @settings(deadline=None, max_examples=25)
