@@ -97,16 +97,20 @@ class UsageError(Exception):
     """Bad input that should exit with code 2."""
 
 
-def _or_default(value, fallback):
-    # zero is a legitimate value for several numeric flags, so the
-    # truthiness shortcut is not usable here
-    return fallback if value is None else value
+def _flag(name):
+    return f"--{name.replace('_', '-')}"
 
 
-def _count_arg(args, name, fallback):
-    value = _or_default(args.get(name), fallback)
+def _given(args, *names):
+    """The flags among names that the run sets: an absent one records None
+    (False for a switch), so a given 0 still counts."""
+    return [_flag(k) for k in names if args[k] is not None and args[k] is not False]
+
+
+def _count_arg(args, name):
+    value = args[name]
     if value < 1:
-        raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+        raise UsageError(f"{_flag(name)} must be >= 1, got {value}")
     return value
 
 
@@ -135,16 +139,24 @@ def _choose_start(inst, z0_arg):
 
 
 def _evolution_config(args) -> EvolutionConfig:
+    """EvolutionConfig from the evolution flags; a flag left None keeps the
+    field's default. A flag that the run would ignore is a usage error."""
+    if _given(args, "steps"):
+        if not _given(args, "time"):
+            raise UsageError("--steps needs --time; a ladder run steps at --dt")
+        if _given(args, "dt"):
+            raise UsageError("--steps and --dt exclude each other")
+    ladder = _given(args, "start_time", "saturation_rtol", "max_doublings")
+    if ladder and _given(args, "time"):
+        raise UsageError(f"{ladder[0]} sets the doubling ladder, which --time "
+                         "replaces")
+    settings = {"total_time": args["time"], "trotter_steps": args["steps"],
+                "dt": args["dt"], "splitting": args["splitting"],
+                "start_time": args["start_time"],
+                "saturation_rtol": args["saturation_rtol"],
+                "max_doublings": args["max_doublings"]}
     try:
-        return EvolutionConfig(
-            total_time=args.get("time"),
-            trotter_steps=args.get("steps"),
-            dt=args.get("dt"),
-            splitting=args.get("splitting", "symmetric"),
-            start_time=_or_default(args.get("start_time"), 1.0),
-            saturation_rtol=_or_default(args.get("saturation_rtol"), 0.01),
-            max_doublings=_or_default(args.get("max_doublings"), 16),
-        )
+        return EvolutionConfig(**{k: v for k, v in settings.items() if v is not None})
     except ValueError as e:
         raise UsageError(str(e)) from e
 
@@ -169,29 +181,36 @@ def _fmt(x):
 
 
 def _cmd_gen_instance(args, out_dir, manifest):
-    seed = args.get("seed") or 0
+    band = args["kind"] == "impurity-band"
+    dimers = _given(args, "dimer_count", "no_dimers")
+    if band and dimers:
+        raise UsageError(f"{dimers[0]} applies to spin-glass instances")
+    if len(dimers) == 2:
+        raise UsageError("--dimer-count and --no-dimers exclude each other")
+    if band and args["m"] is None:
+        raise UsageError("gen-instance --kind impurity-band requires --m")
+    if not band and _given(args, "m"):
+        raise UsageError("--m applies to impurity-band instances")
     try:
-        if args["kind"] == "impurity-band":
-            if args.get("m") is None:
-                raise UsageError("gen-instance --kind impurity-band requires --m")
+        if band:
             inst = gen_impurity_band(args["n"], args["m"], args["w"],
-                                     eps_law=args.get("eps_law", "uniform"), seed=seed,
-                                     B_perp=_or_default(args.get("b_perp"), 1.0))
+                                     eps_law=args["eps_law"], seed=args["seed"],
+                                     B_perp=args["b_perp"])
         else:
-            count = 0 if args.get("no_dimers") else args.get("dimer_count")
-            inst = gen_spin_glass(args["n"], dimer_count=count, seed=seed,
-                                  driver_scale=_or_default(args.get("driver_scale"), 0.2))
+            count = 0 if args["no_dimers"] else args["dimer_count"]
+            inst = gen_spin_glass(args["n"], dimer_count=count, seed=args["seed"],
+                                  driver_scale=args["driver_scale"])
     except ValueError as e:
         raise UsageError(str(e)) from e
     doc = instance_to_dict(inst)
-    path = out_dir / (args.get("out") or "instance.json")
+    path = out_dir / args["out"]
     write_json(path, doc, manifest)
     print(f"wrote {path}")
 
 
 def _cmd_spectrum(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
-    summary = spectrum_summary(inst, bins=_count_arg(args, "bins", 64))
+    summary = spectrum_summary(inst, bins=_count_arg(args, "bins"))
     rows = [(repr(float(lo)), repr(float(hi)), int(c))
             for lo, hi, c in zip(summary.bin_edges[:-1], summary.bin_edges[1:],
                                  summary.counts)]
@@ -216,13 +235,12 @@ def _top_k_rows(inst, z0, probs, k):
 
 
 def _cmd_evolve(args, out_dir, manifest):
-    inst = _override_b_perp(_load_checked(args["instance"]),
-                            args.get("b_perp"))
-    z0 = _choose_start(inst, args.get("z0", "auto"))
-    if args.get("time") is None:
+    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
+    z0 = _choose_start(inst, args["z0"])
+    if args["time"] is None:
         raise UsageError("evolve requires --time")
     config = _evolution_config(args)
-    top_k = _count_arg(args, "top_k", 1024)
+    top_k = _count_arg(args, "top_k")
     state = evolve_trotter(StateVector.basis_state(inst.n, z0), inst, config)
     probs = state.probabilities()
     write_csv(out_dir / "evolve_state.csv",
@@ -254,11 +272,10 @@ def _emit_pt_result(inst, result, out_dir, manifest, top_k, prefix="pt"):
 
 
 def _cmd_pt_run(args, out_dir, manifest):
-    inst = _override_b_perp(_load_checked(args["instance"]),
-                            args.get("b_perp"))
-    z0 = _choose_start(inst, args.get("z0", "auto"))
+    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
+    z0 = _choose_start(inst, args["z0"])
     config = _evolution_config(args)
-    top_k = _count_arg(args, "top_k", 1024)
+    top_k = _count_arg(args, "top_k")
     result = run_pt_protocol(inst, z0, config, on_rung=_print_rung)
     _emit_pt_result(inst, result, out_dir, manifest, top_k)
     write_json(out_dir / "pt_result.json",
@@ -274,16 +291,17 @@ def _cmd_downfold(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
     if not isinstance(inst, ImpurityBandInstance):
         raise UsageError("downfold needs an impurity-band instance")
-    if args.get("phase_mode") == "numeric_extraction" and inst.n > DENSE_MAX_N:
+    if args["phase_mode"] == "numeric_extraction" and inst.n > DENSE_MAX_N:
         raise UsageError(f"--phase-mode numeric_extraction is limited to "
                          f"n <= {DENSE_MAX_N}, got n = {inst.n}")
-    params = TunnelingParams(
-        n=inst.n, B_perp=inst.B_perp,
-        amplitude_prefactor_mode=args.get("amplitude_mode") or "unit_A",
-        phase_mode=args.get("phase_mode") or "random_sign",
-        calibration_A=_or_default(args.get("calibration_a"), 1.0),
-        diagonal_shift=args.get("diagonal_shift"))
-    mat = build_downfolded(inst, params, seed=args.get("seed") or 0)
+    try:
+        params = TunnelingParams(
+            n=inst.n, B_perp=inst.B_perp, phase_mode=args["phase_mode"],
+            calibration_A=args["calibration_a"],
+            diagonal_shift=args["diagonal_shift"])
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+    mat = build_downfolded(inst, params, seed=args["seed"])
     save_downfolded(mat, out_dir / "downfolded", manifest)
     write_json(out_dir / "downfold_report.json",
                {"M": mat.M, "n": mat.n, "B_perp": mat.B_perp, "W": mat.W,
@@ -291,36 +309,32 @@ def _cmd_downfold(args, out_dir, manifest):
                 "phase_mode": params.phase_mode}, manifest)
 
 
-def _one_pblm_realization(config, seed, eta, fit_gammas, window):
+def _one_pblm_realization(config, seed, eta, fit_gammas):
     mat = sample_pblm(config, seed=seed)
     sigma = site_self_energies(mat, eta)
     omegas = participation_ratios(mat)
-    gammas = gamma_samples(mat, window) if fit_gammas else None
+    gammas = gamma_samples(mat) if fit_gammas else None
     return seed, sigma, omegas, gammas
 
 
 def _pblm_config(args) -> PBLMConfig:
     try:
-        return PBLMConfig(M=args["m"], gamma=args["gamma"],
-                          lam=_or_default(args.get("lam"), 1.0),
-                          V_typ_unit=_or_default(args.get("v_typ"), 1.0))
+        return PBLMConfig(M=args["m"], gamma=args["gamma"], lam=args["lam"],
+                          V_typ_unit=args["v_typ"])
     except ValueError as e:
         raise UsageError(str(e)) from e
 
 
 def _cmd_pblm_ensemble(args, out_dir, manifest):
     config = _pblm_config(args)
-    R = _count_arg(args, "realizations", 20)
-    base_seed = args.get("seed") or 0
-    eta = args.get("eta")
+    R = _count_arg(args, "realizations")
+    eta = args["eta"]
     if eta is not None and not eta > 0:
         raise UsageError(f"--eta must be positive, got {eta}")
-    window = (0.9, 0.37)
-    fit_gammas = bool(args.get("fit_gammas"))
-    seeds = [base_seed + r for r in range(R)]
+    fit_gammas = args["fit_gammas"]
+    seeds = [args["seed"] + r for r in range(R)]
     manifest.seeds.extend(seeds)
-    results = [_one_pblm_realization(config, s, eta, fit_gammas, window)
-               for s in seeds]
+    results = [_one_pblm_realization(config, s, eta, fit_gammas) for s in seeds]
 
     site_rows, omega_rows = [], []
     pooled_sigma2 = []
@@ -380,7 +394,7 @@ def _simulated_peak(setup, scan_points=4001):
 
 def _cmd_grover_sweep(args, out_dir, manifest):
     n, M, W = args["n"], args["m"], args["w"]
-    rng = np.random.default_rng(args.get("seed") or 0)
+    rng = np.random.default_rng(args["seed"])
     eps = rng.uniform(-W / 2.0, W / 2.0, size=M) if W > 0 else np.zeros(M)
     rows = []
     for eps0 in args["eps0"]:
@@ -399,7 +413,7 @@ def _cmd_grover_sweep(args, out_dir, manifest):
 
 def _cmd_sd(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
-    z0 = _choose_start(inst, args.get("z0", "auto"))
+    z0 = _choose_start(inst, args["z0"])
     rec = steepest_descent(inst, z0)
     write_json(out_dir / "sd.json",
                {"z_start": z0, "z_min": rec.z, "energy": rec.energy,
@@ -425,9 +439,9 @@ def _cmd_minima(args, out_dir, manifest):
 
 def _cmd_pipeline(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
-    z0 = _choose_start(inst, args.get("z0", "auto"))
+    z0 = _choose_start(inst, args["z0"])
     config = _evolution_config(args)
-    top_k = _count_arg(args, "top_k", 1024)
+    top_k = _count_arg(args, "top_k")
     result = run_pt_protocol(inst, z0, config, on_rung=_print_rung)
     _emit_pt_result(inst, result, out_dir, manifest, top_k)
 
@@ -507,16 +521,16 @@ def _cmd_pipeline(args, out_dir, manifest):
 def _cmd_stats_fit(args, out_dir, manifest):
     from .io_utils import read_csv_columns
 
-    beta = _or_default(args.get("beta"), 1.0)
+    beta = args["beta"]
     if not -1.0 <= beta <= 1.0:
         raise UsageError(f"--beta must lie in [-1, 1], got {beta}")
-    missing = [f"--{k}" for k in ("m", "gamma") if args.get(k) is None]
+    missing = [_flag(k) for k in ("m", "gamma") if args[k] is None]
     if len(missing) == 1:
         raise UsageError(f"stats-fit: {missing[0]} is missing; --m and "
                          "--gamma together select the predicted law")
     config = None if missing else _pblm_config(args)
     cols = read_csv_columns(args["input"])
-    name = args.get("column") or "sigma_doubleprime_energy"
+    name = args["column"]
     if name not in cols:
         raise UsageError(f"column {name!r} not in {args['input']}")
     col = cols[name]
@@ -527,7 +541,7 @@ def _cmd_stats_fit(args, out_dir, manifest):
     except ValueError:
         raise UsageError(f"column {name!r} holds non-numeric cells") from None
     samples = samples[np.isfinite(samples)]
-    if args.get("positive_only"):
+    if args["positive_only"]:
         samples = samples[samples > 0]
     fit = fit_stable_quantiles(samples, beta=beta)
     doc = {"input": str(args["input"]), "column": name,
@@ -609,8 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--phase-mode", choices=["random_sign", "random_phase",
                                             "numeric_extraction"],
                    default="random_sign")
-    d.add_argument("--amplitude-mode", choices=["unit_A", "calibrated_A"],
-                   default="unit_A")
     d.add_argument("--calibration-a", type=float, default=1.0)
     d.add_argument("--diagonal-shift", type=float, default=None)
     d.add_argument("--seed", type=int, default=0)
@@ -654,11 +666,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run(subcommand: str, args: dict, out_dir: Path) -> RunManifest:
+def _run(subcommand: str, args: dict, out_dir: Path,
+         defaults: dict | None = None) -> RunManifest:
+    """Run subcommand on args, read over defaults; the manifest records
+    args alone."""
     manifest = RunManifest(subcommand=subcommand, args=args)
-    if "seed" in args and args.get("seed") is not None:
+    if args.get("seed") is not None:
         manifest.seeds.append(args["seed"])
-    _HANDLERS[subcommand](args, out_dir, manifest)
+    _HANDLERS[subcommand]({**(defaults or {}), **args}, out_dir, manifest)
     manifest.write(out_dir)
     return manifest
 
@@ -668,7 +683,17 @@ def _replay(manifest_path: str, out_dir_flag: str | None) -> int:
     if (not isinstance(doc, dict) or doc.get("subcommand") not in _HANDLERS
             or not isinstance(doc.get("args"), dict)):
         raise UsageError(f"{manifest_path}: not a run manifest")
-    manifest = _run(doc["subcommand"], doc["args"], resolve_out_dir(out_dir_flag))
+    # a manifest can predate a flag; the run takes that flag's default, and
+    # the manifest hash still covers the args as recorded
+    sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    flags = [a for a in sub.choices[doc["subcommand"]]._actions
+             if a.dest != "help"]
+    lacking = [a.option_strings[0] for a in flags
+               if a.required and a.dest not in doc["args"]]
+    if lacking:
+        raise UsageError(f"{manifest_path}: args lack {', '.join(lacking)}")
+    manifest = _run(doc["subcommand"], doc["args"], resolve_out_dir(out_dir_flag),
+                    {a.dest: a.default for a in flags})
     # the BLAS thread count can move the outputs' last bits (README), so a
     # reader of the verdicts below needs the setting the run used
     print("replay: OPENBLAS_NUM_THREADS="

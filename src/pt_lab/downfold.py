@@ -36,23 +36,20 @@ _GRAM_RTOL = 1e-10
 class TunnelingParams:
     n: int
     B_perp: float
-    amplitude_prefactor_mode: str = "unit_A"
     phase_mode: str = "random_sign"
+    # the prefactor A of V(d); 1 is the unit prefactor
     calibration_A: float = 1.0
     diagonal_shift: float | None = None
 
     def __post_init__(self):
         if self.B_perp <= 0:
             raise ValueError("B_perp must be positive")
-        if self.amplitude_prefactor_mode not in ("unit_A", "calibrated_A"):
-            raise ValueError("amplitude_prefactor_mode must be unit_A or calibrated_A")
+        if not (math.isfinite(self.calibration_A) and self.calibration_A > 0):
+            raise ValueError("calibration A must be finite and > 0, "
+                             f"got {self.calibration_A}")
         if self.phase_mode not in ("random_sign", "random_phase", "numeric_extraction"):
             raise ValueError(
                 "phase_mode must be random_sign, random_phase or numeric_extraction")
-
-    @property
-    def A(self) -> float:
-        return self.calibration_A if self.amplitude_prefactor_mode == "calibrated_A" else 1.0
 
     @property
     def shift(self) -> float:
@@ -149,7 +146,7 @@ def tunneling_amplitude(d: int, params: TunnelingParams) -> float:
     n = params.n
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d = {d}")
-    log_v = (0.5 * math.log(params.A) + 1.25 * math.log(n)
+    log_v = (0.5 * math.log(params.calibration_A) + 1.25 * math.log(n)
              - n * theta(params.B_perp) - 0.5 * _log_binomial(n, d))
     return math.exp(log_v)
 
@@ -159,7 +156,7 @@ def amplitude_table(params: TunnelingParams) -> np.ndarray:
     n = params.n
     th = theta(params.B_perp)
     log_c = np.array([_log_binomial(n, d) for d in range(n + 1)])
-    tab = np.exp(0.5 * math.log(params.A) + 1.25 * math.log(n) - n * th - 0.5 * log_c)
+    tab = np.exp(0.5 * math.log(params.calibration_A) + 1.25 * math.log(n) - n * th - 0.5 * log_c)
     tab[0] = 0.0
     return tab
 

@@ -24,6 +24,8 @@ from .downfold import DownfoldedMatrix
 FORMAT_VERSION = 1
 ENV_OUT_DIR = "PT_LAB_OUT"
 DEFAULT_OUT_DIR = "pt_lab_out"
+# save_downfolded writes a CSV copy of matrices up to this size
+DOWNFOLDED_CSV_MAX_M = 128
 
 
 def resolve_out_dir(flag_value: str | None) -> Path:
@@ -148,8 +150,7 @@ def read_csv_columns(path) -> dict:
 
 
 def save_downfolded(mat: DownfoldedMatrix, base: Path,
-                    manifest: RunManifest | None = None,
-                    csv_max_m: int = 128) -> list[Path]:
+                    manifest: RunManifest | None = None) -> list[Path]:
     """Dense little-endian float64 blob plus JSON sidecar; CSV when M is small."""
     base = Path(base)
     bin_path = base.with_suffix(".bin")
@@ -166,7 +167,7 @@ def save_downfolded(mat: DownfoldedMatrix, base: Path,
     paths = [bin_path, json_path]
     if manifest is not None:
         manifest.record(bin_path)
-    if mat.M <= csv_max_m:
+    if mat.M <= DOWNFOLDED_CSV_MAX_M:
         csv_path = base.with_suffix(".csv")
         write_csv(csv_path, ["row", "col", "value_energy"],
                   ((i, j, repr(float(mat.matrix[i, j])))

@@ -52,7 +52,6 @@ class PBLMConfig:
     gamma: float
     lam: float = 1.0
     V_typ_unit: float = 1.0
-    diagonal_law: str = "uniform"
 
     def __post_init__(self):
         if self.M < 2:
@@ -63,8 +62,6 @@ class PBLMConfig:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not self.V_typ_unit > 0:
             raise ValueError(f"V_typ must be positive, got {self.V_typ_unit}")
-        if self.diagonal_law != "uniform":
-            raise ValueError("only the uniform diagonal law is implemented")
 
     @property
     def W(self) -> float:

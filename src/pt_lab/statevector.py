@@ -34,7 +34,7 @@ spectral formulas that need the full eigenbasis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -114,7 +114,6 @@ class EvolutionConfig:
     trotter_steps: int | None = None
     dt: float | None = None
     splitting: str = "symmetric"
-    driver: str = "auto"
     start_time: float = 1.0
     saturation_rtol: float = 0.01
     max_doublings: int = 16
@@ -123,8 +122,6 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.splitting not in ("symmetric", "first"):
             raise ValueError("splitting must be 'symmetric' or 'first'")
-        if self.driver not in ("auto", "uniform", "matched"):
-            raise ValueError("driver must be 'auto', 'uniform' or 'matched'")
         if self.total_time is not None and not np.isfinite(self.total_time):
             raise ValueError("total_time must be finite")
         if self.total_time is not None and self.total_time < 0:
@@ -151,22 +148,19 @@ class EvolutionConfig:
         return 300
 
 
-def driver_terms(inst, driver: str = "auto"):
-    """Per-flip driver coefficients (hx, Jx); Jx is None for one-body drivers."""
+def driver_terms(inst):
+    """Per-flip driver coefficients (hx, Jx) of inst's driver: the uniform
+    one of an impurity band (Jx None) or the matched one of a spin glass."""
     if isinstance(inst, ImpurityBandInstance):
-        if driver == "matched":
-            raise ValueError("matched driver needs a spin-glass instance")
         return np.full(inst.n, -inst.B_perp), None
     if isinstance(inst, SpinGlassInstance):
-        if driver == "uniform":
-            raise ValueError("uniform driver needs an impurity-band instance")
         return inst.driver_coefficients()
     raise TypeError(f"not an instance: {type(inst)!r}")
 
 
-def driver_x_diagonal(inst, driver: str = "auto") -> np.ndarray:
+def driver_x_diagonal(inst) -> np.ndarray:
     """Eigenvalues of H_D over the x basis, ordered by x-basis label."""
-    hx, Jx = driver_terms(inst, driver)
+    hx, Jx = driver_terms(inst)
     n = inst.n
     if Jx is None:
         pop = np.bitwise_count(index_array(n)).astype(np.int64)
@@ -291,6 +285,12 @@ def _half_from_probe(probe: np.ndarray, z0: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _z_probability(psi: np.ndarray, z: int) -> float:
+    """|psi[z]|^2 read through a 1-element slice: numpy's array abs, the one
+    np.abs(psi) ** 2 uses, whose bits can differ from the scalar abs."""
+    return float((np.abs(psi[z:z + 1]) ** 2)[0])
+
+
 def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
                      probe=None):
     """Advance by `steps` Trotter steps of the FWHT path (the matched
@@ -324,7 +324,7 @@ def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
             psi *= ph_full
             psi, spare = _fwht_swap(psi, spare)
             if every and (k % every == 0 or k == steps):
-                samples.append(float(abs(psi[z0]) ** 2))
+                samples.append(_z_probability(psi, z0))
         return psi, samples
     psi, spare = _fwht_swap(psi, spare)
     psi *= half()
@@ -338,7 +338,7 @@ def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
     psi, spare = _fwht_swap(psi, spare)
     psi *= 1.0 / psi.shape[0]
     if every:
-        samples.append(float(abs(psi[z0]) ** 2))
+        samples.append(_z_probability(psi, z0))
     return psi, samples
 
 
@@ -375,7 +375,7 @@ def _rotation_segment(psi, steps, tables, splitting, every=0, z0=0,
                 amp = probe @ psi.view(np.float64).reshape(-1, 2)
                 samples.append(float(amp @ amp))
             else:
-                samples.append(float(abs(psi[z0]) ** 2))
+                samples.append(_z_probability(psi, z0))
     _s_frame(psi)
     return psi, samples
 
@@ -553,7 +553,7 @@ def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None,
     ph_full, and ph_half, which a symmetric run with z0 turns into the
     probe in place and a "first" one drops.
     """
-    hx, _ = driver_terms(inst, config.driver)
+    hx, _ = driver_terms(inst)
     symmetric = config.splitting == "symmetric"
     if levels is not None:
         n = inst.n
@@ -581,8 +581,7 @@ def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None,
         segment = _rotation_segment
     else:
         ph_cl, ph_half, ph_full = _phase_tables(
-            all_classical_energies(inst), driver_x_diagonal(inst, config.driver),
-            dt)
+            all_classical_energies(inst), driver_x_diagonal(inst), dt)
         if not symmetric:
             ph_half = None
         elif z0 is not None:
@@ -630,7 +629,7 @@ def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVe
     return StateVector(levels.amplitudes(W), state.n)
 
 
-def dense_hamiltonian(inst, driver: str = "auto") -> np.ndarray:
+def dense_hamiltonian(inst) -> np.ndarray:
     """Full 2^n x 2^n real symmetric matrix of H_cl + H_D."""
     n = inst.n
     if n > DENSE_MAX_N:
@@ -639,7 +638,7 @@ def dense_hamiltonian(inst, driver: str = "auto") -> np.ndarray:
     idx = np.arange(N)
     H = np.zeros((N, N))
     H[idx, idx] = all_classical_energies(inst)
-    hx, Jx = driver_terms(inst, driver)
+    hx, Jx = driver_terms(inst)
     for i in range(n):
         H[idx, idx ^ (1 << i)] += hx[i]
     if Jx is not None:
@@ -649,14 +648,9 @@ def dense_hamiltonian(inst, driver: str = "auto") -> np.ndarray:
     return H
 
 
-def exact_eigs(inst, driver: str = "auto", B_perp: float | None = None):
+def exact_eigs(inst):
     """Dense eigendecomposition; eigenvalues ascending, eigenvectors in columns."""
-    if B_perp is not None:
-        if not isinstance(inst, ImpurityBandInstance):
-            raise ValueError("B_perp override applies to impurity-band instances")
-        inst = replace(inst, B_perp=B_perp)
-    H = dense_hamiltonian(inst, driver)
-    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = np.linalg.eigh(dense_hamiltonian(inst))
     return vals, vecs
 
 
@@ -737,14 +731,14 @@ def transferred_weight(inst, z0: int, probabilities: np.ndarray) -> float:
 def _rung_weight(inst, z0: int, held, levels: _Levels | None) -> float:
     """transferred_weight of the held state, read in level coordinates or
     from the amplitudes it needs, without |psi|^2 over all 2^n states: on a
-    glass that is 1 - |psi(z0)|^2. The slices keep numpy's array abs, whose
-    bits can differ from the scalar one's."""
+    glass that is 1 - |psi(z0)|^2. The slices keep numpy's array abs (see
+    _z_probability)."""
     if levels is not None:
         return levels.transferred_weight(held)
     if isinstance(inst, ImpurityBandInstance):
         others = [z for z in inst.marked if z != z0]
         return float((np.abs(held[others]) ** 2).sum())
-    return float(1.0 - (np.abs(held[z0:z0 + 1]) ** 2)[0])
+    return 1.0 - _z_probability(held, z0)
 
 
 def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,

@@ -78,7 +78,7 @@ def test_amplitude_decreases_to_the_equator():
 
 def test_tunneling_params_defaults():
     p = TunnelingParams(n=10, B_perp=1.5)
-    assert p.A == 1.0
+    assert p.calibration_A == 1.0
     assert p.shift == pytest.approx(-1.5**2)
     p2 = TunnelingParams(n=10, B_perp=1.5, diagonal_shift=0.25)
     assert p2.shift == 0.25
@@ -211,14 +211,8 @@ def test_calibrate_prefactor_roundtrip():
                                 W=0.1, B_perp=1.5)
     v_num = extract_numeric_elements(inst)
     v_cal = tunneling_amplitude(
-        5, TunnelingParams(n=10, B_perp=1.5,
-                           amplitude_prefactor_mode="calibrated_A",
-                           calibration_A=A))
+        5, TunnelingParams(n=10, B_perp=1.5, calibration_A=A))
     assert v_cal == pytest.approx(v_num, rel=1e-6)
-    # without the calibrated mode the stored A is ignored
-    idle = tunneling_amplitude(5, TunnelingParams(n=10, B_perp=1.5,
-                                                  calibration_A=A))
-    assert idle == tunneling_amplitude(5, TunnelingParams(n=10, B_perp=1.5))
 
 
 # ------------------------------------------- marked-subspace eigensystem

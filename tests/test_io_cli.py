@@ -251,6 +251,35 @@ def test_bad_z0_is_usage_error(tmp_path, ib_instance, capsys, cmd, z0):
     assert len(err) == 1 and err[0].startswith("error: --z0")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["pt-run", "--steps", "7"], "--steps"),
+    (["evolve", "--time", "2", "--steps", "5", "--dt", "0.01"], "--steps"),
+    (["pt-run", "--time", "2", "--start-time", "3"], "--start-time"),
+    (["evolve", "--time", "2", "--saturation-rtol", "0.1"], "--saturation-rtol"),
+    (["pipeline", "--time", "2", "--max-doublings", "0"], "--max-doublings"),
+    (["gen-instance", "--kind", "spin-glass", "--n", "6", "--m", "3"], "--m"),
+    (["gen-instance", "--kind", "impurity-band", "--n", "6", "--m", "3",
+      "--dimer-count", "2"], "--dimer-count"),
+    (["gen-instance", "--kind", "impurity-band", "--n", "6", "--m", "3",
+      "--no-dimers"], "--no-dimers"),
+    (["gen-instance", "--kind", "spin-glass", "--n", "6", "--no-dimers",
+      "--dimer-count", "2"], "--dimer-count"),
+    (["gen-instance", "--kind", "spin-glass", "--n", "6", "--no-dimers",
+      "--dimer-count", "0"], "--no-dimers"),
+], ids=["steps-ladder", "steps-dt", "start-time", "rtol", "doublings0",
+        "glass-m", "band-dimers", "band-no-dimers", "dimers-both",
+        "dimers0-both"])
+def test_flags_a_run_would_ignore_are_usage_errors(tmp_path, ib_instance,
+                                                   capsys, argv, flag):
+    if argv[0] != "gen-instance":
+        argv = [argv[0], "--instance", str(ib_instance), *argv[1:]]
+    rc = main(["--out-dir", str(tmp_path), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
+    assert not any(tmp_path.iterdir())
+
+
 def test_numeric_downfold_past_its_size_limit_is_usage_error(tmp_path, capsys):
     inp, out = tmp_path / "in", tmp_path / "out"
     assert main(["--out-dir", str(inp), "gen-instance", "--kind", "impurity-band",
@@ -364,6 +393,38 @@ def test_downfold_cli_matches_library(tmp_path, ib_instance):
     cols = read_csv_columns(tmp_path / "downfolded.csv")
     assert len(cols["value_energy"]) == 9
     assert cols["value_energy"][0] == expect.matrix[0, 0]
+
+
+def test_downfold_calibration_a_scales_the_amplitudes(tmp_path, ib_instance):
+    # V(d) carries sqrt(A): A = 4 doubles every off-diagonal entry
+    unit, four = tmp_path / "unit", tmp_path / "four"
+    argv = ["downfold", "--instance", str(ib_instance), "--seed", "4"]
+    assert main(["--out-dir", str(unit), *argv]) == 0
+    assert main(["--out-dir", str(four), *argv, "--calibration-a", "4"]) == 0
+    a, b = (load_downfolded(d / "downfolded").matrix for d in (unit, four))
+    assert np.array_equal(np.diag(a), np.diag(b))
+    off = ~np.eye(len(a), dtype=bool)
+    np.testing.assert_allclose(b[off], 2.0 * a[off], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("b_perp, flags, word", [
+    ("0", [], "B_perp must be positive"),
+    ("2", ["--calibration-a", "0"], "calibration A"),
+    ("2", ["--calibration-a", "-4"], "calibration A"),
+    ("2", ["--calibration-a", "nan"], "calibration A"),
+])
+def test_downfold_bad_input_is_usage_error(tmp_path, capsys, b_perp, flags,
+                                           word):
+    inp, out = tmp_path / "in", tmp_path / "out"
+    assert main(["--out-dir", str(inp), "gen-instance", "--kind", "impurity-band",
+                 "--n", "6", "--m", "3", "--b-perp", b_perp]) == 0
+    capsys.readouterr()
+    rc = main(["--out-dir", str(out), "downfold", "--instance",
+               str(inp / "instance.json"), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_pblm_ensemble_outputs(tmp_path):
@@ -686,6 +747,86 @@ def test_replay_detects_tamper(tmp_path, ib_instance, capsys):
                str(run / "manifest.json")])
     assert rc == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def replay_argv(tmp_path_factory, ib_instance):
+    """A small run of each subcommand: n <= 8, M <= 64, one realization."""
+    d = tmp_path_factory.mktemp("replay_inputs")
+    assert main(["--out-dir", str(d), "gen-instance", "--kind", "spin-glass",
+                 "--n", "8", "--seed", "1", "--out", "glass.json"]) == 0
+    samples = d / "samples.csv"
+    write_csv(samples, ["sigma_doubleprime_energy"],
+              [(repr(float(x)),) for x in
+               np.random.default_rng(0).pareto(1.0, 200)])
+    ib, glass = str(ib_instance), str(d / "glass.json")
+    return {
+        "gen-instance": ["--kind", "impurity-band", "--n", "6", "--m", "3"],
+        "spectrum": ["--instance", ib, "--bins", "16"],
+        "evolve": ["--instance", ib, "--time", "2", "--steps", "20"],
+        "pt-run": ["--instance", ib, "--dt", "0.1", "--max-doublings", "2"],
+        "downfold": ["--instance", ib, "--calibration-a", "2"],
+        "pblm-ensemble": ["--m", "32", "--gamma", "1.5", "--realizations",
+                          "1", "--fit-gammas"],
+        "grover-sweep": ["--n", "6", "--m", "4", "--w", "0.5", "--eps0", "2"],
+        "sd": ["--instance", glass],
+        "minima": ["--instance", glass],
+        "pipeline": ["--instance", glass, "--dt", "0.1", "--max-doublings", "1"],
+        "stats-fit": ["--input", str(samples), "--m", "64", "--gamma", "1.5"],
+    }
+
+
+@pytest.mark.parametrize("cmd", ["gen-instance", "spectrum", "evolve", "pt-run",
+                                 "downfold", "pblm-ensemble", "grover-sweep",
+                                 "sd", "minima", "pipeline", "stats-fit"])
+def test_replay_round_trip(tmp_path, replay_argv, capsys, cmd):
+    run, redo = tmp_path / "run", tmp_path / "redo"
+    assert main(["--out-dir", str(run), cmd, *replay_argv[cmd]]) == 0
+    names = [Path(o["path"]).name for o in
+             json.loads((run / "manifest.json").read_text())["outputs"]]
+    assert names
+    capsys.readouterr()
+    rc = main(["--out-dir", str(redo), "--replay", str(run / "manifest.json")])
+    assert rc == 0
+    verdicts = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith(("match:", "MISMATCH:"))]
+    assert verdicts == [f"match: {name}" for name in names]
+
+
+def test_replay_fills_flags_the_manifest_lacks(tmp_path, capsys):
+    # a manifest without b_perp runs at the parser default, 2.0, and the new
+    # manifest records the args as the old one did
+    run, redo = tmp_path / "run", tmp_path / "redo"
+    assert main(["--out-dir", str(run), "gen-instance", "--kind",
+                 "impurity-band", "--n", "6", "--m", "3", "--seed", "5"]) == 0
+    doc = json.loads((run / "manifest.json").read_text())
+    del doc["args"]["b_perp"]
+    doc["outputs"] = []
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    assert main(["--out-dir", str(redo), "--replay", str(old)]) == 0
+    assert load_instance(redo / "instance.json").B_perp == 2.0
+    a, b = (json.loads((d / "instance.json").read_text()) for d in (run, redo))
+    del a["manifest_hash"], b["manifest_hash"]
+    assert a == b
+    assert json.loads((redo / "manifest.json").read_text())["args"] == doc["args"]
+
+
+def test_replay_without_a_required_flag_is_usage_error(tmp_path, ib_instance,
+                                                       capsys):
+    run = tmp_path / "run"
+    assert main(["--out-dir", str(run), "pt-run", "--instance",
+                 str(ib_instance), "--time", "3", "--steps", "50"]) == 0
+    doc = json.loads((run / "manifest.json").read_text())
+    del doc["args"]["instance"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["--out-dir", str(tmp_path / "redo"), "--replay", str(old)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {old}: args lack --instance"]
+    assert not (tmp_path / "redo").exists()
 
 
 def test_replay_malformed_manifest(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,24 +303,25 @@ def test_uniform_trotter_norm_drift_over_long_runs(monkeypatch):
 def test_driver_spectrum_matches_dense():
     # the x-basis diagonal must reproduce the dense driver spectrum
     g = gen_spin_glass(n=5, seed=3)
-    import dataclasses
     g0 = dataclasses.replace(g, h=np.zeros(5), J=np.zeros((5, 5)), dimers=())
-    H = dense_hamiltonian(g0, driver="matched")
+    H = dense_hamiltonian(g0)
     # the classical part of g0 vanishes, so H is the driver alone
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(H)),
                                np.sort(driver_x_diagonal(g0)), atol=1e-10)
 
 
 def test_driver_terms_type_checks():
+    # the instance type picks the driver
     ib = gen_impurity_band(n=6, M=3, W=0.2, seed=0)
     g = gen_spin_glass(n=6, seed=0)
-    with pytest.raises(ValueError):
-        driver_terms(ib, "matched")
-    with pytest.raises(ValueError):
-        driver_terms(g, "uniform")
+    with pytest.raises(TypeError):
+        driver_terms(object())
     hx, Jx = driver_terms(ib)
     assert Jx is None
     np.testing.assert_allclose(hx, -1.0)
+    hx, Jx = driver_terms(g)
+    np.testing.assert_array_equal(hx, g.driver_coefficients()[0])
+    np.testing.assert_array_equal(Jx, g.driver_coefficients()[1])
 
 
 def test_dense_hamiltonian_structure():
@@ -463,6 +466,25 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch,
             assert res.ladder_weights[-1] == res.transferred_weight
 
 
+@pytest.mark.parametrize("splitting", ["symmetric", "first"])
+@pytest.mark.parametrize("kind", ["glass", "dense-band"])
+def test_last_survival_sample_is_the_output_probability(splitting, kind):
+    # the segment's closing sample and the output distribution read the
+    # same amplitude through the same abs, so they agree bit for bit; the
+    # dense band (M^2 > 2^8) runs the rotation pass
+    if kind == "glass":
+        inst = gen_spin_glass(n=8, seed=4)
+        z0 = 77
+    else:
+        inst = gen_impurity_band(n=8, M=20, W=0.5, seed=4, B_perp=1.3)
+        z0 = inst.marked[0]
+        assert _levels_around(inst, z0) is None
+    for t in (0.7, 1.3, 2.9, 4.1, 6.6, 9.5):
+        res = run_pt_protocol(inst, z0, EvolutionConfig(
+            total_time=t, trotter_steps=int(10 * t), splitting=splitting))
+        assert res.survival[-1] == res.probabilities[z0], t
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 500), st.floats(0.1, 5.0), st.integers(1, 60),
        st.sampled_from(["symmetric", "first"]), st.floats(0.0, 3.0))
@@ -571,6 +593,6 @@ def test_sample_output_deterministic():
 
 def test_exact_eigs_b_perp_override():
     inst = gen_impurity_band(n=5, M=2, W=0.2, seed=3, B_perp=1.0)
-    vals0, _ = exact_eigs(inst, B_perp=0.0)
+    vals0, _ = exact_eigs(dataclasses.replace(inst, B_perp=0.0))
     E = np.sort(all_classical_energies(inst))
     np.testing.assert_allclose(np.sort(vals0), E, atol=1e-12)
