@@ -4,29 +4,31 @@ The Hamiltonian is H = H_cl + H_D with H_cl diagonal in the computational
 basis. Two drivers are supported:
 
 * uniform transverse field, H_D = -B_perp * sum_i sigma^x_i, for the
-  impurity band. H_D is diagonal in the x basis with n + 1 levels (x-basis
-  popcount j, energy -B_perp (n - 2j)), and only the M marked states carry
-  classical energy, so span{P_j |c_b>} over the levels j and the marked
-  states (plus the start state when it is unmarked) is invariant under both
-  Trotter factors. A run from a basis state takes its steps in those
-  (n + 1) x M level coordinates, at O(n^2 M + M^2) per step, reads the
-  survival and the transferred weight there, and forms the 2^n state once
-  at the end (_Levels). Any other input state, or a band with
-  M_c^2 > 2^n centres (see _levels_around), stays in the z basis: each step multiplies the M marked amplitudes by their phases and
-  applies one blocked pass of rotation blocks, which are real in the frame
-  of S = diag(1, i) on every qubit.
+  impurity band;
 * matched driver for the spin glass,
   H_D = driver_scale * [sum_i (|h_i|+1) sigma^x_i
                         + sum_{i<j} (|J_ij|+1) sigma^x_i sigma^x_j].
-  H_D is diagonal in the x basis, so evolution alternates between the two
-  bases via a fast Walsh-Hadamard transform.
 
-Both z-basis passes are blocked the same way: one 16 x 16 block per 4 index
-bits per matrix product, with one scratch state. A transfer run advances
-each rung of its time ladder as one Trotter segment and reads the survival
-trace inside it, without closing the symmetric splitting per sample. A
-spin-glass run holds five 2^n complex arrays at most: the state, the
-segment's scratch and three phase tables (see _segment_for).
+Both are diagonal in the x basis, so a Trotter step alternates between the
+two bases via a fast Walsh-Hadamard transform, blocked as one 16 x 16
+matrix product per 4 index bits with one scratch state (the FWHT path,
+_trotter_segment). A run on the FWHT path holds five 2^n complex arrays at
+most: the state, the segment's scratch and three phase tables (see
+_segment_for).
+
+The uniform driver has n + 1 levels (x-basis popcount j, energy
+-B_perp (n - 2j)), and only the M marked states carry classical energy, so
+span{P_j |c_b>} over the levels j and the centres c_b (the marked states
+plus the unmarked labels the start state occupies) is invariant under both
+Trotter factors. A band run from a start with M_c^2 <= 2^n centres (see
+_levels_around) takes its steps in those (n + 1) x M_c level coordinates,
+at O(n^2 M_c + M_c^2) per step, reads the survival and the transferred
+weight there, and forms the 2^n state once at the end (_Levels). Any other
+band run takes the FWHT path like a glass.
+
+A transfer run advances each rung of its time ladder as one Trotter
+segment and reads the survival trace inside it, without closing the
+symmetric splitting per sample.
 
 A dense eigensolver backend covers small systems for cross-checks and for
 spectral formulas that need the full eigenbasis.
@@ -66,8 +68,6 @@ _HADAMARD_PAIRS = np.kron(_HADAMARD, np.eye(2))
 _HADAMARD_LEFT = {1 << k: _HADAMARD[:1 << k, :1 << k] for k in range(1, 5)}
 _HADAMARD_RIGHT = {1 << k: _HADAMARD_PAIRS[:2 << k, :2 << k]
                    for k in range(1, 5)}
-# i^d for d mod 4
-_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass
@@ -168,21 +168,19 @@ def driver_x_diagonal(inst) -> np.ndarray:
     return pair_energies(hx, Jx, index_array(n))
 
 
-def _blocked_pass(a: np.ndarray, left: dict, right: dict,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
-    """Apply a real tensor-product operator to a contiguous complex128
-    vector of length 2^n, 4 index bits per np.matmul pass on its float64
-    view.
+def _fwht(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform (matrix entries +-1) of a
+    contiguous complex128 vector of length 2^n, 4 index bits per np.matmul
+    pass on its float64 view.
 
-    A group of k index bits (4, or n mod 4 in the last pass) gets the real
-    2^k x 2^k block left[2^k] from the left. The lowest group instead
-    multiplies (re, im) pairs from the right by right[2^k] (the transposed
-    block (x) I_2), so it is one matrix product rather than one per
-    16-element group. Passes alternate between `a` and one scratch buffer
-    (`scratch` when given, a state of a's shape, else a new one), so the
-    extra memory is at most one state. The result is returned; it may live
-    in `a`'s buffer or in the scratch, and both are overwritten, so call it
-    as `psi = _blocked_pass(psi, ...)`.
+    A group of k index bits (4, or n mod 4 in the last pass) gets the
+    2^k x 2^k Sylvester block H_k from the left. The lowest group instead
+    multiplies (re, im) pairs from the right by H_k (x) I_2, so it is one
+    matrix product rather than one per 16-element group. Passes alternate
+    between `a` and one scratch buffer (`scratch` when given, a state of
+    a's shape, else a new one), so the extra memory is at most one state.
+    The result may live in `a`'s buffer or in the scratch, and both are
+    overwritten, so call it as `psi = _fwht(psi)`.
     """
     n = a.shape[0].bit_length() - 1
     src = a.view(np.float64)
@@ -190,66 +188,20 @@ def _blocked_pass(a: np.ndarray, left: dict, right: dict,
     for lo in range(0, n, _BLOCK_BITS):
         K = 1 << min(_BLOCK_BITS, n - lo)
         if lo == 0:
-            np.matmul(src.reshape(-1, 2 * K), right[K],
+            np.matmul(src.reshape(-1, 2 * K), _HADAMARD_RIGHT[K],
                       out=dst.reshape(-1, 2 * K))
         else:
-            np.matmul(left[K], src.reshape(-1, K, 2 << lo),
+            np.matmul(_HADAMARD_LEFT[K], src.reshape(-1, K, 2 << lo),
                       out=dst.reshape(-1, K, 2 << lo))
         src, dst = dst, src
     return src.view(np.complex128)
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform (matrix entries +-1) of a
-    contiguous complex128 vector of length 2^n: one _blocked_pass with the
-    16 x 16 Sylvester block, or its 2^k x 2^k corner H_k when 4 does not
-    divide n. Call it as `psi = _fwht(psi)`."""
-    return _blocked_pass(a, _HADAMARD_LEFT, _HADAMARD_RIGHT)
-
-
 def _fwht_swap(psi: np.ndarray, spare: np.ndarray):
     """_fwht of psi with spare as its scratch: (transform, free buffer),
     the free buffer being whichever of the two the transform left."""
-    out = _blocked_pass(psi, _HADAMARD_LEFT, _HADAMARD_RIGHT, spare)
+    out = _fwht(psi, spare)
     return out, (spare if np.may_share_memory(out, psi) else psi)
-
-
-def _frame_rotation(k: int, theta: float, a, b) -> np.ndarray:
-    """Entries (a, b) of [[c, -s], [s, c]]^{(x) k}, c = cos(theta) and
-    s = sin(theta): c^{k-d} s^d (-1)^{popcount(b & ~a)}, d = popcount(a ^ b),
-    gathered from the k + 1 values c^{k-d} s^d.
-
-    This is the x-rotation (c I + i s X)^{(x) k} seen in the frame
-    phi = S^{-(x) k} psi with S = diag(1, i), where it is real.
-    """
-    d = np.arange(k + 1)
-    by_distance = np.cos(theta) ** (k - d) * np.sin(theta) ** d
-    sign = 1.0 - 2.0 * (np.bitwise_count(b & ~a) & 1)
-    return by_distance[np.bitwise_count(a ^ b)] * sign
-
-
-def _rotation_blocks(n: int, theta: float) -> tuple[dict, dict]:
-    """_blocked_pass's (left, right) blocks by size 2^k for the frame
-    rotation of (cos(theta) I + i sin(theta) X)^{(x) n}."""
-    left, right = {}, {}
-    for k in {min(_BLOCK_BITS, n - lo) for lo in range(0, n, _BLOCK_BITS)}:
-        a = np.arange(1 << k)
-        left[1 << k] = _frame_rotation(k, theta, a[:, None], a)
-        right[1 << k] = np.kron(left[1 << k].T, np.eye(2))
-    return left, right
-
-
-def _s_frame(psi: np.ndarray, inverse: bool = False) -> None:
-    """Multiply psi[z] by i^{popcount(z)} in place (i^{-popcount(z)} with
-    inverse), the diagonal of S^{(x) n}, as two broadcast products over the
-    high and low halves of the index bits. The factors are powers of i, so
-    the products are exact."""
-    n = psi.shape[0].bit_length() - 1
-    powers = _I_POWERS.conj() if inverse else _I_POWERS
-    h = n // 2
-    rows = psi.reshape(1 << (n - h), 1 << h)
-    rows *= powers[np.bitwise_count(np.arange(1 << (n - h))) % 4][:, None]
-    rows *= powers[np.bitwise_count(np.arange(1 << h)) % 4]
 
 
 def _parity_factors(n: int, z0: int):
@@ -293,8 +245,8 @@ def _z_probability(psi: np.ndarray, z: int) -> float:
 
 def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
                      probe=None):
-    """Advance by `steps` Trotter steps of the FWHT path (the matched
-    driver); psi enters and leaves in the z basis.
+    """Advance by `steps` Trotter steps of the FWHT path, for either
+    driver; psi enters and leaves in the z basis.
 
     tables are (ph_cl, ph_half, ph_full) from _phase_tables; ph_cl carries
     the 1/N of the two unnormalized transforms of each step. The segment
@@ -342,57 +294,20 @@ def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
     return psi, samples
 
 
-def _rotation_segment(psi, steps, tables, splitting, every=0, z0=0,
-                      probe=None):
-    """Advance by `steps` Trotter steps of the uniform driver; psi enters
-    and leaves in the z basis and stays there. Inside the segment it is
-    held in the frame phi = S^{-(x) n} psi (see _frame_rotation, _s_frame),
-    where the rotation blocks are real.
-
-    tables are (marked, ph_marked, half, full): the marked labels, their
-    phases e^{-i dt (base + eps_a)}, and the (left, right) rotation blocks
-    of e^{-i H_D dt/2} and e^{-i H_D dt}. A step multiplies the marked
-    amplitudes by their phases (every other state has energy 0) and applies
-    one rotation pass. The symmetric splitting applies R(dt/2) first, then
-    [phase, R(dt)] per step, and closes its last step with R(dt/2) instead
-    of R(dt); the "first" splitting is [phase, R(dt)] per step. Samples are
-    taken as in _trotter_segment: between symmetric steps the state is
-    R(dt/2) psi_k, so a sample inside the segment is |probe . phi|^2 with
-    the real probe built by _segment_for. Segments at fixed dt compose
-    exactly.
-    """
-    marked, ph_marked, half, full = tables
-    symmetric = splitting == "symmetric"
-    samples = []
-    _s_frame(psi, inverse=True)
-    if symmetric:
-        psi = _blocked_pass(psi, *half)
-    for k in range(1, steps + 1):
-        psi[marked] *= ph_marked
-        psi = _blocked_pass(psi, *(half if symmetric and k == steps else full))
-        if every and (k % every == 0 or k == steps):
-            if symmetric and k < steps:
-                amp = probe @ psi.view(np.float64).reshape(-1, 2)
-                samples.append(float(amp @ amp))
-            else:
-                samples.append(_z_probability(psi, z0))
-    _s_frame(psi)
-    return psi, samples
-
-
 def _parity_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(-1)^{popcount(a_i & b_k)} as a float (len(a), len(b)) table."""
     return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & b) & 1)
 
 
 class _Levels:
-    """Level coordinates of the uniform driver around a start state |z0>:
+    """Level coordinates of the uniform driver around a start state:
     psi = sum_j P_j sum_b W[j, b] |c_b>, with P_j the projector onto the
     x-basis states of popcount j and W an (n + 1) x M_c complex array. The
-    centres c_b are the marked states in inst.marked order, then z0 when it
-    is unmarked. Both Trotter factors keep this form: the driver scales row
-    j by its level phase, and the classical phase adds
-    (e^{-i dt E_a} - 1) <m_a|psi> to column a of every row.
+    centres c_b are the marked states in inst.marked order, then the
+    ascending labels `unmarked` of the start's unmarked support. Both
+    Trotter factors keep this form: the driver scales row j by its level
+    phase, and the classical phase adds (e^{-i dt E_a} - 1) <m_a|psi> to
+    column a of every row.
 
     <c_a|P_j|c_b> = 2^-n K_j(d(c_a, c_b)) with K the Krawtchouk table, so
     the centres' amplitudes cost one (n + 1) x (n + 1) product and an
@@ -400,23 +315,20 @@ class _Levels:
     as that gather's flat indices.
     """
 
-    def __init__(self, inst: ImpurityBandInstance, z0: int):
-        centres = [*inst.marked, *(() if z0 in inst.marked else (z0,))]
+    def __init__(self, inst: ImpurityBandInstance, unmarked):
         self.n = inst.n
         self.marked_count = inst.M
-        self.centres = np.array(centres, dtype=np.uint64)
-        self.start = centres.index(z0)
-        m = len(centres)
-        dist = hamming_table(self.centres)
+        self.centres = np.array([*inst.marked, *unmarked], dtype=np.uint64)
+        m = len(self.centres)
         self.kraw = krawtchouk_table(self.n) / (1 << self.n)
         self._kraw_t = np.ascontiguousarray(self.kraw.T)
-        self._gather = dist * m + np.arange(m)
-        self._start_dist = dist[self.start]
+        self._gather = hamming_table(self.centres) * m + np.arange(m)
 
-    def start_state(self, amplitude: complex) -> np.ndarray:
-        """W of amplitude |z0>: |z0> = sum_j P_j |z0>."""
-        W = np.zeros((self.n + 1, len(self.centres)), dtype=np.complex128)
-        W[:, self.start] = amplitude
+    def start_state(self, amps) -> np.ndarray:
+        """W of the state with amplitude amps[b] on centre c_b and none
+        elsewhere: |c_b> = sum_j P_j |c_b>, so every row of W is amps."""
+        W = np.empty((self.n + 1, len(self.centres)), dtype=np.complex128)
+        W[:] = amps
         return W
 
     def overlaps(self, W: np.ndarray) -> np.ndarray:
@@ -425,17 +337,17 @@ class _Levels:
         g = (self._kraw_t @ W.view(np.float64)).view(np.complex128)
         return np.take(g, self._gather).sum(axis=1)
 
-    def survival_probes(self, half: np.ndarray):
+    def survival_probes(self, z0: int, half: np.ndarray):
         """(p_end, p_mid) with <z0|psi> = vdot(p, W): p_end for W of psi
         itself, p_mid for W of e^{-i H_D dt/2} psi, whose level phases
         `half` (an (n + 1) x 1 column) it undoes."""
-        p_end = self.kraw[:, self._start_dist]
+        p_end = self.kraw[:, np.bitwise_count(self.centres ^ np.uint64(z0))]
         return p_end, p_end * half
 
-    def transferred_weight(self, W: np.ndarray) -> float:
+    def transferred_weight(self, W: np.ndarray, z0: int) -> float:
         """Weight on the marked states other than z0."""
         amp = self.overlaps(W)[:self.marked_count]
-        others = np.arange(self.marked_count) != self.start
+        others = self.centres[:self.marked_count] != z0
         return float(np.sum(np.abs(amp[others]) ** 2))
 
     def amplitudes(self, W: np.ndarray) -> np.ndarray:
@@ -475,26 +387,21 @@ class _Levels:
         return phi
 
 
-def _basis_label(amps: np.ndarray) -> int | None:
-    """z when amps is a multiple of the basis state |z>, else None."""
-    nonzero = amps != 0
-    return int(nonzero.argmax()) if np.count_nonzero(nonzero) == 1 else None
+def _levels_around(inst, support) -> _Levels | None:
+    """The level coordinates a run on inst takes from a start on the
+    ascending labels `support`, or None when it takes the FWHT path.
 
-
-def _levels_around(inst, z0: int) -> _Levels | None:
-    """The level coordinates a run from |z0> takes on inst, or None when it
-    stays in the z basis.
-
-    The level path needs an impurity band with M_c^2 <= 2^n centres: past
-    that, one rotation pass is cheaper than the M_c x M_c gather and the
-    gather table outgrows the state (the per-step rows of BENCH_11.json).
+    The level path needs an impurity band with M_c^2 <= 2^n centres, the
+    marked states plus the unmarked support: past that, the M_c x M_c
+    gather table outgrows the state.
     """
     if not isinstance(inst, ImpurityBandInstance):
         return None
-    m = inst.M + (z0 not in inst.marked)
+    unmarked = np.setdiff1d(support, inst.marked, assume_unique=True)
+    m = inst.M + len(unmarked)
     if m * m > 1 << inst.n:
         return None
-    return _Levels(inst, z0)
+    return _Levels(inst, unmarked)
 
 
 def _level_segment(W, steps, tables, splitting, every=0, probes=None):
@@ -502,13 +409,16 @@ def _level_segment(W, steps, tables, splitting, every=0, probes=None):
     driver, in place; returns (W, samples).
 
     tables are (levels, ph_marked, half, full): the _Levels, e^{-i dt E_a}
-    - 1 per centre (0 for an unmarked z0), and the level phases of
-    e^{-i H_D dt/2} and e^{-i H_D dt} as (n + 1) x 1 columns. The factors
-    come in the order of _rotation_segment, and samples are taken at the
-    same steps: inside a
-    symmetric segment W holds e^{-i H_D dt/2} psi_k, which probes[1] reads,
-    and everywhere else probes[0] (see _Levels.survival_probes). Segments
-    at fixed dt compose exactly.
+    - 1 per centre (0 for an unmarked one), and the level phases of
+    e^{-i H_D dt/2} and e^{-i H_D dt} as (n + 1) x 1 columns. The symmetric
+    splitting applies the half phases first, then [classical, full] per
+    step, and closes its last step with the half phases instead of the full
+    ones; the "first" splitting is [classical, full] per step. With
+    every > 0, samples holds the survival after every `every`-th step and
+    after the last one: inside a symmetric segment W holds
+    e^{-i H_D dt/2} psi_k, which probes[1] reads, and everywhere else
+    probes[0] (see _Levels.survival_probes). Segments at fixed dt compose
+    exactly.
     """
     levels, ph_marked, half, full = tables
     symmetric = splitting == "symmetric"
@@ -544,52 +454,32 @@ def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None,
     With levels given (see _levels_around), the uniform driver gets
     _level_segment, which holds W in those level coordinates, with the
     centres' phases and the n + 1 level phases. Otherwise the held state is
-    the 2^n state in the z basis: the uniform driver (the impurity band)
-    gets _rotation_segment with the M marked phases and the rotation
-    blocks, and the matched driver gets _trotter_segment with its 2^n phase
-    tables. With z0 given the segment samples the survival of |z0>; the
-    z-basis symmetric splitting builds the probe it needs for samples
-    inside a segment. The matched driver keeps three 2^n tables: ph_cl,
-    ph_full, and ph_half, which a symmetric run with z0 turns into the
-    probe in place and a "first" one drops.
+    the 2^n state in the z basis and either driver gets _trotter_segment
+    with three 2^n phase tables: ph_cl, ph_full, and ph_half, which a
+    symmetric run with z0 turns into its survival probe in place and a
+    "first" one drops. With z0 given the segment samples the survival of
+    |z0>.
     """
-    hx, _ = driver_terms(inst)
-    symmetric = config.splitting == "symmetric"
     if levels is not None:
+        hx, _ = driver_terms(inst)
         n = inst.n
         energy = hx[0] * (n - 2.0 * np.arange(n + 1)[:, None])
         half = np.exp(-0.5j * dt * energy)
         ph_marked = np.zeros(len(levels.centres), dtype=np.complex128)
         ph_marked[:inst.M] = np.expm1(-1j * dt * (inst.base_energy + inst.eps))
         tables = (levels, ph_marked, half, np.exp(-1j * dt * energy))
-        probes = levels.survival_probes(half) if z0 is not None else None
+        probes = levels.survival_probes(z0, half) if z0 is not None else None
         return partial(_level_segment, tables=tables,
                        splitting=config.splitting, probes=probes)
+    ph_cl, ph_half, ph_full = _phase_tables(
+        all_classical_energies(inst), driver_x_diagonal(inst), dt)
     probe = None
-    if isinstance(inst, ImpurityBandInstance):
-        # e^{-i hx t X} = cos(theta) I + i sin(theta) X with theta = -hx t
-        theta = -float(hx[0]) * dt
-        tables = (np.fromiter(inst.marked, dtype=np.int64),
-                  np.exp(-1j * dt * (inst.base_energy + inst.eps)),
-                  _rotation_blocks(inst.n, 0.5 * theta),
-                  _rotation_blocks(inst.n, theta))
-        if symmetric and z0 is not None:
-            # row z0 of R(-dt/2) in the frame: real, and |probe . phi| is
-            # |<z0|psi_k>| (the two differ by the phase i^{popcount(z0)})
-            probe = _frame_rotation(inst.n, -0.5 * theta, np.uint64(z0),
-                                    index_array(inst.n))
-        segment = _rotation_segment
-    else:
-        ph_cl, ph_half, ph_full = _phase_tables(
-            all_classical_energies(inst), driver_x_diagonal(inst), dt)
-        if not symmetric:
-            ph_half = None
-        elif z0 is not None:
-            probe, ph_half = _survival_probe(z0, ph_half), None
-        tables = (ph_cl, ph_half, ph_full)
-        segment = _trotter_segment
-    return partial(segment, tables=tables, splitting=config.splitting,
-                   z0=z0 or 0, probe=probe)
+    if config.splitting != "symmetric":
+        ph_half = None
+    elif z0 is not None:
+        probe, ph_half = _survival_probe(z0, ph_half), None
+    return partial(_trotter_segment, tables=(ph_cl, ph_half, ph_full),
+                   splitting=config.splitting, z0=z0 or 0, probe=probe)
 
 
 def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVector:
@@ -598,12 +488,13 @@ def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVe
     The symmetric splitting applies
     e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step; the "first"
     mode applies the plain product (e^{-i H_D dt} e^{-i H_cl dt})^steps.
-    On an impurity band a basis-state input (times any phase) runs in level
-    coordinates and the 2^n state is formed once, from them, at the end;
-    any other input runs in the z basis as one rotation pass per step. The
-    uniform driver builds no 2^n table and never copies the input on the
-    level path; the matched driver alternates bases via the FWHT (see
-    _levels_around and _segment_for).
+    On an impurity band a start whose centres fit the level path (see
+    _levels_around) runs in level coordinates, builds no 2^n table and
+    never copies the input; the 2^n state is formed once, from them, at the
+    end. Whether it fits is read from the count of nonzero amplitudes
+    before any label is listed, so a dense start costs one pass over the
+    state. Every other run, a glass included, alternates bases via the FWHT
+    (see _segment_for).
     """
     if inst.n != state.n:
         raise ValueError("state and instance sizes differ")
@@ -619,13 +510,15 @@ def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVe
         return StateVector(amps.copy(), state.n)
     steps = config.resolve_steps(T)
     dt = T / steps
-    z0 = _basis_label(amps) if isinstance(inst, ImpurityBandInstance) else None
-    levels = None if z0 is None else _levels_around(inst, z0)
+    levels = None
+    if (isinstance(inst, ImpurityBandInstance)
+            and np.count_nonzero(amps) ** 2 <= len(amps)):
+        levels = _levels_around(inst, np.flatnonzero(amps))
     if levels is None:
         psi, _ = _segment_for(inst, config, dt)(amps.copy(), steps)
         return StateVector(psi, state.n)
     W, _ = _segment_for(inst, config, dt, levels=levels)(
-        levels.start_state(amps[z0]), steps)
+        levels.start_state(amps[levels.centres]), steps)
     return StateVector(levels.amplitudes(W), state.n)
 
 
@@ -734,7 +627,7 @@ def _rung_weight(inst, z0: int, held, levels: _Levels | None) -> float:
     glass that is 1 - |psi(z0)|^2. The slices keep numpy's array abs (see
     _z_probability)."""
     if levels is not None:
-        return levels.transferred_weight(held)
+        return levels.transferred_weight(held, z0)
     if isinstance(inst, ImpurityBandInstance):
         others = [z for z in inst.marked if z != z0]
         return float((np.abs(held[others]) ** 2).sum())
@@ -754,7 +647,8 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     time, the transferred weight and its relative change (None on the
     first rung). On an impurity band the run stays in level coordinates
     where _levels_around allows, reads each rung's weight there, and forms
-    the 2^n state once, after the last rung. Elsewhere a rung's weight is
+    the 2^n state once, after the last rung; the last survival sample is
+    read from that state. Elsewhere a rung's weight is
     read from the few amplitudes it needs (_rung_weight), and the phase
     tables are released before the output distribution is formed.
     """
@@ -784,8 +678,8 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         total_t = 0.0
     else:
         # the held state: W in level coordinates, or the 2^n state
-        levels = _levels_around(inst, z0)
-        held = (levels.start_state(1.0) if levels is not None
+        levels = _levels_around(inst, [z0])
+        held = (levels.start_state(levels.centres == z0) if levels is not None
                 else StateVector.basis_state(n, z0).amplitudes)
         segment = _segment_for(inst, config, dt, z0, levels)
 
@@ -821,7 +715,11 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
             total_t = config.total_time
         # the phase tables go before the output distribution is formed
         del segment
-        psi = levels.amplitudes(held) if levels is not None else held
+        psi = held
+        if levels is not None:
+            psi = levels.amplitudes(held)
+            # the closing sample read from the formed state, as P(z0) is
+            survival[-1] = _z_probability(psi, z0)
         probs = np.abs(psi) ** 2
 
     edges = np.histogram_bin_edges(E, bins=64)

@@ -14,9 +14,8 @@ from pt_lab.statevector import (EvolutionConfig, StateVector,
                                 run_pt_protocol, sample_output,
                                 survival_probability, transferred_weight,
                                 transition_distribution,
-                                transition_probability, _blocked_pass,
-                                _fwht, _levels_around, _Levels,
-                                _rotation_blocks, _s_frame)
+                                transition_probability, _fwht,
+                                _levels_around, _Levels)
 
 
 def _two_level_instance(B, delta):
@@ -60,33 +59,10 @@ def test_fwht_allocates_one_scratch_state(traced_peak):
     assert peak <= v.nbytes + 64 * 1024
 
 
-@pytest.mark.parametrize("n", range(1, 12))
-def test_rotation_pass_matches_kron(n):
-    # n = 1..11 covers sizes below the 4-bit block and every remainder;
-    # the frame pass is [[c, -s], [s, c]]^{(x) n}, and conjugating it by
-    # S^{(x) n}, S = diag(1, i), gives the x-rotation (c I + i s X)^{(x) n}
-    theta = 0.37 + 0.1 * n
-    c, s = np.cos(theta), np.sin(theta)
-    frame, rot = np.ones((1, 1)), np.ones((1, 1))
-    for _ in range(n):
-        frame = np.kron(frame, [[c, -s], [s, c]])
-        rot = np.kron(rot, [[c, 1j * s], [1j * s, c]])
-    rng = np.random.default_rng(n)
-    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    blocks = _rotation_blocks(n, theta)
-    np.testing.assert_allclose(_blocked_pass(v.copy(), *blocks), frame @ v,
-                               atol=1e-12)
-    w = v.copy()
-    _s_frame(w, inverse=True)
-    w = _blocked_pass(w, *blocks)
-    _s_frame(w)
-    np.testing.assert_allclose(w, rot @ v, atol=1e-12)
-
-
-def _fwht_reference(inst, z0, T, steps, splitting):
+def _fwht_reference(inst, start, T, steps, splitting):
     # the basis-alternating product formula: e^{-i H_D t} is H_n times the
     # x-basis phases times H_n / N, with H_D's x-basis eigenvalues
-    # -B (n - 2 popcount(x))
+    # -B (n - 2 popcount(x)); start is a basis-state label or a 2^n vector
     n, N = inst.n, 1 << inst.n
     dt = T / steps
     Dx = -inst.B_perp * (n - 2.0 * np.bitwise_count(np.arange(N)))
@@ -95,8 +71,11 @@ def _fwht_reference(inst, z0, T, steps, splitting):
     def drive(psi, t):
         return _fwht(np.exp(-1j * t * Dx) * _fwht(psi)) / N
 
-    psi = np.zeros(N, dtype=complex)
-    psi[z0] = 1.0
+    if np.ndim(start) == 0:
+        psi = np.zeros(N, dtype=complex)
+        psi[start] = 1.0
+    else:
+        psi = np.asarray(start, dtype=complex)
     for _ in range(steps):
         if splitting == "symmetric":
             psi = drive(ph_cl * drive(psi, dt / 2), dt / 2)
@@ -132,7 +111,7 @@ def _spy_paths(monkeypatch):
     # counts the segments each path runs
     import pt_lab.statevector as sv
 
-    calls = {"level": 0, "rotation": 0}
+    calls = {"level": 0, "fwht": 0}
 
     def spy(name, segment):
         def counted(*args, **kwargs):
@@ -141,20 +120,25 @@ def _spy_paths(monkeypatch):
         return counted
 
     monkeypatch.setattr(sv, "_level_segment", spy("level", sv._level_segment))
-    monkeypatch.setattr(sv, "_rotation_segment",
-                        spy("rotation", sv._rotation_segment))
+    monkeypatch.setattr(sv, "_trotter_segment",
+                        spy("fwht", sv._trotter_segment))
     return calls
 
 
 @pytest.mark.parametrize("extra, start, B, path", [
     # n = 8: the level path takes M_c^2 <= 2^8 centres
     (0, "marked", 2.0, "level"),
-    (1, "marked", 2.0, "rotation"),
+    (1, "marked", 2.0, "fwht"),
     (-1, "unmarked", 2.0, "level"),
-    (0, "unmarked", 2.0, "rotation"),
-    # a basis state times a phase is still a basis-state start
+    (0, "unmarked", 2.0, "fwht"),
+    # a basis state times a phase, or a sparse superposition: one centre
+    # per unmarked label of the support
     (0, "phase", 2.0, "level"),
-    (0, "superposition", 2.0, "rotation"),
+    (0, "superposition", 2.0, "level"),
+    (-2, "spread", 2.0, "level"),
+    (-1, "spread", 2.0, "fwht"),
+    # every amplitude nonzero
+    (0, "dense", 2.0, "fwht"),
     # with no field too: W's start column stays exact, and
     # test_zero_field_run_returns_input reads a transferred weight of 0.0
     (0, "marked", 0.0, "level"),
@@ -163,22 +147,30 @@ def test_uniform_path_selection(monkeypatch, extra, start, B, path):
     n = 8
     M = 16 + extra
     inst = gen_impurity_band(n=n, M=M, W=0.5, seed=2, B_perp=B)
+    unmarked = sorted(set(range(1 << n)) - set(inst.marked))
     amps = np.zeros(1 << n, dtype=complex)
     if start == "unmarked":
-        amps[min(set(range(1 << n)) - set(inst.marked))] = 1.0
+        amps[unmarked[0]] = 1.0
     elif start == "superposition":
         amps[list(inst.marked[:2])] = np.sqrt(0.5)
+    elif start == "spread":
+        # a marked state and two unmarked ones, each with its own amplitude
+        amps[[unmarked[7], inst.marked[3], unmarked[2]]] = [0.6, 0.48j, -0.64]
+    elif start == "dense":
+        rng = np.random.default_rng(M)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps /= np.linalg.norm(amps)
     else:
         amps[inst.marked[0]] = 1j if start == "phase" else 1.0
     state = StateVector(amps, n)
     calls = _spy_paths(monkeypatch)
     cfg = EvolutionConfig(total_time=1.0, trotter_steps=5)
     got = evolve_trotter(state, inst, cfg).amplitudes
-    assert calls == {"level": path == "level", "rotation": path == "rotation"}
-    if start != "superposition":
+    assert calls == {"level": path == "level", "fwht": path == "fwht"}
+    want = _fwht_reference(inst, amps, 1.0, 5, "symmetric")
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    if np.count_nonzero(amps) == 1:
         z0 = int(np.flatnonzero(amps)[0])
-        want = amps[z0] * _fwht_reference(inst, z0, 1.0, 5, "symmetric")
-        np.testing.assert_allclose(got, want, atol=1e-12)
         res = run_pt_protocol(inst, z0, cfg)
         assert calls[path] == 2
         np.testing.assert_allclose(res.probabilities, np.abs(want) ** 2,
@@ -194,8 +186,9 @@ def test_level_reconstruction_matches_distance_sum(n):
                                               replace=False))
     inst = ImpurityBandInstance(n=n, marked=marked, eps=np.zeros(len(marked)),
                                 W=1.0, B_perp=1.0)
-    z0 = min(set(range(1 << n)) - set(marked)) if n > 2 else marked[0]
-    levels = _Levels(inst, z0)
+    # one unmarked centre where there is room for it
+    levels = _Levels(inst, [min(set(range(1 << n)) - set(marked))]
+                     if n > 2 else [])
     W = (rng.normal(size=(n + 1, len(levels.centres)))
          + 1j * rng.normal(size=(n + 1, len(levels.centres))))
     f = krawtchouk_table(n).T @ W / (1 << n)
@@ -208,8 +201,8 @@ def test_level_reconstruction_matches_distance_sum(n):
 
 @pytest.mark.parametrize("splitting", ["symmetric", "first"])
 def test_band_segments_compose(monkeypatch, splitting):
-    # the first half runs in level coordinates; its output is no basis
-    # state, so the second half takes the rotation pass
+    # the first half runs in level coordinates; its output has 2^n
+    # nonzero amplitudes, so the second half takes the FWHT path
     inst = gen_impurity_band(n=8, M=6, W=0.5, seed=4, B_perp=1.3)
     state = StateVector.basis_state(8, inst.marked[2])
     whole = evolve_trotter(state, inst, EvolutionConfig(
@@ -219,7 +212,7 @@ def test_band_segments_compose(monkeypatch, splitting):
         total_time=1.0, trotter_steps=100, splitting=splitting))
     again = evolve_trotter(half, inst, EvolutionConfig(
         total_time=1.0, trotter_steps=100, splitting=splitting))
-    assert calls == {"level": 1, "rotation": 1}
+    assert calls == {"level": 1, "fwht": 1}
     np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
 
 
@@ -239,10 +232,10 @@ def test_band_ladder_weights_match_full_state_runs(splitting):
 
 
 def test_uniform_trotter_builds_no_state_sized_table(monkeypatch, traced_peak):
-    # the uniform path keeps the state and one scratch: no 2^n phase
+    # the level path keeps the state and one scratch: no 2^n phase
     # table, no x-basis driver diagonal, no classical-energy vector. The
-    # basis-state start runs in level coordinates, the superposition of
-    # two marked states on the rotation pass
+    # basis-state start and the superposition of two marked states both
+    # run in level coordinates
     import pt_lab.statevector as sv
 
     def forbidden(*args, **kwargs):
@@ -255,40 +248,46 @@ def test_uniform_trotter_builds_no_state_sized_table(monkeypatch, traced_peak):
     pair = np.zeros(1 << 16, dtype=np.complex128)
     pair[list(inst.marked[:2])] = np.sqrt(0.5)
     cfg = EvolutionConfig(total_time=1.0, trotter_steps=4)
-    for state, path in [(StateVector.basis_state(16, inst.marked[0]), "level"),
-                        (StateVector(pair, 16), "rotation")]:
-        calls.update(level=0, rotation=0)
+    for state in [StateVector.basis_state(16, inst.marked[0]),
+                  StateVector(pair, 16)]:
+        calls.update(level=0, fwht=0)
         out, peak = traced_peak(evolve_trotter, state, inst, cfg)
-        assert calls == {"level": path == "level",
-                         "rotation": path == "rotation"}
+        assert calls == {"level": 1, "fwht": 0}
         assert peak < 3 * out.amplitudes.nbytes
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_glass_trotter_holds_five_states(traced_peak):
+@pytest.mark.parametrize("kind", ["glass", "dense-band"])
+def test_fwht_trotter_holds_five_states(monkeypatch, traced_peak, kind):
     # the state, the segment's scratch and three phase tables: ph_cl,
     # ph_full and ph_half, which a sampled symmetric run keeps as its
-    # survival probe. Rung weights read one amplitude, and the output
-    # distribution is formed after the tables are released
-    g = gen_spin_glass(n=16, seed=3)
-    all_classical_energies(g)  # kept on the instance, before the trace
-    z0 = 59518
+    # survival probe. Rung weights read one amplitude (a band's: its
+    # marked ones), and the output distribution is formed after the tables
+    # are released. The dense band (M^2 > 2^16) takes this path too
+    if kind == "glass":
+        inst, z0 = gen_spin_glass(n=16, seed=3), 59518
+    else:
+        inst = gen_impurity_band(n=16, M=300, W=0.5, seed=3, B_perp=2.0)
+        z0 = inst.marked[0]
+    all_classical_energies(inst)  # kept on the instance, before the trace
+    calls = _spy_paths(monkeypatch)
     state = StateVector.basis_state(16, z0)
     bound = 5.25 * state.amplitudes.nbytes
-    res, peak = traced_peak(run_pt_protocol, g, z0, EvolutionConfig(
+    res, peak = traced_peak(run_pt_protocol, inst, z0, EvolutionConfig(
         dt=0.1, start_time=0.5, max_doublings=1, saturation_rtol=0.0))
     # two rungs of 5 steps, sampled after every step
     assert len(res.survival) == 11 and len(res.ladder_weights) == 2
     assert peak <= bound
-    _, peak = traced_peak(evolve_trotter, state, g,
+    _, peak = traced_peak(evolve_trotter, state, inst,
                           EvolutionConfig(total_time=0.5, trotter_steps=5))
     assert peak <= bound
+    assert calls == {"level": 0, "fwht": 3}
 
 
 def test_uniform_trotter_norm_drift_over_long_runs(monkeypatch):
     # 20 000 steps at n = 12; the bound is fixed here, not fitted. M = 8
     # runs in level coordinates, the dense band (M = 65, M^2 > 2^12) on
-    # the rotation pass, whose drift is linear in the step count
+    # the FWHT path
     calls = _spy_paths(monkeypatch)
     for M in (8, 65):
         inst = gen_impurity_band(n=12, M=M, W=0.5, seed=3, B_perp=2.0)
@@ -297,7 +296,7 @@ def test_uniform_trotter_norm_drift_over_long_runs(monkeypatch):
             out = evolve_trotter(state, inst, EvolutionConfig(
                 total_time=1000.0, trotter_steps=20000, splitting=splitting))
             assert abs(out.norm() - 1.0) <= 1e-10
-    assert calls == {"level": 2, "rotation": 2}
+    assert calls == {"level": 2, "fwht": 2}
 
 
 def test_driver_spectrum_matches_dense():
@@ -443,10 +442,10 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch,
                                                        splitting):
     # the impurity-band copy of the test above: same rungs and samples,
     # read inside level-coordinate segments (M = 5) and, on a dense band
-    # (M = 9, M^2 > 2^6), inside rotation-pass segments
+    # (M = 9, M^2 > 2^6), inside FWHT segments
     calls = _spy_paths(monkeypatch)
-    for M, path in [(5, "level"), (9, "rotation")]:
-        calls.update(level=0, rotation=0)
+    for M, path in [(5, "level"), (9, "fwht")]:
+        calls.update(level=0, fwht=0)
         g = gen_impurity_band(n=6, M=M, W=0.5, seed=5, B_perp=1.3)
         z0, dt = g.marked[0], 0.1
         res = run_pt_protocol(g, z0, EvolutionConfig(
@@ -462,23 +461,24 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch,
             assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
         assert not np.allclose(res.survival, 1.0)
         assert {name for name, count in calls.items() if count} == {path}
-        if path == "rotation":  # rung weights read the marked amplitudes
+        if path == "fwht":  # rung weights read the marked amplitudes
             assert res.ladder_weights[-1] == res.transferred_weight
 
 
 @pytest.mark.parametrize("splitting", ["symmetric", "first"])
-@pytest.mark.parametrize("kind", ["glass", "dense-band"])
+@pytest.mark.parametrize("kind", ["glass", "dense-band", "level-band"])
 def test_last_survival_sample_is_the_output_probability(splitting, kind):
-    # the segment's closing sample and the output distribution read the
-    # same amplitude through the same abs, so they agree bit for bit; the
-    # dense band (M^2 > 2^8) runs the rotation pass
+    # the closing sample and the output distribution read the same
+    # amplitude through the same abs, so they agree bit for bit; the dense
+    # band (M^2 > 2^8) runs the FWHT path, the M = 6 band level coordinates
     if kind == "glass":
         inst = gen_spin_glass(n=8, seed=4)
         z0 = 77
     else:
-        inst = gen_impurity_band(n=8, M=20, W=0.5, seed=4, B_perp=1.3)
+        M = 20 if kind == "dense-band" else 6
+        inst = gen_impurity_band(n=8, M=M, W=0.5, seed=4, B_perp=1.3)
         z0 = inst.marked[0]
-        assert _levels_around(inst, z0) is None
+        assert (_levels_around(inst, [z0]) is None) == (M == 20)
     for t in (0.7, 1.3, 2.9, 4.1, 6.6, 9.5):
         res = run_pt_protocol(inst, z0, EvolutionConfig(
             total_time=t, trotter_steps=int(10 * t), splitting=splitting))
@@ -490,11 +490,11 @@ def test_last_survival_sample_is_the_output_probability(splitting, kind):
        st.sampled_from(["symmetric", "first"]), st.floats(0.0, 3.0))
 def test_uniform_trotter_preserves_norm(seed, T, steps, splitting, B):
     # M = 4 runs in level coordinates, the dense band M = 6 (M^2 > 2^5)
-    # on the rotation pass
+    # on the FWHT path
     for M in (4, 6):
         g = gen_impurity_band(n=5, M=M, W=0.5, seed=seed, B_perp=B)
         z0 = g.marked[seed % 4]
-        assert (_levels_around(g, z0) is None) == (M == 6)
+        assert (_levels_around(g, [z0]) is None) == (M == 6)
         state = StateVector.basis_state(5, z0)
         cfg = EvolutionConfig(total_time=T, trotter_steps=steps,
                               splitting=splitting)
