@@ -118,8 +118,11 @@ def _override_b_perp(inst, b_perp):
     if b_perp is None:
         return inst
     if not isinstance(inst, ImpurityBandInstance):
-        raise UsageError("--B-perp override applies to impurity-band instances")
-    return replace(inst, B_perp=b_perp)
+        raise UsageError("--b-perp override applies to impurity-band instances")
+    try:
+        return replace(inst, B_perp=b_perp)
+    except ValueError as e:
+        raise UsageError(f"--b-perp: {e}") from e
 
 
 def _choose_start(inst, z0_arg):
@@ -151,8 +154,7 @@ def _evolution_config(args) -> EvolutionConfig:
         raise UsageError(f"{ladder[0]} sets the doubling ladder, which --time "
                          "replaces")
     settings = {"total_time": args["time"], "trotter_steps": args["steps"],
-                "dt": args["dt"], "splitting": args["splitting"],
-                "start_time": args["start_time"],
+                "dt": args["dt"], "start_time": args["start_time"],
                 "saturation_rtol": args["saturation_rtol"],
                 "max_doublings": args["max_doublings"]}
     try:
@@ -182,11 +184,8 @@ def _fmt(x):
 
 def _cmd_gen_instance(args, out_dir, manifest):
     band = args["kind"] == "impurity-band"
-    dimers = _given(args, "dimer_count", "no_dimers")
-    if band and dimers:
-        raise UsageError(f"{dimers[0]} applies to spin-glass instances")
-    if len(dimers) == 2:
-        raise UsageError("--dimer-count and --no-dimers exclude each other")
+    if band and _given(args, "dimer_count"):
+        raise UsageError("--dimer-count applies to spin-glass instances")
     if band and args["m"] is None:
         raise UsageError("gen-instance --kind impurity-band requires --m")
     if not band and _given(args, "m"):
@@ -197,9 +196,8 @@ def _cmd_gen_instance(args, out_dir, manifest):
                                      eps_law=args["eps_law"], seed=args["seed"],
                                      B_perp=args["b_perp"])
         else:
-            count = 0 if args["no_dimers"] else args["dimer_count"]
-            inst = gen_spin_glass(args["n"], dimer_count=count, seed=args["seed"],
-                                  driver_scale=args["driver_scale"])
+            inst = gen_spin_glass(args["n"], dimer_count=args["dimer_count"],
+                                  seed=args["seed"], driver_scale=args["driver_scale"])
     except ValueError as e:
         raise UsageError(str(e)) from e
     doc = instance_to_dict(inst)
@@ -248,8 +246,7 @@ def _cmd_evolve(args, out_dir, manifest):
               _top_k_rows(inst, z0, probs, top_k), manifest)
     write_json(out_dir / "evolve.json",
                {"z0": z0, "time": args["time"], "steps": config.resolve_steps(args["time"]),
-                "splitting": config.splitting, "norm": state.norm(),
-                "survival": float(probs[z0])}, manifest)
+                "norm": state.norm(), "survival": float(probs[z0])}, manifest)
 
 
 def _emit_pt_result(inst, result, out_dir, manifest, top_k, prefix="pt"):
@@ -394,15 +391,19 @@ def _simulated_peak(setup, scan_points=4001):
 
 def _cmd_grover_sweep(args, out_dir, manifest):
     n, M, W = args["n"], args["m"], args["w"]
-    rng = np.random.default_rng(args["seed"])
-    eps = rng.uniform(-W / 2.0, W / 2.0, size=M) if W > 0 else np.zeros(M)
+    if not (math.isfinite(W) and W > 0):
+        raise UsageError(f"--w must be finite and > 0, got {W}")
+    try:
+        eps = np.random.default_rng(args["seed"]).uniform(-W / 2.0, W / 2.0, size=M)
+        setups = [GroverSetup(n=n, eps=eps, eps0=eps0) for eps0 in args["eps0"]]
+        reports = [error_time_report(setup) for setup in setups]
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     rows = []
-    for eps0 in args["eps0"]:
-        setup = GroverSetup(n=n, eps=eps, eps0=eps0)
-        rep = error_time_report(setup)
+    for setup, rep in zip(setups, reports):
         t_peak, p_peak = _simulated_peak(setup)
         t_sim = t_peak / p_peak if p_peak > 0 else math.inf
-        rows.append((n, M, repr(float(W)), repr(float(eps0)),
+        rows.append((n, M, repr(float(W)), repr(float(setup.eps0)),
                      repr(rep.t_pt), repr(t_sim), repr(rep.t_grover),
                      repr(rep.p0), repr(rep.t0)))
     write_csv(out_dir / "grover_sweep.csv",
@@ -591,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--b-perp", type=float, default=2.0)
     g.add_argument("--eps-law", choices=["uniform", "gauss"], default="uniform")
     g.add_argument("--dimer-count", type=int, default=None)
-    g.add_argument("--no-dimers", action="store_true")
     g.add_argument("--driver-scale", type=float, default=0.2)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="instance.json")
@@ -609,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument("--time", type=float, default=None)
         e.add_argument("--steps", type=int, default=None)
         e.add_argument("--dt", type=float, default=None)
-        e.add_argument("--splitting", choices=["symmetric", "first"],
-                       default="symmetric")
         e.add_argument("--start-time", type=float, default=None)
         e.add_argument("--saturation-rtol", type=float, default=None)
         e.add_argument("--max-doublings", type=int, default=None)

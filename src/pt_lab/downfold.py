@@ -47,6 +47,8 @@ class TunnelingParams:
         if not (math.isfinite(self.calibration_A) and self.calibration_A > 0):
             raise ValueError("calibration A must be finite and > 0, "
                              f"got {self.calibration_A}")
+        if self.diagonal_shift is not None and not math.isfinite(self.diagonal_shift):
+            raise ValueError(f"diagonal shift must be finite, got {self.diagonal_shift}")
         if self.phase_mode not in ("random_sign", "random_phase", "numeric_extraction"):
             raise ValueError(
                 "phase_mode must be random_sign, random_phase or numeric_extraction")

@@ -34,6 +34,10 @@ class GroverSetup:
         eps = np.asarray(self.eps, dtype=float)
         if eps.ndim != 1 or len(eps) < 1:
             raise ValueError("eps must be a non-empty vector")
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("eps must be finite")
+        if not math.isfinite(self.eps0):
+            raise ValueError(f"eps0 must be finite, got {self.eps0}")
         if len(eps) >= (1 << self.n):
             raise ValueError("need M < 2^n")
         if self.marked is not None and len(self.marked) != len(eps):

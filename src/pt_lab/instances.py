@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,17 @@ def quantize_couplings(x: np.ndarray) -> np.ndarray:
     """Snap values to the nearest of the 64 grid levels."""
     idx = np.clip(np.round((np.asarray(x) + 1.0) * 31.5), 0, 63).astype(int)
     return COUPLING_GRID[idx]
+
+
+def _check_finite(**values):
+    """ValueError naming the first of values that is not a finite number."""
+    for name, x in values.items():
+        try:
+            ok = math.isfinite(x)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be a finite number, got {x!r}")
 
 
 def _grid_index(x: np.ndarray) -> np.ndarray:
@@ -67,15 +79,19 @@ class ImpurityBandInstance:
             raise ValueError("eps must have one entry per marked state")
         for z in self.marked:
             check_bitstring(z, self.n)
+        if self.base_energy is None:
+            object.__setattr__(self, "base_energy", -float(self.n))
+        _check_finite(W=self.W, B_perp=self.B_perp, base_energy=self.base_energy)
         if self.W <= 0:
             raise ValueError("W must be positive")
         # B_perp = 0 is allowed: the protocol degenerates to a diagonal
         # Hamiltonian, which the CLI uses as a trivial check.
         if self.B_perp < 0:
             raise ValueError("B_perp must be >= 0")
-        if self.base_energy is None:
-            object.__setattr__(self, "base_energy", -float(self.n))
-        object.__setattr__(self, "eps", np.asarray(self.eps, dtype=float))
+        eps = np.asarray(self.eps, dtype=float)
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("eps must be finite")
+        object.__setattr__(self, "eps", eps)
 
     def __eq__(self, other):
         if not isinstance(other, ImpurityBandInstance):
@@ -108,6 +124,9 @@ class SpinGlassInstance:
         J = np.asarray(self.J, dtype=float)
         if h.shape != (self.n,) or J.shape != (self.n, self.n):
             raise ValueError("h must be (n,), J must be (n, n)")
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(J))):
+            raise ValueError("h and J must be finite")
+        _check_finite(driver_scale=self.driver_scale)
         if not np.array_equal(J, J.T) or np.any(np.diag(J) != 0):
             raise ValueError("J must be symmetric with zero diagonal")
         cover = [s for pair in self.dimers for s in pair]
@@ -329,6 +348,16 @@ _REQUIRED_KEYS = {
 }
 
 
+def _indices(values, stop: int, what: str) -> list:
+    """values as a list; ValueError unless each is an integer in [0, stop)."""
+    values = list(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < stop:
+            raise ValueError(f"{what} must be integers in [0, {stop - 1}], "
+                             f"got {v!r}")
+    return values
+
+
 def instance_from_dict(doc: dict):
     """Instance from its JSON document; ValueError names what is malformed."""
     if not isinstance(doc, dict):
@@ -339,19 +368,25 @@ def instance_from_dict(doc: dict):
     missing = [k for k in _REQUIRED_KEYS[kind] if k not in doc]
     if missing:
         raise ValueError(f"{kind} instance lacks {', '.join(map(repr, missing))}")
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    n = check_n(n)
     if kind == "impurity_band":
         return ImpurityBandInstance(
-            n=doc["n"], marked=tuple(doc["marked"]),
+            n=n, marked=tuple(_indices(doc["marked"], 1 << n, "marked states")),
             eps=np.asarray(doc["eps"], dtype=float),
             W=doc["W"], B_perp=doc["B_perp"],
             base_energy=doc.get("base_energy"), seed=doc.get("seed"),
         )
-    n = doc["n"]
-    h = COUPLING_GRID[np.asarray(doc["h"], dtype=int)]
+    levels = len(COUPLING_GRID)
+    h = COUPLING_GRID[_indices(doc["h"], levels, "h grid indices")]
     J = np.zeros((n, n))
     for i, j, k in doc["J"]:
+        i, j = _indices((i, j), n, "J sites")
+        (k,) = _indices([k], levels, "J grid indices")
         J[i, j] = J[j, i] = COUPLING_GRID[k]
-    dimers = tuple(tuple(p) for p in doc["dimers"])
+    dimers = tuple(tuple(_indices(p, n, "dimer sites")) for p in doc["dimers"])
     for i, j in dimers:
         J[i, j] = J[j, i] = doc.get("dimer_J", DIMER_J)
     return SpinGlassInstance(n=n, h=h, J=J, dimers=dimers,

@@ -56,12 +56,12 @@ class PBLMConfig:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError("M must be >= 2")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not self.V_typ_unit > 0:
-            raise ValueError(f"V_typ must be positive, got {self.V_typ_unit}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lambda must be finite and positive, got {self.lam}")
+        if not (math.isfinite(self.V_typ_unit) and self.V_typ_unit > 0):
+            raise ValueError(f"V_typ must be finite and positive, got {self.V_typ_unit}")
 
     @property
     def W(self) -> float:

@@ -9,12 +9,16 @@ basis. Two drivers are supported:
   H_D = driver_scale * [sum_i (|h_i|+1) sigma^x_i
                         + sum_{i<j} (|J_ij|+1) sigma^x_i sigma^x_j].
 
-Both are diagonal in the x basis, so a Trotter step alternates between the
-two bases via a fast Walsh-Hadamard transform, blocked as one 16 x 16
-matrix product per 4 index bits with one scratch state (the FWHT path,
-_trotter_segment). A run on the FWHT path holds five 2^n complex arrays at
-most: the state, the segment's scratch and three phase tables (see
-_segment_for).
+Every run uses one product formula, the symmetric (Strang) splitting
+e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step, whose error is
+second order in dt.
+
+Both drivers are diagonal in the x basis, so a Trotter step alternates
+between the two bases via a fast Walsh-Hadamard transform, blocked as one
+16 x 16 matrix product per 4 index bits with one scratch state (the FWHT
+path, _trotter_segment). A run on the FWHT path holds five 2^n complex
+arrays at most: the state, the segment's scratch and three phase tables
+(see _segment_for).
 
 The uniform driver has n + 1 levels (x-basis popcount j, energy
 -B_perp (n - 2j)), and only the M marked states carry classical energy, so
@@ -55,6 +59,8 @@ TROTTER_MAX_N = 24
 DENSE_MAX_N = 14
 NORM_TOL = 1e-8
 _TIME_BLOCK = 32
+# survival samples per ladder rung, give or take (see run_pt_protocol)
+_TRACE_POINTS = 257
 
 # index bits per blocked matrix product
 _BLOCK_BITS = 4
@@ -101,7 +107,8 @@ class StateVector:
 
 @dataclass
 class EvolutionConfig:
-    """Time grid and splitting choices for the Trotter backend.
+    """Time grid of the Trotter backend, whose one product formula is the
+    symmetric splitting (see evolve_trotter).
 
     With total_time set, trotter_steps (default 300) fixes dt; passing dt
     instead derives the step count. With total_time = None the transfer
@@ -113,15 +120,11 @@ class EvolutionConfig:
     total_time: float | None = None
     trotter_steps: int | None = None
     dt: float | None = None
-    splitting: str = "symmetric"
     start_time: float = 1.0
     saturation_rtol: float = 0.01
     max_doublings: int = 16
-    trace_points: int = 257
 
     def __post_init__(self):
-        if self.splitting not in ("symmetric", "first"):
-            raise ValueError("splitting must be 'symmetric' or 'first'")
         if self.total_time is not None and not np.isfinite(self.total_time):
             raise ValueError("total_time must be finite")
         if self.total_time is not None and self.total_time < 0:
@@ -243,8 +246,7 @@ def _z_probability(psi: np.ndarray, z: int) -> float:
     return float((np.abs(psi[z:z + 1]) ** 2)[0])
 
 
-def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
-                     probe=None):
+def _trotter_segment(psi, steps, tables, every=0, z0=0, probe=None):
     """Advance by `steps` Trotter steps of the FWHT path, for either
     driver; psi enters and leaves in the z basis.
 
@@ -252,15 +254,14 @@ def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
     the 1/N of the two unnormalized transforms of each step. The segment
     owns one scratch state, which every transform shares. Returns
     (psi, samples): with every > 0, samples holds the survival
-    |<z0|psi>|^2 after every `every`-th step and after the last one. The
-    "first" splitting is in the z basis between steps, reads psi[z0] and
-    needs no ph_half. The symmetric one stays in the x basis between steps,
-    so a sample inside the segment is |probe . phi|^2 with phi the x-basis
-    state before the closing half-phase and probe from _survival_probe; the
-    last sample reads psi[z0] after the segment closes. With a probe,
-    ph_half is None: the opening and the closing half-phase rebuild it from
-    the probe into the free buffer (_half_from_probe). Segments at fixed dt
-    compose exactly.
+    |<z0|psi>|^2 after every `every`-th step and after the last one.
+    Between steps the state stays in the x basis, so a sample inside the
+    segment is |probe . phi|^2 with phi the x-basis state before the
+    closing half-phase and probe from _survival_probe; the last sample
+    reads psi[z0] after the segment closes. With a probe, ph_half is None:
+    the opening and the closing half-phase rebuild it from the probe into
+    the free buffer (_half_from_probe). Segments at fixed dt compose
+    exactly.
     """
     ph_cl, ph_half, ph_full = tables
     spare = np.empty_like(psi)
@@ -269,15 +270,6 @@ def _trotter_segment(psi, steps, tables, splitting, every=0, z0=0,
     def half():
         return ph_half if probe is None else _half_from_probe(probe, z0, spare)
 
-    if splitting == "first":
-        for k in range(1, steps + 1):
-            psi *= ph_cl
-            psi, spare = _fwht_swap(psi, spare)
-            psi *= ph_full
-            psi, spare = _fwht_swap(psi, spare)
-            if every and (k % every == 0 or k == steps):
-                samples.append(_z_probability(psi, z0))
-        return psi, samples
     psi, spare = _fwht_swap(psi, spare)
     psi *= half()
     for k in range(1, steps + 1):
@@ -404,33 +396,28 @@ def _levels_around(inst, support) -> _Levels | None:
     return _Levels(inst, unmarked)
 
 
-def _level_segment(W, steps, tables, splitting, every=0, probes=None):
+def _level_segment(W, steps, tables, every=0, probes=None):
     """Advance W (see _Levels) by `steps` Trotter steps of the uniform
     driver, in place; returns (W, samples).
 
     tables are (levels, ph_marked, half, full): the _Levels, e^{-i dt E_a}
     - 1 per centre (0 for an unmarked one), and the level phases of
-    e^{-i H_D dt/2} and e^{-i H_D dt} as (n + 1) x 1 columns. The symmetric
-    splitting applies the half phases first, then [classical, full] per
-    step, and closes its last step with the half phases instead of the full
-    ones; the "first" splitting is [classical, full] per step. With
-    every > 0, samples holds the survival after every `every`-th step and
-    after the last one: inside a symmetric segment W holds
-    e^{-i H_D dt/2} psi_k, which probes[1] reads, and everywhere else
-    probes[0] (see _Levels.survival_probes). Segments at fixed dt compose
-    exactly.
+    e^{-i H_D dt/2} and e^{-i H_D dt} as (n + 1) x 1 columns. The segment
+    applies the half phases first, then [classical, full] per step, and
+    closes its last step with the half phases instead of the full ones.
+    With every > 0, samples holds the survival after every `every`-th step
+    and after the last one: inside the segment W holds
+    e^{-i H_D dt/2} psi_k, which probes[1] reads, and at its end probes[0]
+    (see _Levels.survival_probes). Segments at fixed dt compose exactly.
     """
     levels, ph_marked, half, full = tables
-    symmetric = splitting == "symmetric"
     samples = []
-    if symmetric:
-        W *= half
+    W *= half
     for k in range(1, steps + 1):
         W += ph_marked * levels.overlaps(W)
-        W *= half if symmetric and k == steps else full
+        W *= half if k == steps else full
         if every and (k % every == 0 or k == steps):
-            probe = probes[symmetric and k < steps]
-            samples.append(float(abs(np.vdot(probe, W)) ** 2))
+            samples.append(float(abs(np.vdot(probes[k < steps], W)) ** 2))
     return W, samples
 
 
@@ -446,8 +433,7 @@ def _phase_tables(E, Dx, dt):
     return ph_cl, ph_half, ph_half * ph_half
 
 
-def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None,
-                 levels: _Levels | None = None):
+def _segment_for(inst, dt: float, z0=None, levels: _Levels | None = None):
     """The Trotter segment of inst's driver at step dt, with its tables
     built once: segment(held, steps, every=0) -> (held, samples).
 
@@ -455,10 +441,9 @@ def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None,
     _level_segment, which holds W in those level coordinates, with the
     centres' phases and the n + 1 level phases. Otherwise the held state is
     the 2^n state in the z basis and either driver gets _trotter_segment
-    with three 2^n phase tables: ph_cl, ph_full, and ph_half, which a
-    symmetric run with z0 turns into its survival probe in place and a
-    "first" one drops. With z0 given the segment samples the survival of
-    |z0>.
+    with three 2^n phase tables: ph_cl, ph_full, and ph_half, which a run
+    with z0 turns into its survival probe in place. With z0 given the
+    segment samples the survival of |z0>.
     """
     if levels is not None:
         hx, _ = driver_terms(inst)
@@ -469,25 +454,20 @@ def _segment_for(inst, config: EvolutionConfig, dt: float, z0=None,
         ph_marked[:inst.M] = np.expm1(-1j * dt * (inst.base_energy + inst.eps))
         tables = (levels, ph_marked, half, np.exp(-1j * dt * energy))
         probes = levels.survival_probes(z0, half) if z0 is not None else None
-        return partial(_level_segment, tables=tables,
-                       splitting=config.splitting, probes=probes)
+        return partial(_level_segment, tables=tables, probes=probes)
     ph_cl, ph_half, ph_full = _phase_tables(
         all_classical_energies(inst), driver_x_diagonal(inst), dt)
     probe = None
-    if config.splitting != "symmetric":
-        ph_half = None
-    elif z0 is not None:
+    if z0 is not None:
         probe, ph_half = _survival_probe(z0, ph_half), None
     return partial(_trotter_segment, tables=(ph_cl, ph_half, ph_full),
-                   splitting=config.splitting, z0=z0 or 0, probe=probe)
+                   z0=z0 or 0, probe=probe)
 
 
 def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVector:
-    """Product-formula propagation of `state` under inst's Hamiltonian.
+    """Symmetric product-formula propagation of `state` under inst's
+    Hamiltonian: e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step.
 
-    The symmetric splitting applies
-    e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step; the "first"
-    mode applies the plain product (e^{-i H_D dt} e^{-i H_cl dt})^steps.
     On an impurity band a start whose centres fit the level path (see
     _levels_around) runs in level coordinates, builds no 2^n table and
     never copies the input; the 2^n state is formed once, from them, at the
@@ -515,9 +495,9 @@ def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVe
             and np.count_nonzero(amps) ** 2 <= len(amps)):
         levels = _levels_around(inst, np.flatnonzero(amps))
     if levels is None:
-        psi, _ = _segment_for(inst, config, dt)(amps.copy(), steps)
+        psi, _ = _segment_for(inst, dt)(amps.copy(), steps)
         return StateVector(psi, state.n)
-    W, _ = _segment_for(inst, config, dt, levels=levels)(
+    W, _ = _segment_for(inst, dt, levels=levels)(
         levels.start_state(amps[levels.centres]), steps)
     return StateVector(levels.amplitudes(W), state.n)
 
@@ -638,19 +618,22 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
                     on_rung=None) -> PTResult:
     """Prepare |z0>, switch the driver on at constant strength, evolve, measure.
 
-    The diabatic ramps are idealized as instantaneous. With
+    The evolution is the symmetric product formula of evolve_trotter, and
+    the diabatic ramps are idealized as instantaneous. With
     config.total_time = None the run doubles its length until the
     transferred weight is stationary at the configured tolerance (the
     saturation criterion is a relative change below saturation_rtol over
     one doubling of t); otherwise it runs for exactly total_time. After
     each rung of that ladder, on_rung (if given) is called with the total
     time, the transferred weight and its relative change (None on the
-    first rung). On an impurity band the run stays in level coordinates
-    where _levels_around allows, reads each rung's weight there, and forms
-    the 2^n state once, after the last rung; the last survival sample is
-    read from that state. Elsewhere a rung's weight is
-    read from the few amplitudes it needs (_rung_weight), and the phase
-    tables are released before the output distribution is formed.
+    first rung). A rung of `steps` steps records the survival every
+    max(1, steps // (_TRACE_POINTS - 1))-th step and at its end. On an
+    impurity band the run stays in level coordinates where _levels_around
+    allows, reads each rung's weight there, and forms the 2^n state once,
+    after the last rung; the last survival sample is read from that state.
+    Elsewhere a rung's weight is read from the few amplitudes it needs
+    (_rung_weight), and the phase tables are released before the output
+    distribution is formed.
     """
     config = config or EvolutionConfig()
     n = inst.n
@@ -681,12 +664,12 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         levels = _levels_around(inst, [z0])
         held = (levels.start_state(levels.centres == z0) if levels is not None
                 else StateVector.basis_state(n, z0).amplitudes)
-        segment = _segment_for(inst, config, dt, z0, levels)
+        segment = _segment_for(inst, dt, z0, levels)
 
         def advance(n_steps, t_base):
             # one segment per rung, sampled every `rec` steps and at its end
             nonlocal held
-            rec = max(1, n_steps // max(1, config.trace_points - 1))
+            rec = max(1, n_steps // (_TRACE_POINTS - 1))
             held, samples = segment(held, n_steps, every=rec)
             done = [*range(rec, n_steps, rec), n_steps]
             times.extend(t_base + k * dt for k in done)

@@ -167,8 +167,7 @@ def test_08_trotter_backend_order_and_accuracy():
     errs = {}
     infidelity = None
     for steps in (75, 150, 300, 600):
-        config = EvolutionConfig(total_time=10.0, trotter_steps=steps,
-                                 splitting="symmetric")
+        config = EvolutionConfig(total_time=10.0, trotter_steps=steps)
         state = evolve_trotter(StateVector.basis_state(10, z0), inst, config)
         errs[steps] = float(np.linalg.norm(state.amplitudes - exact))
         if steps == 300:
@@ -193,7 +192,7 @@ def test_09_transfer_pipeline_enriches_low_energy_window(tmp_path):
 
     ctrl = tmp_path / "control"
     assert main(["--out-dir", str(ctrl), "gen-instance", "--kind", "spin-glass",
-                 "--n", "16", "--seed", "3", "--no-dimers"]) == 0
+                 "--n", "16", "--seed", "3", "--dimer-count", "0"]) == 0
     assert main(["--out-dir", str(ctrl), "pipeline",
                  "--instance", str(ctrl / "instance.json"), "--dt", "0.1",
                  "--start-time", "25", "--max-doublings", "3",

@@ -18,7 +18,8 @@ import pytest
 import pt_lab
 from pt_lab.cli import _top_k_rows, main
 from pt_lab.downfold import DownfoldedMatrix, TunnelingParams, build_downfolded
-from pt_lab.instances import all_classical_energies, gen_impurity_band, load_instance
+from pt_lab.instances import (all_classical_energies, gen_impurity_band,
+                              gen_spin_glass, instance_to_dict, load_instance)
 from pt_lab.io_utils import (RunManifest, load_downfolded, read_csv_columns,
                              resolve_out_dir, save_downfolded, sha256_file,
                              write_csv, write_json)
@@ -260,15 +261,8 @@ def test_bad_z0_is_usage_error(tmp_path, ib_instance, capsys, cmd, z0):
     (["gen-instance", "--kind", "spin-glass", "--n", "6", "--m", "3"], "--m"),
     (["gen-instance", "--kind", "impurity-band", "--n", "6", "--m", "3",
       "--dimer-count", "2"], "--dimer-count"),
-    (["gen-instance", "--kind", "impurity-band", "--n", "6", "--m", "3",
-      "--no-dimers"], "--no-dimers"),
-    (["gen-instance", "--kind", "spin-glass", "--n", "6", "--no-dimers",
-      "--dimer-count", "2"], "--dimer-count"),
-    (["gen-instance", "--kind", "spin-glass", "--n", "6", "--no-dimers",
-      "--dimer-count", "0"], "--no-dimers"),
 ], ids=["steps-ladder", "steps-dt", "start-time", "rtol", "doublings0",
-        "glass-m", "band-dimers", "band-no-dimers", "dimers-both",
-        "dimers0-both"])
+        "glass-m", "band-dimers"])
 def test_flags_a_run_would_ignore_are_usage_errors(tmp_path, ib_instance,
                                                    capsys, argv, flag):
     if argv[0] != "gen-instance":
@@ -278,6 +272,79 @@ def test_flags_a_run_would_ignore_are_usage_errors(tmp_path, ib_instance,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["gen-instance", "--kind", "impurity-band", "--n", "6", "--m", "3",
+      "--b-perp", "nan"], "B_perp"),
+    (["gen-instance", "--kind", "spin-glass", "--n", "6", "--driver-scale",
+      "nan"], "driver_scale"),
+    (["pt-run", "--b-perp", "nan"], "--b-perp"),
+    (["pt-run", "--b-perp", "-1"], "--b-perp"),
+    (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--lam", "inf"], "lambda"),
+    (["downfold", "--diagonal-shift", "nan"], "diagonal shift"),
+    (["grover-sweep", "--n", "10", "--m", "4", "--w", "0.5", "--eps0", "0"],
+     "driver error"),
+    (["grover-sweep", "--n", "10", "--m", "4", "--w", "0.5", "--eps0", "nan"],
+     "eps0"),
+    (["grover-sweep", "--n", "10", "--m", "2000", "--w", "0.5", "--eps0", "1"],
+     "M < 2^n"),
+    (["grover-sweep", "--n", "40", "--m", "4", "--w", "0.5", "--eps0", "1"],
+     "qubit count"),
+    (["grover-sweep", "--n", "10", "--m", "4", "--w", "-1", "--eps0", "1"],
+     "--w"),
+], ids=["gen-b-perp-nan", "driver-scale-nan", "pt-run-b-perp-nan",
+        "pt-run-b-perp-1", "lam-inf", "diagonal-shift-nan", "eps0-0",
+        "eps0-nan", "grover-m2000", "grover-n40", "grover-w-1"])
+def test_nonfinite_or_out_of_range_flags_are_usage_errors(
+        tmp_path, ib_instance, capsys, argv, word):
+    if argv[0] in ("pt-run", "downfold"):
+        argv = [argv[0], "--instance", str(ib_instance), *argv[1:]]
+    rc = main(["--out-dir", str(tmp_path), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+_GLASS_DOC = instance_to_dict(gen_spin_glass(n=6, seed=3))
+_BAND_DOC = instance_to_dict(gen_impurity_band(6, 3, 0.5, seed=7))
+
+
+@pytest.mark.parametrize("doc, word", [
+    pytest.param({**_GLASS_DOC, "J": [*_GLASS_DOC["J"], [0, 1, 99]]},
+                 "J grid indices", id="J-grid-99"),
+    pytest.param({**_GLASS_DOC, "J": [*_GLASS_DOC["J"], [0, 99, 3]]},
+                 "J sites", id="J-site-99"),
+    pytest.param({**_GLASS_DOC, "J": [*_GLASS_DOC["J"], [0, 1, "x"]]},
+                 "J grid indices", id="J-grid-x"),
+    pytest.param({**_GLASS_DOC, "h": [0.5] * 6}, "h grid indices",
+                 id="h-half"),
+    pytest.param({**_GLASS_DOC, "dimers": [[0, 99]]}, "dimer sites",
+                 id="dimer-site-99"),
+    pytest.param({**_GLASS_DOC, "driver_scale": float("nan")}, "driver_scale",
+                 id="driver-scale-nan"),
+    pytest.param({**_BAND_DOC, "B_perp": float("nan")}, "B_perp",
+                 id="b-perp-nan"),
+    pytest.param({**_BAND_DOC, "eps": [float("nan")] * 3}, "eps",
+                 id="eps-nan"),
+    pytest.param({**_BAND_DOC, "base_energy": float("inf")}, "base_energy",
+                 id="base-energy-inf"),
+    pytest.param({**_BAND_DOC, "n": "16"}, "n must be an integer", id="n-str"),
+    pytest.param({**_BAND_DOC, "n": 8.5}, "n must be an integer", id="n-8.5"),
+    pytest.param({**_BAND_DOC, "W": "x"}, "W", id="W-str"),
+])
+def test_malformed_instance_file_is_usage_error(tmp_path, capsys, doc, word):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["--out-dir", str(out), "pt-run", "--instance", str(bad),
+               "--time", "1", "--steps", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+    assert word in err[0]
+    assert not any(out.iterdir())
 
 
 def test_numeric_downfold_past_its_size_limit_is_usage_error(tmp_path, capsys):
@@ -335,7 +402,7 @@ def test_gen_instance_impurity_band_requires_m(tmp_path, capsys):
 
 def test_gen_instance_no_dimers(tmp_path):
     rc = main(["--out-dir", str(tmp_path), "gen-instance", "--kind",
-               "spin-glass", "--n", "8", "--no-dimers", "--seed", "2"])
+               "spin-glass", "--n", "8", "--dimer-count", "0", "--seed", "2"])
     assert rc == 0
     assert load_instance(tmp_path / "instance.json").dimers == ()
 

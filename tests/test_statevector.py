@@ -59,9 +59,9 @@ def test_fwht_allocates_one_scratch_state(traced_peak):
     assert peak <= v.nbytes + 64 * 1024
 
 
-def _fwht_reference(inst, start, T, steps, splitting):
-    # the basis-alternating product formula: e^{-i H_D t} is H_n times the
-    # x-basis phases times H_n / N, with H_D's x-basis eigenvalues
+def _fwht_reference(inst, start, T, steps):
+    # the basis-alternating symmetric product formula: e^{-i H_D t} is H_n
+    # times the x-basis phases times H_n / N, with H_D's x-basis eigenvalues
     # -B (n - 2 popcount(x)); start is a basis-state label or a 2^n vector
     n, N = inst.n, 1 << inst.n
     dt = T / steps
@@ -77,14 +77,10 @@ def _fwht_reference(inst, start, T, steps, splitting):
     else:
         psi = np.asarray(start, dtype=complex)
     for _ in range(steps):
-        if splitting == "symmetric":
-            psi = drive(ph_cl * drive(psi, dt / 2), dt / 2)
-        else:
-            psi = drive(ph_cl * psi, dt)
+        psi = drive(ph_cl * drive(psi, dt / 2), dt / 2)
     return psi
 
 
-@pytest.mark.parametrize("splitting", ["symmetric", "first"])
 @pytest.mark.parametrize("B", [0.0, 0.6, 2.0])
 @pytest.mark.parametrize("n, M, start", [
     *(pytest.param(n, min(4, 1 << n), "marked", id=str(n))
@@ -96,14 +92,13 @@ def _fwht_reference(inst, start, T, steps, splitting):
     # an unmarked start joins the centres with no classical phase
     pytest.param(8, 4, "unmarked", id="8-unmarked"),
 ])
-def test_uniform_trotter_matches_fwht_reference(n, M, start, B, splitting):
+def test_uniform_trotter_matches_fwht_reference(n, M, start, B):
     inst = gen_impurity_band(n=n, M=M, W=0.5, seed=n, B_perp=B)
     z0 = (inst.marked[-1] if start == "marked"
           else min(set(range(1 << n)) - set(inst.marked)))
-    cfg = EvolutionConfig(total_time=3.0, trotter_steps=40,
-                          splitting=splitting)
+    cfg = EvolutionConfig(total_time=3.0, trotter_steps=40)
     got = evolve_trotter(StateVector.basis_state(n, z0), inst, cfg)
-    want = _fwht_reference(inst, z0, 3.0, 40, splitting)
+    want = _fwht_reference(inst, z0, 3.0, 40)
     np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
 
 
@@ -167,7 +162,7 @@ def test_uniform_path_selection(monkeypatch, extra, start, B, path):
     cfg = EvolutionConfig(total_time=1.0, trotter_steps=5)
     got = evolve_trotter(state, inst, cfg).amplitudes
     assert calls == {"level": path == "level", "fwht": path == "fwht"}
-    want = _fwht_reference(inst, amps, 1.0, 5, "symmetric")
+    want = _fwht_reference(inst, amps, 1.0, 5)
     np.testing.assert_allclose(got, want, atol=1e-12)
     if np.count_nonzero(amps) == 1:
         z0 = int(np.flatnonzero(amps)[0])
@@ -199,33 +194,30 @@ def test_level_reconstruction_matches_distance_sum(n):
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("splitting", ["symmetric", "first"])
-def test_band_segments_compose(monkeypatch, splitting):
+def test_band_segments_compose(monkeypatch):
     # the first half runs in level coordinates; its output has 2^n
     # nonzero amplitudes, so the second half takes the FWHT path
     inst = gen_impurity_band(n=8, M=6, W=0.5, seed=4, B_perp=1.3)
     state = StateVector.basis_state(8, inst.marked[2])
     whole = evolve_trotter(state, inst, EvolutionConfig(
-        total_time=2.0, trotter_steps=200, splitting=splitting))
+        total_time=2.0, trotter_steps=200))
     calls = _spy_paths(monkeypatch)
     half = evolve_trotter(state, inst, EvolutionConfig(
-        total_time=1.0, trotter_steps=100, splitting=splitting))
+        total_time=1.0, trotter_steps=100))
     again = evolve_trotter(half, inst, EvolutionConfig(
-        total_time=1.0, trotter_steps=100, splitting=splitting))
+        total_time=1.0, trotter_steps=100))
     assert calls == {"level": 1, "fwht": 1}
     np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
 
 
-@pytest.mark.parametrize("splitting", ["symmetric", "first"])
-def test_band_ladder_weights_match_full_state_runs(splitting):
+def test_band_ladder_weights_match_full_state_runs():
     inst = gen_impurity_band(n=7, M=5, W=0.5, seed=6, B_perp=1.1)
     z0, dt = inst.marked[1], 0.1
     res = run_pt_protocol(inst, z0, EvolutionConfig(
-        dt=dt, start_time=1.0, max_doublings=3, saturation_rtol=1e-12,
-        splitting=splitting))
+        dt=dt, start_time=1.0, max_doublings=3, saturation_rtol=1e-12))
     np.testing.assert_allclose(res.ladder_times, [1.0, 2.0, 4.0, 8.0])
     for t, w in zip(res.ladder_times, res.ladder_weights):
-        psi = _fwht_reference(inst, z0, t, round(t / dt), splitting)
+        psi = _fwht_reference(inst, z0, t, round(t / dt))
         assert w == pytest.approx(
             transferred_weight(inst, z0, np.abs(psi) ** 2), abs=1e-12)
     assert res.ladder_weights[-1] > 0.01
@@ -292,11 +284,10 @@ def test_uniform_trotter_norm_drift_over_long_runs(monkeypatch):
     for M in (8, 65):
         inst = gen_impurity_band(n=12, M=M, W=0.5, seed=3, B_perp=2.0)
         state = StateVector.basis_state(12, inst.marked[0])
-        for splitting in ("symmetric", "first"):
-            out = evolve_trotter(state, inst, EvolutionConfig(
-                total_time=1000.0, trotter_steps=20000, splitting=splitting))
-            assert abs(out.norm() - 1.0) <= 1e-10
-    assert calls == {"level": 2, "fwht": 2}
+        out = evolve_trotter(state, inst, EvolutionConfig(
+            total_time=1000.0, trotter_steps=20000))
+        assert abs(out.norm() - 1.0) <= 1e-10
+    assert calls == {"level": 1, "fwht": 1}
 
 
 def test_driver_spectrum_matches_dense():
@@ -381,7 +372,8 @@ def test_long_time_average_dephases():
 
 @pytest.mark.parametrize("kind", ["matched", "uniform"])
 def test_trotter_converges_to_exact(kind):
-    # the spin glass runs the matched driver, the impurity band the uniform one
+    # the spin glass runs the matched driver, the impurity band the uniform
+    # one; halving dt quarters the error of a second-order product formula
     if kind == "matched":
         g = gen_spin_glass(n=6, seed=1)
         z0 = 9
@@ -393,14 +385,13 @@ def test_trotter_converges_to_exact(kind):
     phases = np.exp(-1j * vals * T)
     psi_exact = vecs @ (phases * vecs[z0])
     state = StateVector.basis_state(6, z0)
-    cfg = EvolutionConfig(total_time=T, trotter_steps=800)
-    psi_sym = evolve_trotter(state, g, cfg).amplitudes
-    err_sym = np.linalg.norm(psi_sym - psi_exact)
-    assert err_sym < 1e-3
-    cfg1 = EvolutionConfig(total_time=T, trotter_steps=800, splitting="first")
-    err_first = np.linalg.norm(evolve_trotter(state, g, cfg1).amplitudes
-                               - psi_exact)
-    assert err_sym < err_first
+    err = {}
+    for steps in (400, 800):
+        psi = evolve_trotter(state, g, EvolutionConfig(
+            total_time=T, trotter_steps=steps)).amplitudes
+        err[steps] = np.linalg.norm(psi - psi_exact)
+    assert err[800] < 1e-3
+    assert 3.9 <= err[400] / err[800] <= 4.1
 
 
 def test_trotter_segments_compose():
@@ -416,48 +407,49 @@ def test_trotter_segments_compose():
     np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
 
 
-@pytest.mark.parametrize("splitting", ["symmetric", "first"])
-def test_survival_trace_matches_fixed_time_runs(splitting):
-    # rungs of 10, 10 and 20 steps at trace_points=4 sample every 3, 3
+def test_survival_trace_matches_fixed_time_runs(monkeypatch):
+    # rungs of 10, 10 and 20 steps at 4 trace points sample every 3, 3
     # and 6 steps, each rung ending on a shorter leftover chunk
+    import pt_lab.statevector as sv
+
+    monkeypatch.setattr(sv, "_TRACE_POINTS", 4)
     g = gen_spin_glass(n=6, seed=5)
     z0, dt = 21, 0.1
     res = run_pt_protocol(g, z0, EvolutionConfig(
-        dt=dt, start_time=1.0, max_doublings=2, saturation_rtol=1e-12,
-        splitting=splitting, trace_points=4))
+        dt=dt, start_time=1.0, max_doublings=2, saturation_rtol=1e-12))
     steps = np.rint(res.times / dt).astype(int)
     np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19, 20,
                                           26, 32, 38, 40])
     state = StateVector.basis_state(6, z0)
     for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
         psi = evolve_trotter(state, g, EvolutionConfig(
-            total_time=t, trotter_steps=k, splitting=splitting)).amplitudes
+            total_time=t, trotter_steps=k)).amplitudes
         assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
     # the rung weight reads one amplitude, the output weight all of them
     assert res.ladder_weights[-1] == res.transferred_weight
 
 
-@pytest.mark.parametrize("splitting", ["symmetric", "first"])
-def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch,
-                                                       splitting):
+def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch):
     # the impurity-band copy of the test above: same rungs and samples,
     # read inside level-coordinate segments (M = 5) and, on a dense band
     # (M = 9, M^2 > 2^6), inside FWHT segments
+    import pt_lab.statevector as sv
+
+    monkeypatch.setattr(sv, "_TRACE_POINTS", 4)
     calls = _spy_paths(monkeypatch)
     for M, path in [(5, "level"), (9, "fwht")]:
         calls.update(level=0, fwht=0)
         g = gen_impurity_band(n=6, M=M, W=0.5, seed=5, B_perp=1.3)
         z0, dt = g.marked[0], 0.1
         res = run_pt_protocol(g, z0, EvolutionConfig(
-            dt=dt, start_time=1.0, max_doublings=2, saturation_rtol=1e-12,
-            splitting=splitting, trace_points=4))
+            dt=dt, start_time=1.0, max_doublings=2, saturation_rtol=1e-12))
         steps = np.rint(res.times / dt).astype(int)
         np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19,
                                               20, 26, 32, 38, 40])
         state = StateVector.basis_state(6, z0)
         for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
             psi = evolve_trotter(state, g, EvolutionConfig(
-                total_time=t, trotter_steps=k, splitting=splitting)).amplitudes
+                total_time=t, trotter_steps=k)).amplitudes
             assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
         assert not np.allclose(res.survival, 1.0)
         assert {name for name, count in calls.items() if count} == {path}
@@ -465,9 +457,8 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch,
             assert res.ladder_weights[-1] == res.transferred_weight
 
 
-@pytest.mark.parametrize("splitting", ["symmetric", "first"])
 @pytest.mark.parametrize("kind", ["glass", "dense-band", "level-band"])
-def test_last_survival_sample_is_the_output_probability(splitting, kind):
+def test_last_survival_sample_is_the_output_probability(kind):
     # the closing sample and the output distribution read the same
     # amplitude through the same abs, so they agree bit for bit; the dense
     # band (M^2 > 2^8) runs the FWHT path, the M = 6 band level coordinates
@@ -481,14 +472,14 @@ def test_last_survival_sample_is_the_output_probability(splitting, kind):
         assert (_levels_around(inst, [z0]) is None) == (M == 20)
     for t in (0.7, 1.3, 2.9, 4.1, 6.6, 9.5):
         res = run_pt_protocol(inst, z0, EvolutionConfig(
-            total_time=t, trotter_steps=int(10 * t), splitting=splitting))
+            total_time=t, trotter_steps=int(10 * t)))
         assert res.survival[-1] == res.probabilities[z0], t
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 500), st.floats(0.1, 5.0), st.integers(1, 60),
-       st.sampled_from(["symmetric", "first"]), st.floats(0.0, 3.0))
-def test_uniform_trotter_preserves_norm(seed, T, steps, splitting, B):
+       st.floats(0.0, 3.0))
+def test_uniform_trotter_preserves_norm(seed, T, steps, B):
     # M = 4 runs in level coordinates, the dense band M = 6 (M^2 > 2^5)
     # on the FWHT path
     for M in (4, 6):
@@ -496,20 +487,17 @@ def test_uniform_trotter_preserves_norm(seed, T, steps, splitting, B):
         z0 = g.marked[seed % 4]
         assert (_levels_around(g, [z0]) is None) == (M == 6)
         state = StateVector.basis_state(5, z0)
-        cfg = EvolutionConfig(total_time=T, trotter_steps=steps,
-                              splitting=splitting)
+        cfg = EvolutionConfig(total_time=T, trotter_steps=steps)
         out = evolve_trotter(state, g, cfg)
         assert out.norm() == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=25)
-@given(st.integers(0, 500), st.floats(0.1, 5.0), st.integers(1, 60),
-       st.sampled_from(["symmetric", "first"]))
-def test_trotter_preserves_norm(seed, T, steps, splitting):
+@given(st.integers(0, 500), st.floats(0.1, 5.0), st.integers(1, 60))
+def test_trotter_preserves_norm(seed, T, steps):
     g = gen_spin_glass(n=5, seed=seed)
     state = StateVector.basis_state(5, seed % 32)
-    cfg = EvolutionConfig(total_time=T, trotter_steps=steps,
-                          splitting=splitting)
+    cfg = EvolutionConfig(total_time=T, trotter_steps=steps)
     out = evolve_trotter(state, g, cfg)
     assert out.norm() == pytest.approx(1.0, abs=1e-9)
 
