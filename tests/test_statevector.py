@@ -59,6 +59,11 @@ def test_fwht_allocates_one_scratch_state(traced_peak):
     assert peak <= v.nbytes + 64 * 1024
 
 
+# every run takes the symmetric (Strang) product formula; the tests that
+# once compared it with a first-order one keep its name in their ids
+SYMMETRIC = pytest.mark.parametrize((), [pytest.param(id="symmetric")])
+
+
 def _fwht_reference(inst, start, T, steps):
     # the basis-alternating symmetric product formula: e^{-i H_D t} is H_n
     # times the x-basis phases times H_n / N, with H_D's x-basis eigenvalues
@@ -81,6 +86,7 @@ def _fwht_reference(inst, start, T, steps):
     return psi
 
 
+@SYMMETRIC
 @pytest.mark.parametrize("B", [0.0, 0.6, 2.0])
 @pytest.mark.parametrize("n, M, start", [
     *(pytest.param(n, min(4, 1 << n), "marked", id=str(n))
@@ -194,6 +200,7 @@ def test_level_reconstruction_matches_distance_sum(n):
                                atol=1e-12)
 
 
+@SYMMETRIC
 def test_band_segments_compose(monkeypatch):
     # the first half runs in level coordinates; its output has 2^n
     # nonzero amplitudes, so the second half takes the FWHT path
@@ -210,6 +217,7 @@ def test_band_segments_compose(monkeypatch):
     np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
 
 
+@SYMMETRIC
 def test_band_ladder_weights_match_full_state_runs():
     inst = gen_impurity_band(n=7, M=5, W=0.5, seed=6, B_perp=1.1)
     z0, dt = inst.marked[1], 0.1
@@ -407,6 +415,7 @@ def test_trotter_segments_compose():
     np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
 
 
+@SYMMETRIC
 def test_survival_trace_matches_fixed_time_runs(monkeypatch):
     # rungs of 10, 10 and 20 steps at 4 trace points sample every 3, 3
     # and 6 steps, each rung ending on a shorter leftover chunk
@@ -429,6 +438,7 @@ def test_survival_trace_matches_fixed_time_runs(monkeypatch):
     assert res.ladder_weights[-1] == res.transferred_weight
 
 
+@SYMMETRIC
 def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch):
     # the impurity-band copy of the test above: same rungs and samples,
     # read inside level-coordinate segments (M = 5) and, on a dense band
@@ -457,6 +467,7 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch):
             assert res.ladder_weights[-1] == res.transferred_weight
 
 
+@SYMMETRIC
 @pytest.mark.parametrize("kind", ["glass", "dense-band", "level-band"])
 def test_last_survival_sample_is_the_output_probability(kind):
     # the closing sample and the output distribution read the same
