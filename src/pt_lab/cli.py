@@ -69,7 +69,6 @@ from .pblm import (
     site_self_energies,
 )
 from .statevector import (
-    DENSE_MAX_N,
     EvolutionConfig,
     StateVector,
     evolve_trotter,
@@ -288,14 +287,10 @@ def _cmd_downfold(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
     if not isinstance(inst, ImpurityBandInstance):
         raise UsageError("downfold needs an impurity-band instance")
-    if args["phase_mode"] == "numeric_extraction" and inst.n > DENSE_MAX_N:
-        raise UsageError(f"--phase-mode numeric_extraction is limited to "
-                         f"n <= {DENSE_MAX_N}, got n = {inst.n}")
     try:
         params = TunnelingParams(
             n=inst.n, B_perp=inst.B_perp, phase_mode=args["phase_mode"],
-            calibration_A=args["calibration_a"],
-            diagonal_shift=args["diagonal_shift"])
+            calibration_A=args["calibration_a"])
     except ValueError as e:
         raise UsageError(str(e)) from e
     mat = build_downfolded(inst, params, seed=args["seed"])
@@ -439,7 +434,7 @@ def _cmd_minima(args, out_dir, manifest):
 
 
 def _cmd_pipeline(args, out_dir, manifest):
-    inst = _load_checked(args["instance"])
+    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
     z0 = _choose_start(inst, args["z0"])
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
@@ -622,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             "numeric_extraction"],
                    default="random_sign")
     d.add_argument("--calibration-a", type=float, default=1.0)
-    d.add_argument("--diagonal-shift", type=float, default=None)
     d.add_argument("--seed", type=int, default=0)
 
     pe = sub.add_parser("pblm-ensemble", help="heavy-tailed matrix ensemble statistics")

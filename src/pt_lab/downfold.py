@@ -24,10 +24,9 @@ import numpy as np
 
 from .bits import hamming_table, krawtchouk_table
 from .instances import ImpurityBandInstance
-from .statevector import DENSE_MAX_N
 
 # a level Gram's eigenvalues below this fraction of its largest count as
-# zero: over n <= 14 and M <= 100 its zero eigenvalues come out below 1e-14
+# zero: over n <= 32 and M <= 100 its zero eigenvalues come out below 1e-14
 # of the largest and its nonzero ones above 1e-6
 _GRAM_RTOL = 1e-10
 
@@ -39,7 +38,6 @@ class TunnelingParams:
     phase_mode: str = "random_sign"
     # the prefactor A of V(d); 1 is the unit prefactor
     calibration_A: float = 1.0
-    diagonal_shift: float | None = None
 
     def __post_init__(self):
         if self.B_perp <= 0:
@@ -47,8 +45,6 @@ class TunnelingParams:
         if not (math.isfinite(self.calibration_A) and self.calibration_A > 0):
             raise ValueError("calibration A must be finite and > 0, "
                              f"got {self.calibration_A}")
-        if self.diagonal_shift is not None and not math.isfinite(self.diagonal_shift):
-            raise ValueError(f"diagonal shift must be finite, got {self.diagonal_shift}")
         if self.phase_mode not in ("random_sign", "random_phase", "numeric_extraction"):
             raise ValueError(
                 "phase_mode must be random_sign, random_phase or numeric_extraction")
@@ -57,8 +53,6 @@ class TunnelingParams:
     def shift(self) -> float:
         # Second-order common shift of the marked levels; any common value
         # drops out of the intra-band dynamics.
-        if self.diagonal_shift is not None:
-            return self.diagonal_shift
         return -self.B_perp ** 2
 
 
@@ -139,28 +133,28 @@ def v_typ(n: int, B_perp: float) -> float:
     return n * n * 2.0 ** (-n / 2.0) * math.exp(-n / (4.0 * B_perp ** 2))
 
 
-def _log_binomial(n: int, d: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(d + 1) - math.lgamma(n - d + 1)
-
-
-def tunneling_amplitude(d: int, params: TunnelingParams) -> float:
-    """V(d) = sqrt(A) n^{5/4} e^{-n theta} / sqrt(C(n, d)); logs avoid overflow."""
-    n = params.n
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d = {d}")
-    log_v = (0.5 * math.log(params.calibration_A) + 1.25 * math.log(n)
-             - n * theta(params.B_perp) - 0.5 * _log_binomial(n, d))
-    return math.exp(log_v)
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, d) for d = 0..n."""
+    return np.array([math.lgamma(n + 1) - math.lgamma(d + 1) - math.lgamma(n - d + 1)
+                     for d in range(n + 1)])
 
 
 def amplitude_table(params: TunnelingParams) -> np.ndarray:
-    """V(d) for d = 0..n in one pass (entry 0 unused, set to 0)."""
+    """V(d) = sqrt(A) n^{5/4} e^{-n theta} / sqrt(C(n, d)) for d = 0..n in
+    logs, which avoid overflow (entry 0 unused, set to 0)."""
     n = params.n
     th = theta(params.B_perp)
-    log_c = np.array([_log_binomial(n, d) for d in range(n + 1)])
+    log_c = _log_binomials(n)
     tab = np.exp(0.5 * math.log(params.calibration_A) + 1.25 * math.log(n) - n * th - 0.5 * log_c)
     tab[0] = 0.0
     return tab
+
+
+def tunneling_amplitude(d: int, params: TunnelingParams) -> float:
+    """V(d) for one distance 1 <= d <= n, read from amplitude_table."""
+    if not 1 <= d <= params.n:
+        raise ValueError(f"need 1 <= d <= n, got d = {d}")
+    return float(amplitude_table(params)[d])
 
 
 def reference_amplitude(params: TunnelingParams) -> float:
@@ -175,9 +169,9 @@ def build_downfolded(inst: ImpurityBandInstance, params: TunnelingParams,
     Off-diagonal magnitudes are V(d_ij); the unknown phase factor is
     drawn per phase_mode: independent signs (default) or sqrt(2) sin of
     a uniform phase. numeric_extraction instead projects the exact
-    Hamiltonian onto its M impurity-band eigenstates (n <= DENSE_MAX_N),
-    taken from marked_eigensystem, and keeps whatever diagonal that
-    projection produces.
+    Hamiltonian onto its M impurity-band eigenstates, taken from
+    marked_eigensystem, and keeps whatever diagonal that projection
+    produces.
     """
     if inst.n != params.n:
         raise ValueError("instance and params disagree on n")
@@ -217,12 +211,9 @@ def marked_eigensystem(inst: ImpurityBandInstance) -> tuple[np.ndarray, np.ndarr
     eigenvalues L_j, and has marked components B_j = Q_j L_j^(1/2). In the
     stacked basis B (M x D, D <= M (n+1)) H is
     diag(-B_perp (n - 2j)) + B^T diag(base_energy + eps) B, whose
-    eigenvectors Y give marked components B Y. Capped at n = DENSE_MAX_N,
-    the largest size at which the dense reference (exact_eigs) can check it.
+    eigenvectors Y give marked components B Y.
     """
     n = inst.n
-    if n > DENSE_MAX_N:
-        raise ValueError(f"numeric extraction is limited to n <= {DENSE_MAX_N}")
     dist = hamming_table(inst.marked)
     blocks, levels = [], []
     for j, K_j in enumerate(krawtchouk_table(n)):
@@ -293,9 +284,8 @@ def sample_w(n: int, count: int, seed: int = 0) -> np.ndarray:
         redo = d < 1
         d[redo] = rng.binomial(n, 0.5, size=int(redo.sum()))
     # w = C(n, n//2) / C(n, d), computed in logs
-    log_ref = _log_binomial(n, n // 2)
-    log_c = np.array([_log_binomial(n, k) for k in range(n + 1)])
-    return np.exp(log_ref - log_c[d])
+    log_c = _log_binomials(n)
+    return np.exp(log_c[n // 2] - log_c[d])
 
 
 def extract_numeric_elements(inst: ImpurityBandInstance,

@@ -120,6 +120,8 @@ def reduced_transfer(setup: GroverSetup, times) -> np.ndarray:
 
 
 def _check_regime(setup: GroverSetup):
+    if not setup.eps0 > 0:
+        raise ValueError(f"needs a positive driver error eps0, got {setup.eps0}")
     if setup.W > 0 and setup.eps0 < _REGIME_FACTOR * setup.W:
         warnings.warn(
             "perturbative treatment assumes eps0 >> W; "
@@ -131,8 +133,6 @@ def perturbative_transfer(t, setup: GroverSetup) -> np.ndarray:
 
     Clamped to [0, 1]; valid to leading order in eps0/W with p0 < 1.
     """
-    if setup.eps0 == 0:
-        raise ValueError("needs a nonzero driver error")
     _check_regime(setup)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     prefactor = 2.0 * setup.M * setup.V ** 2 / setup.eps0 ** 2
@@ -144,8 +144,6 @@ def perturbative_transfer(t, setup: GroverSetup) -> np.ndarray:
 
 def peak_transfer(setup: GroverSetup) -> tuple[float, float]:
     """First-peak time t0 = pi/eps0 and its height p0 = 4 M V^2/eps0^2."""
-    if setup.eps0 == 0:
-        raise ValueError("needs a nonzero driver error")
     _check_regime(setup)
     t0 = math.pi / setup.eps0
     p0 = min(4.0 * setup.M * setup.V ** 2 / setup.eps0 ** 2, 1.0)

@@ -62,6 +62,12 @@ class PBLMConfig:
             raise ValueError(f"lambda must be finite and positive, got {self.lam}")
         if not (math.isfinite(self.V_typ_unit) and self.V_typ_unit > 0):
             raise ValueError(f"V_typ must be finite and positive, got {self.V_typ_unit}")
+        try:
+            W = self.W
+        except OverflowError:
+            W = math.inf
+        if not math.isfinite(W):
+            raise ValueError(f"W = lambda M^(gamma/2) V_typ must be finite, got {W}")
 
     @property
     def W(self) -> float:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath as mp
@@ -76,12 +77,27 @@ def test_amplitude_decreases_to_the_equator():
     assert tab[10] == pytest.approx(tab[20 - 10] * 1.0)
 
 
+def test_downfold_does_not_import_statevector():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pt_lab
+
+    src = str(Path(pt_lab.__file__).resolve().parents[1])
+    probe = ("import sys, pt_lab.downfold; "
+             "print('pt_lab.statevector' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "False", done.stderr
+
+
 def test_tunneling_params_defaults():
     p = TunnelingParams(n=10, B_perp=1.5)
     assert p.calibration_A == 1.0
     assert p.shift == pytest.approx(-1.5**2)
-    p2 = TunnelingParams(n=10, B_perp=1.5, diagonal_shift=0.25)
-    assert p2.shift == 0.25
 
 
 def test_build_downfolded_random_sign():
@@ -317,7 +333,44 @@ def test_numeric_extraction_never_forms_the_dense_hamiltonian(monkeypatch,
     assert peak < 8 << 14
 
 
-def test_numeric_extraction_keeps_its_size_limit():
-    inst = gen_impurity_band(15, 3, 0.5, seed=0, B_perp=2.0)
-    with pytest.raises(ValueError, match="numeric extraction is limited to n <= 14"):
-        marked_eigensystem(inst)
+def _krawtchouk(n, j, d):
+    return sum((-1) ** k * math.comb(d, k) * math.comb(n - d, j - k)
+               for k in range(min(d, j) + 1))
+
+
+def _secular_system(inst):
+    """E -> (diag(1/e) - G(E), G2(E)), with G_ab(E) = <m_a|(E - H_D)^-1|m_b>
+    and G2 its squared-denominator partner, from the driver levels
+    -B_perp (n - 2j), whose projectors have overlaps 2^-n K_j(d_ab)."""
+    n = inst.n
+    marked = np.asarray(inst.marked, dtype=np.uint64)
+    dist = np.bitwise_count(marked[:, None] ^ marked[None, :]).astype(int)
+    K = np.array([[_krawtchouk(n, j, d) for d in range(n + 1)]
+                  for j in range(n + 1)], dtype=float) / 2.0 ** n
+    level_gap = inst.B_perp * (n - 2 * np.arange(n + 1))
+    inv_e = np.diag(1.0 / (inst.base_energy + np.asarray(inst.eps)))
+
+    def at(E):
+        r = 1.0 / (E + level_gap)
+        return inv_e - (r @ K)[dist], ((r * r) @ K)[dist]
+    return at
+
+
+@pytest.mark.parametrize("n, M", [(n, M) for n in (16, 20, 24, 28, 32)
+                                  for M in (2, 8)] + [(24, 64)])
+def test_marked_eigensystem_solves_the_secular_equation(n, M):
+    # past the dense reference: an eigenvalue E of the band satisfies
+    # det(diag(1/e) - G(E)) = 0, and the marked components of its state
+    # are x/e for the null vector x, normalized by x^T G2(E) x = 1
+    inst = gen_impurity_band(n, M, 0.5, seed=n + M, B_perp=2.0)
+    vals, amp = marked_eigensystem(inst)
+    e = inst.base_energy + np.asarray(inst.eps)
+    secular = _secular_system(inst)
+    for k in np.argsort((amp ** 2).sum(axis=0))[-M:]:
+        A, G2 = secular(vals[k])
+        _, sig, vt = np.linalg.svd(A)
+        assert sig[-1] / sig[0] <= 1e-10
+        x = vt[-1] / math.sqrt(vt[-1] @ G2 @ vt[-1])
+        c = x / e
+        c *= np.sign(c @ amp[:, k])
+        np.testing.assert_allclose(amp[:, k], c, rtol=0, atol=1e-9)

@@ -17,7 +17,8 @@ import pytest
 
 import pt_lab
 from pt_lab.cli import _top_k_rows, main
-from pt_lab.downfold import DownfoldedMatrix, TunnelingParams, build_downfolded
+from pt_lab.downfold import (DownfoldedMatrix, TunnelingParams, build_downfolded,
+                             marked_eigensystem)
 from pt_lab.instances import (all_classical_energies, gen_impurity_band,
                               gen_spin_glass, instance_to_dict, load_instance)
 from pt_lab.io_utils import (RunManifest, load_downfolded, read_csv_columns,
@@ -282,8 +283,13 @@ def test_flags_a_run_would_ignore_are_usage_errors(tmp_path, ib_instance,
     (["pt-run", "--b-perp", "nan"], "--b-perp"),
     (["pt-run", "--b-perp", "-1"], "--b-perp"),
     (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--lam", "inf"], "lambda"),
-    (["downfold", "--diagonal-shift", "nan"], "diagonal shift"),
+    (["pblm-ensemble", "--m", "8", "--gamma", "1e6", "--realizations", "1"],
+     "W = "),
+    (["stats-fit", "--input", "pblm_sites.csv", "--m", "8", "--gamma", "1e6"],
+     "W = "),
     (["grover-sweep", "--n", "10", "--m", "4", "--w", "0.5", "--eps0", "0"],
+     "driver error"),
+    (["grover-sweep", "--n", "10", "--m", "4", "--w", "0.5", "--eps0", "-3", "3"],
      "driver error"),
     (["grover-sweep", "--n", "10", "--m", "4", "--w", "0.5", "--eps0", "nan"],
      "eps0"),
@@ -294,8 +300,8 @@ def test_flags_a_run_would_ignore_are_usage_errors(tmp_path, ib_instance,
     (["grover-sweep", "--n", "10", "--m", "4", "--w", "-1", "--eps0", "1"],
      "--w"),
 ], ids=["gen-b-perp-nan", "driver-scale-nan", "pt-run-b-perp-nan",
-        "pt-run-b-perp-1", "lam-inf", "diagonal-shift-nan", "eps0-0",
-        "eps0-nan", "grover-m2000", "grover-n40", "grover-w-1"])
+        "pt-run-b-perp-1", "lam-inf", "pblm-w-overflow", "stats-fit-w-overflow",
+        "eps0-0", "eps0-neg", "eps0-nan", "grover-m2000", "grover-n40", "grover-w-1"])
 def test_nonfinite_or_out_of_range_flags_are_usage_errors(
         tmp_path, ib_instance, capsys, argv, word):
     if argv[0] in ("pt-run", "downfold"):
@@ -347,18 +353,20 @@ def test_malformed_instance_file_is_usage_error(tmp_path, capsys, doc, word):
     assert not any(out.iterdir())
 
 
-def test_numeric_downfold_past_its_size_limit_is_usage_error(tmp_path, capsys):
+def test_numeric_downfold_past_the_dense_range(tmp_path):
+    # n = 20 is past the dense reference (n <= 14); the written matrix
+    # still carries the band eigenvalues of the marked-subspace solve
     inp, out = tmp_path / "in", tmp_path / "out"
     assert main(["--out-dir", str(inp), "gen-instance", "--kind", "impurity-band",
-                 "--n", "15", "--m", "3", "--w", "0.5"]) == 0
-    capsys.readouterr()
-    rc = main(["--out-dir", str(out), "downfold", "--instance",
-               str(inp / "instance.json"), "--phase-mode", "numeric_extraction"])
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: --phase-mode numeric_extraction is limited to "
-                   "n <= 14, got n = 15"]
-    assert not out.exists() or not any(out.iterdir())
+                 "--n", "20", "--m", "6", "--w", "0.5", "--seed", "1"]) == 0
+    assert main(["--out-dir", str(out), "downfold", "--instance",
+                 str(inp / "instance.json"),
+                 "--phase-mode", "numeric_extraction"]) == 0
+    inst = load_instance(inp / "instance.json")
+    vals, amp = marked_eigensystem(inst)
+    band = np.sort(vals[np.argsort((amp ** 2).sum(axis=0))[-6:]])
+    got = np.linalg.eigvalsh(load_downfolded(out / "downfolded").matrix)
+    np.testing.assert_allclose(got + inst.base_energy, band, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("k", [1, 5, 17, 63, 64, 65, 1000])
@@ -783,6 +791,30 @@ def test_ladder_progress_on_stderr_only(tmp_path, ib_instance, capsys,
     for name in names:
         if name != "manifest.json":  # it records the run directory
             assert (shown / name).read_bytes() == (quiet / name).read_bytes()
+
+
+def test_pipeline_applies_the_b_perp_override(tmp_path, ib_instance):
+    ladder = ["--instance", str(ib_instance), "--dt", "0.1", "--start-time", "1",
+              "--max-doublings", "2", "--b-perp", "3"]
+    base, run = tmp_path / "base", tmp_path / "run"
+    assert main(["--out-dir", str(base), "pt-run", *ladder]) == 0
+    assert main(["--out-dir", str(run), "pipeline", *ladder]) == 0
+    names = sorted(p.name for p in base.glob("pt_*.csv"))
+    assert len(names) == 4
+    for name in names:
+        # the first line stamps the manifest hash, which records the subcommand
+        assert ((run / name).read_text().splitlines()[1:]
+                == (base / name).read_text().splitlines()[1:]), name
+
+
+def test_pipeline_b_perp_on_a_glass_is_usage_error(tmp_path, glass_instance,
+                                                     capsys):
+    rc = main(["--out-dir", str(tmp_path), "pipeline", "--instance",
+               str(glass_instance), "--b-perp", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--b-perp" in err[0]
+    assert not any(tmp_path.iterdir())
 
 
 def test_replay_verifies_hashes(tmp_path, ib_instance, capsys, monkeypatch):
