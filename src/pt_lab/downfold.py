@@ -92,16 +92,6 @@ class DownfoldedMatrix:
         vecs.flags.writeable = False
         return vals, vecs
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix)
-
-    @property
-    def offdiagonal(self) -> np.ndarray:
-        out = self.matrix.copy()
-        np.fill_diagonal(out, 0.0)
-        return out
-
 
 def theta(B_perp: float) -> float:
     """Truncated inverse-field series 1/(4B^2) + 1/(24B^4) + 1/(60B^6).
@@ -157,9 +147,15 @@ def tunneling_amplitude(d: int, params: TunnelingParams) -> float:
     return float(amplitude_table(params)[d])
 
 
+def _reference_distance(n: int) -> int:
+    """The typical distance n // 2, raised to 1 for n = 1, where V(0) is
+    undefined; V_typ and w below are both taken there."""
+    return max(1, n // 2)
+
+
 def reference_amplitude(params: TunnelingParams) -> float:
-    """Amplitude at the typical distance d = n//2 (normalizes w below)."""
-    return tunneling_amplitude(params.n // 2, params)
+    """Amplitude at the reference distance (normalizes w below)."""
+    return tunneling_amplitude(_reference_distance(params.n), params)
 
 
 def build_downfolded(inst: ImpurityBandInstance, params: TunnelingParams,
@@ -275,7 +271,8 @@ def cdf_w(w):
 
 def sample_w(n: int, count: int, seed: int = 0) -> np.ndarray:
     """Physical sampler: d ~ Binomial(n, 1/2) conditioned on d >= 1,
-    w = V^2(d)/V^2(n//2) in unit-prefactor mode."""
+    w = V^2(d)/V^2(d_ref) in unit-prefactor mode, d_ref the reference
+    distance (n // 2 for n >= 2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -283,9 +280,9 @@ def sample_w(n: int, count: int, seed: int = 0) -> np.ndarray:
     while np.any(d < 1):
         redo = d < 1
         d[redo] = rng.binomial(n, 0.5, size=int(redo.sum()))
-    # w = C(n, n//2) / C(n, d), computed in logs
+    # w = C(n, d_ref) / C(n, d), computed in logs
     log_c = _log_binomials(n)
-    return np.exp(log_c[n // 2] - log_c[d])
+    return np.exp(log_c[_reference_distance(n)] - log_c[d])
 
 
 def extract_numeric_elements(inst: ImpurityBandInstance,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import check_n
+from .statevector import spectral_propagation
 
 _REGIME_FACTOR = 5.0
 
@@ -105,17 +106,13 @@ def projector_hamiltonian_dense(setup: GroverSetup) -> np.ndarray:
 
 
 def reduced_transfer(setup: GroverSetup, times) -> np.ndarray:
-    """Total marked population vs time, starting in the driver state, summed
-    over the marked subspace: 1 - survival (statevector.spectral_propagation)
-    would lose relative precision when the population is small."""
-    H = build_reduced_hamiltonian(setup)
-    vals, vecs = np.linalg.eigh(H)
-    t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    # psi(t) expanded over eigenstates; row 0 is the driver component
-    coef = vecs[0]
-    amp = vecs @ (np.exp(-1j * np.outer(vals, t_arr)) * coef[:, None])
-    marked = np.abs(amp[1:]) ** 2
-    out = marked.sum(axis=0)
+    """Total marked population vs time, starting in the driver state: the
+    sum of each marked level's transition curve from spectral_propagation,
+    since 1 - survival would lose relative precision when the population
+    is small."""
+    vals, vecs = np.linalg.eigh(build_reduced_hamiltonian(setup))
+    # row 0 of vecs is the driver component, rows 1.. the marked levels
+    out = spectral_propagation(vals, (vecs[1:] * vecs[0]).T, times).sum(axis=1)
     return float(out[0]) if np.ndim(times) == 0 else out
 
 

@@ -318,7 +318,7 @@ def cauchy_shift_pdf(sigma_prime, M: int, sigma_star: float):
     Sigma'_typ = Sigma*'' sqrt(4 log M / pi)."""
     if M < 2:
         raise ValueError("M must be >= 2")
-    s_typ = sigma_star * math.sqrt(4.0 * math.log(M) / math.pi)
+    s_typ = sigma_prime_typ(M, sigma_star)
     x = np.asarray(sigma_prime, dtype=float)
     out = s_typ / (math.pi * (s_typ ** 2 + x ** 2))
     return float(out) if np.ndim(sigma_prime) == 0 else out
@@ -419,11 +419,6 @@ def gamma_samples(matrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
     return np.where(ok & (slope < 0), -slope, math.nan)
 
 
-def extract_gamma(matrix, site: int, window: tuple = (0.9, 0.37)) -> float:
-    """Decay rate of basis state `site`: gamma_samples(matrix, window)[site]."""
-    return float(gamma_samples(matrix, window)[site])
-
-
 def site_self_energies(matrix, eta: float | None = None) -> np.ndarray:
     """Complex self-energy per site from the diagonal resolvent.
 
@@ -456,7 +451,7 @@ def site_self_energies(matrix, eta: float | None = None) -> np.ndarray:
 def participation_ratios(matrix) -> np.ndarray:
     """Omega_beta = 1 / sum_j |psi_beta(j)|^4 for every eigenstate."""
     _, vecs = _eigh(matrix)
-    return 1.0 / (vecs ** 4).sum(axis=0)
+    return 1.0 / np.square(np.square(vecs)).sum(axis=0)
 
 
 def diagnose_matrix(matrix, eta: float | None = None,

@@ -568,11 +568,6 @@ def transition_distribution(eigs, z0: int, t: float) -> np.ndarray:
     return np.abs(vecs @ c) ** 2
 
 
-def survival_probability(eigs, z0: int, times):
-    """psi^2(z0, t) = |sum_gamma |<psi_gamma|z0>|^2 e^{-i E_gamma t}|^2."""
-    return transition_probability(eigs, z0, z0, times)
-
-
 @dataclass
 class PTResult:
     """Outcome of one transfer run: exact output distribution plus traces."""

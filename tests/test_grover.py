@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pt_lab.cli import _simulated_peak
 from pt_lab.grover import (GroverErrorReport, GroverSetup,
                            build_reduced_hamiltonian, error_time_report,
                            gamma_0, grover_time, peak_transfer,
@@ -151,3 +152,38 @@ def test_regime_warning_when_error_is_small():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         peak_transfer(GroverSetup(n=10, eps=eps, eps0=10.0 * W))
+
+
+def _exponential_transfer(setup, times):
+    # the marked population from the complex-exponential product, the
+    # independent reference for reduced_transfer's spectral sums
+    vals, vecs = np.linalg.eigh(build_reduced_hamiltonian(setup))
+    amp = vecs @ (np.exp(-1j * np.outer(vals, times)) * vecs[0][:, None])
+    return (np.abs(amp[1:]) ** 2).sum(axis=0)
+
+
+def _peak_setups():
+    rng = np.random.default_rng(2)
+    # acceptance 7's setup first, then seeded random ones
+    yield GroverSetup(n=14, eps=rng.uniform(-0.3, 0.3, size=64), eps0=6.0)
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n, M = int(rng.integers(8, 20)), int(rng.integers(1, 40))
+        W = float(rng.uniform(0.05, 1.0))
+        eps0 = (0.0, 0.5, 3.0)[seed % 3]
+        yield GroverSetup(n=n, eps=rng.uniform(-W / 2, W / 2, size=M), eps0=eps0)
+
+
+@pytest.mark.parametrize("setup", list(_peak_setups()))
+def test_reduced_transfer_matches_the_exponential_form(setup):
+    t_hi = (2.0 * np.pi / setup.eps0 if setup.eps0
+            else 4.0 * grover_time(setup.n, setup.M))
+    times = np.linspace(0.0, t_hi, 4001)
+    want = _exponential_transfer(setup, times)
+    np.testing.assert_allclose(reduced_transfer(setup, times), want,
+                               rtol=0, atol=1e-14)
+    assert reduced_transfer(setup, t_hi) == pytest.approx(want[-1], abs=1e-14)
+    # the grover-sweep peak sits on the same grid point
+    t_peak, p_peak = _simulated_peak(setup)
+    assert t_peak == times[int(np.argmax(want))]
+    assert p_peak == pytest.approx(want.max(), abs=1e-14)

@@ -7,9 +7,9 @@ from pt_lab import pblm
 from pt_lab.downfold import DownfoldedMatrix
 from pt_lab.pblm import (GammaLawPrediction, LevyStableParams,
                          MinibandDiagnostics, PBLMConfig, cauchy_shift_pdf,
-                         classify_phase, diagnose_matrix, extract_gamma,
-                         fit_stable_quantiles, gamma_samples, mu_omega,
-                         omega_predicted, participation_ratios,
+                         classify_phase, diagnose_matrix, fit_stable_quantiles,
+                         gamma_samples, mu_omega, omega_predicted,
+                         participation_ratios,
                          predicted_gamma_law, pt_scaling_time, pt_time,
                          sample_pblm, sigma_omega, sigma_prime_typ,
                          site_self_energies, stable_pdf, stable_sample,
@@ -324,26 +324,26 @@ def _flat_band_matrix(M=512, V_scale=0.4, span=2.0):
     return DownfoldedMatrix(matrix=H, V_typ=V, W=span), V, delta
 
 
-def test_extract_gamma_golden_rule():
+def test_gamma_samples_golden_rule():
     mat, V, delta = _flat_band_matrix()
-    got = extract_gamma(mat, 0)
+    got = gamma_samples(mat)[0]
     want = 2.0 * np.pi * V**2 / delta
     assert got == pytest.approx(want, rel=0.3)
 
 
-def test_extract_gamma_shift_invariant():
+def test_gamma_samples_shift_invariant():
     mat, _, _ = _flat_band_matrix(M=256)
-    base = extract_gamma(mat, 0)
+    base = gamma_samples(mat)[0]
     shifted = DownfoldedMatrix(matrix=mat.matrix + 3.7 * np.eye(256),
                                V_typ=mat.V_typ, W=mat.W)
     # invariant up to eigensolver reproducibility
-    assert extract_gamma(shifted, 0) == pytest.approx(base, rel=1e-9)
+    assert gamma_samples(shifted)[0] == pytest.approx(base, rel=1e-9)
 
 
 def test_two_level_rabi_is_censored():
     H = np.array([[0.0, 0.3], [0.3, 0.0]])
     mat = DownfoldedMatrix(matrix=H, V_typ=0.3, W=1.0)
-    assert np.isnan(extract_gamma(mat, 0))
+    assert np.isnan(gamma_samples(mat)[0])
 
 
 def test_diagonal_matrix_is_censored():
@@ -543,6 +543,15 @@ def test_participation_ratio_limits():
     H = np.array([[0.0, 0.3], [0.3, 0.0]])
     two = DownfoldedMatrix(matrix=H, V_typ=0.3, W=1.0)
     np.testing.assert_allclose(participation_ratios(two), 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [64, 192, 1024])
+def test_participation_ratios_match_the_fourth_power_form(M):
+    # squaring twice rounds differently from pow(x, 4) only in the last bit
+    mat = sample_pblm(PBLMConfig(M=M, gamma=1.5, lam=1.0), seed=M)
+    _, vecs = mat.eigensystem
+    np.testing.assert_allclose(participation_ratios(mat),
+                               1.0 / (vecs ** 4).sum(axis=0), rtol=1e-15)
 
 
 def test_one_eigendecomposition_per_matrix(monkeypatch):

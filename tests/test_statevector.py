@@ -12,8 +12,7 @@ from pt_lab.statevector import (EvolutionConfig, StateVector,
                                 dense_hamiltonian, driver_terms,
                                 driver_x_diagonal, evolve_trotter, exact_eigs,
                                 run_pt_protocol, sample_output,
-                                survival_probability, transferred_weight,
-                                transition_distribution,
+                                transferred_weight, transition_distribution,
                                 transition_probability, _fwht,
                                 _levels_around, _Levels)
 
@@ -352,16 +351,6 @@ def test_transition_distribution_is_normalized():
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_survival_equals_self_transition():
-    inst = gen_impurity_band(n=6, M=5, W=0.3, seed=4)
-    eigs = exact_eigs(inst)
-    z0 = inst.marked[0]
-    t = np.linspace(0, 5, 23)
-    np.testing.assert_allclose(survival_probability(eigs, z0, t),
-                               transition_probability(eigs, z0, z0, t),
-                               atol=1e-12)
-
-
 def test_long_time_average_dephases():
     # averaging |<z0|e^{-iHt}|z0>|^2 over long times leaves the diagonal
     # ensemble value sum_blocks (sum_{g in block} |<g|z0>|^2)^2, where a
@@ -374,7 +363,7 @@ def test_long_time_average_dephases():
     blocks = np.concatenate([[0], np.cumsum(np.diff(vals[order]) > 1e-9)])
     target = np.sum(np.bincount(blocks, weights=w[order]) ** 2)
     t = np.linspace(0.0, 4000.0, 40001)
-    mean = survival_probability((vals, vecs), z0, t).mean()
+    mean = transition_probability((vals, vecs), z0, z0, t).mean()
     assert mean == pytest.approx(target, rel=0.02)
 
 
