@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .bits import check_bitstring, hamming_array
 from .downfold import TunnelingParams, build_downfolded
-from .grover import GroverSetup, error_time_report, grover_time, reduced_transfer
+from .grover import GroverSetup, error_time_report, reduced_transfer
 from .instances import (
     ImpurityBandInstance,
     all_classical_energies,
@@ -245,7 +245,8 @@ def _cmd_evolve(args, out_dir, manifest):
               _top_k_rows(inst, z0, probs, top_k), manifest)
     write_json(out_dir / "evolve.json",
                {"z0": z0, "time": args["time"], "steps": config.resolve_steps(args["time"]),
-                "norm": state.norm(), "survival": float(probs[z0])}, manifest)
+                "norm": float(np.sqrt(probs.sum())), "survival": float(probs[z0])},
+               manifest)
 
 
 def _emit_pt_result(inst, result, out_dir, manifest, top_k, prefix="pt"):
@@ -375,10 +376,10 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
 
 
 def _simulated_peak(setup, scan_points=4001):
-    """Repeated-trial transfer time from exact reduced dynamics."""
-    t_hi = 2.0 * math.pi / setup.eps0 if setup.eps0 else 4.0 * grover_time(
-        setup.n, setup.M)
-    times = np.linspace(0.0, t_hi, scan_points)
+    """Repeated-trial transfer time from exact reduced dynamics, scanned
+    over one period 2 pi / eps0 of the driver error (error_time_report has
+    checked eps0 > 0)."""
+    times = np.linspace(0.0, 2.0 * math.pi / setup.eps0, scan_points)
     pop = reduced_transfer(setup, times)
     k = int(np.argmax(pop))
     return float(times[k]), float(pop[k])

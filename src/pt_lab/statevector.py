@@ -13,26 +13,30 @@ Every run uses one product formula, the symmetric (Strang) splitting
 e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step, whose error is
 second order in dt.
 
-Both drivers are diagonal in the x basis, so a Trotter step alternates
-between the two bases via a fast Walsh-Hadamard transform, blocked as one
-16 x 16 matrix product per 4 index bits with one scratch state (the FWHT
-path, _trotter_segment). A run on the FWHT path holds five 2^n complex
-arrays at most: the state, the segment's scratch and three phase tables
-(see _segment_for).
+A run holds one propagator, chosen once from the instance and the start
+amplitudes (_propagator). Its two backends share three methods:
+advance(steps, every) takes Trotter steps and returns the survival
+samples, weight(z0) reads the transferred weight, and state() releases the
+backend's tables and forms the 2^n output once. The one rule between them:
 
-The uniform driver has n + 1 levels (x-basis popcount j, energy
--B_perp (n - 2j)), and only the M marked states carry classical energy, so
-span{P_j |c_b>} over the levels j and the centres c_b (the marked states
-plus the unmarked labels the start state occupies) is invariant under both
-Trotter factors. A band run from a start with M_c^2 <= 2^n centres (see
-_levels_around) takes its steps in those (n + 1) x M_c level coordinates,
-at O(n^2 M_c + M_c^2) per step, reads the survival and the transferred
-weight there, and forms the 2^n state once at the end (_Levels). Any other
-band run takes the FWHT path like a glass.
+* an impurity band whose start has M_c^2 <= 2^n centres (the marked states
+  plus the unmarked labels the start occupies) runs in level coordinates
+  (_LevelPropagator). The uniform driver has n + 1 levels (x-basis popcount
+  j, energy -B_perp (n - 2j)), and only the M marked states carry classical
+  energy, so span{P_j |c_b>} over the levels j and the centres c_b is
+  invariant under both Trotter factors. A step there costs
+  O(n^2 M_c + M_c^2) and builds no 2^n table;
+* every other run, a glass included, takes the FWHT path
+  (_FwhtPropagator). Both drivers are diagonal in the x basis, so a step
+  alternates between the two bases via a fast Walsh-Hadamard transform,
+  blocked as one 16 x 16 matrix product per 4 index bits with one scratch
+  state. It holds five 2^n complex arrays at most: the state, the scratch
+  and three phase tables.
 
-A transfer run advances each rung of its time ladder as one Trotter
-segment and reads the survival trace inside it, without closing the
-symmetric splitting per sample.
+evolve_trotter and the transfer protocol (run_pt_protocol) run the same
+backend-free path on either. A transfer run advances each rung of its time
+ladder in one call and reads the survival trace inside it, without closing
+the symmetric splitting per sample.
 
 A dense eigensolver backend covers small systems for cross-checks and for
 spectral formulas that need the full eigenbasis.
@@ -41,7 +45,6 @@ spectral formulas that need the full eigenbasis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -246,56 +249,97 @@ def _z_probability(psi: np.ndarray, z: int) -> float:
     return float((np.abs(psi[z:z + 1]) ** 2)[0])
 
 
-def _trotter_segment(psi, steps, tables, every=0, z0=0, probe=None):
-    """Advance by `steps` Trotter steps of the FWHT path, for either
-    driver; psi enters and leaves in the z basis.
-
-    tables are (ph_cl, ph_half, ph_full) from _phase_tables; ph_cl carries
-    the 1/N of the two unnormalized transforms of each step. The segment
-    owns one scratch state, which every transform shares. Returns
-    (psi, samples): with every > 0, samples holds the survival
-    |<z0|psi>|^2 after every `every`-th step and after the last one.
-    Between steps the state stays in the x basis, so a sample inside the
-    segment is |probe . phi|^2 with phi the x-basis state before the
-    closing half-phase and probe from _survival_probe; the last sample
-    reads psi[z0] after the segment closes. With a probe, ph_half is None:
-    the opening and the closing half-phase rebuild it from the probe into
-    the free buffer (_half_from_probe). Segments at fixed dt compose
-    exactly.
-    """
-    ph_cl, ph_half, ph_full = tables
-    spare = np.empty_like(psi)
-    samples = []
-
-    def half():
-        return ph_half if probe is None else _half_from_probe(probe, z0, spare)
-
-    psi, spare = _fwht_swap(psi, spare)
-    psi *= half()
-    for k in range(1, steps + 1):
-        psi, spare = _fwht_swap(psi, spare)
-        psi *= ph_cl
-        psi, spare = _fwht_swap(psi, spare)
-        if every and k % every == 0 and k < steps:
-            samples.append(float(abs(np.dot(probe, psi)) ** 2))
-        psi *= ph_full if k < steps else half()
-    psi, spare = _fwht_swap(psi, spare)
-    psi *= 1.0 / psi.shape[0]
-    if every:
-        samples.append(_z_probability(psi, z0))
-    return psi, samples
-
-
 def _parity_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(-1)^{popcount(a_i & b_k)} as a float (len(a), len(b)) table."""
     return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & b) & 1)
 
 
-class _Levels:
-    """Level coordinates of the uniform driver around a start state:
-    psi = sum_j P_j sum_b W[j, b] |c_b>, with P_j the projector onto the
-    x-basis states of popcount j and W an (n + 1) x M_c complex array. The
-    centres c_b are the marked states in inst.marked order, then the
+def _phase_tables(E, Dx, dt):
+    """Phase tables (ph_cl, ph_half, ph_full) of one step, each exponent
+    formed in its table's buffer; ph_cl includes the 1/N of the transforms
+    (a power of two, so the scaling is exact)."""
+    ph_cl = np.multiply(-1j * dt, E)
+    np.exp(ph_cl, out=ph_cl)
+    ph_cl *= 1.0 / ph_cl.shape[0]
+    ph_half = np.multiply(-0.5j * dt, Dx)
+    np.exp(ph_half, out=ph_half)
+    return ph_cl, ph_half, ph_half * ph_half
+
+
+class _FwhtPropagator:
+    """The FWHT path at step dt, for either driver: the 2^n state psi in
+    the z basis, a copy of the start amps, and three 2^n phase tables from
+    _phase_tables. ph_cl carries the 1/N of the two unnormalized transforms
+    of each step. With z0 given, ph_half becomes the survival probe in
+    place (_survival_probe), and each opening and closing half-phase
+    rebuilds it from the probe into the free buffer (_half_from_probe).
+    """
+
+    def __init__(self, inst, dt: float, amps: np.ndarray, z0=None):
+        self.inst = inst
+        # module globals, looked up per run, so a wrapper bound in their
+        # place (perfbench's tracer, a test's monkeypatch) sees the call
+        self.ph_cl, self.ph_half, self.ph_full = _phase_tables(
+            all_classical_energies(inst), driver_x_diagonal(inst), dt)
+        self.z0, self.probe = z0, None
+        if z0 is not None:
+            self.probe, self.ph_half = _survival_probe(z0, self.ph_half), None
+        self.psi = amps.copy()
+
+    def advance(self, steps: int, every: int = 0) -> list:
+        """Advance psi by `steps` Trotter steps; psi enters and leaves in the
+        z basis. The call owns one scratch state, which every transform
+        shares. With every > 0 it returns the survival |<z0|psi>|^2 after
+        every `every`-th step and after the last one. Between steps the
+        state stays in the x basis, so a sample inside the call is
+        |probe . phi|^2 with phi the x-basis state before the closing
+        half-phase; the last sample reads psi[z0] after the call closes.
+        Calls at fixed dt compose with no Trotter error: closing one call
+        and opening the next costs a transform pair, so only rounding.
+        """
+        ph_cl, ph_full, probe, z0 = self.ph_cl, self.ph_full, self.probe, self.z0
+        psi, spare = self.psi, np.empty_like(self.psi)
+        samples = []
+
+        def half():
+            return self.ph_half if probe is None else _half_from_probe(probe, z0, spare)
+
+        psi, spare = _fwht_swap(psi, spare)
+        psi *= half()
+        for k in range(1, steps + 1):
+            psi, spare = _fwht_swap(psi, spare)
+            psi *= ph_cl
+            psi, spare = _fwht_swap(psi, spare)
+            if every and k % every == 0 and k < steps:
+                samples.append(float(abs(np.dot(probe, psi)) ** 2))
+            psi *= ph_full if k < steps else half()
+        psi, spare = _fwht_swap(psi, spare)
+        psi *= 1.0 / psi.shape[0]
+        self.psi = psi
+        if every:
+            samples.append(_z_probability(psi, z0))
+        return samples
+
+    def weight(self, z0: int) -> float:
+        """transferred_weight of psi from the amplitudes it needs, without
+        |psi|^2 over all 2^n states: on a glass that is 1 - |psi(z0)|^2.
+        The slices keep numpy's array abs (see _z_probability)."""
+        if isinstance(self.inst, ImpurityBandInstance):
+            others = [z for z in self.inst.marked if z != z0]
+            return float((np.abs(self.psi[others]) ** 2).sum())
+        return 1.0 - _z_probability(self.psi, z0)
+
+    def state(self) -> np.ndarray:
+        """psi, after the phase tables are released; the last call."""
+        del self.ph_cl, self.ph_half, self.ph_full, self.probe
+        return self.psi
+
+
+class _LevelPropagator:
+    """Level coordinates of the uniform driver at step dt around a start
+    state: psi = sum_j P_j sum_b W[j, b] |c_b>, with P_j the projector onto
+    the x-basis states of popcount j and W an (n + 1) x M_c complex array.
+    The centres c_b are the marked states in inst.marked order, then the
     ascending labels `unmarked` of the start's unmarked support. Both
     Trotter factors keep this form: the driver scales row j by its level
     phase, and the classical phase adds (e^{-i dt E_a} - 1) <m_a|psi> to
@@ -304,43 +348,71 @@ class _Levels:
     <c_a|P_j|c_b> = 2^-n K_j(d(c_a, c_b)) with K the Krawtchouk table, so
     the centres' amplitudes cost one (n + 1) x (n + 1) product and an
     M_c x M_c gather (overlaps); the distances d(c_a, c_b) are kept only
-    as that gather's flat indices.
+    as that gather's flat indices. The start amps give W directly:
+    |c_b> = sum_j P_j |c_b>, so every row of W is amps on the centres.
     """
 
-    def __init__(self, inst: ImpurityBandInstance, unmarked):
-        self.n = inst.n
+    def __init__(self, inst: ImpurityBandInstance, dt: float, amps: np.ndarray,
+                 unmarked, z0=None):
+        n = self.n = inst.n
         self.marked_count = inst.M
         self.centres = np.array([*inst.marked, *unmarked], dtype=np.uint64)
         m = len(self.centres)
-        self.kraw = krawtchouk_table(self.n) / (1 << self.n)
+        self.kraw = krawtchouk_table(n) / (1 << n)
         self._kraw_t = np.ascontiguousarray(self.kraw.T)
         self._gather = hamming_table(self.centres) * m + np.arange(m)
+        # e^{-i dt E_a} - 1 per centre (0 for an unmarked one), and the
+        # level phases of e^{-i H_D dt/2} and e^{-i H_D dt} as columns
+        hx, _ = driver_terms(inst)
+        energy = hx[0] * (n - 2.0 * np.arange(n + 1)[:, None])
+        self.half = np.exp(-0.5j * dt * energy)
+        self.full = np.exp(-1j * dt * energy)
+        self.ph_marked = np.zeros(m, dtype=np.complex128)
+        self.ph_marked[:inst.M] = np.expm1(-1j * dt * (inst.base_energy + inst.eps))
+        self.W = np.empty((n + 1, m), dtype=np.complex128)
+        self.W[:] = amps[self.centres]
+        if z0 is not None:
+            # <z0|psi> = vdot(p, W): p_end for W of psi itself, p_mid for W
+            # of e^{-i H_D dt/2} psi, whose level phases it undoes
+            p_end = self.kraw[:, np.bitwise_count(self.centres ^ np.uint64(z0))]
+            self.probes = (p_end, p_end * self.half)
 
-    def start_state(self, amps) -> np.ndarray:
-        """W of the state with amplitude amps[b] on centre c_b and none
-        elsewhere: |c_b> = sum_j P_j |c_b>, so every row of W is amps."""
-        W = np.empty((self.n + 1, len(self.centres)), dtype=np.complex128)
-        W[:] = amps
-        return W
+    def advance(self, steps: int, every: int = 0) -> list:
+        """Advance W by `steps` Trotter steps, in place: the half phases
+        first, then [classical, full] per step, closing the last step with
+        the half phases instead of the full ones. With every > 0 it returns
+        the survival after every `every`-th step and after the last one:
+        inside the call W holds e^{-i H_D dt/2} psi_k, which probes[1]
+        reads, and at its end probes[0]. Calls at fixed dt compose with no
+        Trotter error, up to the rounding of half * half against full.
+        """
+        W, half, full, ph_marked = self.W, self.half, self.full, self.ph_marked
+        samples = []
+        W *= half
+        for k in range(1, steps + 1):
+            W += ph_marked * self.overlaps(W)
+            W *= half if k == steps else full
+            if every and (k % every == 0 or k == steps):
+                samples.append(float(abs(np.vdot(self.probes[k < steps], W)) ** 2))
+        return samples
+
+    def weight(self, z0: int) -> float:
+        """Weight on the marked states other than z0."""
+        amp = self.overlaps(self.W)[:self.marked_count]
+        others = self.centres[:self.marked_count] != z0
+        return float(np.sum(np.abs(amp[others]) ** 2))
+
+    def state(self) -> np.ndarray:
+        """The 2^n state, formed after the gather table is released; the
+        last call."""
+        del self._gather
+        return self.amplitudes(self.W)
 
     def overlaps(self, W: np.ndarray) -> np.ndarray:
         """<c_a|psi> for every centre: sum_b g[d(c_a, c_b), b] with
         g = K^T W / 2^n, one real product on W's float64 view."""
         g = (self._kraw_t @ W.view(np.float64)).view(np.complex128)
         return np.take(g, self._gather).sum(axis=1)
-
-    def survival_probes(self, z0: int, half: np.ndarray):
-        """(p_end, p_mid) with <z0|psi> = vdot(p, W): p_end for W of psi
-        itself, p_mid for W of e^{-i H_D dt/2} psi, whose level phases
-        `half` (an (n + 1) x 1 column) it undoes."""
-        p_end = self.kraw[:, np.bitwise_count(self.centres ^ np.uint64(z0))]
-        return p_end, p_end * half
-
-    def transferred_weight(self, W: np.ndarray, z0: int) -> float:
-        """Weight on the marked states other than z0."""
-        amp = self.overlaps(W)[:self.marked_count]
-        others = self.centres[:self.marked_count] != z0
-        return float(np.sum(np.abs(amp[others]) ** 2))
 
     def amplitudes(self, W: np.ndarray) -> np.ndarray:
         """The 2^n state, psi = 2^-n F phi with F the unnormalized
@@ -379,102 +451,32 @@ class _Levels:
         return phi
 
 
-def _levels_around(inst, support) -> _Levels | None:
-    """The level coordinates a run on inst takes from a start on the
-    ascending labels `support`, or None when it takes the FWHT path.
+def _propagator(inst, dt: float, amps: np.ndarray, z0=None):
+    """The Trotter propagator of one run on inst at step dt from the 2^n
+    start amps, which it leaves unchanged; with z0 given it samples the
+    survival of |z0>.
 
-    The level path needs an impurity band with M_c^2 <= 2^n centres, the
-    marked states plus the unmarked support: past that, the M_c x M_c
-    gather table outgrows the state.
+    An impurity band runs in level coordinates (_LevelPropagator) when its
+    start has M_c^2 <= 2^n centres, the marked states plus the unmarked
+    support: past that, the M_c x M_c gather table outgrows the state. The
+    count of nonzero amplitudes is read before any label is listed, so a
+    dense start costs one pass over the state. Every other run, a glass
+    included, takes the FWHT path (_FwhtPropagator).
     """
-    if not isinstance(inst, ImpurityBandInstance):
-        return None
-    unmarked = np.setdiff1d(support, inst.marked, assume_unique=True)
-    m = inst.M + len(unmarked)
-    if m * m > 1 << inst.n:
-        return None
-    return _Levels(inst, unmarked)
-
-
-def _level_segment(W, steps, tables, every=0, probes=None):
-    """Advance W (see _Levels) by `steps` Trotter steps of the uniform
-    driver, in place; returns (W, samples).
-
-    tables are (levels, ph_marked, half, full): the _Levels, e^{-i dt E_a}
-    - 1 per centre (0 for an unmarked one), and the level phases of
-    e^{-i H_D dt/2} and e^{-i H_D dt} as (n + 1) x 1 columns. The segment
-    applies the half phases first, then [classical, full] per step, and
-    closes its last step with the half phases instead of the full ones.
-    With every > 0, samples holds the survival after every `every`-th step
-    and after the last one: inside the segment W holds
-    e^{-i H_D dt/2} psi_k, which probes[1] reads, and at its end probes[0]
-    (see _Levels.survival_probes). Segments at fixed dt compose exactly.
-    """
-    levels, ph_marked, half, full = tables
-    samples = []
-    W *= half
-    for k in range(1, steps + 1):
-        W += ph_marked * levels.overlaps(W)
-        W *= half if k == steps else full
-        if every and (k % every == 0 or k == steps):
-            samples.append(float(abs(np.vdot(probes[k < steps], W)) ** 2))
-    return W, samples
-
-
-def _phase_tables(E, Dx, dt):
-    """Phase tables (ph_cl, ph_half, ph_full) of one step, each exponent
-    formed in its table's buffer; ph_cl includes the 1/N of the transforms
-    (a power of two, so the scaling is exact)."""
-    ph_cl = np.multiply(-1j * dt, E)
-    np.exp(ph_cl, out=ph_cl)
-    ph_cl *= 1.0 / ph_cl.shape[0]
-    ph_half = np.multiply(-0.5j * dt, Dx)
-    np.exp(ph_half, out=ph_half)
-    return ph_cl, ph_half, ph_half * ph_half
-
-
-def _segment_for(inst, dt: float, z0=None, levels: _Levels | None = None):
-    """The Trotter segment of inst's driver at step dt, with its tables
-    built once: segment(held, steps, every=0) -> (held, samples).
-
-    With levels given (see _levels_around), the uniform driver gets
-    _level_segment, which holds W in those level coordinates, with the
-    centres' phases and the n + 1 level phases. Otherwise the held state is
-    the 2^n state in the z basis and either driver gets _trotter_segment
-    with three 2^n phase tables: ph_cl, ph_full, and ph_half, which a run
-    with z0 turns into its survival probe in place. With z0 given the
-    segment samples the survival of |z0>.
-    """
-    if levels is not None:
-        hx, _ = driver_terms(inst)
-        n = inst.n
-        energy = hx[0] * (n - 2.0 * np.arange(n + 1)[:, None])
-        half = np.exp(-0.5j * dt * energy)
-        ph_marked = np.zeros(len(levels.centres), dtype=np.complex128)
-        ph_marked[:inst.M] = np.expm1(-1j * dt * (inst.base_energy + inst.eps))
-        tables = (levels, ph_marked, half, np.exp(-1j * dt * energy))
-        probes = levels.survival_probes(z0, half) if z0 is not None else None
-        return partial(_level_segment, tables=tables, probes=probes)
-    ph_cl, ph_half, ph_full = _phase_tables(
-        all_classical_energies(inst), driver_x_diagonal(inst), dt)
-    probe = None
-    if z0 is not None:
-        probe, ph_half = _survival_probe(z0, ph_half), None
-    return partial(_trotter_segment, tables=(ph_cl, ph_half, ph_full),
-                   z0=z0 or 0, probe=probe)
+    if (isinstance(inst, ImpurityBandInstance)
+            and np.count_nonzero(amps) ** 2 <= len(amps)):
+        unmarked = np.setdiff1d(np.flatnonzero(amps), inst.marked,
+                                assume_unique=True)
+        if (inst.M + len(unmarked)) ** 2 <= len(amps):
+            return _LevelPropagator(inst, dt, amps, unmarked, z0)
+    return _FwhtPropagator(inst, dt, amps, z0)
 
 
 def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVector:
     """Symmetric product-formula propagation of `state` under inst's
-    Hamiltonian: e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step.
-
-    On an impurity band a start whose centres fit the level path (see
-    _levels_around) runs in level coordinates, builds no 2^n table and
-    never copies the input; the 2^n state is formed once, from them, at the
-    end. Whether it fits is read from the count of nonzero amplitudes
-    before any label is listed, so a dense start costs one pass over the
-    state. Every other run, a glass included, alternates bases via the FWHT
-    (see _segment_for).
+    Hamiltonian: e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step,
+    by the propagator _propagator picks. Neither backend changes the input,
+    and the level path never copies it.
     """
     if inst.n != state.n:
         raise ValueError("state and instance sizes differ")
@@ -485,21 +487,12 @@ def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVe
     if config.total_time is None:
         raise ValueError("evolve_trotter needs an explicit total_time")
     T = float(config.total_time)
-    amps = state.amplitudes
     if T == 0.0:
-        return StateVector(amps.copy(), state.n)
+        return StateVector(state.amplitudes.copy(), state.n)
     steps = config.resolve_steps(T)
-    dt = T / steps
-    levels = None
-    if (isinstance(inst, ImpurityBandInstance)
-            and np.count_nonzero(amps) ** 2 <= len(amps)):
-        levels = _levels_around(inst, np.flatnonzero(amps))
-    if levels is None:
-        psi, _ = _segment_for(inst, dt)(amps.copy(), steps)
-        return StateVector(psi, state.n)
-    W, _ = _segment_for(inst, dt, levels=levels)(
-        levels.start_state(amps[levels.centres]), steps)
-    return StateVector(levels.amplitudes(W), state.n)
+    prop = _propagator(inst, T / steps, state.amplitudes)
+    prop.advance(steps)
+    return StateVector(prop.state(), state.n)
 
 
 def dense_hamiltonian(inst) -> np.ndarray:
@@ -596,19 +589,6 @@ def transferred_weight(inst, z0: int, probabilities: np.ndarray) -> float:
     return float(1.0 - probabilities[z0])
 
 
-def _rung_weight(inst, z0: int, held, levels: _Levels | None) -> float:
-    """transferred_weight of the held state, read in level coordinates or
-    from the amplitudes it needs, without |psi|^2 over all 2^n states: on a
-    glass that is 1 - |psi(z0)|^2. The slices keep numpy's array abs (see
-    _z_probability)."""
-    if levels is not None:
-        return levels.transferred_weight(held, z0)
-    if isinstance(inst, ImpurityBandInstance):
-        others = [z for z in inst.marked if z != z0]
-        return float((np.abs(held[others]) ** 2).sum())
-    return 1.0 - _z_probability(held, z0)
-
-
 def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
                     on_rung=None) -> PTResult:
     """Prepare |z0>, switch the driver on at constant strength, evolve, measure.
@@ -622,13 +602,12 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     each rung of that ladder, on_rung (if given) is called with the total
     time, the transferred weight and its relative change (None on the
     first rung). A rung of `steps` steps records the survival every
-    max(1, steps // (_TRACE_POINTS - 1))-th step and at its end. On an
-    impurity band the run stays in level coordinates where _levels_around
-    allows, reads each rung's weight there, and forms the 2^n state once,
-    after the last rung; the last survival sample is read from that state.
-    Elsewhere a rung's weight is read from the few amplitudes it needs
-    (_rung_weight), and the phase tables are released before the output
-    distribution is formed.
+    max(1, steps // (_TRACE_POINTS - 1))-th step and at its end.
+
+    The run holds one propagator (_propagator), advances it one call per
+    rung and reads each rung's weight from it. After the last rung the
+    propagator releases its tables and forms the 2^n state once, and the
+    last survival sample is read from that state, as P(z0) is.
     """
     config = config or EvolutionConfig()
     n = inst.n
@@ -655,20 +634,14 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         probs = np.abs(StateVector.basis_state(n, z0).amplitudes) ** 2
         total_t = 0.0
     else:
-        # the held state: W in level coordinates, or the 2^n state
-        levels = _levels_around(inst, [z0])
-        held = (levels.start_state(levels.centres == z0) if levels is not None
-                else StateVector.basis_state(n, z0).amplitudes)
-        segment = _segment_for(inst, dt, z0, levels)
+        prop = _propagator(inst, dt, StateVector.basis_state(n, z0).amplitudes, z0)
 
         def advance(n_steps, t_base):
-            # one segment per rung, sampled every `rec` steps and at its end
-            nonlocal held
+            # one call per rung, sampled every `rec` steps and at its end
             rec = max(1, n_steps // (_TRACE_POINTS - 1))
-            held, samples = segment(held, n_steps, every=rec)
+            survival.extend(prop.advance(n_steps, every=rec))
             done = [*range(rec, n_steps, rec), n_steps]
             times.extend(t_base + k * dt for k in done)
-            survival.extend(samples)
 
         if ladder:
             # the first rung runs start_time, each later one doubles the total
@@ -677,7 +650,7 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
                 rung = total_steps or seg_steps
                 advance(rung, total_steps * dt)
                 total_steps += rung
-                w_new = _rung_weight(inst, z0, held, levels)
+                w_new = prop.weight(z0)
                 ladder_times.append(total_steps * dt)
                 ladder_weights.append(w_new)
                 change = None if w_prev is None else abs(w_new - w_prev)
@@ -691,13 +664,8 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         else:
             advance(steps, 0.0)
             total_t = config.total_time
-        # the phase tables go before the output distribution is formed
-        del segment
-        psi = held
-        if levels is not None:
-            psi = levels.amplitudes(held)
-            # the closing sample read from the formed state, as P(z0) is
-            survival[-1] = _z_probability(psi, z0)
+        psi = prop.state()
+        survival[-1] = _z_probability(psi, z0)
         probs = np.abs(psi) ** 2
 
     edges = np.histogram_bin_edges(E, bins=64)

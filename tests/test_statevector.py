@@ -14,7 +14,7 @@ from pt_lab.statevector import (EvolutionConfig, StateVector,
                                 run_pt_protocol, sample_output,
                                 transferred_weight, transition_distribution,
                                 transition_probability, _fwht,
-                                _levels_around, _Levels)
+                                _FwhtPropagator, _LevelPropagator, _propagator)
 
 
 def _two_level_instance(B, delta):
@@ -108,21 +108,49 @@ def test_uniform_trotter_matches_fwht_reference(n, M, start, B):
 
 
 def _spy_paths(monkeypatch):
-    # counts the segments each path runs
-    import pt_lab.statevector as sv
-
+    # counts the advance calls each backend runs
     calls = {"level": 0, "fwht": 0}
 
-    def spy(name, segment):
+    def spy(name, backend):
+        advance = backend.advance
+
         def counted(*args, **kwargs):
             calls[name] += 1
-            return segment(*args, **kwargs)
-        return counted
+            return advance(*args, **kwargs)
+        monkeypatch.setattr(backend, "advance", counted)
 
-    monkeypatch.setattr(sv, "_level_segment", spy("level", sv._level_segment))
-    monkeypatch.setattr(sv, "_trotter_segment",
-                        spy("fwht", sv._trotter_segment))
+    spy("level", _LevelPropagator)
+    spy("fwht", _FwhtPropagator)
     return calls
+
+
+def _backend(inst, z0):
+    # the backend a transfer run from |z0> holds
+    start = StateVector.basis_state(inst.n, z0).amplitudes
+    return type(_propagator(inst, 0.1, start, z0))
+
+
+def _check_propagator_composes(inst, z0, backend):
+    # advance(a) then advance(b) against advance(a + b) at the same dt: the
+    # closing and reopening half-phases between the calls cost a rounding
+    # error, no Trotter error. A rung's weight is the formed state's
+    # transferred_weight: the same amplitudes on the FWHT path, level
+    # coordinates' own overlaps on the level path
+    start = StateVector.basis_state(inst.n, z0).amplitudes
+    split, whole = (_propagator(inst, 0.01, start, z0) for _ in range(2))
+    assert type(split) is backend
+    samples = split.advance(100, every=10) + split.advance(100, every=10)
+    np.testing.assert_allclose(samples, whole.advance(200, every=10),
+                               rtol=0, atol=1e-12)
+    weight = split.weight(z0)
+    psi = split.state()
+    np.testing.assert_allclose(psi, whole.state(), rtol=0, atol=1e-12)
+    want = transferred_weight(inst, z0, np.abs(psi) ** 2)
+    if backend is _FwhtPropagator:
+        assert weight == want
+    else:
+        assert weight == pytest.approx(want, abs=1e-12)
+    assert not np.allclose(np.abs(psi[z0]), 1.0)
 
 
 @pytest.mark.parametrize("extra, start, B, path", [
@@ -187,8 +215,9 @@ def test_level_reconstruction_matches_distance_sum(n):
     inst = ImpurityBandInstance(n=n, marked=marked, eps=np.zeros(len(marked)),
                                 W=1.0, B_perp=1.0)
     # one unmarked centre where there is room for it
-    levels = _Levels(inst, [min(set(range(1 << n)) - set(marked))]
-                     if n > 2 else [])
+    levels = _LevelPropagator(inst, 1.0, np.zeros(1 << n),
+                              [min(set(range(1 << n)) - set(marked))]
+                              if n > 2 else [])
     W = (rng.normal(size=(n + 1, len(levels.centres)))
          + 1j * rng.normal(size=(n + 1, len(levels.centres))))
     f = krawtchouk_table(n).T @ W / (1 << n)
@@ -214,6 +243,11 @@ def test_band_segments_compose(monkeypatch):
         total_time=1.0, trotter_steps=100))
     assert calls == {"level": 1, "fwht": 1}
     np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
+    # the propagators themselves: level coordinates, and the FWHT path of
+    # a dense band (M^2 > 2^6)
+    _check_propagator_composes(inst, inst.marked[2], _LevelPropagator)
+    dense = gen_impurity_band(n=6, M=9, W=0.5, seed=4, B_perp=1.3)
+    _check_propagator_composes(dense, dense.marked[2], _FwhtPropagator)
 
 
 @SYMMETRIC
@@ -402,6 +436,7 @@ def test_trotter_segments_compose():
     again = evolve_trotter(half, g,
                            EvolutionConfig(total_time=1.0, trotter_steps=100))
     np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
+    _check_propagator_composes(g, 3, _FwhtPropagator)
 
 
 @SYMMETRIC
@@ -469,7 +504,7 @@ def test_last_survival_sample_is_the_output_probability(kind):
         M = 20 if kind == "dense-band" else 6
         inst = gen_impurity_band(n=8, M=M, W=0.5, seed=4, B_perp=1.3)
         z0 = inst.marked[0]
-        assert (_levels_around(inst, [z0]) is None) == (M == 20)
+        assert (_backend(inst, z0) is _FwhtPropagator) == (M == 20)
     for t in (0.7, 1.3, 2.9, 4.1, 6.6, 9.5):
         res = run_pt_protocol(inst, z0, EvolutionConfig(
             total_time=t, trotter_steps=int(10 * t)))
@@ -485,7 +520,7 @@ def test_uniform_trotter_preserves_norm(seed, T, steps, B):
     for M in (4, 6):
         g = gen_impurity_band(n=5, M=M, W=0.5, seed=seed, B_perp=B)
         z0 = g.marked[seed % 4]
-        assert (_levels_around(g, [z0]) is None) == (M == 6)
+        assert (_backend(g, z0) is _FwhtPropagator) == (M == 6)
         state = StateVector.basis_state(5, z0)
         cfg = EvolutionConfig(total_time=T, trotter_steps=steps)
         out = evolve_trotter(state, g, cfg)
