@@ -102,8 +102,10 @@ def _flag(name):
 
 def _given(args, *names):
     """The flags among names that the run sets: an absent one records None
-    (False for a switch), so a given 0 still counts."""
-    return [_flag(k) for k in names if args[k] is not None and args[k] is not False]
+    (False for a switch), so a given 0 still counts. A name the subcommand
+    lacks (evolve has no ladder flags) counts as absent."""
+    return [_flag(k) for k in names
+            if args.get(k) is not None and args.get(k) is not False]
 
 
 def _count_arg(args, name):
@@ -153,9 +155,9 @@ def _evolution_config(args) -> EvolutionConfig:
         raise UsageError(f"{ladder[0]} sets the doubling ladder, which --time "
                          "replaces")
     settings = {"total_time": args["time"], "trotter_steps": args["steps"],
-                "dt": args["dt"], "start_time": args["start_time"],
-                "saturation_rtol": args["saturation_rtol"],
-                "max_doublings": args["max_doublings"]}
+                "dt": args["dt"], "start_time": args.get("start_time"),
+                "saturation_rtol": args.get("saturation_rtol"),
+                "max_doublings": args.get("max_doublings")}
     try:
         return EvolutionConfig(**{k: v for k, v in settings.items() if v is not None})
     except ValueError as e:
@@ -605,9 +607,10 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument("--time", type=float, default=None)
         e.add_argument("--steps", type=int, default=None)
         e.add_argument("--dt", type=float, default=None)
-        e.add_argument("--start-time", type=float, default=None)
-        e.add_argument("--saturation-rtol", type=float, default=None)
-        e.add_argument("--max-doublings", type=int, default=None)
+        if name != "evolve":  # the doubling ladder, which --time replaces
+            e.add_argument("--start-time", type=float, default=None)
+            e.add_argument("--saturation-rtol", type=float, default=None)
+            e.add_argument("--max-doublings", type=int, default=None)
         e.add_argument("--top-k", type=int, default=1024)
         e.add_argument("--b-perp", type=float, default=None,
                        help="override the stored transverse field")

@@ -14,7 +14,7 @@ e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step, whose error is
 second order in dt.
 
 A run holds one propagator, chosen once from the instance and the start
-amplitudes (_propagator). Its two backends share three methods:
+(_propagator). Its two backends share three methods:
 advance(steps, every) takes Trotter steps and returns the survival
 samples, weight(z0) reads the transferred weight, and state() releases the
 backend's tables and forms the 2^n output once. The one rule between them:
@@ -103,9 +103,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(other.amplitudes, self.amplitudes))
 
 
 @dataclass
@@ -268,14 +265,14 @@ def _phase_tables(E, Dx, dt):
 
 class _FwhtPropagator:
     """The FWHT path at step dt, for either driver: the 2^n state psi in
-    the z basis, a copy of the start amps, and three 2^n phase tables from
+    the z basis, formed from the start amps, and three 2^n phase tables from
     _phase_tables. ph_cl carries the 1/N of the two unnormalized transforms
     of each step. With z0 given, ph_half becomes the survival probe in
     place (_survival_probe), and each opening and closing half-phase
     rebuilds it from the probe into the free buffer (_half_from_probe).
     """
 
-    def __init__(self, inst, dt: float, amps: np.ndarray, z0=None):
+    def __init__(self, inst, dt: float, amps: np.ndarray, support=None, z0=None):
         self.inst = inst
         # module globals, looked up per run, so a wrapper bound in their
         # place (perfbench's tracer, a test's monkeypatch) sees the call
@@ -284,7 +281,8 @@ class _FwhtPropagator:
         self.z0, self.probe = z0, None
         if z0 is not None:
             self.probe, self.ph_half = _survival_probe(z0, self.ph_half), None
-        self.psi = amps.copy()
+        self.psi = np.zeros(1 << inst.n, dtype=np.complex128)
+        self.psi[... if support is None else support] = amps
 
     def advance(self, steps: int, every: int = 0) -> list:
         """Advance psi by `steps` Trotter steps; psi enters and leaves in the
@@ -348,12 +346,12 @@ class _LevelPropagator:
     <c_a|P_j|c_b> = 2^-n K_j(d(c_a, c_b)) with K the Krawtchouk table, so
     the centres' amplitudes cost one (n + 1) x (n + 1) product and an
     M_c x M_c gather (overlaps); the distances d(c_a, c_b) are kept only
-    as that gather's flat indices. The start amps give W directly:
+    as that gather's flat indices. The start gives W directly:
     |c_b> = sum_j P_j |c_b>, so every row of W is amps on the centres.
     """
 
     def __init__(self, inst: ImpurityBandInstance, dt: float, amps: np.ndarray,
-                 unmarked, z0=None):
+                 support, unmarked, z0=None):
         n = self.n = inst.n
         self.marked_count = inst.M
         self.centres = np.array([*inst.marked, *unmarked], dtype=np.uint64)
@@ -369,8 +367,9 @@ class _LevelPropagator:
         self.full = np.exp(-1j * dt * energy)
         self.ph_marked = np.zeros(m, dtype=np.complex128)
         self.ph_marked[:inst.M] = np.expm1(-1j * dt * (inst.base_energy + inst.eps))
+        start = dict(zip(np.asarray(support).tolist(), np.asarray(amps).tolist()))
         self.W = np.empty((n + 1, m), dtype=np.complex128)
-        self.W[:] = amps[self.centres]
+        self.W[:] = [start.get(c, 0.0) for c in self.centres.tolist()]
         if z0 is not None:
             # <z0|psi> = vdot(p, W): p_end for W of psi itself, p_mid for W
             # of e^{-i H_D dt/2} psi, whose level phases it undoes
@@ -451,25 +450,26 @@ class _LevelPropagator:
         return phi
 
 
-def _propagator(inst, dt: float, amps: np.ndarray, z0=None):
-    """The Trotter propagator of one run on inst at step dt from the 2^n
-    start amps, which it leaves unchanged; with z0 given it samples the
-    survival of |z0>.
+def _propagator(inst, dt: float, amps: np.ndarray, z0=None, support=None):
+    """The Trotter propagator of one run on inst at step dt from the start
+    amps, which it leaves unchanged: over all 2^n states, or amps[k] on the
+    ascending labels support[k]. With z0 given it samples |<z0|psi>|^2.
 
     An impurity band runs in level coordinates (_LevelPropagator) when its
     start has M_c^2 <= 2^n centres, the marked states plus the unmarked
-    support: past that, the M_c x M_c gather table outgrows the state. The
-    count of nonzero amplitudes is read before any label is listed, so a
+    support: past that, the M_c x M_c gather table outgrows the state. Of
+    2^n amps the nonzero ones are counted before any label is listed, so a
     dense start costs one pass over the state. Every other run, a glass
     included, takes the FWHT path (_FwhtPropagator).
     """
-    if (isinstance(inst, ImpurityBandInstance)
-            and np.count_nonzero(amps) ** 2 <= len(amps)):
-        unmarked = np.setdiff1d(np.flatnonzero(amps), inst.marked,
-                                assume_unique=True)
-        if (inst.M + len(unmarked)) ** 2 <= len(amps):
-            return _LevelPropagator(inst, dt, amps, unmarked, z0)
-    return _FwhtPropagator(inst, dt, amps, z0)
+    if support is None and np.count_nonzero(amps) ** 2 <= len(amps):
+        support = np.flatnonzero(amps)
+        amps = amps[support]
+    if support is not None and isinstance(inst, ImpurityBandInstance):
+        unmarked = np.setdiff1d(support, inst.marked, assume_unique=True)
+        if (inst.M + len(unmarked)) ** 2 <= 1 << inst.n:
+            return _LevelPropagator(inst, dt, amps, support, unmarked, z0)
+    return _FwhtPropagator(inst, dt, amps, support, z0)
 
 
 def evolve_trotter(state: StateVector, inst, config: EvolutionConfig) -> StateVector:
@@ -634,7 +634,7 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         probs = np.abs(StateVector.basis_state(n, z0).amplitudes) ** 2
         total_t = 0.0
     else:
-        prop = _propagator(inst, dt, StateVector.basis_state(n, z0).amplitudes, z0)
+        prop = _propagator(inst, dt, np.ones(1), z0, support=[z0])
 
         def advance(n_steps, t_base):
             # one call per rung, sampled every `rec` steps and at its end

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pt_lab
-from pt_lab.cli import _top_k_rows, main
+from pt_lab.cli import _run, _top_k_rows, main
 from pt_lab.downfold import (DownfoldedMatrix, TunnelingParams, build_downfolded,
                              marked_eigensystem)
 from pt_lab.instances import (all_classical_energies, gen_impurity_band,
@@ -257,7 +257,7 @@ def test_bad_z0_is_usage_error(tmp_path, ib_instance, capsys, cmd, z0):
     (["pt-run", "--steps", "7"], "--steps"),
     (["evolve", "--time", "2", "--steps", "5", "--dt", "0.01"], "--steps"),
     (["pt-run", "--time", "2", "--start-time", "3"], "--start-time"),
-    (["evolve", "--time", "2", "--saturation-rtol", "0.1"], "--saturation-rtol"),
+    (["pt-run", "--time", "2", "--saturation-rtol", "0.1"], "--saturation-rtol"),
     (["pipeline", "--time", "2", "--max-doublings", "0"], "--max-doublings"),
     (["gen-instance", "--kind", "spin-glass", "--n", "6", "--m", "3"], "--m"),
     (["gen-instance", "--kind", "impurity-band", "--n", "6", "--m", "3",
@@ -686,7 +686,7 @@ def test_pipeline_shares_one_landscape(tmp_path, glass_instance, monkeypatch):
     import pt_lab.instances as instances
     import pt_lab.optimize as optimize
 
-    calls = {"pair_energies": 0, "_basin_roots": 0}
+    calls = {"pair_energies": 0, "_basin_roots": 0, "_descent_pointers": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -699,18 +699,29 @@ def test_pipeline_shares_one_landscape(tmp_path, glass_instance, monkeypatch):
     # one enumeration of all 2^n energies is one pair_energies call
     counted(instances, "pair_energies")
     counted(optimize, "_basin_roots")
+    # one descent pass serves the automatic start and the enrichment
+    counted(optimize, "_descent_pointers")
     rc = main(["--out-dir", str(tmp_path), "pipeline",
                "--instance", str(glass_instance), "--dt", "0.1",
                "--start-time", "1", "--max-doublings", "1"])
     assert rc == 0
-    assert calls["pair_energies"] == 1
-    assert calls["_basin_roots"] == 1
+    assert calls == {"pair_energies": 1, "_basin_roots": 1,
+                     "_descent_pointers": 1}
 
     inst = load_instance(glass_instance)
     E = instances.all_classical_energies(inst)
     assert instances.all_classical_energies(inst) is E
     with pytest.raises(ValueError):
         E[0] = 0.0
+    # the basin map is kept on the instance the same way
+    minima, energies, _ = optimize.basin_distribution(inst)
+    basins = vars(inst)["_basins"]
+    assert optimize.local_minima(inst)[0] is minima is basins[0]
+    assert vars(inst)["_basins"] is basins
+    assert basins[2].dtype == np.min_scalar_type(len(minima))
+    for a in basins:
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 # ---------------------------------------------------------------- determinism
@@ -931,6 +942,40 @@ def test_replay_fills_flags_the_manifest_lacks(tmp_path, capsys):
     del a["manifest_hash"], b["manifest_hash"]
     assert a == b
     assert json.loads((redo / "manifest.json").read_text())["args"] == doc["args"]
+
+
+def test_replay_of_an_evolve_manifest_with_ladder_keys(tmp_path, ib_instance,
+                                                      capsys):
+    # evolve manifests recorded while evolve still took the ladder flags
+    # carry them as null, and their outputs' stamps hash those args. Such
+    # a run is made here by handing _run the args a parse then recorded
+    new, run, redo = (tmp_path / d for d in ("new", "run", "redo"))
+    assert main(["--out-dir", str(new), "evolve", "--instance",
+                 str(ib_instance), "--time", "2", "--steps", "20"]) == 0
+    args = json.loads((new / "manifest.json").read_text())["args"]
+    assert "start_time" not in args
+    args.update(start_time=None, saturation_rtol=None, max_doublings=None)
+    run.mkdir()
+    _run("evolve", args, run)
+    capsys.readouterr()
+    assert main(["--out-dir", str(redo), "--replay",
+                 str(run / "manifest.json")]) == 0
+    assert [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith(("match:", "MISMATCH:"))] == [
+        "match: evolve_state.csv", "match: evolve.json"]
+    assert json.loads((redo / "manifest.json").read_text())["args"] == args
+
+
+@pytest.mark.parametrize("flag, value", [("--start-time", "1"),
+                                         ("--saturation-rtol", "0.1"),
+                                         ("--max-doublings", "2")])
+def test_evolve_takes_no_ladder_flags(tmp_path, ib_instance, flag, value):
+    # evolve requires --time, which replaces the ladder
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path), "evolve", "--instance",
+              str(ib_instance), "--time", "2", flag, value])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_replay_without_a_required_flag_is_usage_error(tmp_path, ib_instance,

@@ -125,9 +125,9 @@ def _spy_paths(monkeypatch):
 
 
 def _backend(inst, z0):
-    # the backend a transfer run from |z0> holds
-    start = StateVector.basis_state(inst.n, z0).amplitudes
-    return type(_propagator(inst, 0.1, start, z0))
+    # the backend a transfer run from |z0> holds: its start is given on
+    # its support, as run_pt_protocol passes it
+    return type(_propagator(inst, 0.1, np.ones(1), z0, support=[z0]))
 
 
 def _check_propagator_composes(inst, z0, backend):
@@ -215,7 +215,7 @@ def test_level_reconstruction_matches_distance_sum(n):
     inst = ImpurityBandInstance(n=n, marked=marked, eps=np.zeros(len(marked)),
                                 W=1.0, B_perp=1.0)
     # one unmarked centre where there is room for it
-    levels = _LevelPropagator(inst, 1.0, np.zeros(1 << n),
+    levels = _LevelPropagator(inst, 1.0, [], [],
                               [min(set(range(1 << n)) - set(marked))]
                               if n > 2 else [])
     W = (rng.normal(size=(n + 1, len(levels.centres)))
@@ -248,6 +248,39 @@ def test_band_segments_compose(monkeypatch):
     _check_propagator_composes(inst, inst.marked[2], _LevelPropagator)
     dense = gen_impurity_band(n=6, M=9, W=0.5, seed=4, B_perp=1.3)
     _check_propagator_composes(dense, dense.marked[2], _FwhtPropagator)
+
+
+@pytest.mark.parametrize("kind", ["glass", "level-band", "dense-band"])
+def test_start_on_its_support_matches_the_full_start(kind):
+    # the same start given over all 2^n states and on its support picks
+    # the same backend, and the runs agree bit for bit; the level-band
+    # start is a marked and an unmarked label with complex amplitudes
+    if kind == "glass":
+        inst = gen_spin_glass(n=6, seed=2)
+        support, amps = [9], [1.0]
+    else:
+        inst = gen_impurity_band(n=8, M=6 if kind == "level-band" else 17,
+                                 W=0.5, seed=4, B_perp=1.3)
+        free = min(set(range(1 << 8)) - set(inst.marked))
+        support = sorted({inst.marked[2], free} if kind == "level-band"
+                         else {inst.marked[2]})
+        amps = ([np.sqrt(0.5), 1j * np.sqrt(0.5)] if kind == "level-band"
+                else [1.0])
+    full = np.zeros(1 << inst.n, dtype=complex)
+    full[support] = amps
+    z0 = support[0]
+    dense, sparse, unmoved = (
+        _propagator(inst, 0.05, full, z0),
+        *(_propagator(inst, 0.05, np.asarray(amps), z0, support=support)
+          for _ in range(2)))
+    assert type(dense) is type(sparse)
+    assert type(dense) is (_LevelPropagator if kind == "level-band"
+                           else _FwhtPropagator)
+    # with no step taken, the state formed is the start itself
+    np.testing.assert_allclose(unmoved.state(), full, rtol=0, atol=1e-15)
+    assert dense.advance(20, every=5) == sparse.advance(20, every=5)
+    assert dense.weight(z0) == sparse.weight(z0)
+    np.testing.assert_array_equal(dense.state(), sparse.state())
 
 
 @SYMMETRIC
