@@ -70,7 +70,6 @@ from .pblm import (
 )
 from .statevector import (
     EvolutionConfig,
-    StateVector,
     evolve_trotter,
     run_pt_protocol,
 )
@@ -240,8 +239,7 @@ def _cmd_evolve(args, out_dir, manifest):
         raise UsageError("evolve requires --time")
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
-    state = evolve_trotter(StateVector.basis_state(inst.n, z0), inst, config)
-    probs = state.probabilities()
+    probs = np.abs(evolve_trotter(inst, [1.0], [z0], config)) ** 2
     write_csv(out_dir / "evolve_state.csv",
               ["z", "probability", "classical_energy", "hamming_from_z0"],
               _top_k_rows(inst, z0, probs, top_k), manifest)
@@ -377,11 +375,15 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
     write_json(out_dir / "pblm_fit.json", report, manifest)
 
 
-def _simulated_peak(setup, scan_points=4001):
+# times per driver-error period in _simulated_peak's scan
+_PEAK_SCAN_POINTS = 4001
+
+
+def _simulated_peak(setup):
     """Repeated-trial transfer time from exact reduced dynamics, scanned
     over one period 2 pi / eps0 of the driver error (error_time_report has
     checked eps0 > 0)."""
-    times = np.linspace(0.0, 2.0 * math.pi / setup.eps0, scan_points)
+    times = np.linspace(0.0, 2.0 * math.pi / setup.eps0, _PEAK_SCAN_POINTS)
     pop = reduced_transfer(setup, times)
     k = int(np.argmax(pop))
     return float(times[k]), float(pop[k])
@@ -528,7 +530,7 @@ def _cmd_stats_fit(args, out_dir, manifest):
         raise UsageError(f"stats-fit: {missing[0]} is missing; --m and "
                          "--gamma together select the predicted law")
     config = None if missing else _pblm_config(args)
-    cols = read_csv_columns(args["input"])
+    cols = _load_checked(args["input"], read_csv_columns)
     name = args["column"]
     if name not in cols:
         raise UsageError(f"column {name!r} not in {args['input']}")

@@ -127,11 +127,14 @@ def write_json(path: Path, doc: dict, manifest: RunManifest | None = None):
 
 
 def read_csv_columns(path) -> dict:
-    """Read a CSV written by write_csv back into named float columns."""
+    """Read a CSV written by write_csv back into named float columns; a
+    file with no header row is a ValueError."""
     with open(path) as f:
         lines = [ln for ln in f if not ln.startswith("#")]
     reader = csv.reader(lines)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("no header row")
     cols = {name: [] for name in header}
     for row in reader:
         for name, val in zip(header, row):

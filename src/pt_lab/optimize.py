@@ -24,6 +24,8 @@ from .instances import (
 
 SD_MAX_N = 22
 _BLOCK = 1 << 18
+# rows of pair_hamming_histogram's distance table per block
+_PAIR_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -249,19 +251,20 @@ def hamming_histogram_from(z0: int, probabilities: np.ndarray, n: int) -> np.nda
     return np.bincount(d, weights=probabilities, minlength=n + 1)
 
 
-def pair_hamming_histogram(labels: np.ndarray, weights: np.ndarray, n: int,
-                           block: int = 2048) -> np.ndarray:
+def pair_hamming_histogram(labels: np.ndarray, weights: np.ndarray,
+                           n: int) -> np.ndarray:
     """Joint-probability-weighted histogram of pairwise Hamming distances.
 
     Counts ordered pairs i != j with weight w_i w_j; the zero-distance
-    self terms are excluded. Blockwise to bound memory at large supports.
+    self terms are excluded. Blockwise, _PAIR_BLOCK rows at a time, to
+    bound memory at large supports.
     """
     z = np.asarray(labels, dtype=np.uint64)
     w = np.asarray(weights, dtype=float)
     hist = np.zeros(n + 1)
-    for lo in range(0, len(z), block):
-        zb = z[lo:lo + block]
-        wb = w[lo:lo + block]
+    for lo in range(0, len(z), _PAIR_BLOCK):
+        zb = z[lo:lo + _PAIR_BLOCK]
+        wb = w[lo:lo + _PAIR_BLOCK]
         d = np.bitwise_count(zb[:, None] ^ z[None, :]).astype(np.int64)
         joint = wb[:, None] * w[None, :]
         hist += np.bincount(d.ravel(), weights=joint.ravel(), minlength=n + 1)

@@ -90,15 +90,6 @@ class LevyStableParams:
             raise ValueError("scale C must be positive")
 
 
-@dataclass
-class MinibandDiagnostics:
-    gammas: np.ndarray
-    censored_fraction: float
-    omegas: np.ndarray
-    sigma: np.ndarray
-    stable_fit: LevyStableParams | None
-
-
 def sample_pblm(config: PBLMConfig, seed: int = 0) -> DownfoldedMatrix:
     """One realization: uniform diagonal of width W, heavy-tailed couplings.
 
@@ -452,26 +443,6 @@ def participation_ratios(matrix) -> np.ndarray:
     """Omega_beta = 1 / sum_j |psi_beta(j)|^4 for every eigenstate."""
     _, vecs = _eigh(matrix)
     return 1.0 / np.square(np.square(vecs)).sum(axis=0)
-
-
-def diagnose_matrix(matrix, eta: float | None = None,
-                    window: tuple = (0.9, 0.37),
-                    fit: bool = True) -> MinibandDiagnostics:
-    """All per-matrix miniband observables in one pass."""
-    gammas = gamma_samples(matrix, window)
-    omegas = participation_ratios(matrix)
-    sigma = site_self_energies(matrix, eta)
-    finite = gammas[np.isfinite(gammas)]
-    stable_fit = None
-    if fit and len(finite) >= 8:
-        stable_fit = fit_stable_quantiles(finite / 2.0)
-    return MinibandDiagnostics(
-        gammas=gammas,
-        censored_fraction=1.0 - len(finite) / len(gammas),
-        omegas=omegas,
-        sigma=sigma,
-        stable_fit=stable_fit,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ emitted artifacts can be checked without subprocess plumbing.
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -577,6 +576,25 @@ def test_stats_fit_rejects_text_column(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "label" in err[0]
 
 
+@pytest.mark.parametrize("case", ["empty", "comment-only", "missing",
+                                  "non-utf8"])
+def test_stats_fit_rejects_unreadable_input(tmp_path, capsys, case):
+    # as an unreadable --instance does: exit 2, one line, nothing written
+    path = tmp_path / "s.csv"
+    if case == "empty":
+        path.write_text("")
+    elif case == "comment-only":
+        path.write_text("# pt-lab\n# no rows\n")
+    elif case == "non-utf8":
+        path.write_bytes(b"sigma_doubleprime_energy\n\xff\xfe\n")
+    out = tmp_path / "out"
+    rc = main(["--out-dir", str(out), "stats-fit", "--input", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not any(out.iterdir())
+
+
 def test_stats_fit_rejects_beta_outside_unit_interval(tmp_path, capsys):
     # and every predicted-law parameter that PBLMConfig rejects
     path = tmp_path / "s.csv"
@@ -785,19 +803,18 @@ def test_import_loads_no_numpy():
 
 
 def test_every_traced_function_exists():
-    # the benchmark tracer records nothing for a name it cannot find, so a
-    # renamed or removed function would make its per-layer metric read 0
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
-    spec = importlib.util.spec_from_file_location("tracecli", path)
-    tracecli = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracecli)
-    for short, names in tracecli.SPANNED.items():
-        module = importlib.import_module(f"pt_lab.{short}")
-        for name in names:
-            owner = module
-            for part in name.split("."):
-                owner = getattr(owner, part, None)
-            assert callable(owner), f"pt_lab.{short}.{name}"
+    # the benchmark tracer records a name it cannot find as missing, and
+    # that name's per-layer metric then reads 0. This runs the tracer's own
+    # lookup after the import its runs make (pt_lab.cli), in a child
+    # process, since installing rebinds the package's functions
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    probe = ("import pt_lab.cli, tracecli; t = tracecli.Tracer(); "
+             "t.install(); print(*t.missing)")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, env={**os.environ,
+                        "PYTHONPATH": os.pathsep.join([_SRC, str(perfbench)])})
+    assert out.stdout.split() == []
 
 
 @pytest.mark.parametrize("cmd", ["pt-run", "pipeline"])

@@ -6,8 +6,8 @@ import pytest
 from pt_lab import pblm
 from pt_lab.downfold import DownfoldedMatrix
 from pt_lab.pblm import (GammaLawPrediction, LevyStableParams,
-                         MinibandDiagnostics, PBLMConfig, cauchy_shift_pdf,
-                         classify_phase, diagnose_matrix, fit_stable_quantiles,
+                         PBLMConfig, cauchy_shift_pdf,
+                         classify_phase, fit_stable_quantiles,
                          gamma_samples, mu_omega, omega_predicted,
                          participation_ratios,
                          predicted_gamma_law, pt_scaling_time, pt_time,
@@ -569,17 +569,6 @@ def test_one_eigendecomposition_per_matrix(monkeypatch):
     assert len(calls) == 1
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
-
-
-def test_diagnose_matrix_fields():
-    cfg = PBLMConfig(M=96, gamma=1.5, lam=1.0)
-    mat = sample_pblm(cfg, seed=1)
-    diag = diagnose_matrix(mat)
-    assert isinstance(diag, MinibandDiagnostics)
-    assert diag.omegas.shape == (96,)
-    assert np.all(diag.omegas >= 1.0 - 1e-9)
-    assert np.all(diag.omegas <= 96.0 + 1e-9)
-    assert 0.0 <= diag.censored_fraction <= 1.0
 
 
 # ---------------------------------------------------------------- PT time

@@ -8,8 +8,7 @@ from scipy.linalg import hadamard
 from pt_lab.bits import hamming_array, krawtchouk_table
 from pt_lab.instances import (ImpurityBandInstance, all_classical_energies,
                               gen_impurity_band, gen_spin_glass)
-from pt_lab.statevector import (EvolutionConfig, StateVector,
-                                dense_hamiltonian, driver_terms,
+from pt_lab.statevector import (EvolutionConfig, dense_hamiltonian, driver_terms,
                                 driver_x_diagonal, evolve_trotter, exact_eigs,
                                 run_pt_protocol, sample_output,
                                 transferred_weight, transition_distribution,
@@ -102,9 +101,9 @@ def test_uniform_trotter_matches_fwht_reference(n, M, start, B):
     z0 = (inst.marked[-1] if start == "marked"
           else min(set(range(1 << n)) - set(inst.marked)))
     cfg = EvolutionConfig(total_time=3.0, trotter_steps=40)
-    got = evolve_trotter(StateVector.basis_state(n, z0), inst, cfg)
+    got = evolve_trotter(inst, [1.0], [z0], cfg)
     want = _fwht_reference(inst, z0, 3.0, 40)
-    np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def _spy_paths(monkeypatch):
@@ -127,7 +126,7 @@ def _spy_paths(monkeypatch):
 def _backend(inst, z0):
     # the backend a transfer run from |z0> holds: its start is given on
     # its support, as run_pt_protocol passes it
-    return type(_propagator(inst, 0.1, np.ones(1), z0, support=[z0]))
+    return type(_propagator(inst, 0.1, np.ones(1), [z0], z0))
 
 
 def _check_propagator_composes(inst, z0, backend):
@@ -136,8 +135,8 @@ def _check_propagator_composes(inst, z0, backend):
     # error, no Trotter error. A rung's weight is the formed state's
     # transferred_weight: the same amplitudes on the FWHT path, level
     # coordinates' own overlaps on the level path
-    start = StateVector.basis_state(inst.n, z0).amplitudes
-    split, whole = (_propagator(inst, 0.01, start, z0) for _ in range(2))
+    split, whole = (_propagator(inst, 0.01, np.ones(1), [z0], z0)
+                    for _ in range(2))
     assert type(split) is backend
     samples = split.advance(100, every=10) + split.advance(100, every=10)
     np.testing.assert_allclose(samples, whole.advance(200, every=10),
@@ -190,10 +189,10 @@ def test_uniform_path_selection(monkeypatch, extra, start, B, path):
         amps /= np.linalg.norm(amps)
     else:
         amps[inst.marked[0]] = 1j if start == "phase" else 1.0
-    state = StateVector(amps, n)
+    support = np.flatnonzero(amps)
     calls = _spy_paths(monkeypatch)
     cfg = EvolutionConfig(total_time=1.0, trotter_steps=5)
-    got = evolve_trotter(state, inst, cfg).amplitudes
+    got = evolve_trotter(inst, amps[support], support, cfg)
     assert calls == {"level": path == "level", "fwht": path == "fwht"}
     want = _fwht_reference(inst, amps, 1.0, 5)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -233,16 +232,16 @@ def test_band_segments_compose(monkeypatch):
     # the first half runs in level coordinates; its output has 2^n
     # nonzero amplitudes, so the second half takes the FWHT path
     inst = gen_impurity_band(n=8, M=6, W=0.5, seed=4, B_perp=1.3)
-    state = StateVector.basis_state(8, inst.marked[2])
-    whole = evolve_trotter(state, inst, EvolutionConfig(
+    start = [1.0], [inst.marked[2]]
+    whole = evolve_trotter(inst, *start, EvolutionConfig(
         total_time=2.0, trotter_steps=200))
     calls = _spy_paths(monkeypatch)
-    half = evolve_trotter(state, inst, EvolutionConfig(
+    half = evolve_trotter(inst, *start, EvolutionConfig(
         total_time=1.0, trotter_steps=100))
-    again = evolve_trotter(half, inst, EvolutionConfig(
+    again = evolve_trotter(inst, half, np.arange(1 << 8), EvolutionConfig(
         total_time=1.0, trotter_steps=100))
     assert calls == {"level": 1, "fwht": 1}
-    np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(again, whole, atol=1e-12)
     # the propagators themselves: level coordinates, and the FWHT path of
     # a dense band (M^2 > 2^6)
     _check_propagator_composes(inst, inst.marked[2], _LevelPropagator)
@@ -251,10 +250,10 @@ def test_band_segments_compose(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["glass", "level-band", "dense-band"])
-def test_start_on_its_support_matches_the_full_start(kind):
-    # the same start given over all 2^n states and on its support picks
-    # the same backend, and the runs agree bit for bit; the level-band
-    # start is a marked and an unmarked label with complex amplitudes
+def test_unstepped_propagator_forms_its_start(kind):
+    # with no step taken, the state formed is the start itself, on either
+    # backend; the level-band start is a marked and an unmarked label with
+    # complex amplitudes
     if kind == "glass":
         inst = gen_spin_glass(n=6, seed=2)
         support, amps = [9], [1.0]
@@ -268,19 +267,10 @@ def test_start_on_its_support_matches_the_full_start(kind):
                 else [1.0])
     full = np.zeros(1 << inst.n, dtype=complex)
     full[support] = amps
-    z0 = support[0]
-    dense, sparse, unmoved = (
-        _propagator(inst, 0.05, full, z0),
-        *(_propagator(inst, 0.05, np.asarray(amps), z0, support=support)
-          for _ in range(2)))
-    assert type(dense) is type(sparse)
-    assert type(dense) is (_LevelPropagator if kind == "level-band"
-                           else _FwhtPropagator)
-    # with no step taken, the state formed is the start itself
+    unmoved = _propagator(inst, 0.05, np.asarray(amps), support, support[0])
+    assert type(unmoved) is (_LevelPropagator if kind == "level-band"
+                             else _FwhtPropagator)
     np.testing.assert_allclose(unmoved.state(), full, rtol=0, atol=1e-15)
-    assert dense.advance(20, every=5) == sparse.advance(20, every=5)
-    assert dense.weight(z0) == sparse.weight(z0)
-    np.testing.assert_array_equal(dense.state(), sparse.state())
 
 
 @SYMMETRIC
@@ -299,7 +289,8 @@ def test_band_ladder_weights_match_full_state_runs():
 
 def test_uniform_trotter_builds_no_state_sized_table(monkeypatch, traced_peak):
     # the level path keeps the state and one scratch: no 2^n phase
-    # table, no x-basis driver diagonal, no classical-energy vector. The
+    # table, no x-basis driver diagonal, no classical-energy vector, and
+    # no 2^n start, which the traced call builds from its labels. The
     # basis-state start and the superposition of two marked states both
     # run in level coordinates
     import pt_lab.statevector as sv
@@ -311,16 +302,14 @@ def test_uniform_trotter_builds_no_state_sized_table(monkeypatch, traced_peak):
     monkeypatch.setattr(sv, "all_classical_energies", forbidden)
     calls = _spy_paths(monkeypatch)
     inst = gen_impurity_band(n=16, M=64, W=0.5, seed=0, B_perp=2.0)
-    pair = np.zeros(1 << 16, dtype=np.complex128)
-    pair[list(inst.marked[:2])] = np.sqrt(0.5)
     cfg = EvolutionConfig(total_time=1.0, trotter_steps=4)
-    for state in [StateVector.basis_state(16, inst.marked[0]),
-                  StateVector(pair, 16)]:
+    for start in [([1.0], [inst.marked[0]]),
+                  ([np.sqrt(0.5)] * 2, sorted(inst.marked[:2]))]:
         calls.update(level=0, fwht=0)
-        out, peak = traced_peak(evolve_trotter, state, inst, cfg)
+        out, peak = traced_peak(evolve_trotter, inst, *start, cfg)
         assert calls == {"level": 1, "fwht": 0}
-        assert peak < 3 * out.amplitudes.nbytes
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert peak <= 2.25 * out.nbytes
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["glass", "dense-band"])
@@ -329,7 +318,8 @@ def test_fwht_trotter_holds_five_states(monkeypatch, traced_peak, kind):
     # ph_full and ph_half, which a sampled symmetric run keeps as its
     # survival probe. Rung weights read one amplitude (a band's: its
     # marked ones), and the output distribution is formed after the tables
-    # are released. The dense band (M^2 > 2^16) takes this path too
+    # are released. The traced evolve_trotter call builds its start from
+    # its label. The dense band (M^2 > 2^16) takes this path too
     if kind == "glass":
         inst, z0 = gen_spin_glass(n=16, seed=3), 59518
     else:
@@ -337,14 +327,13 @@ def test_fwht_trotter_holds_five_states(monkeypatch, traced_peak, kind):
         z0 = inst.marked[0]
     all_classical_energies(inst)  # kept on the instance, before the trace
     calls = _spy_paths(monkeypatch)
-    state = StateVector.basis_state(16, z0)
-    bound = 5.25 * state.amplitudes.nbytes
+    bound = 5.25 * np.zeros(1 << 16, dtype=np.complex128).nbytes
     res, peak = traced_peak(run_pt_protocol, inst, z0, EvolutionConfig(
         dt=0.1, start_time=0.5, max_doublings=1, saturation_rtol=0.0))
     # two rungs of 5 steps, sampled after every step
     assert len(res.survival) == 11 and len(res.ladder_weights) == 2
     assert peak <= bound
-    _, peak = traced_peak(evolve_trotter, state, inst,
+    _, peak = traced_peak(evolve_trotter, inst, [1.0], [z0],
                           EvolutionConfig(total_time=0.5, trotter_steps=5))
     assert peak <= bound
     assert calls == {"level": 0, "fwht": 3}
@@ -357,10 +346,9 @@ def test_uniform_trotter_norm_drift_over_long_runs(monkeypatch):
     calls = _spy_paths(monkeypatch)
     for M in (8, 65):
         inst = gen_impurity_band(n=12, M=M, W=0.5, seed=3, B_perp=2.0)
-        state = StateVector.basis_state(12, inst.marked[0])
-        out = evolve_trotter(state, inst, EvolutionConfig(
+        out = evolve_trotter(inst, [1.0], [inst.marked[0]], EvolutionConfig(
             total_time=1000.0, trotter_steps=20000))
-        assert abs(out.norm() - 1.0) <= 1e-10
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
     assert calls == {"level": 1, "fwht": 1}
 
 
@@ -448,11 +436,10 @@ def test_trotter_converges_to_exact(kind):
     vals, vecs = exact_eigs(g)
     phases = np.exp(-1j * vals * T)
     psi_exact = vecs @ (phases * vecs[z0])
-    state = StateVector.basis_state(6, z0)
     err = {}
     for steps in (400, 800):
-        psi = evolve_trotter(state, g, EvolutionConfig(
-            total_time=T, trotter_steps=steps)).amplitudes
+        psi = evolve_trotter(g, [1.0], [z0], EvolutionConfig(
+            total_time=T, trotter_steps=steps))
         err[steps] = np.linalg.norm(psi - psi_exact)
     assert err[800] < 1e-3
     assert 3.9 <= err[400] / err[800] <= 4.1
@@ -461,14 +448,13 @@ def test_trotter_converges_to_exact(kind):
 def test_trotter_segments_compose():
     # one 200-step run equals two 100-step runs at the same dt
     g = gen_spin_glass(n=5, seed=8)
-    state = StateVector.basis_state(5, 3)
-    whole = evolve_trotter(state, g,
+    whole = evolve_trotter(g, [1.0], [3],
                            EvolutionConfig(total_time=2.0, trotter_steps=200))
-    half = evolve_trotter(state, g,
+    half = evolve_trotter(g, [1.0], [3],
                           EvolutionConfig(total_time=1.0, trotter_steps=100))
-    again = evolve_trotter(half, g,
+    again = evolve_trotter(g, half, np.arange(1 << 5),
                            EvolutionConfig(total_time=1.0, trotter_steps=100))
-    np.testing.assert_allclose(again.amplitudes, whole.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(again, whole, atol=1e-12)
     _check_propagator_composes(g, 3, _FwhtPropagator)
 
 
@@ -486,10 +472,9 @@ def test_survival_trace_matches_fixed_time_runs(monkeypatch):
     steps = np.rint(res.times / dt).astype(int)
     np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19, 20,
                                           26, 32, 38, 40])
-    state = StateVector.basis_state(6, z0)
     for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
-        psi = evolve_trotter(state, g, EvolutionConfig(
-            total_time=t, trotter_steps=k)).amplitudes
+        psi = evolve_trotter(g, [1.0], [z0], EvolutionConfig(
+            total_time=t, trotter_steps=k))
         assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
     # the rung weight reads one amplitude, the output weight all of them
     assert res.ladder_weights[-1] == res.transferred_weight
@@ -513,10 +498,9 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch):
         steps = np.rint(res.times / dt).astype(int)
         np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19,
                                               20, 26, 32, 38, 40])
-        state = StateVector.basis_state(6, z0)
         for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
-            psi = evolve_trotter(state, g, EvolutionConfig(
-                total_time=t, trotter_steps=k)).amplitudes
+            psi = evolve_trotter(g, [1.0], [z0], EvolutionConfig(
+                total_time=t, trotter_steps=k))
             assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
         assert not np.allclose(res.survival, 1.0)
         assert {name for name, count in calls.items() if count} == {path}
@@ -554,30 +538,50 @@ def test_uniform_trotter_preserves_norm(seed, T, steps, B):
         g = gen_impurity_band(n=5, M=M, W=0.5, seed=seed, B_perp=B)
         z0 = g.marked[seed % 4]
         assert (_backend(g, z0) is _FwhtPropagator) == (M == 6)
-        state = StateVector.basis_state(5, z0)
         cfg = EvolutionConfig(total_time=T, trotter_steps=steps)
-        out = evolve_trotter(state, g, cfg)
-        assert out.norm() == pytest.approx(1.0, abs=1e-9)
+        out = evolve_trotter(g, [1.0], [z0], cfg)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 500), st.floats(0.1, 5.0), st.integers(1, 60))
 def test_trotter_preserves_norm(seed, T, steps):
     g = gen_spin_glass(n=5, seed=seed)
-    state = StateVector.basis_state(5, seed % 32)
     cfg = EvolutionConfig(total_time=T, trotter_steps=steps)
-    out = evolve_trotter(state, g, cfg)
-    assert out.norm() == pytest.approx(1.0, abs=1e-9)
+    out = evolve_trotter(g, [1.0], [seed % 32], cfg)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_evolve_requires_time_and_matching_size():
+    # a label past 2^n is a start of a larger system
     g = gen_spin_glass(n=5, seed=0)
-    state = StateVector.basis_state(5, 0)
-    with pytest.raises(ValueError):
-        evolve_trotter(state, g, EvolutionConfig())
-    with pytest.raises(ValueError):
-        evolve_trotter(StateVector.basis_state(4, 0), g,
-                       EvolutionConfig(total_time=1.0))
+    with pytest.raises(ValueError, match="total_time"):
+        evolve_trotter(g, [1.0], [0], EvolutionConfig())
+    with pytest.raises(ValueError, match="labels"):
+        evolve_trotter(g, [1.0], [32], EvolutionConfig(total_time=1.0))
+
+
+@pytest.mark.parametrize("amps, support, match", [
+    pytest.param([0.6, 0.8], [3, 3], "labels", id="repeated-label"),
+    pytest.param([0.6, 0.8], [5, 3], "labels", id="descending-label"),
+    pytest.param([1.0], [-1], "labels", id="negative-label"),
+    pytest.param([0.6, 0.8], [3], "one amplitude per label",
+                 id="unequal-lengths"),
+    pytest.param([0.6, 0.6], [3, 5], "normalized", id="unnormalized"),
+])
+def test_evolve_rejects_bad_starts(amps, support, match):
+    g = gen_spin_glass(n=5, seed=0)
+    with pytest.raises(ValueError, match=match):
+        evolve_trotter(g, amps, support, EvolutionConfig(total_time=1.0))
+
+
+def test_zero_time_evolve_returns_the_start():
+    g = gen_spin_glass(n=5, seed=0)
+    psi = evolve_trotter(g, [0.6, 0.8j], [3, 17],
+                         EvolutionConfig(total_time=0.0))
+    want = np.zeros(32, dtype=complex)
+    want[[3, 17]] = [0.6, 0.8j]
+    np.testing.assert_array_equal(psi, want)
 
 
 def test_resolve_steps():
