@@ -85,7 +85,7 @@ def _load_checked(path, load=load_instance):
         return load(path)
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing file, a directory, no read permission
         raise UsageError(str(e)) from e
     except ValueError as e:
         raise UsageError(f"{path}: {e}") from e
@@ -170,14 +170,6 @@ def _print_rung(total_time, weight, change):
           f"{rel}", file=sys.stderr)
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else x
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers (args is the parsed-namespace dict minus globals)
 
@@ -209,27 +201,29 @@ def _cmd_gen_instance(args, out_dir, manifest):
 def _cmd_spectrum(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
     summary = spectrum_summary(inst, bins=_count_arg(args, "bins"))
-    rows = [(repr(float(lo)), repr(float(hi)), int(c))
-            for lo, hi, c in zip(summary.bin_edges[:-1], summary.bin_edges[1:],
-                                 summary.counts)]
     write_csv(out_dir / "spectrum.csv",
-              ["bin_lo_energy", "bin_hi_energy", "count_states"], rows, manifest)
+              {"bin_lo_energy": summary.bin_edges[:-1],
+               "bin_hi_energy": summary.bin_edges[1:],
+               "count_states": summary.counts}, manifest)
     write_json(out_dir / "spectrum.json",
                {"e_min": summary.e_min, "e_max": summary.e_max,
                 "mean": summary.mean, "std": summary.std}, manifest)
 
 
 def _top_k_rows(inst, z0, probs, k):
-    """The k most probable states, by decreasing probability and then by
-    label. Only the states at or above the k-th largest probability are
-    sorted."""
-    E = all_classical_energies(inst)
-    k = min(k, len(probs))
-    kth = np.partition(probs, len(probs) - k)[len(probs) - k]
-    cand = np.flatnonzero(probs >= kth)
-    order = cand[np.lexsort((cand, -probs[cand]))][:k]
-    return [(int(z), repr(float(probs[z])), repr(float(E[z])), int(d))
-            for z, d in zip(order, hamming_array(order, z0))]
+    """The columns of the k most probable states, by decreasing probability
+    and then by label. Probabilities are compared in float32, so states
+    whose probabilities are equal in exact arithmetic, and differ only by
+    rounding, keep label order; the probability column is the float64 value.
+    Only the states at or above the k-th largest key are sorted."""
+    key = probs.astype(np.float32)
+    k = min(k, len(key))
+    kth = np.partition(key, len(key) - k)[len(key) - k]
+    cand = np.flatnonzero(key >= kth)
+    z = cand[np.lexsort((cand, -key[cand]))][:k]
+    return {"z": z, "probability": probs[z],
+            "classical_energy": all_classical_energies(inst)[z],
+            "hamming_from_z0": hamming_array(z, z0)}
 
 
 def _cmd_evolve(args, out_dir, manifest):
@@ -240,32 +234,27 @@ def _cmd_evolve(args, out_dir, manifest):
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
     probs = np.abs(evolve_trotter(inst, [1.0], [z0], config)) ** 2
-    write_csv(out_dir / "evolve_state.csv",
-              ["z", "probability", "classical_energy", "hamming_from_z0"],
-              _top_k_rows(inst, z0, probs, top_k), manifest)
+    write_csv(out_dir / "evolve_state.csv", _top_k_rows(inst, z0, probs, top_k),
+              manifest)
     write_json(out_dir / "evolve.json",
                {"z0": z0, "time": args["time"], "steps": config.resolve_steps(args["time"]),
                 "norm": float(np.sqrt(probs.sum())), "survival": float(probs[z0])},
                manifest)
 
 
-def _emit_pt_result(inst, result, out_dir, manifest, top_k, prefix="pt"):
-    write_csv(out_dir / f"{prefix}_output.csv",
-              ["z", "probability", "classical_energy", "hamming_from_z0"],
+def _emit_pt_result(inst, result, out_dir, manifest, top_k):
+    write_csv(out_dir / "pt_output.csv",
               _top_k_rows(inst, result.z0, result.probabilities, top_k), manifest)
-    write_csv(out_dir / f"{prefix}_survival.csv", ["time", "survival_probability"],
-              [(repr(float(t)), repr(float(s)))
-               for t, s in zip(result.times, result.survival)], manifest)
-    write_csv(out_dir / f"{prefix}_energy_hist.csv",
-              ["bin_lo_energy", "bin_hi_energy", "probability"],
-              [(repr(float(lo)), repr(float(hi)), repr(float(w)))
-               for lo, hi, w in zip(result.energy_edges[:-1],
-                                    result.energy_edges[1:], result.energy_hist)],
+    write_csv(out_dir / "pt_survival.csv",
+              {"time": result.times, "survival_probability": result.survival},
               manifest)
-    write_csv(out_dir / f"{prefix}_hamming_hist.csv",
-              ["hamming_distance", "probability"],
-              [(d, repr(float(w))) for d, w in enumerate(result.hamming_hist)],
-              manifest)
+    write_csv(out_dir / "pt_energy_hist.csv",
+              {"bin_lo_energy": result.energy_edges[:-1],
+               "bin_hi_energy": result.energy_edges[1:],
+               "probability": result.energy_hist}, manifest)
+    write_csv(out_dir / "pt_hamming_hist.csv",
+              {"hamming_distance": np.arange(len(result.hamming_hist)),
+               "probability": result.hamming_hist}, manifest)
 
 
 def _cmd_pt_run(args, out_dir, manifest):
@@ -307,7 +296,7 @@ def _one_pblm_realization(config, seed, eta, fit_gammas):
     sigma = site_self_energies(mat, eta)
     omegas = participation_ratios(mat)
     gammas = gamma_samples(mat) if fit_gammas else None
-    return seed, sigma, omegas, gammas
+    return sigma, omegas, gammas
 
 
 def _pblm_config(args) -> PBLMConfig:
@@ -327,33 +316,23 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
     fit_gammas = args["fit_gammas"]
     seeds = [args["seed"] + r for r in range(R)]
     manifest.seeds.extend(seeds)
-    results = [_one_pblm_realization(config, s, eta, fit_gammas) for s in seeds]
-
-    site_rows, omega_rows = [], []
-    pooled_sigma2 = []
-    pooled_gamma = []
-    censored = 0
-    for seed, sigma, omegas, gammas in results:
-        for j in range(config.M):
-            g = gammas[j] if gammas is not None else None
-            site_rows.append((seed, j, _fmt(sigma.real[j]), _fmt(sigma.imag[j]),
-                              _fmt(g)))
-            if gammas is not None and not np.isfinite(gammas[j]):
-                censored += 1
-        omega_rows.extend((seed, b, _fmt(om)) for b, om in enumerate(omegas))
-        pooled_sigma2.append(sigma.imag)
-        if gammas is not None:
-            pooled_gamma.append(gammas[np.isfinite(gammas)])
+    sigma, omegas, gammas = zip(*(_one_pblm_realization(config, s, eta, fit_gammas)
+                                  for s in seeds))
+    sigma, omegas = np.concatenate(sigma), np.concatenate(omegas)
+    gammas = np.concatenate(gammas) if fit_gammas else [None] * len(sigma)
+    seed_col = np.repeat(seeds, config.M)
+    index_col = np.tile(np.arange(config.M), R)
     write_csv(out_dir / "pblm_sites.csv",
-              ["realization_seed", "site", "sigma_prime_energy",
-               "sigma_doubleprime_energy", "gamma_rate"], site_rows, manifest)
+              {"realization_seed": seed_col, "site": index_col,
+               "sigma_prime_energy": sigma.real,
+               "sigma_doubleprime_energy": sigma.imag, "gamma_rate": gammas},
+              manifest)
     write_csv(out_dir / "pblm_states.csv",
-              ["realization_seed", "state", "participation_ratio"],
-              omega_rows, manifest)
+              {"realization_seed": seed_col, "state": index_col,
+               "participation_ratio": omegas}, manifest)
 
-    sigma2 = np.concatenate(pooled_sigma2)
-    positive = sigma2[sigma2 > 0]
-    fit = fit_stable_quantiles(positive)
+    sigma2 = sigma.imag
+    fit = fit_stable_quantiles(sigma2[sigma2 > 0])
     pred = predicted_gamma_law(config)
     report = {
         "config": {"M": config.M, "gamma": config.gamma, "lam": config.lam,
@@ -363,15 +342,14 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
                       "sigma_star": pred.sigma_star, "omega": pred.omega,
                       "gamma_typ": pred.gamma_typ},
         "fitted_sigma2": {"shift": fit.shift, "scale": fit.C},
-        "median_participation_ratio": float(np.median(np.concatenate(
-            [om for _, _, om, _ in results]))),
+        "median_participation_ratio": float(np.median(omegas)),
         "median_sigma2": float(np.median(sigma2)),
     }
-    if pooled_gamma:
-        pooled = np.concatenate(pooled_gamma)
-        gfit = fit_stable_quantiles(pooled / 2.0)
+    if fit_gammas:
+        censored = np.isnan(gammas)
+        gfit = fit_stable_quantiles(gammas[~censored] / 2.0)
         report["fitted_gamma_half"] = {"shift": gfit.shift, "scale": gfit.C}
-        report["censored_fraction"] = censored / (R * config.M)
+        report["censored_fraction"] = censored.mean()
     write_json(out_dir / "pblm_fit.json", report, manifest)
 
 
@@ -399,17 +377,16 @@ def _cmd_grover_sweep(args, out_dir, manifest):
         reports = [error_time_report(setup) for setup in setups]
     except ValueError as e:
         raise UsageError(str(e)) from e
-    rows = []
-    for setup, rep in zip(setups, reports):
-        t_peak, p_peak = _simulated_peak(setup)
-        t_sim = t_peak / p_peak if p_peak > 0 else math.inf
-        rows.append((n, M, repr(float(W)), repr(float(setup.eps0)),
-                     repr(rep.t_pt), repr(t_sim), repr(rep.t_grover),
-                     repr(rep.p0), repr(rep.t0)))
+    peaks = [_simulated_peak(setup) for setup in setups]
     write_csv(out_dir / "grover_sweep.csv",
-              ["n", "M", "W_energy", "eps0_energy", "t_pt_predicted",
-               "t_pt_simulated", "t_grover", "p0_peak", "t0_peak"],
-              rows, manifest)
+              {"n": [n] * len(setups), "M": [M] * len(setups),
+               "W_energy": [W] * len(setups),
+               "eps0_energy": [setup.eps0 for setup in setups],
+               "t_pt_predicted": [rep.t_pt for rep in reports],
+               "t_pt_simulated": [t / p if p > 0 else math.inf for t, p in peaks],
+               "t_grover": [rep.t_grover for rep in reports],
+               "p0_peak": [rep.p0 for rep in reports],
+               "t0_peak": [rep.t0 for rep in reports]}, manifest)
 
 
 def _cmd_sd(args, out_dir, manifest):
@@ -431,9 +408,11 @@ def _cmd_minima(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
     records = sorted(enumerate_local_minima(inst), key=lambda r: (r.energy, r.z))
     write_csv(out_dir / "minima.csv",
-              ["z", "bitstring", "energy", "basin_probability_uniform"],
-              [(r.z, _bitstring(r.z, inst.n), repr(r.energy),
-                repr(r.basin_probability)) for r in records], manifest)
+              {"z": [r.z for r in records],
+               "bitstring": [_bitstring(r.z, inst.n) for r in records],
+               "energy": [r.energy for r in records],
+               "basin_probability_uniform": [r.basin_probability for r in records]},
+              manifest)
     print(f"{len(records)} local minima; "
           f"global minimum energy {records[0].energy:.6f}")
 
@@ -457,13 +436,9 @@ def _cmd_pipeline(args, out_dir, manifest):
     sd_w, _ = np.histogram(en, bins=edges, weights=m_u)
     sdpt_w, _ = np.histogram(en, bins=edges, weights=m_pt)
     write_csv(out_dir / "fig_energy_panels.csv",
-              ["bin_lo_energy", "bin_hi_energy", "dos_weight", "sd_weight",
-               "pt_weight", "sd_pt_weight"],
-              [(repr(float(lo)), repr(float(hi)), repr(float(a)), repr(float(b)),
-                repr(float(c)), repr(float(d)))
-               for lo, hi, a, b, c, d in zip(edges[:-1], edges[1:], dos_w / N,
-                                             sd_w, result.energy_hist, sdpt_w)],
-              manifest)
+              {"bin_lo_energy": edges[:-1], "bin_hi_energy": edges[1:],
+               "dos_weight": dos_w / N, "sd_weight": sd_w,
+               "pt_weight": result.energy_hist, "sd_pt_weight": sdpt_w}, manifest)
 
     # 1-sigma window around the weighted mean output energy
     lo_e, hi_e = pt_energy_window(probs, E)
@@ -474,30 +449,28 @@ def _cmd_pipeline(args, out_dir, manifest):
     uni_win = np.bincount(d_sel, minlength=inst.n + 1).astype(float)
     uni_win /= max(uni_win.sum(), 1.0)
     pt_full = result.hamming_hist
+    distances = np.arange(inst.n + 1)
     write_csv(out_dir / "fig_hamming_from_start.csv",
-              ["hamming_distance", "pt_window_weight", "uniform_window_weight",
-               "pt_full_weight"],
-              [(d, repr(float(a)), repr(float(b)), repr(float(c)))
-               for d, (a, b, c) in enumerate(zip(pt_win, uni_win, pt_full))],
+              {"hamming_distance": distances, "pt_window_weight": pt_win,
+               "uniform_window_weight": uni_win, "pt_full_weight": pt_full},
               manifest)
 
     # pairwise Hamming structure inside the window
     pair_hist = pair_hamming_histogram(sel, probs[sel], inst.n)
     write_csv(out_dir / "fig_pair_hamming.csv",
-              ["hamming_distance", "joint_probability_weight"],
-              [(d, repr(float(w))) for d, w in enumerate(pair_hist)], manifest)
+              {"hamming_distance": distances,
+               "joint_probability_weight": pair_hist}, manifest)
 
     # enrichment of every local minimum
     write_csv(out_dir / "fig_enrichment.csv",
-              ["z", "bitstring", "energy", "basin_mass_uniform",
-               "basin_mass_pt", "enrichment_ratio"],
-              [(int(z), _bitstring(int(z), inst.n), repr(float(e)),
-                repr(float(mu)), repr(float(mp)), _fmt(float(r)))
-               for z, e, mu, mp, r in zip(lab, en, m_u, m_pt, ratio)], manifest)
+              {"z": lab, "bitstring": [_bitstring(int(z), inst.n) for z in lab],
+               "energy": en, "basin_mass_uniform": m_u, "basin_mass_pt": m_pt,
+               "enrichment_ratio": ratio}, manifest)
 
     window_weight = float(probs[window].sum())
     dos_fraction = float(window.sum()) / N
     finite = np.isfinite(ratio)
+    global_ratio = float(ratio[int(np.argmin(en))])
     summary = {
         "z0": z0, "z0_energy": float(E[z0]),
         "total_time": result.total_time, "saturated": result.saturated,
@@ -510,7 +483,7 @@ def _cmd_pipeline(args, out_dir, manifest):
         "alternation_contrast": alternation_contrast(pair_hist),
         "minima_count": int(len(lab)),
         "enriched_minima": int(np.sum(ratio[finite] > 1.0)),
-        "global_min_ratio": _fmt(float(ratio[int(np.argmin(en))])),
+        "global_min_ratio": "" if math.isnan(global_ratio) else repr(global_ratio),
     }
     write_json(out_dir / "pipeline_summary.json", summary, manifest)
     print(f"pipeline: window ratio {summary['window_ratio']:.2f}, "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,15 +102,28 @@ class RunManifest:
         return path
 
 
-def write_csv(path: Path, header: list[str], rows, manifest: RunManifest | None = None):
-    """CSV with a traceability comment line and a named header row."""
+def _cell(value):
+    """None and NaN are written blank; csv writes every other value as is,
+    a float or np.float64 as its repr."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    return value
+
+
+def write_csv(path: Path, columns: dict, manifest: RunManifest | None = None):
+    """CSV with a traceability comment line and a named header row; columns
+    maps each name, in order, to a sequence of that column's cells. Columns
+    of unequal length are a ValueError, raised before the file is opened."""
+    lengths = {name: len(cells) for name, cells in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
     with open(path, "w", newline="") as f:
         if manifest is not None:
             f.write(f"# manifest_hash={manifest.hash} version={manifest.version}\n")
         writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerow(columns)
+        writer.writerows(zip(*([_cell(v) for v in cells]
+                               for cells in columns.values())))
     if manifest is not None:
         manifest.record(path)
 
@@ -172,10 +186,9 @@ def save_downfolded(mat: DownfoldedMatrix, base: Path,
         manifest.record(bin_path)
     if mat.M <= DOWNFOLDED_CSV_MAX_M:
         csv_path = base.with_suffix(".csv")
-        write_csv(csv_path, ["row", "col", "value_energy"],
-                  ((i, j, repr(float(mat.matrix[i, j])))
-                   for i in range(mat.M) for j in range(mat.M)),
-                  manifest)
+        row, col = np.indices(mat.matrix.shape)
+        write_csv(csv_path, {"row": row.ravel(), "col": col.ravel(),
+                             "value_energy": mat.matrix.ravel()}, manifest)
         paths.append(csv_path)
     return paths
 

@@ -320,21 +320,8 @@ def sigma_prime_typ(M: int, sigma_star: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-matrix diagnostics
-
-
-def _as_matrix(matrix) -> np.ndarray:
-    if isinstance(matrix, DownfoldedMatrix):
-        return matrix.matrix
-    return np.asarray(matrix, dtype=float)
-
-
-def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(vals, vecs) of the matrix; a DownfoldedMatrix computes them once
-    and shares them with every later call."""
-    if isinstance(matrix, DownfoldedMatrix):
-        return matrix.eigensystem
-    return np.linalg.eigh(_as_matrix(matrix))
+# per-matrix diagnostics: each reads the DownfoldedMatrix's eigensystem, which
+# one np.linalg.eigh computes on first use and every later call shares
 
 
 def _row_blocks(M: int):
@@ -352,7 +339,7 @@ def _off_diagonal_norms(H: np.ndarray) -> np.ndarray:
     return out
 
 
-def gamma_samples(matrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
+def gamma_samples(matrix: DownfoldedMatrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
     """Decay rate Gamma_j of every basis state j under e^{-i H t}; nan = censored.
 
     Every survival curve S_j(t) comes from one spectral product on a shared
@@ -373,8 +360,8 @@ def gamma_samples(matrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
     grid can change no rate.
     """
     hi, lo = window
-    vals, vecs = _eigh(matrix)
-    spread = _off_diagonal_norms(_as_matrix(matrix))
+    vals, vecs = matrix.eigensystem
+    spread = _off_diagonal_norms(matrix.matrix)
     coupled = spread > 0.0
     if not coupled.any():
         return np.full(len(vals), math.nan)
@@ -410,21 +397,17 @@ def gamma_samples(matrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
     return np.where(ok & (slope < 0), -slope, math.nan)
 
 
-def site_self_energies(matrix, eta: float | None = None) -> np.ndarray:
+def site_self_energies(matrix: DownfoldedMatrix, eta: float | None = None) -> np.ndarray:
     """Complex self-energy per site from the diagonal resolvent.
 
     G_jj(eps_j + i eta) = sum_beta |psi_beta(j)|^2 / (eps_j + i eta - E_beta),
     Sigma_j = Sigma' + i Sigma'' with Sigma' = -Re(1/G_jj) and
-    Sigma'' = Im(1/G_jj) - eta. eta defaults to the mean level spacing
-    (W/M when metadata is available).
+    Sigma'' = Im(1/G_jj) - eta. eta defaults to the mean level spacing W/M.
     """
-    vals, vecs = _eigh(matrix)
+    vals, vecs = matrix.eigensystem
     if eta is None:
-        if isinstance(matrix, DownfoldedMatrix):
-            eta = matrix.W / matrix.M
-        else:
-            eta = (vals[-1] - vals[0]) / len(vals)
-    eps = np.diag(_as_matrix(matrix))
+        eta = matrix.W / matrix.M
+    eps = np.diag(matrix.matrix)
     M = len(vals)
     G = np.empty(M, dtype=complex)
     # every block works in place in these two buffers; fresh temporaries per
@@ -439,9 +422,9 @@ def site_self_energies(matrix, eta: float | None = None) -> np.ndarray:
     return -inv.real + 1j * (inv.imag - eta)
 
 
-def participation_ratios(matrix) -> np.ndarray:
+def participation_ratios(matrix: DownfoldedMatrix) -> np.ndarray:
     """Omega_beta = 1 / sum_j |psi_beta(j)|^4 for every eigenstate."""
-    _, vecs = _eigh(matrix)
+    _, vecs = matrix.eigensystem
     return 1.0 / np.square(np.square(vecs)).sum(axis=0)
 
 

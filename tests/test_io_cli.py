@@ -56,7 +56,7 @@ def glass_instance(tmp_path_factory):
 def test_csv_roundtrip_with_manifest_stamp(tmp_path):
     manifest = RunManifest(subcommand="t", args={"x": 1})
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [(1.0, 2.5), (3.0, None)], manifest)
+    write_csv(path, {"a": [1.0, 3.0], "b": [2.5, None]}, manifest)
     first = path.read_text().splitlines()[0]
     assert first == f"# manifest_hash={manifest.hash} version={manifest.version}"
     cols = read_csv_columns(path)
@@ -64,6 +64,26 @@ def test_csv_roundtrip_with_manifest_stamp(tmp_path):
     # the None cell keeps the column textual rather than silently NaN
     assert cols["b"].dtype.kind == "U"
     assert list(cols["b"]) == ["2.5", ""]
+
+
+def test_csv_bytes_pin_cell_format_and_line_endings(tmp_path):
+    manifest = RunManifest(subcommand="t", args={})
+    path = tmp_path / "t.csv"
+    count = np.array([3, 4, 5])
+    assert isinstance(count[0], np.int64)
+    write_csv(path, {"value": np.array([0.1, 1e-07, np.nan]), "count": count,
+                     "label": ["x", None, "z"]}, manifest)
+    # the stamp ends in \n, the csv rows in \r\n; None and NaN are blank
+    assert path.read_bytes() == (
+        f"# manifest_hash={manifest.hash} version={manifest.version}\n"
+        "value,count,label\r\n0.1,3,x\r\n1e-07,4,\r\n,5,z\r\n").encode()
+
+
+def test_csv_columns_of_unequal_length_write_nothing(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="length"):
+        write_csv(path, {"a": [1.0, 2.0], "b": [1.0]})
+    assert not path.exists()
 
 
 def test_write_json_stamps_format_and_hash(tmp_path):
@@ -100,7 +120,7 @@ def test_manifest_hash_covers_args_not_outputs(tmp_path):
     assert a.hash == b.hash and a.hash != c.hash
     assert len(a.hash) == 16 and int(a.hash, 16) >= 0
     path = tmp_path / "x.csv"
-    write_csv(path, ["a"], [(1,)], a)
+    write_csv(path, {"a": [1]}, a)
     assert a.hash == b.hash  # recording outputs must not move the hash
     mpath = a.write(tmp_path)
     doc = json.loads(mpath.read_text())
@@ -388,9 +408,26 @@ def test_top_k_rows_match_full_sort(k):
     probs = np.random.default_rng(0).integers(0, 4, size=64) / 96.0
     E = all_classical_energies(inst)
     order = np.lexsort((np.arange(64), -probs))[:k]
-    expect = [(int(z), repr(float(probs[z])), repr(float(E[z])), bin(int(z) ^ 5).count("1"))
-              for z in order]
-    assert _top_k_rows(inst, 5, probs, k) == expect
+    expect = {"z": order, "probability": probs[order], "classical_energy": E[order],
+              "hamming_from_z0": [bin(int(z) ^ 5).count("1") for z in order]}
+    got = _top_k_rows(inst, 5, probs, k)
+    assert list(got) == list(expect)
+    for name, col in expect.items():
+        np.testing.assert_array_equal(got[name], col)
+
+
+@pytest.mark.parametrize("k", [5, 17, 64])
+def test_top_k_order_ignores_rounding_noise(k):
+    # probabilities equal in exact arithmetic, apart by a few float64 ulps,
+    # keep label order; the probability column is the noisy value itself
+    inst = gen_impurity_band(6, 3, 0.5, seed=2)
+    rng = np.random.default_rng(0)
+    probs = rng.integers(0, 4, size=64) / 96.0
+    noisy = probs * (1.0 + rng.uniform(-4e-16, 4e-16, size=64))
+    assert np.any(noisy != probs)
+    got = _top_k_rows(inst, 5, noisy, k)
+    np.testing.assert_array_equal(got["z"], _top_k_rows(inst, 5, probs, k)["z"])
+    np.testing.assert_array_equal(got["probability"], noisy[got["z"]])
 
 
 # ---------------------------------------------------------------- subcommands
@@ -568,7 +605,7 @@ def test_stats_fit_skips_censored_decay_rates(tmp_path):
 
 def test_stats_fit_rejects_text_column(tmp_path, capsys):
     path = tmp_path / "s.csv"
-    write_csv(path, ["label"], [("a",), ("",), ("b",)])
+    write_csv(path, {"label": ["a", "", "b"]})
     rc = main(["--out-dir", str(tmp_path), "stats-fit", "--input", str(path),
                "--column", "label"])
     assert rc == 2
@@ -598,8 +635,7 @@ def test_stats_fit_rejects_unreadable_input(tmp_path, capsys, case):
 def test_stats_fit_rejects_beta_outside_unit_interval(tmp_path, capsys):
     # and every predicted-law parameter that PBLMConfig rejects
     path = tmp_path / "s.csv"
-    write_csv(path, ["sigma_doubleprime_energy"],
-              [(float(x),) for x in range(1, 21)])
+    write_csv(path, {"sigma_doubleprime_energy": [float(x) for x in range(1, 21)]})
     for flags, word in [(["--beta", "1.5"], "--beta"),
                         (["--m", "1", "--gamma", "1.5"], "M must be"),
                         (["--m", "0", "--gamma", "1.5"], "M must be"),
@@ -905,9 +941,8 @@ def replay_argv(tmp_path_factory, ib_instance):
     assert main(["--out-dir", str(d), "gen-instance", "--kind", "spin-glass",
                  "--n", "8", "--seed", "1", "--out", "glass.json"]) == 0
     samples = d / "samples.csv"
-    write_csv(samples, ["sigma_doubleprime_energy"],
-              [(repr(float(x)),) for x in
-               np.random.default_rng(0).pareto(1.0, 200)])
+    write_csv(samples, {"sigma_doubleprime_energy":
+                        np.random.default_rng(0).pareto(1.0, 200)})
     ib, glass = str(ib_instance), str(d / "glass.json")
     return {
         "gen-instance": ["--kind", "impurity-band", "--n", "6", "--m", "3"],
@@ -1020,6 +1055,18 @@ def test_replay_malformed_manifest(tmp_path, capsys):
     bad.write_text('{"subcommand": "no-such-command", "args": {}}')
     assert main(["--out-dir", str(tmp_path), "--replay", str(bad)]) == 2
     assert "not a run manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--instance"],
+                                  ["stats-fit", "--input"], ["--replay"]])
+def test_directory_input_is_usage_error(tmp_path, capsys, argv):
+    # as a missing file is: exit 2, one line, nothing written
+    out = tmp_path / "out"
+    rc = main(["--out-dir", str(out), *argv, str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_replay_missing_input_is_usage_error(tmp_path, ib_instance, capsys):

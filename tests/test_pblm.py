@@ -397,13 +397,18 @@ def test_gamma_samples_match_per_site_reference(seed):
     np.testing.assert_allclose(got, want, rtol=0.01)
 
 
+def _bare(H):
+    # gamma_samples reads neither V_typ nor W
+    return DownfoldedMatrix(matrix=H, V_typ=1.0, W=1.0)
+
+
 def test_uncoupled_site_is_censored_and_leaves_the_rest_alone():
     block = sample_pblm(PBLMConfig(M=64, gamma=1.5, lam=1.0), seed=2).matrix
     H = np.insert(np.insert(block, 17, 0.0, axis=0), 17, 0.0, axis=1)
     H[17, 17] = 0.3
-    got = gamma_samples(H)
+    got = gamma_samples(_bare(H))
     assert np.isnan(got[17])
-    np.testing.assert_allclose(np.delete(got, 17), gamma_samples(block),
+    np.testing.assert_allclose(np.delete(got, 17), gamma_samples(_bare(block)),
                                rtol=1e-9)
 
 
@@ -467,7 +472,7 @@ def test_late_crossing_site_keeps_its_rate():
     H = np.pad(band.matrix, (0, 1))
     H[0, -1] = H[-1, 0] = 12.0
     H[-1, -1] = 1e4
-    got = gamma_samples(H)
+    got = gamma_samples(_bare(H))
     assert np.linalg.norm(H[0, 1:]) / got[0] > 1e3
     assert got[0] == pytest.approx(2.0 * np.pi * V ** 2 / delta, rel=0.05)
     want = _whole_grid_gamma(H)
@@ -487,8 +492,8 @@ def test_site_with_two_fit_samples_is_censored():
     hi, lo = 0.5, 0.495
     t_cross = t[np.argmax(surv < lo)]
     assert np.sum((t <= 1.02 * t_cross) & (surv >= lo) & (surv <= hi)) == 2
-    assert np.isnan(gamma_samples(H, (hi, lo))[0])
-    assert np.isfinite(gamma_samples(H, (hi, 0.49))[0])
+    assert np.isnan(gamma_samples(band, (hi, lo))[0])
+    assert np.isfinite(gamma_samples(band, (hi, 0.49))[0])
 
 
 def test_decay_fits_hold_no_survival_table(traced_peak):
