@@ -3,11 +3,17 @@
 Every subcommand writes its outputs plus a manifest.json into the run
 directory (--out-dir, else $PT_LAB_OUT, else ./pt_lab_out). Exit codes:
 0 success, 1 runtime failure, 2 usage or input-format error.
+
+The package modules are lazy handles, each run on its first attribute
+access, so a process runs only the modules its subcommand reaches and its
+start-up pays for no other; a new import goes in the module that needs it.
+numpy, which every subcommand uses, is imported eagerly.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -23,56 +29,37 @@ from pathlib import Path
 # depended on the core count. Large states do gain (n=20 FWHT about 20 ->
 # 13 ms); an explicit OPENBLAS_NUM_THREADS selects that. This must run
 # before the process first imports numpy, which is why ``pt_lab`` imports
-# its submodules lazily.
+# no submodule.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
 from . import __version__
-from .bits import check_bitstring, hamming_array
-from .downfold import TunnelingParams, build_downfolded
-from .grover import GroverSetup, error_time_report, reduced_transfer
-from .instances import (
-    ImpurityBandInstance,
-    all_classical_energies,
-    gen_impurity_band,
-    gen_spin_glass,
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
-    spectrum_summary,
-)
-from .io_utils import (
-    RunManifest,
-    resolve_out_dir,
-    save_downfolded,
-    write_csv,
-    write_json,
-)
-from .optimize import (
-    alternation_contrast,
-    enrichment_ratio,
-    enumerate_local_minima,
-    local_minima,
-    median_hamming,
-    pair_hamming_histogram,
-    pt_energy_window,
-    steepest_descent,
-)
-from .pblm import (
-    PBLMConfig,
-    fit_stable_quantiles,
-    gamma_samples,
-    participation_ratios,
-    predicted_gamma_law,
-    sample_pblm,
-    site_self_energies,
-)
-from .statevector import (
-    EvolutionConfig,
-    evolve_trotter,
-    run_pt_protocol,
-)
+
+
+def _lazy(name):
+    """Module name, registered and bound on its package as by an import but
+    run on its first attribute access; an imported module is returned as is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, short = name.rpartition(".")
+    setattr(sys.modules[package], short, module)
+    return module
+
+
+bits = _lazy("pt_lab.bits")
+downfold = _lazy("pt_lab.downfold")
+grover = _lazy("pt_lab.grover")
+instances = _lazy("pt_lab.instances")
+io_utils = _lazy("pt_lab.io_utils")
+optimize = _lazy("pt_lab.optimize")
+pblm = _lazy("pt_lab.pblm")
+statevector = _lazy("pt_lab.statevector")
 
 
 def _read_json(path):
@@ -80,9 +67,9 @@ def _read_json(path):
         return json.load(f)
 
 
-def _load_checked(path, load=load_instance):
+def _load_checked(path, load=None):
     try:
-        return load(path)
+        return (load or instances.load_instance)(path)
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     except OSError as e:  # a missing file, a directory, no read permission
@@ -117,7 +104,7 @@ def _count_arg(args, name):
 def _override_b_perp(inst, b_perp):
     if b_perp is None:
         return inst
-    if not isinstance(inst, ImpurityBandInstance):
+    if not isinstance(inst, instances.ImpurityBandInstance):
         raise UsageError("--b-perp override applies to impurity-band instances")
     try:
         return replace(inst, B_perp=b_perp)
@@ -131,17 +118,17 @@ def _choose_start(inst, z0_arg):
     in energy go to the lower label."""
     if z0_arg != "auto":
         try:
-            return check_bitstring(int(z0_arg, 0), inst.n)
+            return bits.check_bitstring(int(z0_arg, 0), inst.n)
         except ValueError as e:
             raise UsageError(f"--z0: {e}") from e
-    if isinstance(inst, ImpurityBandInstance):
+    if isinstance(inst, instances.ImpurityBandInstance):
         return inst.marked[int(np.argmin(inst.eps))]
-    labels, energies = local_minima(inst)
+    labels, energies = optimize.local_minima(inst)
     order = np.lexsort((labels, energies))
     return int(labels[order[min(1, len(order) - 1)]])
 
 
-def _evolution_config(args) -> EvolutionConfig:
+def _evolution_config(args) -> statevector.EvolutionConfig:
     """EvolutionConfig from the evolution flags; a flag left None keeps the
     field's default. A flag that the run would ignore is a usage error."""
     if _given(args, "steps"):
@@ -158,7 +145,8 @@ def _evolution_config(args) -> EvolutionConfig:
                 "saturation_rtol": args.get("saturation_rtol"),
                 "max_doublings": args.get("max_doublings")}
     try:
-        return EvolutionConfig(**{k: v for k, v in settings.items() if v is not None})
+        return statevector.EvolutionConfig(
+            **{k: v for k, v in settings.items() if v is not None})
     except ValueError as e:
         raise UsageError(str(e)) from e
 
@@ -184,30 +172,31 @@ def _cmd_gen_instance(args, out_dir, manifest):
         raise UsageError("--m applies to impurity-band instances")
     try:
         if band:
-            inst = gen_impurity_band(args["n"], args["m"], args["w"],
-                                     eps_law=args["eps_law"], seed=args["seed"],
-                                     B_perp=args["b_perp"])
+            inst = instances.gen_impurity_band(
+                args["n"], args["m"], args["w"], eps_law=args["eps_law"],
+                seed=args["seed"], B_perp=args["b_perp"])
         else:
-            inst = gen_spin_glass(args["n"], dimer_count=args["dimer_count"],
-                                  seed=args["seed"], driver_scale=args["driver_scale"])
+            inst = instances.gen_spin_glass(
+                args["n"], dimer_count=args["dimer_count"], seed=args["seed"],
+                driver_scale=args["driver_scale"])
     except ValueError as e:
         raise UsageError(str(e)) from e
-    doc = instance_to_dict(inst)
+    doc = instances.instance_to_dict(inst)
     path = out_dir / args["out"]
-    write_json(path, doc, manifest)
+    io_utils.write_json(path, doc, manifest)
     print(f"wrote {path}")
 
 
 def _cmd_spectrum(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
-    summary = spectrum_summary(inst, bins=_count_arg(args, "bins"))
-    write_csv(out_dir / "spectrum.csv",
-              {"bin_lo_energy": summary.bin_edges[:-1],
-               "bin_hi_energy": summary.bin_edges[1:],
-               "count_states": summary.counts}, manifest)
-    write_json(out_dir / "spectrum.json",
-               {"e_min": summary.e_min, "e_max": summary.e_max,
-                "mean": summary.mean, "std": summary.std}, manifest)
+    summary = instances.spectrum_summary(inst, bins=_count_arg(args, "bins"))
+    io_utils.write_csv(out_dir / "spectrum.csv",
+                       {"bin_lo_energy": summary.bin_edges[:-1],
+                        "bin_hi_energy": summary.bin_edges[1:],
+                        "count_states": summary.counts}, manifest)
+    io_utils.write_json(out_dir / "spectrum.json",
+                        {"e_min": summary.e_min, "e_max": summary.e_max,
+                         "mean": summary.mean, "std": summary.std}, manifest)
 
 
 def _top_k_rows(inst, z0, probs, k):
@@ -222,8 +211,8 @@ def _top_k_rows(inst, z0, probs, k):
     cand = np.flatnonzero(key >= kth)
     z = cand[np.lexsort((cand, -key[cand]))][:k]
     return {"z": z, "probability": probs[z],
-            "classical_energy": all_classical_energies(inst)[z],
-            "hamming_from_z0": hamming_array(z, z0)}
+            "classical_energy": instances.all_classical_energies(inst)[z],
+            "hamming_from_z0": bits.hamming_array(z, z0)}
 
 
 def _cmd_evolve(args, out_dir, manifest):
@@ -233,28 +222,29 @@ def _cmd_evolve(args, out_dir, manifest):
         raise UsageError("evolve requires --time")
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
-    probs = np.abs(evolve_trotter(inst, [1.0], [z0], config)) ** 2
-    write_csv(out_dir / "evolve_state.csv", _top_k_rows(inst, z0, probs, top_k),
-              manifest)
-    write_json(out_dir / "evolve.json",
-               {"z0": z0, "time": args["time"], "steps": config.resolve_steps(args["time"]),
-                "norm": float(np.sqrt(probs.sum())), "survival": float(probs[z0])},
-               manifest)
+    probs = np.abs(statevector.evolve_trotter(inst, [1.0], [z0], config)) ** 2
+    io_utils.write_csv(out_dir / "evolve_state.csv",
+                       _top_k_rows(inst, z0, probs, top_k), manifest)
+    io_utils.write_json(out_dir / "evolve.json",
+                        {"z0": z0, "time": args["time"],
+                         "steps": config.resolve_steps(args["time"]),
+                         "norm": float(np.sqrt(probs.sum())),
+                         "survival": float(probs[z0])}, manifest)
 
 
 def _emit_pt_result(inst, result, out_dir, manifest, top_k):
-    write_csv(out_dir / "pt_output.csv",
-              _top_k_rows(inst, result.z0, result.probabilities, top_k), manifest)
-    write_csv(out_dir / "pt_survival.csv",
-              {"time": result.times, "survival_probability": result.survival},
-              manifest)
-    write_csv(out_dir / "pt_energy_hist.csv",
-              {"bin_lo_energy": result.energy_edges[:-1],
-               "bin_hi_energy": result.energy_edges[1:],
-               "probability": result.energy_hist}, manifest)
-    write_csv(out_dir / "pt_hamming_hist.csv",
-              {"hamming_distance": np.arange(len(result.hamming_hist)),
-               "probability": result.hamming_hist}, manifest)
+    rows = _top_k_rows(inst, result.z0, result.probabilities, top_k)
+    io_utils.write_csv(out_dir / "pt_output.csv", rows, manifest)
+    io_utils.write_csv(out_dir / "pt_survival.csv",
+                       {"time": result.times, "survival_probability": result.survival},
+                       manifest)
+    io_utils.write_csv(out_dir / "pt_energy_hist.csv",
+                       {"bin_lo_energy": result.energy_edges[:-1],
+                        "bin_hi_energy": result.energy_edges[1:],
+                        "probability": result.energy_hist}, manifest)
+    io_utils.write_csv(out_dir / "pt_hamming_hist.csv",
+                       {"hamming_distance": np.arange(len(result.hamming_hist)),
+                        "probability": result.hamming_hist}, manifest)
 
 
 def _cmd_pt_run(args, out_dir, manifest):
@@ -262,47 +252,47 @@ def _cmd_pt_run(args, out_dir, manifest):
     z0 = _choose_start(inst, args["z0"])
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
-    result = run_pt_protocol(inst, z0, config, on_rung=_print_rung)
+    result = statevector.run_pt_protocol(inst, z0, config, on_rung=_print_rung)
     _emit_pt_result(inst, result, out_dir, manifest, top_k)
-    write_json(out_dir / "pt_result.json",
-               {"z0": result.z0, "total_time": result.total_time,
-                "saturated": result.saturated,
-                "transferred_weight": result.transferred_weight,
-                "ladder_times": result.ladder_times,
-                "ladder_weights": result.ladder_weights}, manifest)
+    io_utils.write_json(out_dir / "pt_result.json",
+                        {"z0": result.z0, "total_time": result.total_time,
+                         "saturated": result.saturated,
+                         "transferred_weight": result.transferred_weight,
+                         "ladder_times": result.ladder_times,
+                         "ladder_weights": result.ladder_weights}, manifest)
     return result
 
 
 def _cmd_downfold(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
-    if not isinstance(inst, ImpurityBandInstance):
+    if not isinstance(inst, instances.ImpurityBandInstance):
         raise UsageError("downfold needs an impurity-band instance")
     try:
-        params = TunnelingParams(
+        params = downfold.TunnelingParams(
             n=inst.n, B_perp=inst.B_perp, phase_mode=args["phase_mode"],
             calibration_A=args["calibration_a"])
     except ValueError as e:
         raise UsageError(str(e)) from e
-    mat = build_downfolded(inst, params, seed=args["seed"])
-    save_downfolded(mat, out_dir / "downfolded", manifest)
-    write_json(out_dir / "downfold_report.json",
-               {"M": mat.M, "n": mat.n, "B_perp": mat.B_perp, "W": mat.W,
-                "V_typ": mat.V_typ, "shift": mat.shift,
-                "phase_mode": params.phase_mode}, manifest)
+    mat = downfold.build_downfolded(inst, params, seed=args["seed"])
+    io_utils.save_downfolded(mat, out_dir / "downfolded", manifest)
+    io_utils.write_json(out_dir / "downfold_report.json",
+                        {"M": mat.M, "n": mat.n, "B_perp": mat.B_perp, "W": mat.W,
+                         "V_typ": mat.V_typ, "shift": mat.shift,
+                         "phase_mode": params.phase_mode}, manifest)
 
 
 def _one_pblm_realization(config, seed, eta, fit_gammas):
-    mat = sample_pblm(config, seed=seed)
-    sigma = site_self_energies(mat, eta)
-    omegas = participation_ratios(mat)
-    gammas = gamma_samples(mat) if fit_gammas else None
+    mat = pblm.sample_pblm(config, seed=seed)
+    sigma = pblm.site_self_energies(mat, eta)
+    omegas = pblm.participation_ratios(mat)
+    gammas = pblm.gamma_samples(mat) if fit_gammas else None
     return sigma, omegas, gammas
 
 
-def _pblm_config(args) -> PBLMConfig:
+def _pblm_config(args) -> pblm.PBLMConfig:
     try:
-        return PBLMConfig(M=args["m"], gamma=args["gamma"], lam=args["lam"],
-                          V_typ_unit=args["v_typ"])
+        return pblm.PBLMConfig(M=args["m"], gamma=args["gamma"],
+                               lam=args["lam"], V_typ_unit=args["v_typ"])
     except ValueError as e:
         raise UsageError(str(e)) from e
 
@@ -322,18 +312,18 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
     gammas = np.concatenate(gammas) if fit_gammas else [None] * len(sigma)
     seed_col = np.repeat(seeds, config.M)
     index_col = np.tile(np.arange(config.M), R)
-    write_csv(out_dir / "pblm_sites.csv",
-              {"realization_seed": seed_col, "site": index_col,
-               "sigma_prime_energy": sigma.real,
-               "sigma_doubleprime_energy": sigma.imag, "gamma_rate": gammas},
-              manifest)
-    write_csv(out_dir / "pblm_states.csv",
-              {"realization_seed": seed_col, "state": index_col,
-               "participation_ratio": omegas}, manifest)
+    io_utils.write_csv(out_dir / "pblm_sites.csv",
+                       {"realization_seed": seed_col, "site": index_col,
+                        "sigma_prime_energy": sigma.real,
+                        "sigma_doubleprime_energy": sigma.imag, "gamma_rate": gammas},
+                       manifest)
+    io_utils.write_csv(out_dir / "pblm_states.csv",
+                       {"realization_seed": seed_col, "state": index_col,
+                        "participation_ratio": omegas}, manifest)
 
     sigma2 = sigma.imag
-    fit = fit_stable_quantiles(sigma2[sigma2 > 0])
-    pred = predicted_gamma_law(config)
+    fit = pblm.fit_stable_quantiles(sigma2[sigma2 > 0])
+    pred = pblm.predicted_gamma_law(config)
     report = {
         "config": {"M": config.M, "gamma": config.gamma, "lam": config.lam,
                    "V_typ": config.V_typ_unit, "W": config.W},
@@ -347,10 +337,10 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
     }
     if fit_gammas:
         censored = np.isnan(gammas)
-        gfit = fit_stable_quantiles(gammas[~censored] / 2.0)
+        gfit = pblm.fit_stable_quantiles(gammas[~censored] / 2.0)
         report["fitted_gamma_half"] = {"shift": gfit.shift, "scale": gfit.C}
         report["censored_fraction"] = censored.mean()
-    write_json(out_dir / "pblm_fit.json", report, manifest)
+    io_utils.write_json(out_dir / "pblm_fit.json", report, manifest)
 
 
 # times per driver-error period in _simulated_peak's scan
@@ -362,7 +352,7 @@ def _simulated_peak(setup):
     over one period 2 pi / eps0 of the driver error (error_time_report has
     checked eps0 > 0)."""
     times = np.linspace(0.0, 2.0 * math.pi / setup.eps0, _PEAK_SCAN_POINTS)
-    pop = reduced_transfer(setup, times)
+    pop = grover.reduced_transfer(setup, times)
     k = int(np.argmax(pop))
     return float(times[k]), float(pop[k])
 
@@ -373,29 +363,29 @@ def _cmd_grover_sweep(args, out_dir, manifest):
         raise UsageError(f"--w must be finite and > 0, got {W}")
     try:
         eps = np.random.default_rng(args["seed"]).uniform(-W / 2.0, W / 2.0, size=M)
-        setups = [GroverSetup(n=n, eps=eps, eps0=eps0) for eps0 in args["eps0"]]
-        reports = [error_time_report(setup) for setup in setups]
+        setups = [grover.GroverSetup(n=n, eps=eps, eps0=eps0) for eps0 in args["eps0"]]
+        reports = [grover.error_time_report(setup) for setup in setups]
     except ValueError as e:
         raise UsageError(str(e)) from e
     peaks = [_simulated_peak(setup) for setup in setups]
-    write_csv(out_dir / "grover_sweep.csv",
-              {"n": [n] * len(setups), "M": [M] * len(setups),
-               "W_energy": [W] * len(setups),
-               "eps0_energy": [setup.eps0 for setup in setups],
-               "t_pt_predicted": [rep.t_pt for rep in reports],
-               "t_pt_simulated": [t / p if p > 0 else math.inf for t, p in peaks],
-               "t_grover": [rep.t_grover for rep in reports],
-               "p0_peak": [rep.p0 for rep in reports],
-               "t0_peak": [rep.t0 for rep in reports]}, manifest)
+    io_utils.write_csv(out_dir / "grover_sweep.csv",
+                       {"n": [n] * len(setups), "M": [M] * len(setups),
+                        "W_energy": [W] * len(setups),
+                        "eps0_energy": [setup.eps0 for setup in setups],
+                        "t_pt_predicted": [rep.t_pt for rep in reports],
+                        "t_pt_simulated": [t / p if p > 0 else math.inf for t, p in peaks],
+                        "t_grover": [rep.t_grover for rep in reports],
+                        "p0_peak": [rep.p0 for rep in reports],
+                        "t0_peak": [rep.t0 for rep in reports]}, manifest)
 
 
 def _cmd_sd(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
     z0 = _choose_start(inst, args["z0"])
-    rec = steepest_descent(inst, z0)
-    write_json(out_dir / "sd.json",
-               {"z_start": z0, "z_min": rec.z, "energy": rec.energy,
-                "steps": rec.steps, "ties": rec.ties}, manifest)
+    rec = optimize.steepest_descent(inst, z0)
+    io_utils.write_json(out_dir / "sd.json",
+                        {"z_start": z0, "z_min": rec.z, "energy": rec.energy,
+                         "steps": rec.steps, "ties": rec.ties}, manifest)
     print(f"start {z0} -> minimum {rec.z} energy {rec.energy:.6f} "
           f"steps {rec.steps}{' (ties)' if rec.ties else ''}")
 
@@ -406,13 +396,14 @@ def _bitstring(z, n):
 
 def _cmd_minima(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
-    records = sorted(enumerate_local_minima(inst), key=lambda r: (r.energy, r.z))
-    write_csv(out_dir / "minima.csv",
-              {"z": [r.z for r in records],
-               "bitstring": [_bitstring(r.z, inst.n) for r in records],
-               "energy": [r.energy for r in records],
-               "basin_probability_uniform": [r.basin_probability for r in records]},
-              manifest)
+    records = sorted(optimize.enumerate_local_minima(inst), key=lambda r: (r.energy, r.z))
+    io_utils.write_csv(out_dir / "minima.csv",
+                       {"z": [r.z for r in records],
+                        "bitstring": [_bitstring(r.z, inst.n) for r in records],
+                        "energy": [r.energy for r in records],
+                        "basin_probability_uniform": [r.basin_probability
+                                                      for r in records]},
+                       manifest)
     print(f"{len(records)} local minima; "
           f"global minimum energy {records[0].energy:.6f}")
 
@@ -422,50 +413,50 @@ def _cmd_pipeline(args, out_dir, manifest):
     z0 = _choose_start(inst, args["z0"])
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
-    result = run_pt_protocol(inst, z0, config, on_rung=_print_rung)
+    result = statevector.run_pt_protocol(inst, z0, config, on_rung=_print_rung)
     _emit_pt_result(inst, result, out_dir, manifest, top_k)
 
-    E = all_classical_energies(inst)
+    E = instances.all_classical_energies(inst)
     N = 1 << inst.n
     probs = result.probabilities
     edges = result.energy_edges
 
     # panel 1: normalized energy weights of DOS, SD, PT, SD-PT
-    lab, en, ratio, m_pt, m_u = enrichment_ratio(inst, probs)
+    lab, en, ratio, m_pt, m_u = optimize.enrichment_ratio(inst, probs)
     dos_w, _ = np.histogram(E, bins=edges)
     sd_w, _ = np.histogram(en, bins=edges, weights=m_u)
     sdpt_w, _ = np.histogram(en, bins=edges, weights=m_pt)
-    write_csv(out_dir / "fig_energy_panels.csv",
-              {"bin_lo_energy": edges[:-1], "bin_hi_energy": edges[1:],
-               "dos_weight": dos_w / N, "sd_weight": sd_w,
-               "pt_weight": result.energy_hist, "sd_pt_weight": sdpt_w}, manifest)
+    io_utils.write_csv(out_dir / "fig_energy_panels.csv",
+                       {"bin_lo_energy": edges[:-1], "bin_hi_energy": edges[1:],
+                        "dos_weight": dos_w / N, "sd_weight": sd_w,
+                        "pt_weight": result.energy_hist, "sd_pt_weight": sdpt_w}, manifest)
 
     # 1-sigma window around the weighted mean output energy
-    lo_e, hi_e = pt_energy_window(probs, E)
+    lo_e, hi_e = optimize.pt_energy_window(probs, E)
     window = (E >= lo_e) & (E <= hi_e)
     sel = np.nonzero(window)[0]
-    d_sel = hamming_array(sel, z0)
+    d_sel = bits.hamming_array(sel, z0)
     pt_win = np.bincount(d_sel, weights=probs[sel], minlength=inst.n + 1)
     uni_win = np.bincount(d_sel, minlength=inst.n + 1).astype(float)
     uni_win /= max(uni_win.sum(), 1.0)
     pt_full = result.hamming_hist
     distances = np.arange(inst.n + 1)
-    write_csv(out_dir / "fig_hamming_from_start.csv",
-              {"hamming_distance": distances, "pt_window_weight": pt_win,
-               "uniform_window_weight": uni_win, "pt_full_weight": pt_full},
-              manifest)
+    io_utils.write_csv(out_dir / "fig_hamming_from_start.csv",
+                       {"hamming_distance": distances, "pt_window_weight": pt_win,
+                        "uniform_window_weight": uni_win, "pt_full_weight": pt_full},
+                       manifest)
 
     # pairwise Hamming structure inside the window
-    pair_hist = pair_hamming_histogram(sel, probs[sel], inst.n)
-    write_csv(out_dir / "fig_pair_hamming.csv",
-              {"hamming_distance": distances,
-               "joint_probability_weight": pair_hist}, manifest)
+    pair_hist = optimize.pair_hamming_histogram(sel, probs[sel], inst.n)
+    io_utils.write_csv(out_dir / "fig_pair_hamming.csv",
+                       {"hamming_distance": distances,
+                        "joint_probability_weight": pair_hist}, manifest)
 
     # enrichment of every local minimum
-    write_csv(out_dir / "fig_enrichment.csv",
-              {"z": lab, "bitstring": [_bitstring(int(z), inst.n) for z in lab],
-               "energy": en, "basin_mass_uniform": m_u, "basin_mass_pt": m_pt,
-               "enrichment_ratio": ratio}, manifest)
+    io_utils.write_csv(out_dir / "fig_enrichment.csv",
+                       {"z": lab, "bitstring": [_bitstring(int(z), inst.n) for z in lab],
+                        "energy": en, "basin_mass_uniform": m_u, "basin_mass_pt": m_pt,
+                        "enrichment_ratio": ratio}, manifest)
 
     window_weight = float(probs[window].sum())
     dos_fraction = float(window.sum()) / N
@@ -479,13 +470,13 @@ def _cmd_pipeline(args, out_dir, manifest):
         "window_weight_pt": window_weight,
         "window_dos_fraction": dos_fraction,
         "window_ratio": window_weight / dos_fraction if dos_fraction else math.inf,
-        "median_hamming_pt": median_hamming(pt_full),
-        "alternation_contrast": alternation_contrast(pair_hist),
+        "median_hamming_pt": optimize.median_hamming(pt_full),
+        "alternation_contrast": optimize.alternation_contrast(pair_hist),
         "minima_count": int(len(lab)),
         "enriched_minima": int(np.sum(ratio[finite] > 1.0)),
         "global_min_ratio": "" if math.isnan(global_ratio) else repr(global_ratio),
     }
-    write_json(out_dir / "pipeline_summary.json", summary, manifest)
+    io_utils.write_json(out_dir / "pipeline_summary.json", summary, manifest)
     print(f"pipeline: window ratio {summary['window_ratio']:.2f}, "
           f"median Hamming {summary['median_hamming_pt']:.0f}, "
           f"alternation {summary['alternation_contrast']:+.4f}, "
@@ -493,8 +484,6 @@ def _cmd_pipeline(args, out_dir, manifest):
 
 
 def _cmd_stats_fit(args, out_dir, manifest):
-    from .io_utils import read_csv_columns
-
     beta = args["beta"]
     if not -1.0 <= beta <= 1.0:
         raise UsageError(f"--beta must lie in [-1, 1], got {beta}")
@@ -503,7 +492,7 @@ def _cmd_stats_fit(args, out_dir, manifest):
         raise UsageError(f"stats-fit: {missing[0]} is missing; --m and "
                          "--gamma together select the predicted law")
     config = None if missing else _pblm_config(args)
-    cols = _load_checked(args["input"], read_csv_columns)
+    cols = _load_checked(args["input"], io_utils.read_csv_columns)
     name = args["column"]
     if name not in cols:
         raise UsageError(f"column {name!r} not in {args['input']}")
@@ -517,18 +506,18 @@ def _cmd_stats_fit(args, out_dir, manifest):
     samples = samples[np.isfinite(samples)]
     if args["positive_only"]:
         samples = samples[samples > 0]
-    fit = fit_stable_quantiles(samples, beta=beta)
+    fit = pblm.fit_stable_quantiles(samples, beta=beta)
     doc = {"input": str(args["input"]), "column": name,
            "count": int(len(samples)),
            "fit": {"alpha": fit.alpha, "beta": fit.beta, "C": fit.C,
                    "shift": fit.shift}}
     if config is not None:
-        pred = predicted_gamma_law(config)
+        pred = pblm.predicted_gamma_law(config)
         doc["predicted"] = {"sigma_typ": pred.sigma_typ, "scale": pred.scale,
                             "sigma_star": pred.sigma_star, "omega": pred.omega}
         doc["ratios"] = {"shift_over_predicted": fit.shift / pred.sigma_typ,
                          "scale_over_predicted": fit.C / pred.scale}
-    write_json(out_dir / "stats_fit.json", doc, manifest)
+    io_utils.write_json(out_dir / "stats_fit.json", doc, manifest)
     print(f"fit: shift {fit.shift:.6g}, scale {fit.C:.6g} ({len(samples)} samples)")
 
 
@@ -638,10 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(subcommand: str, args: dict, out_dir: Path,
-         defaults: dict | None = None) -> RunManifest:
+         defaults: dict | None = None) -> io_utils.RunManifest:
     """Run subcommand on args, read over defaults; the manifest records
     args alone."""
-    manifest = RunManifest(subcommand=subcommand, args=args)
+    manifest = io_utils.RunManifest(subcommand=subcommand, args=args)
     if args.get("seed") is not None:
         manifest.seeds.append(args["seed"])
     _HANDLERS[subcommand]({**(defaults or {}), **args}, out_dir, manifest)
@@ -649,22 +638,31 @@ def _run(subcommand: str, args: dict, out_dir: Path,
     return manifest
 
 
+def _recorded_argv(subcommand, args) -> list[str]:
+    """A command line that parses to the recorded args: a True switch is the
+    bare flag, a list its values, and None or False is left out."""
+    argv = [subcommand]
+    for name, value in args.items():
+        if value is True:
+            argv.append(_flag(name))
+        elif isinstance(value, list):
+            argv += [_flag(name), *map(str, value)]
+        elif value is not None and value is not False:
+            argv.append(f"{_flag(name)}={value}")
+    return argv
+
+
 def _replay(manifest_path: str, out_dir_flag: str | None) -> int:
     doc = _load_checked(manifest_path, _read_json)
     if (not isinstance(doc, dict) or doc.get("subcommand") not in _HANDLERS
             or not isinstance(doc.get("args"), dict)):
         raise UsageError(f"{manifest_path}: not a run manifest")
-    # a manifest can predate a flag; the run takes that flag's default, and
-    # the manifest hash still covers the args as recorded
-    sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
-    flags = [a for a in sub.choices[doc["subcommand"]]._actions
-             if a.dest != "help"]
-    lacking = [a.option_strings[0] for a in flags
-               if a.required and a.dest not in doc["args"]]
-    if lacking:
-        raise UsageError(f"{manifest_path}: args lack {', '.join(lacking)}")
-    manifest = _run(doc["subcommand"], doc["args"], resolve_out_dir(out_dir_flag),
-                    {a.dest: a.default for a in flags})
+    # the parser checks the recorded args as it checks a command line. The
+    # run reads them as recorded, over the defaults of the flags that a
+    # manifest can predate, so the manifest hash covers the args as recorded
+    ns = build_parser().parse_args(_recorded_argv(doc["subcommand"], doc["args"]))
+    manifest = _run(doc["subcommand"], doc["args"],
+                    io_utils.resolve_out_dir(out_dir_flag), vars(ns))
     # the BLAS thread count can move the outputs' last bits (README), so a
     # reader of the verdicts below needs the setting the run used
     print("replay: OPENBLAS_NUM_THREADS="
@@ -691,14 +689,14 @@ def main(argv=None) -> int:
             return _replay(ns.replay, ns.out_dir)
         args = {k: v for k, v in vars(ns).items()
                 if k not in ("subcommand", "out_dir", "replay")}
-        _run(ns.subcommand, args, resolve_out_dir(ns.out_dir))
+        _run(ns.subcommand, args, io_utils.resolve_out_dir(ns.out_dir))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as e:
         print(f"error: line {e.lineno} column {e.colno}: {e.msg}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, np.linalg.LinAlgError) as e:
+    except (ValueError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

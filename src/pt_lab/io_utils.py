@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .downfold import DownfoldedMatrix
 
 FORMAT_VERSION = 1
 ENV_OUT_DIR = "PT_LAB_OUT"
@@ -194,6 +193,8 @@ def save_downfolded(mat: DownfoldedMatrix, base: Path,
 
 
 def load_downfolded(base: Path) -> DownfoldedMatrix:
+    from .downfold import DownfoldedMatrix
+
     base = Path(base)
     with open(base.with_suffix(".json")) as f:
         meta = json.load(f)

@@ -838,6 +838,36 @@ def test_import_loads_no_numpy():
                    env={**os.environ, "PYTHONPATH": _SRC})
 
 
+_EXECUTED = ("import sys, types; from pt_lab.cli import main; "
+             "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+             "print(rc, 'numpy' in sys.modules, *sorted("
+             "m for m, mod in sys.modules.items() "
+             "if m.startswith('pt_lab.') and type(mod) is types.ModuleType))")
+
+
+@pytest.mark.parametrize("cmd, executed", [
+    ("import", []),
+    ("gen-instance", ["bits", "instances", "io_utils"]),
+    ("downfold", ["bits", "downfold", "instances", "io_utils"]),
+])
+def test_cli_runs_only_the_modules_its_subcommand_reaches(tmp_path, ib_instance,
+                                                          cmd, executed):
+    # importing pt_lab.cli registers the package modules without running
+    # them (a module LazyLoader has not run is not of type ModuleType), so
+    # a process runs only the modules its subcommand reaches; numpy is eager
+    argv = {"import": [],
+            "gen-instance": ["gen-instance", "--kind", "spin-glass", "--n", "8"],
+            "downfold": ["downfold", "--instance", str(ib_instance),
+                         "--phase-mode", "numeric_extraction"]}[cmd]
+    if argv:
+        argv = ["--out-dir", str(tmp_path), *argv]
+    out = subprocess.run([sys.executable, "-c", _EXECUTED, *argv], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": _SRC})
+    assert out.stdout.splitlines()[-1].split() == [
+        "0", "True", *sorted(f"pt_lab.{m}" for m in ["cli", *executed])]
+
+
 def test_every_traced_function_exists():
     # the benchmark tracer records a name it cannot find as missing, and
     # that name's per-layer metric then reads 0. This runs the tracer's own
@@ -856,7 +886,7 @@ def test_every_traced_function_exists():
 @pytest.mark.parametrize("cmd", ["pt-run", "pipeline"])
 def test_ladder_progress_on_stderr_only(tmp_path, ib_instance, capsys,
                                         monkeypatch, cmd):
-    import pt_lab.cli as cli
+    import pt_lab.statevector as statevector
 
     argv = [cmd, "--instance", str(ib_instance), "--dt", "0.1",
             "--start-time", "1", "--max-doublings", "2",
@@ -866,8 +896,8 @@ def test_ladder_progress_on_stderr_only(tmp_path, ib_instance, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len([ln for ln in err if ln.startswith("rung:")]) == 3
     # the same run without the callback writes the same bytes
-    plain = cli.run_pt_protocol
-    monkeypatch.setattr(cli, "run_pt_protocol",
+    plain = statevector.run_pt_protocol
+    monkeypatch.setattr(statevector, "run_pt_protocol",
                         lambda inst, z0, config, on_rung=None:
                         plain(inst, z0, config))
     assert main(["--out-dir", str(quiet)] + argv) == 0
@@ -1040,10 +1070,36 @@ def test_replay_without_a_required_flag_is_usage_error(tmp_path, ib_instance,
     old = tmp_path / "old.json"
     old.write_text(json.dumps(doc))
     capsys.readouterr()
-    rc = main(["--out-dir", str(tmp_path / "redo"), "--replay", str(old)])
-    assert rc == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {old}: args lack --instance"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path / "redo"), "--replay", str(old)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "pt-lab pt-run: error: the following arguments are required: --instance")
+    assert not (tmp_path / "redo").exists()
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("kind", "nope", "argument --kind: invalid choice: 'nope'"),
+    ("n", None, "the following arguments are required: --n"),
+    ("seed", "x", "argument --seed: invalid int value: 'x'"),
+    ("n", 2.5, "argument --n: invalid int value: '2.5'"),
+])
+def test_replay_parses_the_recorded_args(tmp_path, capsys, name, value,
+                                         message):
+    # the recorded args pass the parser's checks, as a command line does
+    run = tmp_path / "run"
+    assert main(["--out-dir", str(run), "gen-instance", "--kind",
+                 "spin-glass", "--n", "6"]) == 0
+    doc = json.loads((run / "manifest.json").read_text())
+    doc["args"][name] = value
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path / "redo"), "--replay", str(old)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("pt-lab gen-instance: error: " + message), err
     assert not (tmp_path / "redo").exists()
 
 
