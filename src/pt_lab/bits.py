@@ -38,6 +38,12 @@ def hamming_array(zs: np.ndarray, z0: int) -> np.ndarray:
     return np.bitwise_count(x).astype(np.int64)
 
 
+def hamming_histogram_from(z0: int, probabilities: np.ndarray, n: int) -> np.ndarray:
+    """Output-weighted histogram of Hamming distance from z0."""
+    d = hamming_array(index_array(n), z0)
+    return np.bincount(d, weights=probabilities, minlength=n + 1)
+
+
 def spins_from_labels(labels: np.ndarray, n: int) -> np.ndarray:
     """(len(labels), n) array of s_i = +-1 under the bit-0 -> +1 map."""
     lab = np.asarray(labels, dtype=np.uint64)

@@ -661,6 +661,13 @@ def _replay(manifest_path: str, out_dir_flag: str | None) -> int:
     # run reads them as recorded, over the defaults of the flags that a
     # manifest can predate, so the manifest hash covers the args as recorded
     ns = build_parser().parse_args(_recorded_argv(doc["subcommand"], doc["args"]))
+    # a recorded None is left off that command line, so the parse read the
+    # flag's default; where that default is not None the run would read None
+    nulled = [_flag(k) for k, v in doc["args"].items()
+              if v is None and getattr(ns, k, None) is not None]
+    if nulled:
+        raise UsageError(f"{manifest_path}: args record null where a value "
+                         f"is needed: {', '.join(nulled)}")
     manifest = _run(doc["subcommand"], doc["args"],
                     io_utils.resolve_out_dir(out_dir_flag), vars(ns))
     # the BLAS thread count can move the outputs' last bits (README), so a

@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .bits import hamming_table, krawtchouk_table
-from .instances import ImpurityBandInstance
 
 # a level Gram's eigenvalues below this fraction of its largest count as
 # zero: over n <= 32 and M <= 100 its zero eigenvalues come out below 1e-14
@@ -311,6 +310,8 @@ def calibrate_prefactor(n: int, B_perp: float, distances, seed: int = 0) -> floa
     numeric |V| extracted, and A_d = (|V| / V_unit(d))^2 computed; the
     geometric mean over distances is returned.
     """
+    from .instances import ImpurityBandInstance
+
     params = TunnelingParams(n=n, B_perp=B_perp)
     rng = np.random.default_rng(seed)
     logs = []

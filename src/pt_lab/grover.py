@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import check_n
-from .statevector import spectral_propagation
+from .spectral import spectral_propagation
 
 _REGIME_FACTOR = 5.0
 

@@ -14,7 +14,6 @@ Two classical energy families share the bit-string conventions of
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -393,17 +392,6 @@ def instance_from_dict(doc: dict):
                              driver_scale=doc["driver_scale"], seed=doc.get("seed"))
 
 
-def save_instance(inst, path):
-    with open(path, "w") as f:
-        json.dump(instance_to_dict(inst), f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
 def load_instance(path):
     with open(path) as f:
         return instance_from_dict(json.load(f))
-
-
-def instance_digest(inst) -> str:
-    blob = json.dumps(instance_to_dict(inst), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]

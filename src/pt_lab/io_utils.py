@@ -10,7 +10,6 @@ re-executes the recorded command and verifies the hashes.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -58,6 +57,10 @@ def _json_default(obj):
 
 
 def sha256_file(path) -> str:
+    # hashlib maps OpenSSL's libcrypto (about 3.6 MB resident), so it is
+    # imported at the first hash, after a run has released its state arrays
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -76,6 +79,8 @@ class RunManifest:
 
     @property
     def hash(self) -> str:
+        import hashlib
+
         doc = {"subcommand": self.subcommand, "args": self.args,
                "seeds": self.seeds,
                "version": self.version, "format_version": self.format_version}

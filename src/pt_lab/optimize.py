@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import check_bitstring, hamming_array, index_array, spins_from_labels
+from .bits import check_bitstring, spins_from_labels
 from .instances import (
     ImpurityBandInstance,
     SpinGlassInstance,
@@ -243,12 +243,6 @@ def pt_energy_window(probabilities: np.ndarray, energies: np.ndarray):
     mean = float(p @ energies)
     std = float(np.sqrt(max(p @ (energies - mean) ** 2, 0.0)))
     return mean - std, mean + std
-
-
-def hamming_histogram_from(z0: int, probabilities: np.ndarray, n: int) -> np.ndarray:
-    """Output-weighted histogram of Hamming distance from z0."""
-    d = hamming_array(index_array(n), z0)
-    return np.bincount(d, weights=probabilities, minlength=n + 1)
 
 
 def pair_hamming_histogram(labels: np.ndarray, weights: np.ndarray,

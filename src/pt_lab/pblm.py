@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .downfold import DownfoldedMatrix
-from .statevector import spectral_blocks
+from .spectral import spectral_blocks
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -352,7 +352,7 @@ def gamma_samples(matrix: DownfoldedMatrix, window: tuple = (0.9, 0.37)) -> np.n
     Else Gamma_j is minus the slope of log S_j on those samples, by least
     squares weighted by t, the log grid's spacing; a slope >= 0 is censored.
 
-    The grid is consumed in the time blocks of statevector.spectral_blocks:
+    The grid is consumed in the time blocks of spectral.spectral_blocks:
     each site carries its t_cross (inf until it crosses), a revival flag, a
     fit-sample count and five t-weighted moments across blocks, so the
     working memory beyond the eigensystem is O(block x M). The loop stops

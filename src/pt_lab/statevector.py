@@ -40,8 +40,9 @@ backend-free path on either. A transfer run advances each rung of its time
 ladder in one call and reads the survival trace inside it, without closing
 the symmetric splitting per sample.
 
-A dense eigensolver backend covers small systems for cross-checks and for
-spectral formulas that need the full eigenbasis.
+A dense eigensolver backend (exact_eigs) covers small systems for
+cross-checks; the transition curves over its eigenbasis come from the
+kernel in pt_lab.spectral, which this module does not import.
 """
 
 from __future__ import annotations
@@ -50,20 +51,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import (check_bitstring, hamming_table, index_array,
-                   krawtchouk_table)
+from .bits import (check_bitstring, hamming_histogram_from, hamming_table,
+                   index_array, krawtchouk_table)
 from .instances import (
     ImpurityBandInstance,
     SpinGlassInstance,
     all_classical_energies,
     pair_energies,
 )
-from .optimize import hamming_histogram_from
 
 TROTTER_MAX_N = 24
 DENSE_MAX_N = 14
 NORM_TOL = 1e-8
-_TIME_BLOCK = 32
 # survival samples per ladder rung, give or take (see run_pt_protocol)
 _TRACE_POINTS = 257
 
@@ -497,47 +496,6 @@ def exact_eigs(inst):
     """Dense eigendecomposition; eigenvalues ascending, eigenvectors in columns."""
     vals, vecs = np.linalg.eigh(dense_hamiltonian(inst))
     return vals, vecs
-
-
-def spectral_blocks(vals: np.ndarray, weights: np.ndarray, times):
-    """Yield (t_block, S_block) over `times`, _TIME_BLOCK times at a time, with
-    S_block[k] = |sum_gamma w_gamma e^{-i E_gamma t_block[k]}|^2 for the
-    eigenvalues E_gamma and real weights w_gamma; (M, L) weights give (B, L)
-    blocks. The phases are formed as a cosine and a sine so that both
-    products stay real."""
-    t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    for lo in range(0, len(t_arr), _TIME_BLOCK):
-        t = t_arr[lo:lo + _TIME_BLOCK]
-        phases = np.outer(t, vals)
-        re, im = np.cos(phases) @ weights, np.sin(phases) @ weights
-        yield t, re ** 2 + im ** 2
-
-
-def spectral_propagation(vals: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
-    """|sum_gamma w_gamma e^{-i E_gamma t}|^2 at each of `times`, given the
-    eigenvalues E_gamma and real weights w_gamma; (M, L) weights give L
-    curves as a (T, L) array, filled from spectral_blocks."""
-    t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty(t_arr.shape + weights.shape[1:])
-    lo = 0
-    for t, surv in spectral_blocks(vals, weights, t_arr):
-        out[lo:lo + len(t)] = surv
-        lo += len(t)
-    return out
-
-
-def transition_probability(eigs, z0: int, z: int, t):
-    """P(t, z | z0) = |sum_gamma <z|psi_gamma><psi_gamma|z0> e^{-i E_gamma t}|^2."""
-    vals, vecs = eigs
-    P = spectral_propagation(vals, vecs[z] * vecs[z0], t)
-    return float(P[0]) if np.ndim(t) == 0 else P
-
-
-def transition_distribution(eigs, z0: int, t: float) -> np.ndarray:
-    """Full output distribution P(t, . | z0) in one matrix-vector product."""
-    vals, vecs = eigs
-    c = vecs[z0] * np.exp(-1j * vals * t)
-    return np.abs(vecs @ c) ** 2
 
 
 @dataclass

@@ -849,6 +849,9 @@ _EXECUTED = ("import sys, types; from pt_lab.cli import main; "
     ("import", []),
     ("gen-instance", ["bits", "instances", "io_utils"]),
     ("downfold", ["bits", "downfold", "instances", "io_utils"]),
+    ("pblm-ensemble", ["bits", "downfold", "io_utils", "pblm", "spectral"]),
+    ("grover-sweep", ["bits", "grover", "io_utils", "spectral"]),
+    ("evolve", ["bits", "instances", "io_utils", "statevector"]),
 ])
 def test_cli_runs_only_the_modules_its_subcommand_reaches(tmp_path, ib_instance,
                                                           cmd, executed):
@@ -858,7 +861,13 @@ def test_cli_runs_only_the_modules_its_subcommand_reaches(tmp_path, ib_instance,
     argv = {"import": [],
             "gen-instance": ["gen-instance", "--kind", "spin-glass", "--n", "8"],
             "downfold": ["downfold", "--instance", str(ib_instance),
-                         "--phase-mode", "numeric_extraction"]}[cmd]
+                         "--phase-mode", "numeric_extraction"],
+            "pblm-ensemble": ["pblm-ensemble", "--m", "16", "--gamma", "1.5",
+                              "--realizations", "1", "--fit-gammas"],
+            "grover-sweep": ["grover-sweep", "--n", "8", "--m", "3", "--w",
+                             "0.5", "--eps0", "4"],
+            "evolve": ["evolve", "--instance", str(ib_instance), "--time", "1",
+                       "--steps", "2"]}[cmd]
     if argv:
         argv = ["--out-dir", str(tmp_path), *argv]
     out = subprocess.run([sys.executable, "-c", _EXECUTED, *argv], check=True,
@@ -866,6 +875,20 @@ def test_cli_runs_only_the_modules_its_subcommand_reaches(tmp_path, ib_instance,
                          env={**os.environ, "PYTHONPATH": _SRC})
     assert out.stdout.splitlines()[-1].split() == [
         "0", "True", *sorted(f"pt_lab.{m}" for m in ["cli", *executed])]
+
+
+def test_package_modules_leave_hashlib_unloaded():
+    # hashlib maps OpenSSL's libcrypto; no module loads it at import, so a
+    # run maps it at its first output hash, after its state arrays are freed
+    probe = ("import importlib, pkgutil, sys, pt_lab; "
+             "names = [m.name for m in pkgutil.iter_modules(pt_lab.__path__)]; "
+             "[importlib.import_module('pt_lab.' + m) for m in names]; "
+             "print('hashlib' in sys.modules, *names)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": _SRC})
+    loaded, *names = out.stdout.split()
+    assert loaded == "False" and {"cli", "io_utils", "spectral"} <= set(names)
 
 
 def test_every_traced_function_exists():
@@ -1101,6 +1124,24 @@ def test_replay_parses_the_recorded_args(tmp_path, capsys, name, value,
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("pt-lab gen-instance: error: " + message), err
     assert not (tmp_path / "redo").exists()
+
+
+def test_replay_rejects_a_recorded_null(tmp_path, capsys):
+    # a None is left off the rebuilt command line, so the parse reads the
+    # flag's default; the run would read the None, so it is a usage error
+    run = tmp_path / "run"
+    assert main(["--out-dir", str(run), "gen-instance", "--kind",
+                 "impurity-band", "--n", "8", "--m", "3", "--w", "0.5"]) == 0
+    doc = json.loads((run / "manifest.json").read_text())
+    doc["args"]["w"] = None
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["--out-dir", str(redo), "--replay", str(old)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {old}: args record null where a value is needed: --w"]
+    assert not redo.exists()
 
 
 def test_replay_malformed_manifest(tmp_path, capsys):

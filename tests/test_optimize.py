@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pt_lab.bits import hamming_histogram_from
 from pt_lab.instances import (all_classical_energies, classical_energy,
                               gen_impurity_band, gen_spin_glass)
 from pt_lab import optimize
 from pt_lab.optimize import (AnnealSchedule, LocalMinimumRecord,
                              alternation_contrast, basin_distribution,
                              enrichment_ratio, enumerate_local_minima,
-                             hamming_histogram_from, local_minima,
+                             local_minima,
                              median_hamming,
                              pair_hamming_histogram, pt_energy_window,
                              simulated_annealing, steepest_descent,

@@ -15,7 +15,7 @@ from pt_lab.pblm import (GammaLawPrediction, LevyStableParams,
                          site_self_energies, stable_pdf, stable_sample,
                          _GRID_PER_DECADE, _S1_QUARTILES, _standard_pdf,
                          _standard_quantiles)
-from pt_lab.statevector import spectral_propagation
+from pt_lab.spectral import spectral_propagation
 
 REF = PBLMConfig(M=1024, gamma=1.5, lam=1.0)
 

@@ -8,11 +8,11 @@ from scipy.linalg import hadamard
 from pt_lab.bits import hamming_array, krawtchouk_table
 from pt_lab.instances import (ImpurityBandInstance, all_classical_energies,
                               gen_impurity_band, gen_spin_glass)
+from pt_lab.spectral import transition_distribution, transition_probability
 from pt_lab.statevector import (EvolutionConfig, dense_hamiltonian, driver_terms,
                                 driver_x_diagonal, evolve_trotter, exact_eigs,
                                 run_pt_protocol, sample_output,
-                                transferred_weight, transition_distribution,
-                                transition_probability, _fwht,
+                                transferred_weight, _fwht,
                                 _FwhtPropagator, _LevelPropagator, _propagator)
 
 
