@@ -562,15 +562,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--bins", type=int, default=64)
 
-    for name, hlp in [("evolve", "fixed-time Trotter evolution"),
-                      ("pt-run", "full transfer protocol run"),
+    for name, hlp in [("evolve", "fixed-time evolution, exact on a band"),
+                      ("pt-run", "full transfer protocol run, exact on a band"),
                       ("pipeline", "transfer + descent enrichment analysis")]:
         e = sub.add_parser(name, help=hlp)
         e.add_argument("--instance", required=True)
         e.add_argument("--z0", default="auto")
         e.add_argument("--time", type=float, default=None)
-        e.add_argument("--steps", type=int, default=None)
-        e.add_argument("--dt", type=float, default=None)
+        e.add_argument("--steps", type=int, default=None,
+                       help="Trotter steps on a glass; a band evolves exactly "
+                            "and only samples on this grid")
+        e.add_argument("--dt", type=float, default=None,
+                       help="Trotter step on a glass, sampling step on a band")
         if name != "evolve":  # the doubling ladder, which --time replaces
             e.add_argument("--start-time", type=float, default=None)
             e.add_argument("--saturation-rtol", type=float, default=None)

@@ -4,7 +4,7 @@ Every transition curve the package reports is a sum over the eigenvalues
 E_gamma of one real symmetric matrix, |sum_gamma w_gamma e^{-i E_gamma t}|^2
 with real weights w_gamma: the ensemble's survival curves (pblm), the
 Grover model's marked transfer (grover) and the dense transition
-probabilities that the tests check the Trotter backend against. This
+probabilities that the tests check the propagators against. This
 module holds that one kernel and imports nothing but numpy, so a caller
 that needs it runs no propagator code.
 """

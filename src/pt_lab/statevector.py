@@ -1,4 +1,5 @@
-"""Exact quantum dynamics: Trotter evolution and dense diagonalization.
+"""Exact quantum dynamics: band propagation, Trotter evolution of a spin
+glass, and dense diagonalization.
 
 The Hamiltonian is H = H_cl + H_D with H_cl diagonal in the computational
 basis. Two drivers are supported:
@@ -9,36 +10,42 @@ basis. Two drivers are supported:
   H_D = driver_scale * [sum_i (|h_i|+1) sigma^x_i
                         + sum_{i<j} (|J_ij|+1) sigma^x_i sigma^x_j].
 
-Every run uses one product formula, the symmetric (Strang) splitting
-e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step, whose error is
-second order in dt.
-
 A start has one form: its amplitudes amps[k] on the ascending labels
 support[k], so a basis state |z0> is [1] on [z0] and a dense start lists
 all 2^n labels. A run holds one propagator, chosen once from the instance
-and the start (_propagator). Its two backends share three methods:
-advance(steps, every) takes Trotter steps and returns the survival
-samples, weight(z0) reads the transferred weight, and state() releases the
-backend's tables and forms the 2^n output once. The one rule between them:
+and the start (_propagator). Its backends share three methods:
+advance(steps, every) advances the state by steps * dt and returns the
+survival samples, weight(z0) reads the transferred weight, and state()
+releases the backend's tables and forms the 2^n output once.
 
-* an impurity band whose start has M_c^2 <= 2^n centres (the marked states
-  plus the unmarked labels the start occupies) runs in level coordinates
-  (_LevelPropagator). The uniform driver has n + 1 levels (x-basis popcount
-  j, energy -B_perp (n - 2j)), and only the M marked states carry classical
-  energy, so span{P_j |c_b>} over the levels j and the centres c_b is
-  invariant under both Trotter factors. A step there costs
-  O(n^2 M_c + M_c^2) and builds no 2^n table;
-* every other run, a glass included, takes the FWHT path
-  (_FwhtPropagator). Both drivers are diagonal in the x basis, so a step
-  alternates between the two bases via a fast Walsh-Hadamard transform,
-  blocked as one 16 x 16 matrix product per 4 index bits with one scratch
-  state. It holds five 2^n complex arrays at most: the state, the scratch
-  and three phase tables.
+An impurity band evolves exactly: each sampled segment is one Chebyshev
+expansion of e^{-iHt} (_chebyshev; Tal-Ezer and Kosloff, J. Chem. Phys. 81,
+3967 (1984)), so dt sets only its sampling grid. Only the M marked states
+carry classical energy e_a, so the spectrum lies in
+[-B_perp n + min(0, min e), B_perp n + max(0, max e)]. One rule picks the
+matrix-vector product the expansion runs on:
+
+* a start with M_c^2 <= 2^n centres (the marked states plus the unmarked
+  labels the start occupies) runs in level coordinates (_LevelPropagator).
+  The uniform driver has n + 1 levels (x-basis popcount j, energy
+  -B_perp (n - 2j)), so span{P_j |c_b>} over the levels j and the centres
+  c_b is invariant under H. A product costs O(n^2 M_c + M_c^2) and builds
+  no 2^n table;
+* every other band start applies H to the 2^n state (_DenseBandPropagator):
+  the driver through two fast Walsh-Hadamard transforms, the classical part
+  on the M marked labels. The expansion holds five 2^n complex arrays.
+
+A spin glass takes one product formula, the symmetric (Strang) splitting
+e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step, whose error is
+second order in dt (_FwhtPropagator). The driver is diagonal in the x
+basis, so a step alternates between the two bases via a fast Walsh-Hadamard
+transform, blocked as one 16 x 16 matrix product per 4 index bits with one
+scratch state. It holds five 2^n complex arrays at most: the state, the
+scratch and three phase tables.
 
 evolve_trotter and the transfer protocol (run_pt_protocol) run the same
 backend-free path on either. A transfer run advances each rung of its time
-ladder in one call and reads the survival trace inside it, without closing
-the symmetric splitting per sample.
+ladder in one call and reads the survival trace inside it.
 
 A dense eigensolver backend (exact_eigs) covers small systems for
 cross-checks; the transition curves over its eigenbasis come from the
@@ -65,6 +72,9 @@ DENSE_MAX_N = 14
 NORM_TOL = 1e-8
 # survival samples per ladder rung, give or take (see run_pt_protocol)
 _TRACE_POINTS = 257
+# largest half-width * time of one Chebyshev expansion; a longer segment is
+# split into equal pieces, which bounds the coefficient FFT at 2^17 points
+_MAX_TAU = 16384.0
 
 # index bits per blocked matrix product
 _BLOCK_BITS = 4
@@ -82,8 +92,9 @@ _HADAMARD_RIGHT = {1 << k: _HADAMARD_PAIRS[:2 << k, :2 << k]
 
 @dataclass
 class EvolutionConfig:
-    """Time grid of the Trotter backend, whose one product formula is the
-    symmetric splitting (see evolve_trotter).
+    """Time grid of a run: the Trotter step of a spin glass, only the
+    sampling grid of an impurity band, which evolves exactly (see the module
+    docstring).
 
     With total_time set, trotter_steps (default 300) fixes dt; passing dt
     instead derives the step count. With total_time = None the transfer
@@ -117,6 +128,11 @@ class EvolutionConfig:
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be >= 0, "
                              f"got {self.max_doublings}")
+        if self.dt is not None:
+            span = self.start_time if self.total_time is None else self.total_time
+            if not np.isfinite(span / self.dt):
+                raise ValueError(f"dt = {self.dt} is too small: {span} / dt "
+                                 "steps is not a finite count")
 
     def resolve_steps(self, total_time: float) -> int:
         if self.trotter_steps is not None:
@@ -239,17 +255,16 @@ def _phase_tables(E, Dx, dt):
 
 
 class _FwhtPropagator:
-    """The FWHT path at step dt, for either driver: the 2^n state psi in
-    the z basis, formed from the start amps on its labels support, and
-    three 2^n phase tables from _phase_tables. ph_cl carries the 1/N of the
-    two unnormalized transforms of each step. With z0 given, ph_half becomes
+    """The spin glass's Trotter path at step dt: the 2^n state psi in the
+    z basis, formed from the start amps on its labels support, and three
+    2^n phase tables from _phase_tables. ph_cl carries the 1/N of the two
+    unnormalized transforms of each step. With z0 given, ph_half becomes
     the survival probe in place (_survival_probe), and each opening and
     closing half-phase rebuilds it from the probe into the free buffer
     (_half_from_probe).
     """
 
     def __init__(self, inst, dt: float, amps: np.ndarray, support, z0=None):
-        self.inst = inst
         # module globals, looked up per run, so a wrapper bound in their
         # place (perfbench's tracer, a test's monkeypatch) sees the call
         self.ph_cl, self.ph_half, self.ph_full = _phase_tables(
@@ -295,12 +310,9 @@ class _FwhtPropagator:
         return samples
 
     def weight(self, z0: int) -> float:
-        """transferred_weight of psi from the amplitudes it needs, without
-        |psi|^2 over all 2^n states: on a glass that is 1 - |psi(z0)|^2.
-        The slices keep numpy's array abs (see _z_probability)."""
-        if isinstance(self.inst, ImpurityBandInstance):
-            others = [z for z in self.inst.marked if z != z0]
-            return float((np.abs(self.psi[others]) ** 2).sum())
+        """transferred_weight of psi, 1 - |psi(z0)|^2, without |psi|^2 over
+        all 2^n states (the slice keeps numpy's array abs, see
+        _z_probability)."""
         return 1.0 - _z_probability(self.psi, z0)
 
     def state(self) -> np.ndarray:
@@ -309,85 +321,175 @@ class _FwhtPropagator:
         return self.psi
 
 
-class _LevelPropagator:
-    """Level coordinates of the uniform driver at step dt around a start
-    state: psi = sum_j P_j sum_b W[j, b] |c_b>, with P_j the projector onto
-    the x-basis states of popcount j and W an (n + 1) x M_c complex array.
-    The centres c_b are the marked states in inst.marked order, then the
-    ascending labels `unmarked` of the start's unmarked support. Both
-    Trotter factors keep this form: the driver scales row j by its level
-    phase, and the classical phase adds (e^{-i dt E_a} - 1) <m_a|psi> to
-    column a of every row.
+def _chebyshev_coefficients(t: float, centre: float, half: float) -> np.ndarray:
+    """Coefficients a_k of e^{-iHt} = sum_k a_k T_k((H - centre) / half) for
+    a spectrum inside [centre - half, centre + half]: with tau = half * t,
+    a_0 = J_0(tau) and a_k = 2 (-i)^k J_k(tau), all times e^{-i centre t}.
 
-    <c_a|P_j|c_b> = 2^-n K_j(d(c_a, c_b)) with K the Krawtchouk table, so
-    the centres' amplitudes cost one (n + 1) x (n + 1) product and an
-    M_c x M_c gather (overlaps); the distances d(c_a, c_b) are kept only
-    as that gather's flat indices. The start gives W directly:
-    |c_b> = sum_j P_j |c_b>, so every row of W is amps on the centres.
+    By the Jacobi-Anger expansion, (-i)^k J_k(tau) are the Fourier
+    coefficients of e^{-i tau cos(theta)}, so one FFT over L >= 4 tau + 64
+    equispaced angles gives them, with aliased terms J_{L-k}(tau),
+    L - k > 3 tau, far below rounding. The series stops at the first k
+    past tau where |a_k| < 1e-15: J_k(tau) falls faster than geometrically
+    there, and the FFT's own rounding sits near 1e-16.
+    """
+    tau = half * t
+    size = 1 << int(np.ceil(np.log2(4.0 * tau + 64.0)))
+    theta = np.arange(size) * (2.0 * np.pi / size)
+    g = np.fft.fft(np.exp(-1j * tau * np.cos(theta)))[:size // 2]
+    g *= 2.0 / size
+    g[0] *= 0.5
+    k0 = int(tau)
+    stop = k0 + int(np.argmax(np.abs(g[k0:]) < 1e-15))
+    return np.exp(-1j * centre * t) * g[:stop]
+
+
+def _chebyshev(matvec, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(A) x, T_k the Chebyshev polynomials, by the
+    recurrence T_{k+1}(A) x = 2 A T_k(A) x - T_{k-1}(A) x.
+
+    matvec(v, w, spare) writes 2 A v - w into w's buffer and returns it; it
+    may overwrite the two arrays of x's shape in spare. x's own buffer holds
+    T_0 and is then overwritten, so call it as x = _chebyshev(matvec, x,
+    coef). The recurrence holds five arrays of x's shape: x, T_1, the sum
+    and spare.
+    """
+    spare = np.empty_like(x), np.empty_like(x)
+    y = x * coef[0]
+    prev, cur = None, x
+    for c in coef[1:]:
+        if prev is None:  # T_1 = A T_0 = (2 A T_0 - 0) / 2
+            nxt = matvec(cur, np.zeros_like(x), spare)
+            nxt *= 0.5
+        else:
+            nxt = matvec(cur, prev, spare)
+        prev, cur = cur, nxt
+        y += np.multiply(cur, c, out=spare[0])
+    return y
+
+
+class _BandPropagator:
+    """An impurity band evolved exactly: each segment that advance samples
+    is one Chebyshev expansion of e^{-iHt} (_chebyshev), with its
+    coefficients computed once per segment length, so dt sets only the
+    sampling grid. A subclass holds the state x in its own coordinates and
+    gives its product (matvec, 2 A x - w with A = (H - centre) / half), the
+    survival and the marked amplitudes.
+
+    energies are the classical energies the product adds, so the spectrum
+    lies in [-B_perp n + min(0, min e), B_perp n + max(0, max e)]; a
+    zero-width interval is widened to half-width 1.
+    """
+
+    def __init__(self, inst: ImpurityBandInstance, dt: float, energies):
+        self.dt, self.marked = dt, np.asarray(inst.marked)
+        drive = abs(inst.B_perp) * inst.n
+        lo = -drive + min(0.0, float(np.min(energies)))
+        hi = drive + max(0.0, float(np.max(energies)))
+        self.centre, self.half = (hi + lo) / 2, (hi - lo) / 2 or 1.0
+        self._expansions = {}
+
+    def _expansion(self, steps: int):
+        """(pieces, coefficients) of a segment of `steps` steps: pieces
+        equal expansions, each at most _MAX_TAU in half-width * time."""
+        if steps not in self._expansions:
+            t = steps * self.dt
+            pieces = max(1, int(np.ceil(self.half * t / _MAX_TAU)))
+            self._expansions[steps] = pieces, _chebyshev_coefficients(
+                t / pieces, self.centre, self.half)
+        return self._expansions[steps]
+
+    def advance(self, steps: int, every: int = 0) -> list:
+        """Advance x by steps * dt, one expansion per segment of `every`
+        steps (one for the whole call when every = 0) and a shorter last
+        one. With every > 0 it returns the survival after each segment.
+        Calls compose: the same segments give the same arithmetic.
+        """
+        samples, done = [], 0
+        while done < steps:
+            seg = min(every or steps, steps - done)
+            pieces, coef = self._expansion(seg)
+            for _ in range(pieces):
+                self.x = _chebyshev(self.matvec, self.x, coef)
+            done += seg
+            if every:
+                samples.append(self.survival())
+        return samples
+
+    def weight(self, z0: int) -> float:
+        """Weight on the marked states other than z0."""
+        amp = self.marked_amplitudes()[self.marked != z0]
+        return float((np.abs(amp) ** 2).sum())
+
+
+class _LevelPropagator(_BandPropagator):
+    """Level coordinates of the uniform driver around a start state:
+    psi = sum_j P_j sum_b x[j, b] |c_b>, with P_j the projector onto the
+    x-basis states of popcount j and x an (n + 1) x M_c complex array.
+    The centres c_b are the marked states in inst.marked order, then the
+    ascending labels `unmarked` of the start's unmarked support.
+
+    H keeps this form, lifted to (L x)[j, b] = eps_j x[j, b]
+    + e_b <c_b|psi> with eps_j = -B_perp (n - 2j) the level energies and e_b
+    the centre's classical energy (0 if unmarked). <c_a|P_j|c_b> =
+    2^-n K_j(d(c_a, c_b)) with K the Krawtchouk table, so the centres'
+    amplitudes cost one (n + 1) x (n + 1) product and an M_c x M_c gather
+    (overlaps); the distances d(c_a, c_b) are kept only as that gather's
+    flat indices. The start gives x directly: |c_b> = sum_j P_j |c_b>, so
+    every row of x is amps on the centres.
     """
 
     def __init__(self, inst: ImpurityBandInstance, dt: float, amps: np.ndarray,
                  support, unmarked, z0=None):
         n = self.n = inst.n
-        self.marked_count = inst.M
         self.centres = np.array([*inst.marked, *unmarked], dtype=np.uint64)
         m = len(self.centres)
         self.kraw = krawtchouk_table(n) / (1 << n)
         self._kraw_t = np.ascontiguousarray(self.kraw.T)
         self._gather = hamming_table(self.centres) * m + np.arange(m)
-        # e^{-i dt E_a} - 1 per centre (0 for an unmarked one), and the
-        # level phases of e^{-i H_D dt/2} and e^{-i H_D dt} as columns
+        energy = np.zeros(m)
+        energy[:inst.M] = inst.base_energy + inst.eps
+        super().__init__(inst, dt, energy)
+        # 2 A = 2 (L - centre) / half as a level column and a centre row
         hx, _ = driver_terms(inst)
-        energy = hx[0] * (n - 2.0 * np.arange(n + 1)[:, None])
-        self.half = np.exp(-0.5j * dt * energy)
-        self.full = np.exp(-1j * dt * energy)
-        self.ph_marked = np.zeros(m, dtype=np.complex128)
-        self.ph_marked[:inst.M] = np.expm1(-1j * dt * (inst.base_energy + inst.eps))
+        levels = hx[0] * (n - 2.0 * np.arange(n + 1)[:, None])
+        self._level_scale = (2.0 / self.half) * (levels - self.centre)
+        self._centre_scale = (2.0 / self.half) * energy
         start = dict(zip(np.asarray(support).tolist(), np.asarray(amps).tolist()))
-        self.W = np.empty((n + 1, m), dtype=np.complex128)
-        self.W[:] = [start.get(c, 0.0) for c in self.centres.tolist()]
-        if z0 is not None:
-            # <z0|psi> = vdot(p, W): p_end for W of psi itself, p_mid for W
-            # of e^{-i H_D dt/2} psi, whose level phases it undoes
-            p_end = self.kraw[:, np.bitwise_count(self.centres ^ np.uint64(z0))]
-            self.probes = (p_end, p_end * self.half)
+        self.x = np.empty((n + 1, m), dtype=np.complex128)
+        self.x[:] = [start.get(c, 0.0) for c in self.centres.tolist()]
+        if z0 is not None:  # <z0|psi> = vdot(probe, x)
+            self.probe = self.kraw[:, np.bitwise_count(self.centres ^ np.uint64(z0))]
 
-    def advance(self, steps: int, every: int = 0) -> list:
-        """Advance W by `steps` Trotter steps, in place: the half phases
-        first, then [classical, full] per step, closing the last step with
-        the half phases instead of the full ones. With every > 0 it returns
-        the survival after every `every`-th step and after the last one:
-        inside the call W holds e^{-i H_D dt/2} psi_k, which probes[1]
-        reads, and at its end probes[0]. Calls at fixed dt compose with no
-        Trotter error, up to the rounding of half * half against full.
-        """
-        W, half, full, ph_marked = self.W, self.half, self.full, self.ph_marked
-        samples = []
-        W *= half
-        for k in range(1, steps + 1):
-            W += ph_marked * self.overlaps(W)
-            W *= half if k == steps else full
-            if every and (k % every == 0 or k == steps):
-                samples.append(float(abs(np.vdot(self.probes[k < steps], W)) ** 2))
-        return samples
+    def matvec(self, v, w, spare):
+        np.subtract(self._level_scale * v, w, out=w)
+        w += self._centre_scale * self.overlaps(v)
+        return w
 
-    def weight(self, z0: int) -> float:
-        """Weight on the marked states other than z0."""
-        amp = self.overlaps(self.W)[:self.marked_count]
-        others = self.centres[:self.marked_count] != z0
-        return float(np.sum(np.abs(amp[others]) ** 2))
+    def survival(self) -> float:
+        return float(abs(np.vdot(self.probe, self.x)) ** 2)
+
+    def marked_amplitudes(self) -> np.ndarray:
+        return self.overlaps(self.x)[:len(self.marked)]
 
     def state(self) -> np.ndarray:
         """The 2^n state, formed after the gather table is released; the
         last call."""
         del self._gather
-        return self.amplitudes(self.W)
+        return self.amplitudes(self.x)
 
     def overlaps(self, W: np.ndarray) -> np.ndarray:
         """<c_a|psi> for every centre: sum_b g[d(c_a, c_b), b] with
-        g = K^T W / 2^n, one real product on W's float64 view."""
-        g = (self._kraw_t @ W.view(np.float64)).view(np.complex128)
-        return np.take(g, self._gather).sum(axis=1)
+        g = K^T W / 2^n, one real product on a float64 view.
+
+        sum_j K_j(d) = 2^n [d = 0], so the part of W equal to its row 0
+        contributes W[0, a] alone, and the product runs on W - W[0]. A
+        column whose rows agree, a centre no field has moved, then adds
+        exactly nothing to the other centres.
+        """
+        rest = W - W[0]
+        g = (self._kraw_t @ rest.view(np.float64)).view(np.complex128)
+        return W[0] + np.take(g, self._gather).sum(axis=1)
 
     def amplitudes(self, W: np.ndarray) -> np.ndarray:
         """The 2^n state, psi = 2^-n F phi with F the unnormalized
@@ -426,32 +528,87 @@ class _LevelPropagator:
         return phi
 
 
+class _DenseBandPropagator(_BandPropagator):
+    """A band start with more than 2^(n/2) centres, as the 2^n state x.
+    Its product applies the driver as F (eps o F x) / N, with F the
+    unnormalized Walsh-Hadamard transform (_fwht) and eps(x) =
+    -B_perp (n - 2 |x|) the x-basis levels, and the classical part on the
+    M marked labels. The levels are kept as a sum over the high and the low
+    half of the index bits, so no 2^n table is built besides the state.
+    """
+
+    def __init__(self, inst: ImpurityBandInstance, dt: float, amps: np.ndarray,
+                 support, z0=None):
+        energy = inst.base_energy + inst.eps
+        super().__init__(inst, dt, energy)
+        n, h = inst.n, inst.n // 2
+        hx, _ = driver_terms(inst)
+        # 2 A = 2 (H - centre) / half, with the 1/N of the transform pair
+        scale = 2.0 / (self.half * (1 << n))
+        pop_hi = np.bitwise_count(np.arange(1 << (n - h)))
+        pop_lo = np.bitwise_count(np.arange(1 << h))
+        self._levels_hi = scale * (hx[0] * (n - h - 2.0 * pop_hi) - self.centre)
+        self._levels_lo = scale * (hx[0] * (h - 2.0 * pop_lo))
+        self._marked_scale = (2.0 / self.half) * energy
+        self.z0 = z0
+        self.x = np.zeros(1 << n, dtype=np.complex128)
+        self.x[support] = amps
+
+    def matvec(self, v, w, spare):
+        f, free = spare
+        np.copyto(f, v)
+        f, free = _fwht_swap(f, free)
+        rows = f.reshape(len(self._levels_hi), -1)
+        tmp = free.reshape(rows.shape)
+        np.multiply(rows, self._levels_hi[:, None], out=tmp)
+        rows *= self._levels_lo
+        rows += tmp
+        f, free = _fwht_swap(f, free)
+        np.subtract(f, w, out=w)
+        w[self.marked] += self._marked_scale * v[self.marked]
+        return w
+
+    def survival(self) -> float:
+        return _z_probability(self.x, self.z0)
+
+    def marked_amplitudes(self) -> np.ndarray:
+        return self.x[self.marked]
+
+    def state(self) -> np.ndarray:
+        """The state x; the last call."""
+        return self.x
+
+
 def _propagator(inst, dt: float, amps, support, z0=None):
-    """The Trotter propagator of one run on inst at step dt from the start
-    amps[k] on the ascending labels support[k], which it leaves unchanged.
-    With z0 given it samples |<z0|psi>|^2.
+    """The propagator of one run on inst at step dt from the start amps[k]
+    on the ascending labels support[k], which it leaves unchanged. With z0
+    given it samples |<z0|psi>|^2.
 
     An impurity band runs in level coordinates (_LevelPropagator) when its
     start has M_c^2 <= 2^n centres, the marked states plus the unmarked
-    support: past that, the M_c x M_c gather table outgrows the state.
-    Every other run, a glass included, takes the FWHT path (_FwhtPropagator).
+    support: past that, the M_c x M_c gather table outgrows the state, and
+    the band runs on the 2^n state (_DenseBandPropagator). A spin glass
+    takes the Trotter path (_FwhtPropagator).
     """
     if isinstance(inst, ImpurityBandInstance):
         unmarked = np.setdiff1d(support, inst.marked, assume_unique=True)
         if (inst.M + len(unmarked)) ** 2 <= 1 << inst.n:
             return _LevelPropagator(inst, dt, amps, support, unmarked, z0)
+        return _DenseBandPropagator(inst, dt, amps, support, z0)
     return _FwhtPropagator(inst, dt, amps, support, z0)
 
 
 def evolve_trotter(inst, amps, support, config: EvolutionConfig) -> np.ndarray:
-    """The 2^n state after symmetric product-formula propagation of the
-    start amps[k] on the ascending labels support[k] under inst's
-    Hamiltonian: e^{-i H_D dt/2} e^{-i H_cl dt} e^{-i H_D dt/2} per step, by
-    the propagator _propagator picks. Neither backend changes the input.
+    """The 2^n state after propagating the start amps[k] on the ascending
+    labels support[k] under inst's Hamiltonian for config.total_time, by the
+    propagator _propagator picks: exactly on an impurity band (one Chebyshev
+    expansion), by the symmetric product formula e^{-i H_D dt/2}
+    e^{-i H_cl dt} e^{-i H_D dt/2} per step on a spin glass. Neither backend
+    changes the input.
     """
     amps, support = np.asarray(amps, dtype=np.complex128), np.asarray(support)
     if inst.n > TROTTER_MAX_N:
-        raise ValueError(f"Trotter backend capped at n = {TROTTER_MAX_N}")
+        raise ValueError(f"state-vector evolution capped at n = {TROTTER_MAX_N}")
     if amps.ndim != 1 or amps.shape != support.shape:
         raise ValueError("the start needs one amplitude per label")
     if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
@@ -530,14 +687,14 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
                     on_rung=None) -> PTResult:
     """Prepare |z0>, switch the driver on at constant strength, evolve, measure.
 
-    The evolution is the symmetric product formula of evolve_trotter, and
-    the diabatic ramps are idealized as instantaneous. With
-    config.total_time = None the run doubles its length until the
-    transferred weight is stationary at the configured tolerance (the
-    saturation criterion is a relative change below saturation_rtol over
-    one doubling of t); otherwise it runs for exactly total_time. After
-    each rung of that ladder, on_rung (if given) is called with the total
-    time, the transferred weight and its relative change (None on the
+    The evolution is that of evolve_trotter (exact on a band, the symmetric
+    product formula on a glass), and the diabatic ramps are idealized as
+    instantaneous. With config.total_time = None the run doubles its length
+    until the transferred weight is stationary at the configured tolerance
+    (the saturation criterion is a relative change below saturation_rtol
+    over one doubling of t); otherwise it runs for exactly total_time.
+    After each rung of that ladder, on_rung (if given) is called with the
+    total time, the transferred weight and its relative change (None on the
     first rung). A rung of `steps` steps records the survival every
     max(1, steps // (_TRACE_POINTS - 1))-th step and at its end.
 
@@ -550,7 +707,7 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     n = inst.n
     z0 = check_bitstring(z0, n)
     if n > TROTTER_MAX_N:
-        raise ValueError(f"Trotter backend capped at n = {TROTTER_MAX_N}")
+        raise ValueError(f"state-vector evolution capped at n = {TROTTER_MAX_N}")
     E = all_classical_energies(inst)
 
     ladder = config.total_time is None

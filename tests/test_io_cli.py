@@ -197,10 +197,14 @@ def test_evolve_requires_time(tmp_path, ib_instance, capsys):
     ("pt-run", "--saturation-rtol", "-1"),
     ("pt-run", "--max-doublings", "-1"),
     ("evolve", "--time", "-1"),
+    # step counts past the float range: time / dt overflows to inf
+    ("evolve", "--dt", "1e-300"),
+    ("pt-run", "--dt", "1e-320"),
 ])
 def test_evolution_settings_out_of_range(tmp_path, ib_instance, capsys,
                                          cmd, flag, value):
-    extra = ["--time", "1"] if cmd == "evolve" and flag != "--time" else []
+    time = "1e300" if value == "1e-300" else "1"
+    extra = ["--time", time] if cmd == "evolve" and flag != "--time" else []
     rc = main(["--out-dir", str(tmp_path), cmd, "--instance", str(ib_instance),
                *extra, flag, value])
     assert rc == 2
@@ -501,6 +505,28 @@ def test_evolve_emits_state_table(tmp_path, ib_instance):
     doc = json.loads((tmp_path / "evolve.json").read_text())
     assert doc["steps"] == 64 and doc["norm"] == pytest.approx(1.0)
     assert 0.0 <= doc["survival"] <= 1.0
+
+
+def test_band_evolve_survival_is_exact(tmp_path):
+    # the impurity-band benchmark's evolve (n = 20, M = 64, --z0 auto,
+    # t = 10): a band evolves exactly, so its survival is the marked-subspace
+    # eigensystem's, whatever --steps says
+    inp = tmp_path / "in"
+    assert main(["--out-dir", str(inp), "gen-instance", "--kind",
+                 "impurity-band", "--n", "20", "--m", "64", "--w", "0.5",
+                 "--b-perp", "2", "--seed", "0"]) == 0
+    assert main(["--out-dir", str(tmp_path / "run"), "evolve", "--instance",
+                 str(inp / "instance.json"), "--time", "10", "--steps", "10",
+                 "--top-k", "4"]) == 0
+    doc = json.loads((tmp_path / "run" / "evolve.json").read_text())
+    inst = load_instance(inp / "instance.json")
+    z0 = inst.marked[int(np.argmin(inst.eps))]
+    assert doc["z0"] == z0
+    vals, amp = marked_eigensystem(inst)
+    a = inst.marked.index(z0)
+    want = abs(amp[a] @ (np.exp(-10j * vals) * amp[a])) ** 2
+    assert doc["survival"] == pytest.approx(want, rel=0, abs=1e-10)
+    assert 0.02 < want < 0.03
 
 
 def test_downfold_cli_matches_library(tmp_path, ib_instance):
@@ -840,8 +866,8 @@ def test_import_loads_no_numpy():
 
 _EXECUTED = ("import sys, types; from pt_lab.cli import main; "
              "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
-             "print(rc, 'numpy' in sys.modules, *sorted("
-             "m for m, mod in sys.modules.items() "
+             "print(rc, 'numpy' in sys.modules, 'scipy' in sys.modules, "
+             "*sorted(m for m, mod in sys.modules.items() "
              "if m.startswith('pt_lab.') and type(mod) is types.ModuleType))")
 
 
@@ -852,12 +878,15 @@ _EXECUTED = ("import sys, types; from pt_lab.cli import main; "
     ("pblm-ensemble", ["bits", "downfold", "io_utils", "pblm", "spectral"]),
     ("grover-sweep", ["bits", "grover", "io_utils", "spectral"]),
     ("evolve", ["bits", "instances", "io_utils", "statevector"]),
+    ("pt-run", ["bits", "instances", "io_utils", "statevector"]),
 ])
 def test_cli_runs_only_the_modules_its_subcommand_reaches(tmp_path, ib_instance,
                                                           cmd, executed):
     # importing pt_lab.cli registers the package modules without running
     # them (a module LazyLoader has not run is not of type ModuleType), so
-    # a process runs only the modules its subcommand reaches; numpy is eager
+    # a process runs only the modules its subcommand reaches; numpy is
+    # eager. A band's evolution imports no scipy: its Chebyshev
+    # coefficients come from numpy's FFT
     argv = {"import": [],
             "gen-instance": ["gen-instance", "--kind", "spin-glass", "--n", "8"],
             "downfold": ["downfold", "--instance", str(ib_instance),
@@ -867,14 +896,19 @@ def test_cli_runs_only_the_modules_its_subcommand_reaches(tmp_path, ib_instance,
             "grover-sweep": ["grover-sweep", "--n", "8", "--m", "3", "--w",
                              "0.5", "--eps0", "4"],
             "evolve": ["evolve", "--instance", str(ib_instance), "--time", "1",
-                       "--steps", "2"]}[cmd]
+                       "--steps", "2"],
+            "pt-run": ["pt-run", "--instance", str(ib_instance), "--dt", "0.1",
+                       "--max-doublings", "2"]}[cmd]
     if argv:
         argv = ["--out-dir", str(tmp_path), *argv]
     out = subprocess.run([sys.executable, "-c", _EXECUTED, *argv], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": _SRC})
-    assert out.stdout.splitlines()[-1].split() == [
-        "0", "True", *sorted(f"pt_lab.{m}" for m in ["cli", *executed])]
+    rc, numpy, scipy, *modules = out.stdout.splitlines()[-1].split()
+    assert [rc, numpy] == ["0", "True"]
+    assert modules == sorted(f"pt_lab.{m}" for m in ["cli", *executed])
+    if cmd in ("evolve", "pt-run"):
+        assert scipy == "False"
 
 
 def test_package_modules_leave_hashlib_unloaded():

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import hadamard
+from scipy.special import jv
 
 from pt_lab.bits import hamming_array, krawtchouk_table
+from pt_lab.downfold import marked_eigensystem
 from pt_lab.instances import (ImpurityBandInstance, all_classical_energies,
                               gen_impurity_band, gen_spin_glass)
 from pt_lab.spectral import transition_distribution, transition_probability
 from pt_lab.statevector import (EvolutionConfig, dense_hamiltonian, driver_terms,
                                 driver_x_diagonal, evolve_trotter, exact_eigs,
                                 run_pt_protocol, sample_output,
-                                transferred_weight, _fwht,
-                                _FwhtPropagator, _LevelPropagator, _propagator)
+                                transferred_weight, _chebyshev_coefficients,
+                                _fwht, _DenseBandPropagator, _FwhtPropagator,
+                                _LevelPropagator, _propagator)
 
 
 def _two_level_instance(B, delta):
@@ -62,26 +65,33 @@ def test_fwht_allocates_one_scratch_state(traced_peak):
 SYMMETRIC = pytest.mark.parametrize((), [pytest.param(id="symmetric")])
 
 
-def _fwht_reference(inst, start, T, steps):
-    # the basis-alternating symmetric product formula: e^{-i H_D t} is H_n
-    # times the x-basis phases times H_n / N, with H_D's x-basis eigenvalues
-    # -B (n - 2 popcount(x)); start is a basis-state label or a 2^n vector
-    n, N = inst.n, 1 << inst.n
-    dt = T / steps
-    Dx = -inst.B_perp * (n - 2.0 * np.bitwise_count(np.arange(N)))
-    ph_cl = np.exp(-1j * dt * all_classical_energies(inst))
+# the band times every exact band test covers
+BAND_TIMES = (0.7, 10.0, 100.0)
 
-    def drive(psi, t):
-        return _fwht(np.exp(-1j * t * Dx) * _fwht(psi)) / N
 
+def _exact_states(inst, start, times):
+    # e^{-iHt} start by dense diagonalisation, start a basis-state label or
+    # a 2^n vector
+    vals, vecs = exact_eigs(inst)
     if np.ndim(start) == 0:
-        psi = np.zeros(N, dtype=complex)
-        psi[start] = 1.0
-    else:
-        psi = np.asarray(start, dtype=complex)
-    for _ in range(steps):
-        psi = drive(ph_cl * drive(psi, dt / 2), dt / 2)
-    return psi
+        start = np.eye(1 << inst.n)[start]
+    coef = vecs.T @ start
+    return [vecs @ (np.exp(-1j * vals * t) * coef) for t in times]
+
+
+@pytest.mark.parametrize("tau", [0.5, 50.0, 500.0])
+def test_chebyshev_coefficients_are_bessel_values(tau):
+    # e^{-i tau x} = J_0(tau) + 2 sum_k (-i)^k J_k(tau) T_k(x); with
+    # centre 0, half-width 1 and t = tau the coefficients are these values.
+    # The FFT forms e^{-i tau cos(theta)}, whose phase rounds at tau * eps
+    coef = _chebyshev_coefficients(tau, 0.0, 1.0)
+    k = np.arange(len(coef))
+    want = 2.0 * (-1j) ** k * jv(k, tau)
+    want[0] *= 0.5
+    np.testing.assert_allclose(coef, want, rtol=0, atol=1e-15 * max(1.0, tau))
+    # the series runs past k = tau and stops where the terms fall below 1e-15
+    assert len(coef) > tau and abs(coef[-1]) > 1e-15
+    assert abs(jv(len(coef), tau)) < 1e-15
 
 
 @SYMMETRIC
@@ -97,18 +107,30 @@ def _fwht_reference(inst, start, T, steps):
     pytest.param(8, 4, "unmarked", id="8-unmarked"),
 ])
 def test_uniform_trotter_matches_fwht_reference(n, M, start, B):
+    # bands evolve exactly: the state agrees with dense diagonalisation for
+    # n <= 10. Past that a dense eigh takes seconds, and the marked
+    # amplitudes are checked against the marked-subspace eigensystem
     inst = gen_impurity_band(n=n, M=M, W=0.5, seed=n, B_perp=B)
     z0 = (inst.marked[-1] if start == "marked"
           else min(set(range(1 << n)) - set(inst.marked)))
-    cfg = EvolutionConfig(total_time=3.0, trotter_steps=40)
-    got = evolve_trotter(inst, [1.0], [z0], cfg)
-    want = _fwht_reference(inst, z0, 3.0, 40)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    got = [evolve_trotter(inst, [1.0], [z0], EvolutionConfig(
+        total_time=t, trotter_steps=40)) for t in BAND_TIMES]
+    if n <= 10:
+        want = _exact_states(inst, z0, BAND_TIMES)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        return
+    vals, amp = marked_eigensystem(inst)
+    marked = list(inst.marked)
+    for t, psi in zip(BAND_TIMES, got):
+        want = amp @ (np.exp(-1j * vals * t) * amp[marked.index(z0)])
+        np.testing.assert_allclose(psi[marked], want, rtol=0, atol=1e-10)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
 
 
 def _spy_paths(monkeypatch):
-    # counts the advance calls each backend runs
-    calls = {"level": 0, "fwht": 0}
+    # counts the advance calls each backend runs: "level" and "dense" are
+    # the band's two Chebyshev products, "fwht" the glass's Trotter path
+    calls = {"level": 0, "dense": 0, "fwht": 0}
 
     def spy(name, backend):
         advance = backend.advance
@@ -119,6 +141,7 @@ def _spy_paths(monkeypatch):
         monkeypatch.setattr(backend, "advance", counted)
 
     spy("level", _LevelPropagator)
+    spy("dense", _DenseBandPropagator)
     spy("fwht", _FwhtPropagator)
     return calls
 
@@ -130,10 +153,11 @@ def _backend(inst, z0):
 
 
 def _check_propagator_composes(inst, z0, backend):
-    # advance(a) then advance(b) against advance(a + b) at the same dt: the
-    # closing and reopening half-phases between the calls cost a rounding
-    # error, no Trotter error. A rung's weight is the formed state's
-    # transferred_weight: the same amplitudes on the FWHT path, level
+    # advance(a) then advance(b) against advance(a + b) at the same dt: on
+    # the Trotter path the closing and reopening half-phases between the
+    # calls cost a rounding error, no Trotter error; a band runs the same
+    # sampled segments either way. A rung's weight is the formed state's
+    # transferred_weight: the same amplitudes on a 2^n state, level
     # coordinates' own overlaps on the level path
     split, whole = (_propagator(inst, 0.01, np.ones(1), [z0], z0)
                     for _ in range(2))
@@ -145,7 +169,7 @@ def _check_propagator_composes(inst, z0, backend):
     psi = split.state()
     np.testing.assert_allclose(psi, whole.state(), rtol=0, atol=1e-12)
     want = transferred_weight(inst, z0, np.abs(psi) ** 2)
-    if backend is _FwhtPropagator:
+    if backend is not _LevelPropagator:
         assert weight == want
     else:
         assert weight == pytest.approx(want, abs=1e-12)
@@ -153,7 +177,8 @@ def _check_propagator_composes(inst, z0, backend):
 
 
 @pytest.mark.parametrize("extra, start, B, path", [
-    # n = 8: the level path takes M_c^2 <= 2^8 centres
+    # n = 8: the level path takes M_c^2 <= 2^8 centres, the 2^n state the
+    # rest (ids keep the name "fwht" for it)
     (0, "marked", 2.0, "level"),
     (1, "marked", 2.0, "fwht"),
     (-1, "unmarked", 2.0, "level"),
@@ -191,17 +216,20 @@ def test_uniform_path_selection(monkeypatch, extra, start, B, path):
         amps[inst.marked[0]] = 1j if start == "phase" else 1.0
     support = np.flatnonzero(amps)
     calls = _spy_paths(monkeypatch)
-    cfg = EvolutionConfig(total_time=1.0, trotter_steps=5)
-    got = evolve_trotter(inst, amps[support], support, cfg)
-    assert calls == {"level": path == "level", "fwht": path == "fwht"}
-    want = _fwht_reference(inst, amps, 1.0, 5)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    got = [evolve_trotter(inst, amps[support], support, EvolutionConfig(
+        total_time=t, trotter_steps=5)) for t in BAND_TIMES]
+    path = "dense" if path == "fwht" else path
+    assert calls == {"level": 3 * (path == "level"),
+                     "dense": 3 * (path == "dense"), "fwht": 0}
+    want = _exact_states(inst, amps, BAND_TIMES)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     if np.count_nonzero(amps) == 1:
         z0 = int(np.flatnonzero(amps)[0])
-        res = run_pt_protocol(inst, z0, cfg)
-        assert calls[path] == 2
-        np.testing.assert_allclose(res.probabilities, np.abs(want) ** 2,
-                                   atol=1e-12)
+        res = run_pt_protocol(inst, z0, EvolutionConfig(total_time=0.7,
+                                                        trotter_steps=5))
+        assert calls[path] == 4
+        np.testing.assert_allclose(res.probabilities, np.abs(want[0]) ** 2,
+                                   rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -230,7 +258,7 @@ def test_level_reconstruction_matches_distance_sum(n):
 @SYMMETRIC
 def test_band_segments_compose(monkeypatch):
     # the first half runs in level coordinates; its output has 2^n
-    # nonzero amplitudes, so the second half takes the FWHT path
+    # nonzero amplitudes, so the second half runs on the 2^n state
     inst = gen_impurity_band(n=8, M=6, W=0.5, seed=4, B_perp=1.3)
     start = [1.0], [inst.marked[2]]
     whole = evolve_trotter(inst, *start, EvolutionConfig(
@@ -240,18 +268,18 @@ def test_band_segments_compose(monkeypatch):
         total_time=1.0, trotter_steps=100))
     again = evolve_trotter(inst, half, np.arange(1 << 8), EvolutionConfig(
         total_time=1.0, trotter_steps=100))
-    assert calls == {"level": 1, "fwht": 1}
+    assert calls == {"level": 1, "dense": 1, "fwht": 0}
     np.testing.assert_allclose(again, whole, atol=1e-12)
-    # the propagators themselves: level coordinates, and the FWHT path of
+    # the propagators themselves: level coordinates, and the 2^n state of
     # a dense band (M^2 > 2^6)
     _check_propagator_composes(inst, inst.marked[2], _LevelPropagator)
     dense = gen_impurity_band(n=6, M=9, W=0.5, seed=4, B_perp=1.3)
-    _check_propagator_composes(dense, dense.marked[2], _FwhtPropagator)
+    _check_propagator_composes(dense, dense.marked[2], _DenseBandPropagator)
 
 
 @pytest.mark.parametrize("kind", ["glass", "level-band", "dense-band"])
 def test_unstepped_propagator_forms_its_start(kind):
-    # with no step taken, the state formed is the start itself, on either
+    # with no step taken, the state formed is the start itself, on every
     # backend; the level-band start is a marked and an unmarked label with
     # complex amplitudes
     if kind == "glass":
@@ -268,8 +296,9 @@ def test_unstepped_propagator_forms_its_start(kind):
     full = np.zeros(1 << inst.n, dtype=complex)
     full[support] = amps
     unmoved = _propagator(inst, 0.05, np.asarray(amps), support, support[0])
-    assert type(unmoved) is (_LevelPropagator if kind == "level-band"
-                             else _FwhtPropagator)
+    assert type(unmoved) is {"glass": _FwhtPropagator,
+                             "level-band": _LevelPropagator,
+                             "dense-band": _DenseBandPropagator}[kind]
     np.testing.assert_allclose(unmoved.state(), full, rtol=0, atol=1e-15)
 
 
@@ -280,8 +309,8 @@ def test_band_ladder_weights_match_full_state_runs():
     res = run_pt_protocol(inst, z0, EvolutionConfig(
         dt=dt, start_time=1.0, max_doublings=3, saturation_rtol=1e-12))
     np.testing.assert_allclose(res.ladder_times, [1.0, 2.0, 4.0, 8.0])
-    for t, w in zip(res.ladder_times, res.ladder_weights):
-        psi = _fwht_reference(inst, z0, t, round(t / dt))
+    exact = _exact_states(inst, z0, res.ladder_times)
+    for w, psi in zip(res.ladder_weights, exact):
         assert w == pytest.approx(
             transferred_weight(inst, z0, np.abs(psi) ** 2), abs=1e-12)
     assert res.ladder_weights[-1] > 0.01
@@ -305,21 +334,23 @@ def test_uniform_trotter_builds_no_state_sized_table(monkeypatch, traced_peak):
     cfg = EvolutionConfig(total_time=1.0, trotter_steps=4)
     for start in [([1.0], [inst.marked[0]]),
                   ([np.sqrt(0.5)] * 2, sorted(inst.marked[:2]))]:
-        calls.update(level=0, fwht=0)
+        calls.update(level=0, dense=0, fwht=0)
         out, peak = traced_peak(evolve_trotter, inst, *start, cfg)
-        assert calls == {"level": 1, "fwht": 0}
+        assert calls == {"level": 1, "dense": 0, "fwht": 0}
         assert peak <= 2.25 * out.nbytes
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["glass", "dense-band"])
 def test_fwht_trotter_holds_five_states(monkeypatch, traced_peak, kind):
-    # the state, the segment's scratch and three phase tables: ph_cl,
-    # ph_full and ph_half, which a sampled symmetric run keeps as its
-    # survival probe. Rung weights read one amplitude (a band's: its
-    # marked ones), and the output distribution is formed after the tables
-    # are released. The traced evolve_trotter call builds its start from
-    # its label. The dense band (M^2 > 2^16) takes this path too
+    # the glass's Trotter path: the state, the segment's scratch and three
+    # phase tables, ph_cl, ph_full and ph_half, which a sampled symmetric
+    # run keeps as its survival probe. The dense band (M^2 > 2^16) runs its
+    # Chebyshev recurrence on the 2^n state: T_0 (the state), T_1, the sum
+    # and the product's two scratch arrays. Rung weights read one amplitude
+    # (a band's: its marked ones), and the output distribution is formed
+    # after the tables are released. The traced evolve_trotter call builds
+    # its start from its label
     if kind == "glass":
         inst, z0 = gen_spin_glass(n=16, seed=3), 59518
     else:
@@ -336,20 +367,22 @@ def test_fwht_trotter_holds_five_states(monkeypatch, traced_peak, kind):
     _, peak = traced_peak(evolve_trotter, inst, [1.0], [z0],
                           EvolutionConfig(total_time=0.5, trotter_steps=5))
     assert peak <= bound
-    assert calls == {"level": 0, "fwht": 3}
+    path = "fwht" if kind == "glass" else "dense"
+    assert calls == {"level": 0, "dense": 0, "fwht": 0, path: 3}
 
 
 def test_uniform_trotter_norm_drift_over_long_runs(monkeypatch):
-    # 20 000 steps at n = 12; the bound is fixed here, not fitted. M = 8
-    # runs in level coordinates, the dense band (M = 65, M^2 > 2^12) on
-    # the FWHT path
+    # t = 1000 at n = 12; the bound is fixed here, not fitted. M = 8 runs in
+    # level coordinates, the dense band (M = 65, M^2 > 2^12) on the 2^n
+    # state; each is one expansion, split into pieces of half-width * time
+    # at most _MAX_TAU
     calls = _spy_paths(monkeypatch)
     for M in (8, 65):
         inst = gen_impurity_band(n=12, M=M, W=0.5, seed=3, B_perp=2.0)
         out = evolve_trotter(inst, [1.0], [inst.marked[0]], EvolutionConfig(
             total_time=1000.0, trotter_steps=20000))
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
-    assert calls == {"level": 1, "fwht": 1}
+    assert calls == {"level": 1, "dense": 1, "fwht": 0}
 
 
 def test_driver_spectrum_matches_dense():
@@ -422,16 +455,12 @@ def test_long_time_average_dephases():
     assert mean == pytest.approx(target, rel=0.02)
 
 
-@pytest.mark.parametrize("kind", ["matched", "uniform"])
+@pytest.mark.parametrize("kind", ["matched"])
 def test_trotter_converges_to_exact(kind):
-    # the spin glass runs the matched driver, the impurity band the uniform
-    # one; halving dt quarters the error of a second-order product formula
-    if kind == "matched":
-        g = gen_spin_glass(n=6, seed=1)
-        z0 = 9
-    else:
-        g = gen_impurity_band(n=6, M=4, W=0.3, seed=1)
-        z0 = g.marked[0]
+    # the spin glass runs the matched driver; halving dt quarters the error
+    # of a second-order product formula
+    g = gen_spin_glass(n=6, seed=1)
+    z0 = 9
     T = 4.0
     vals, vecs = exact_eigs(g)
     phases = np.exp(-1j * vals * T)
@@ -483,14 +512,14 @@ def test_survival_trace_matches_fixed_time_runs(monkeypatch):
 @SYMMETRIC
 def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch):
     # the impurity-band copy of the test above: same rungs and samples,
-    # read inside level-coordinate segments (M = 5) and, on a dense band
-    # (M = 9, M^2 > 2^6), inside FWHT segments
+    # one expansion per sampled segment in level coordinates (M = 5) and,
+    # on a dense band (M = 9, M^2 > 2^6), on the 2^n state
     import pt_lab.statevector as sv
 
     monkeypatch.setattr(sv, "_TRACE_POINTS", 4)
     calls = _spy_paths(monkeypatch)
-    for M, path in [(5, "level"), (9, "fwht")]:
-        calls.update(level=0, fwht=0)
+    for M, path in [(5, "level"), (9, "dense")]:
+        calls.update(level=0, dense=0, fwht=0)
         g = gen_impurity_band(n=6, M=M, W=0.5, seed=5, B_perp=1.3)
         z0, dt = g.marked[0], 0.1
         res = run_pt_protocol(g, z0, EvolutionConfig(
@@ -504,7 +533,7 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch):
             assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
         assert not np.allclose(res.survival, 1.0)
         assert {name for name, count in calls.items() if count} == {path}
-        if path == "fwht":  # rung weights read the marked amplitudes
+        if path == "dense":  # rung weights read the marked amplitudes
             assert res.ladder_weights[-1] == res.transferred_weight
 
 
@@ -513,7 +542,8 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch):
 def test_last_survival_sample_is_the_output_probability(kind):
     # the closing sample and the output distribution read the same
     # amplitude through the same abs, so they agree bit for bit; the dense
-    # band (M^2 > 2^8) runs the FWHT path, the M = 6 band level coordinates
+    # band (M^2 > 2^8) runs on the 2^n state, the M = 6 band in level
+    # coordinates
     if kind == "glass":
         inst = gen_spin_glass(n=8, seed=4)
         z0 = 77
@@ -521,7 +551,7 @@ def test_last_survival_sample_is_the_output_probability(kind):
         M = 20 if kind == "dense-band" else 6
         inst = gen_impurity_band(n=8, M=M, W=0.5, seed=4, B_perp=1.3)
         z0 = inst.marked[0]
-        assert (_backend(inst, z0) is _FwhtPropagator) == (M == 20)
+        assert (_backend(inst, z0) is _DenseBandPropagator) == (M == 20)
     for t in (0.7, 1.3, 2.9, 4.1, 6.6, 9.5):
         res = run_pt_protocol(inst, z0, EvolutionConfig(
             total_time=t, trotter_steps=int(10 * t)))
@@ -533,11 +563,11 @@ def test_last_survival_sample_is_the_output_probability(kind):
        st.floats(0.0, 3.0))
 def test_uniform_trotter_preserves_norm(seed, T, steps, B):
     # M = 4 runs in level coordinates, the dense band M = 6 (M^2 > 2^5)
-    # on the FWHT path
+    # on the 2^n state
     for M in (4, 6):
         g = gen_impurity_band(n=5, M=M, W=0.5, seed=seed, B_perp=B)
         z0 = g.marked[seed % 4]
-        assert (_backend(g, z0) is _FwhtPropagator) == (M == 6)
+        assert (_backend(g, z0) is _DenseBandPropagator) == (M == 6)
         cfg = EvolutionConfig(total_time=T, trotter_steps=steps)
         out = evolve_trotter(g, [1.0], [z0], cfg)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
