@@ -222,7 +222,11 @@ def _cmd_evolve(args, out_dir, manifest):
         raise UsageError("evolve requires --time")
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
-    probs = np.abs(statevector.evolve_trotter(inst, [1.0], [z0], config)) ** 2
+    try:
+        psi = statevector.evolve_trotter(inst, [1.0], [z0], config)
+    except ValueError as e:  # an instance or a time past the layer's range
+        raise UsageError(str(e)) from e
+    probs = np.abs(psi) ** 2
     io_utils.write_csv(out_dir / "evolve_state.csv",
                        _top_k_rows(inst, z0, probs, top_k), manifest)
     io_utils.write_json(out_dir / "evolve.json",
@@ -232,7 +236,17 @@ def _cmd_evolve(args, out_dir, manifest):
                          "survival": float(probs[z0])}, manifest)
 
 
-def _emit_pt_result(inst, result, out_dir, manifest, top_k):
+def _transfer(args, out_dir, manifest):
+    """pt-run's and pipeline's transfer run, pt_* files written: (inst, result)."""
+    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
+    z0 = _choose_start(inst, args["z0"])
+    config = _evolution_config(args)
+    top_k = _count_arg(args, "top_k")
+    try:
+        result = statevector.run_pt_protocol(inst, z0, config,
+                                             on_rung=_print_rung)
+    except ValueError as e:  # an instance or a rung past the layer's range
+        raise UsageError(str(e)) from e
     rows = _top_k_rows(inst, result.z0, result.probabilities, top_k)
     io_utils.write_csv(out_dir / "pt_output.csv", rows, manifest)
     io_utils.write_csv(out_dir / "pt_survival.csv",
@@ -245,15 +259,11 @@ def _emit_pt_result(inst, result, out_dir, manifest, top_k):
     io_utils.write_csv(out_dir / "pt_hamming_hist.csv",
                        {"hamming_distance": np.arange(len(result.hamming_hist)),
                         "probability": result.hamming_hist}, manifest)
+    return inst, result
 
 
 def _cmd_pt_run(args, out_dir, manifest):
-    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
-    z0 = _choose_start(inst, args["z0"])
-    config = _evolution_config(args)
-    top_k = _count_arg(args, "top_k")
-    result = statevector.run_pt_protocol(inst, z0, config, on_rung=_print_rung)
-    _emit_pt_result(inst, result, out_dir, manifest, top_k)
+    _, result = _transfer(args, out_dir, manifest)
     io_utils.write_json(out_dir / "pt_result.json",
                         {"z0": result.z0, "total_time": result.total_time,
                          "saturated": result.saturated,
@@ -409,12 +419,7 @@ def _cmd_minima(args, out_dir, manifest):
 
 
 def _cmd_pipeline(args, out_dir, manifest):
-    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
-    z0 = _choose_start(inst, args["z0"])
-    config = _evolution_config(args)
-    top_k = _count_arg(args, "top_k")
-    result = statevector.run_pt_protocol(inst, z0, config, on_rung=_print_rung)
-    _emit_pt_result(inst, result, out_dir, manifest, top_k)
+    inst, result = _transfer(args, out_dir, manifest)
 
     E = instances.all_classical_energies(inst)
     N = 1 << inst.n
@@ -435,7 +440,7 @@ def _cmd_pipeline(args, out_dir, manifest):
     lo_e, hi_e = optimize.pt_energy_window(probs, E)
     window = (E >= lo_e) & (E <= hi_e)
     sel = np.nonzero(window)[0]
-    d_sel = bits.hamming_array(sel, z0)
+    d_sel = bits.hamming_array(sel, result.z0)
     pt_win = np.bincount(d_sel, weights=probs[sel], minlength=inst.n + 1)
     uni_win = np.bincount(d_sel, minlength=inst.n + 1).astype(float)
     uni_win /= max(uni_win.sum(), 1.0)
@@ -463,7 +468,7 @@ def _cmd_pipeline(args, out_dir, manifest):
     finite = np.isfinite(ratio)
     global_ratio = float(ratio[int(np.argmin(en))])
     summary = {
-        "z0": z0, "z0_energy": float(E[z0]),
+        "z0": result.z0, "z0_energy": float(E[result.z0]),
         "total_time": result.total_time, "saturated": result.saturated,
         "transferred_weight": result.transferred_weight,
         "window": [lo_e, hi_e],

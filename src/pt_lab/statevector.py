@@ -198,43 +198,32 @@ def _fwht_swap(psi: np.ndarray, spare: np.ndarray):
     return out, (spare if np.may_share_memory(out, psi) else psi)
 
 
-def _parity_factors(n: int, z0: int):
-    """(-1)^{popcount(x & z0)} as a (2^(n-h), 1) factor over the high index
-    bits and a (1, 2^h) factor over the low ones, h = n // 2: their product
-    broadcast over a state's (2^(n-h), 2^h) reshape."""
-    h = n // 2
-    return (_parity_signs(np.arange(1 << (n - h)), np.array([z0 >> h])),
-            _parity_signs(np.array([z0]), np.arange(1 << h)))
-
-
-def _survival_probe(z0: int, ph_half: np.ndarray) -> np.ndarray:
-    """Turn ph_half, in place, into the probe r with <z0|psi> = r . phi for
-    the x-basis state phi of the symmetric splitting before its closing
-    half-phase: r = (-1)^{x.z0} ph_half / N. Both factors are exact, so
-    _half_from_probe gets ph_half back bit for bit."""
-    hi, lo = _parity_factors(ph_half.shape[0].bit_length() - 1, z0)
-    rows = ph_half.reshape(len(hi), -1)
-    rows *= hi
-    rows *= lo
-    ph_half *= 1.0 / ph_half.shape[0]
-    return ph_half
-
-
-def _half_from_probe(probe: np.ndarray, z0: int, out: np.ndarray) -> np.ndarray:
-    """ph_half = (-1)^{x.z0} N probe, the inverse of _survival_probe,
-    written into out."""
-    hi, lo = _parity_factors(probe.shape[0].bit_length() - 1, z0)
-    rows = out.reshape(len(hi), -1)
-    np.multiply(probe.reshape(rows.shape), hi, out=rows)
-    rows *= lo
-    out *= float(out.shape[0])
-    return out
+def _relabel(a: np.ndarray, z: int, scratch: np.ndarray) -> np.ndarray:
+    """a[x] <- a[x ^ z] over the 2^n labels of a, in a's own buffer, with
+    scratch (an array of a's shape and dtype) overwritten: over the
+    (2^(n-h), 2^h) reshape, h = n // 2, one gather of rows by the high bits
+    of z and one of columns by its low bits. mode="clip" (the indices are
+    in range) lets np.take write into `out` unbuffered."""
+    h = (a.shape[0].bit_length() - 1) // 2
+    rows, tmp = a.reshape(-1, 1 << h), scratch.reshape(-1, 1 << h)
+    np.take(rows, np.arange(len(rows)) ^ (z >> h), 0, tmp, "clip")
+    np.take(tmp, np.arange(1 << h) ^ (z & ((1 << h) - 1)), 1, rows, "clip")
+    return a
 
 
 def _z_probability(psi: np.ndarray, z: int) -> float:
     """|psi[z]|^2 read through a 1-element slice: numpy's array abs, the one
     np.abs(psi) ** 2 uses, whose bits can differ from the scalar abs."""
     return float((np.abs(psi[z:z + 1]) ** 2)[0])
+
+
+def _check_time(t: float, bound: float):
+    """Refuse a run to time t over a spectrum inside [-bound, bound] once
+    bound * t reaches 2^52, where doubles lie 1 radian apart and no digit
+    of e^{-i lambda t} is right."""
+    if t * bound >= 2.0 ** 52:
+        raise ValueError(f"time t = {t:g} is out of range: the spectrum "
+                         f"reaches +-{bound:.6g}, so its phases pass 2^52")
 
 
 def _parity_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,69 +244,70 @@ def _phase_tables(E, Dx, dt):
 
 
 class _FwhtPropagator:
-    """The spin glass's Trotter path at step dt: the 2^n state psi in the
-    z basis, formed from the start amps on its labels support, and three
-    2^n phase tables from _phase_tables. ph_cl carries the 1/N of the two
-    unnormalized transforms of each step. With z0 given, ph_half becomes
-    the survival probe in place (_survival_probe), and each opening and
-    closing half-phase rebuilds it from the probe into the free buffer
-    (_half_from_probe).
+    """The spin glass's Trotter path at step dt in the frame of the sampled
+    label z0 (frame 0 when none is given): run label x is instance label
+    x ^ z0. The driver has only sigma^x terms and commutes with every bit
+    flip, so only ph_cl, of the three 2^n phase tables from _phase_tables,
+    is relabelled, once. ph_cl carries the 1/N of the two unnormalized
+    transforms of each step. The 2^n state psi starts as amps on support.
     """
 
     def __init__(self, inst, dt: float, amps: np.ndarray, support, z0=None):
         # module globals, looked up per run, so a wrapper bound in their
         # place (perfbench's tracer, a test's monkeypatch) sees the call
-        self.ph_cl, self.ph_half, self.ph_full = _phase_tables(
-            all_classical_energies(inst), driver_x_diagonal(inst), dt)
-        self.z0, self.probe = z0, None
-        if z0 is not None:
-            self.probe, self.ph_half = _survival_probe(z0, self.ph_half), None
-        self.psi = np.zeros(1 << inst.n, dtype=np.complex128)
-        self.psi[support] = amps
+        E, Dx = all_classical_energies(inst), driver_x_diagonal(inst)
+        self.bound = float(max(E.max(), -E.min()) + max(Dx.max(), -Dx.min()))
+        _check_time(dt, self.bound)
+        self.ph_cl, self.ph_half, self.ph_full = _phase_tables(E, Dx, dt)
+        self.frame = z0 or 0
+        self.psi = np.empty(1 << inst.n, dtype=np.complex128)
+        _relabel(self.ph_cl, self.frame, self.psi)  # the state as scratch
+        self.psi.fill(0.0)
+        self.psi[np.asarray(support) ^ self.frame] = amps
 
     def advance(self, steps: int, every: int = 0) -> list:
         """Advance psi by `steps` Trotter steps; psi enters and leaves in the
         z basis. The call owns one scratch state, which every transform
-        shares. With every > 0 it returns the survival |<z0|psi>|^2 after
+        shares. With every > 0 it returns the survival of run label 0 after
         every `every`-th step and after the last one. Between steps the
-        state stays in the x basis, so a sample inside the call is
-        |probe . phi|^2 with phi the x-basis state before the closing
-        half-phase; the last sample reads psi[z0] after the call closes.
-        Calls at fixed dt compose with no Trotter error: closing one call
-        and opening the next costs a transform pair, so only rounding.
+        state stays in the x basis, where label 0's transform row is all
+        ones: a sample inside the call is |ph_half . phi|^2 / N^2 with phi
+        the x-basis state before the closing half-phase; the last one reads
+        psi[0] after the call closes. Calls at fixed dt compose with no
+        Trotter error: closing one call and opening the next costs a
+        transform pair, so only rounding.
         """
-        ph_cl, ph_full, probe, z0 = self.ph_cl, self.ph_full, self.probe, self.z0
+        ph_cl, ph_half, ph_full = self.ph_cl, self.ph_half, self.ph_full
         psi, spare = self.psi, np.empty_like(self.psi)
+        N = psi.shape[0]
         samples = []
-
-        def half():
-            return self.ph_half if probe is None else _half_from_probe(probe, z0, spare)
-
         psi, spare = _fwht_swap(psi, spare)
-        psi *= half()
+        psi *= ph_half
         for k in range(1, steps + 1):
             psi, spare = _fwht_swap(psi, spare)
             psi *= ph_cl
             psi, spare = _fwht_swap(psi, spare)
             if every and k % every == 0 and k < steps:
-                samples.append(float(abs(np.dot(probe, psi)) ** 2))
-            psi *= ph_full if k < steps else half()
+                samples.append(float(abs(np.dot(ph_half, psi)) / N) ** 2)
+            psi *= ph_full if k < steps else ph_half
         psi, spare = _fwht_swap(psi, spare)
-        psi *= 1.0 / psi.shape[0]
+        psi *= 1.0 / N
         self.psi = psi
         if every:
-            samples.append(_z_probability(psi, z0))
+            samples.append(_z_probability(psi, 0))
         return samples
 
     def weight(self, z0: int) -> float:
         """transferred_weight of psi, 1 - |psi(z0)|^2, without |psi|^2 over
         all 2^n states (the slice keeps numpy's array abs, see
         _z_probability)."""
-        return 1.0 - _z_probability(self.psi, z0)
+        return 1.0 - _z_probability(self.psi, z0 ^ self.frame)
 
     def state(self) -> np.ndarray:
-        """psi, after the phase tables are released; the last call."""
-        del self.ph_cl, self.ph_half, self.ph_full, self.probe
+        """psi in the instance's labels, relabelled through ph_full's buffer
+        before the phase tables are released; the last call."""
+        _relabel(self.psi, self.frame, self.ph_full)
+        del self.ph_cl, self.ph_half, self.ph_full
         return self.psi
 
 
@@ -387,6 +377,7 @@ class _BandPropagator:
         lo = -drive + min(0.0, float(np.min(energies)))
         hi = drive + max(0.0, float(np.max(energies)))
         self.centre, self.half = (hi + lo) / 2, (hi - lo) / 2 or 1.0
+        self.bound = max(-lo, hi)
         self._expansions = {}
 
     def _expansion(self, steps: int):
@@ -604,7 +595,7 @@ def evolve_trotter(inst, amps, support, config: EvolutionConfig) -> np.ndarray:
     propagator _propagator picks: exactly on an impurity band (one Chebyshev
     expansion), by the symmetric product formula e^{-i H_D dt/2}
     e^{-i H_cl dt} e^{-i H_D dt/2} per step on a spin glass. Neither backend
-    changes the input.
+    changes the input, and a time past _check_time's range is a ValueError.
     """
     amps, support = np.asarray(amps, dtype=np.complex128), np.asarray(support)
     if inst.n > TROTTER_MAX_N:
@@ -626,6 +617,7 @@ def evolve_trotter(inst, amps, support, config: EvolutionConfig) -> np.ndarray:
         return psi
     steps = config.resolve_steps(T)
     prop = _propagator(inst, T / steps, amps, support)
+    _check_time(T, prop.bound)
     prop.advance(steps)
     return prop.state()
 
@@ -698,10 +690,11 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     first rung). A rung of `steps` steps records the survival every
     max(1, steps // (_TRACE_POINTS - 1))-th step and at its end.
 
-    The run holds one propagator (_propagator), advances it one call per
-    rung and reads each rung's weight from it. After the last rung the
-    propagator releases its tables and forms the 2^n state once, and the
-    last survival sample is read from that state, as P(z0) is.
+    The run holds one propagator (_propagator) and advances it one call
+    per rung, once the rung passes _check_time, and reads each rung's
+    weight from it. After the last rung the propagator releases its tables
+    and forms the 2^n state once; the last survival sample reads it, as
+    P(z0) does.
     """
     config = config or EvolutionConfig()
     n = inst.n
@@ -733,6 +726,7 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
 
         def advance(n_steps, t_base):
             # one call per rung, sampled every `rec` steps and at its end
+            _check_time(t_base + n_steps * dt, prop.bound)
             rec = max(1, n_steps // (_TRACE_POINTS - 1))
             survival.extend(prop.advance(n_steps, every=rec))
             done = [*range(rec, n_steps, rec), n_steps]

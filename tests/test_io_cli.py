@@ -214,6 +214,31 @@ def test_evolution_settings_out_of_range(tmp_path, ib_instance, capsys,
     assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
 
 
+@pytest.mark.parametrize("gen", [
+    pytest.param(["--kind", "spin-glass", "--n", "16", "--seed", "3"],
+                 id="glass"),
+    pytest.param(["--kind", "impurity-band", "--n", "6", "--m", "3",
+                  "--seed", "1"], id="band"),
+])
+def test_time_past_the_phase_limit(tmp_path, gen):
+    # at t = 1e307 no digit of e^{-i lambda t} is right. Run unchecked, a
+    # glass overflows its phase tables into NaN artifacts and a band runs
+    # without end, so the run is a subprocess with a timeout
+    assert main(["--out-dir", str(tmp_path / "inst"), "gen-instance", *gen]) == 0
+    run = tmp_path / "run"
+    out = subprocess.run(
+        [sys.executable, "-m", "pt_lab.cli", "--out-dir", str(run), "evolve",
+         "--instance", str(tmp_path / "inst" / "instance.json"),
+         "--time", "1e307", "--steps", "1"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": _SRC})
+    assert out.returncode == 2
+    err = out.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "out of range" in err[0]
+    assert not run.exists() or not any(run.iterdir())
+
+
 @pytest.mark.parametrize("cmd, flag, value", [
     ("pblm-ensemble", "--realizations", "0"),
     ("evolve", "--top-k", "0"),

@@ -16,7 +16,7 @@ from pt_lab.statevector import (EvolutionConfig, dense_hamiltonian, driver_terms
                                 run_pt_protocol, sample_output,
                                 transferred_weight, _chebyshev_coefficients,
                                 _fwht, _DenseBandPropagator, _FwhtPropagator,
-                                _LevelPropagator, _propagator)
+                                _LevelPropagator, _propagator, _relabel)
 
 
 def _two_level_instance(B, delta):
@@ -58,6 +58,22 @@ def test_fwht_allocates_one_scratch_state(traced_peak):
     v = np.random.default_rng(0).normal(size=N) + 0j
     v, peak = traced_peak(_fwht, v)
     assert peak <= v.nbytes + 64 * 1024
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+@pytest.mark.parametrize("n", range(1, 12))
+def test_relabel_matches_gather(n, dtype):
+    # a[x] <- a[x ^ z] against the 2^n-index gather; n = 1 has an empty
+    # low half
+    N = 1 << n
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=N).astype(dtype)
+    if dtype is np.complex128:
+        v += 1j * rng.normal(size=N)
+    for z in (0, 1, N - 1, int(rng.integers(N))):
+        a = v.copy()
+        assert _relabel(a, z, np.empty_like(a)) is a
+        np.testing.assert_array_equal(a, v[np.arange(N) ^ z])
 
 
 # every run takes the symmetric (Strang) product formula; the tests that
@@ -488,14 +504,17 @@ def test_trotter_segments_compose():
 
 
 @SYMMETRIC
-def test_survival_trace_matches_fixed_time_runs(monkeypatch):
+@pytest.mark.parametrize("z0", [21, 0, 63])
+def test_survival_trace_matches_fixed_time_runs(monkeypatch, z0):
     # rungs of 10, 10 and 20 steps at 4 trace points sample every 3, 3
-    # and 6 steps, each rung ending on a shorter leftover chunk
+    # and 6 steps, each rung ending on a shorter leftover chunk. The
+    # sampled run works in z0's frame (z0 = 0: the identity frame), the
+    # fixed-time runs in the instance's labels
     import pt_lab.statevector as sv
 
     monkeypatch.setattr(sv, "_TRACE_POINTS", 4)
     g = gen_spin_glass(n=6, seed=5)
-    z0, dt = 21, 0.1
+    dt = 0.1
     res = run_pt_protocol(g, z0, EvolutionConfig(
         dt=dt, start_time=1.0, max_doublings=2, saturation_rtol=1e-12))
     steps = np.rint(res.times / dt).astype(int)
@@ -657,6 +676,33 @@ def test_saturation_ladder_doubles_time():
     np.testing.assert_allclose(res.ladder_times, [1.0, 2.0, 4.0, 8.0])
     assert res.total_time == pytest.approx(8.0)
     assert len(res.ladder_weights) == 4
+
+
+@pytest.mark.parametrize("kind", ["glass", "level-band", "dense-band"])
+def test_time_past_the_phase_limit_is_refused(kind):
+    # from bound * t = 2^52 on, e^{-i lambda t} keeps no correct digit: a
+    # fixed time there is refused before it runs, and a glass ladder runs
+    # its rungs at limit / 3 and 2 limit / 3 and refuses the next one. A
+    # band rung that close to the limit would run ~1e11 expansions
+    if kind == "glass":
+        inst, z0 = gen_spin_glass(n=6, seed=5), 21
+    else:
+        M = 9 if kind == "dense-band" else 3
+        inst = gen_impurity_band(n=6, M=M, W=0.5, seed=1)
+        z0 = inst.marked[0]
+    bound = _propagator(inst, 1.0, np.ones(1), [z0], z0).bound
+    limit = 2.0 ** 52 / bound
+    for t in (1.001 * limit, 1e307):
+        with pytest.raises(ValueError, match="out of range"):
+            evolve_trotter(inst, [1.0], [z0], EvolutionConfig(
+                total_time=t, trotter_steps=1))
+    if kind == "glass":
+        rungs = []
+        with pytest.raises(ValueError, match="out of range"):
+            run_pt_protocol(inst, z0, EvolutionConfig(
+                dt=limit / 3, start_time=limit / 3, saturation_rtol=0.0),
+                on_rung=lambda t, w, change: rungs.append(t))
+        np.testing.assert_allclose(rungs, [limit / 3, 2 * limit / 3])
 
 
 def test_transferred_weight_conventions():
