@@ -1,8 +1,10 @@
 """Command-line front end: experiment orchestration and file emission.
 
 Every subcommand writes its outputs plus a manifest.json into the run
-directory (--out-dir, else $PT_LAB_OUT, else ./pt_lab_out). Exit codes:
-0 success, 1 runtime failure, 2 usage or input-format error.
+directory (--out-dir, else $PT_LAB_OUT, else ./pt_lab_out). main alone maps
+an exception to an exit code: 0 success; 2 for a ValueError, any invalid or
+out-of-range input, which the handlers and the library raise alike; 1 for an
+OSError or TypeError, outputs that could not be written or an internal error.
 
 The package modules are lazy handles, each run on its first attribute
 access, so a process runs only the modules its subcommand reaches and its
@@ -68,18 +70,17 @@ def _read_json(path):
 
 
 def _load_checked(path, load=None):
+    """load(path), every failure to read it turned into bad input (ValueError)
+    that names the path: the loaders raise TypeError where a document holds
+    a value of the wrong shape, such as a number where a list belongs."""
     try:
         return (load or instances.load_instance)(path)
     except json.JSONDecodeError as e:
-        raise UsageError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+        raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     except OSError as e:  # a missing file, a directory, no read permission
-        raise UsageError(str(e)) from e
-    except ValueError as e:
-        raise UsageError(f"{path}: {e}") from e
-
-
-class UsageError(Exception):
-    """Bad input that should exit with code 2."""
+        raise ValueError(str(e)) from e
+    except (ValueError, TypeError) as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _flag(name):
@@ -97,7 +98,7 @@ def _given(args, *names):
 def _count_arg(args, name):
     value = args[name]
     if value < 1:
-        raise UsageError(f"{_flag(name)} must be >= 1, got {value}")
+        raise ValueError(f"{_flag(name)} must be >= 1, got {value}")
     return value
 
 
@@ -105,11 +106,11 @@ def _override_b_perp(inst, b_perp):
     if b_perp is None:
         return inst
     if not isinstance(inst, instances.ImpurityBandInstance):
-        raise UsageError("--b-perp override applies to impurity-band instances")
+        raise ValueError("--b-perp override applies to impurity-band instances")
     try:
         return replace(inst, B_perp=b_perp)
     except ValueError as e:
-        raise UsageError(f"--b-perp: {e}") from e
+        raise ValueError(f"--b-perp: {e}") from e
 
 
 def _choose_start(inst, z0_arg):
@@ -120,7 +121,7 @@ def _choose_start(inst, z0_arg):
         try:
             return bits.check_bitstring(int(z0_arg, 0), inst.n)
         except ValueError as e:
-            raise UsageError(f"--z0: {e}") from e
+            raise ValueError(f"--z0: {e}") from e
     if isinstance(inst, instances.ImpurityBandInstance):
         return inst.marked[int(np.argmin(inst.eps))]
     labels, energies = optimize.local_minima(inst)
@@ -130,25 +131,22 @@ def _choose_start(inst, z0_arg):
 
 def _evolution_config(args) -> statevector.EvolutionConfig:
     """EvolutionConfig from the evolution flags; a flag left None keeps the
-    field's default. A flag that the run would ignore is a usage error."""
+    field's default. A flag that the run would ignore is bad input."""
     if _given(args, "steps"):
         if not _given(args, "time"):
-            raise UsageError("--steps needs --time; a ladder run steps at --dt")
+            raise ValueError("--steps needs --time; a ladder run steps at --dt")
         if _given(args, "dt"):
-            raise UsageError("--steps and --dt exclude each other")
+            raise ValueError("--steps and --dt exclude each other")
     ladder = _given(args, "start_time", "saturation_rtol", "max_doublings")
     if ladder and _given(args, "time"):
-        raise UsageError(f"{ladder[0]} sets the doubling ladder, which --time "
+        raise ValueError(f"{ladder[0]} sets the doubling ladder, which --time "
                          "replaces")
     settings = {"total_time": args["time"], "trotter_steps": args["steps"],
                 "dt": args["dt"], "start_time": args.get("start_time"),
                 "saturation_rtol": args.get("saturation_rtol"),
                 "max_doublings": args.get("max_doublings")}
-    try:
-        return statevector.EvolutionConfig(
-            **{k: v for k, v in settings.items() if v is not None})
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    return statevector.EvolutionConfig(
+        **{k: v for k, v in settings.items() if v is not None})
 
 
 def _print_rung(total_time, weight, change):
@@ -165,22 +163,19 @@ def _print_rung(total_time, weight, change):
 def _cmd_gen_instance(args, out_dir, manifest):
     band = args["kind"] == "impurity-band"
     if band and _given(args, "dimer_count"):
-        raise UsageError("--dimer-count applies to spin-glass instances")
+        raise ValueError("--dimer-count applies to spin-glass instances")
     if band and args["m"] is None:
-        raise UsageError("gen-instance --kind impurity-band requires --m")
+        raise ValueError("gen-instance --kind impurity-band requires --m")
     if not band and _given(args, "m"):
-        raise UsageError("--m applies to impurity-band instances")
-    try:
-        if band:
-            inst = instances.gen_impurity_band(
-                args["n"], args["m"], args["w"], eps_law=args["eps_law"],
-                seed=args["seed"], B_perp=args["b_perp"])
-        else:
-            inst = instances.gen_spin_glass(
-                args["n"], dimer_count=args["dimer_count"], seed=args["seed"],
-                driver_scale=args["driver_scale"])
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+        raise ValueError("--m applies to impurity-band instances")
+    if band:
+        inst = instances.gen_impurity_band(
+            args["n"], args["m"], args["w"], eps_law=args["eps_law"],
+            seed=args["seed"], B_perp=args["b_perp"])
+    else:
+        inst = instances.gen_spin_glass(
+            args["n"], dimer_count=args["dimer_count"], seed=args["seed"],
+            driver_scale=args["driver_scale"])
     doc = instances.instance_to_dict(inst)
     path = out_dir / args["out"]
     io_utils.write_json(path, doc, manifest)
@@ -219,13 +214,10 @@ def _cmd_evolve(args, out_dir, manifest):
     inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
     z0 = _choose_start(inst, args["z0"])
     if args["time"] is None:
-        raise UsageError("evolve requires --time")
+        raise ValueError("evolve requires --time")
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
-    try:
-        psi = statevector.evolve_trotter(inst, [1.0], [z0], config)
-    except ValueError as e:  # an instance or a time past the layer's range
-        raise UsageError(str(e)) from e
+    psi = statevector.evolve_trotter(inst, [1.0], [z0], config)
     probs = np.abs(psi) ** 2
     io_utils.write_csv(out_dir / "evolve_state.csv",
                        _top_k_rows(inst, z0, probs, top_k), manifest)
@@ -242,11 +234,7 @@ def _transfer(args, out_dir, manifest):
     z0 = _choose_start(inst, args["z0"])
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
-    try:
-        result = statevector.run_pt_protocol(inst, z0, config,
-                                             on_rung=_print_rung)
-    except ValueError as e:  # an instance or a rung past the layer's range
-        raise UsageError(str(e)) from e
+    result = statevector.run_pt_protocol(inst, z0, config, on_rung=_print_rung)
     rows = _top_k_rows(inst, result.z0, result.probabilities, top_k)
     io_utils.write_csv(out_dir / "pt_output.csv", rows, manifest)
     io_utils.write_csv(out_dir / "pt_survival.csv",
@@ -276,13 +264,10 @@ def _cmd_pt_run(args, out_dir, manifest):
 def _cmd_downfold(args, out_dir, manifest):
     inst = _load_checked(args["instance"])
     if not isinstance(inst, instances.ImpurityBandInstance):
-        raise UsageError("downfold needs an impurity-band instance")
-    try:
-        params = downfold.TunnelingParams(
-            n=inst.n, B_perp=inst.B_perp, phase_mode=args["phase_mode"],
-            calibration_A=args["calibration_a"])
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+        raise ValueError("downfold needs an impurity-band instance")
+    params = downfold.TunnelingParams(
+        n=inst.n, B_perp=inst.B_perp, phase_mode=args["phase_mode"],
+        calibration_A=args["calibration_a"])
     mat = downfold.build_downfolded(inst, params, seed=args["seed"])
     io_utils.save_downfolded(mat, out_dir / "downfolded", manifest)
     io_utils.write_json(out_dir / "downfold_report.json",
@@ -300,11 +285,8 @@ def _one_pblm_realization(config, seed, eta, fit_gammas):
 
 
 def _pblm_config(args) -> pblm.PBLMConfig:
-    try:
-        return pblm.PBLMConfig(M=args["m"], gamma=args["gamma"],
-                               lam=args["lam"], V_typ_unit=args["v_typ"])
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    return pblm.PBLMConfig(M=args["m"], gamma=args["gamma"], lam=args["lam"],
+                           V_typ_unit=args["v_typ"])
 
 
 def _cmd_pblm_ensemble(args, out_dir, manifest):
@@ -312,7 +294,7 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
     R = _count_arg(args, "realizations")
     eta = args["eta"]
     if eta is not None and not eta > 0:
-        raise UsageError(f"--eta must be positive, got {eta}")
+        raise ValueError(f"--eta must be positive, got {eta}")
     fit_gammas = args["fit_gammas"]
     seeds = [args["seed"] + r for r in range(R)]
     manifest.seeds.extend(seeds)
@@ -320,17 +302,7 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
                                   for s in seeds))
     sigma, omegas = np.concatenate(sigma), np.concatenate(omegas)
     gammas = np.concatenate(gammas) if fit_gammas else [None] * len(sigma)
-    seed_col = np.repeat(seeds, config.M)
-    index_col = np.tile(np.arange(config.M), R)
-    io_utils.write_csv(out_dir / "pblm_sites.csv",
-                       {"realization_seed": seed_col, "site": index_col,
-                        "sigma_prime_energy": sigma.real,
-                        "sigma_doubleprime_energy": sigma.imag, "gamma_rate": gammas},
-                       manifest)
-    io_utils.write_csv(out_dir / "pblm_states.csv",
-                       {"realization_seed": seed_col, "state": index_col,
-                        "participation_ratio": omegas}, manifest)
-
+    # both fits run before the first write, so a failed fit writes no file
     sigma2 = sigma.imag
     fit = pblm.fit_stable_quantiles(sigma2[sigma2 > 0])
     pred = pblm.predicted_gamma_law(config)
@@ -350,6 +322,16 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
         gfit = pblm.fit_stable_quantiles(gammas[~censored] / 2.0)
         report["fitted_gamma_half"] = {"shift": gfit.shift, "scale": gfit.C}
         report["censored_fraction"] = censored.mean()
+    seed_col = np.repeat(seeds, config.M)
+    index_col = np.tile(np.arange(config.M), R)
+    io_utils.write_csv(out_dir / "pblm_sites.csv",
+                       {"realization_seed": seed_col, "site": index_col,
+                        "sigma_prime_energy": sigma.real,
+                        "sigma_doubleprime_energy": sigma.imag, "gamma_rate": gammas},
+                       manifest)
+    io_utils.write_csv(out_dir / "pblm_states.csv",
+                       {"realization_seed": seed_col, "state": index_col,
+                        "participation_ratio": omegas}, manifest)
     io_utils.write_json(out_dir / "pblm_fit.json", report, manifest)
 
 
@@ -370,13 +352,10 @@ def _simulated_peak(setup):
 def _cmd_grover_sweep(args, out_dir, manifest):
     n, M, W = args["n"], args["m"], args["w"]
     if not (math.isfinite(W) and W > 0):
-        raise UsageError(f"--w must be finite and > 0, got {W}")
-    try:
-        eps = np.random.default_rng(args["seed"]).uniform(-W / 2.0, W / 2.0, size=M)
-        setups = [grover.GroverSetup(n=n, eps=eps, eps0=eps0) for eps0 in args["eps0"]]
-        reports = [grover.error_time_report(setup) for setup in setups]
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+        raise ValueError(f"--w must be finite and > 0, got {W}")
+    eps = np.random.default_rng(args["seed"]).uniform(-W / 2.0, W / 2.0, size=M)
+    setups = [grover.GroverSetup(n=n, eps=eps, eps0=eps0) for eps0 in args["eps0"]]
+    reports = [grover.error_time_report(setup) for setup in setups]
     peaks = [_simulated_peak(setup) for setup in setups]
     io_utils.write_csv(out_dir / "grover_sweep.csv",
                        {"n": [n] * len(setups), "M": [M] * len(setups),
@@ -491,23 +470,23 @@ def _cmd_pipeline(args, out_dir, manifest):
 def _cmd_stats_fit(args, out_dir, manifest):
     beta = args["beta"]
     if not -1.0 <= beta <= 1.0:
-        raise UsageError(f"--beta must lie in [-1, 1], got {beta}")
+        raise ValueError(f"--beta must lie in [-1, 1], got {beta}")
     missing = [_flag(k) for k in ("m", "gamma") if args[k] is None]
     if len(missing) == 1:
-        raise UsageError(f"stats-fit: {missing[0]} is missing; --m and "
+        raise ValueError(f"stats-fit: {missing[0]} is missing; --m and "
                          "--gamma together select the predicted law")
     config = None if missing else _pblm_config(args)
     cols = _load_checked(args["input"], io_utils.read_csv_columns)
     name = args["column"]
     if name not in cols:
-        raise UsageError(f"column {name!r} not in {args['input']}")
+        raise ValueError(f"column {name!r} not in {args['input']}")
     col = cols[name]
     if col.dtype.kind == "U":  # blank cells, such as censored decay rates
         col = np.where(col == "", "nan", col)
     try:
         samples = col.astype(float)
     except ValueError:
-        raise UsageError(f"column {name!r} holds non-numeric cells") from None
+        raise ValueError(f"column {name!r} holds non-numeric cells") from None
     samples = samples[np.isfinite(samples)]
     if args["positive_only"]:
         samples = samples[samples > 0]
@@ -664,7 +643,7 @@ def _replay(manifest_path: str, out_dir_flag: str | None) -> int:
     doc = _load_checked(manifest_path, _read_json)
     if (not isinstance(doc, dict) or doc.get("subcommand") not in _HANDLERS
             or not isinstance(doc.get("args"), dict)):
-        raise UsageError(f"{manifest_path}: not a run manifest")
+        raise ValueError(f"{manifest_path}: not a run manifest")
     # the parser checks the recorded args as it checks a command line. The
     # run reads them as recorded, over the defaults of the flags that a
     # manifest can predate, so the manifest hash covers the args as recorded
@@ -674,7 +653,7 @@ def _replay(manifest_path: str, out_dir_flag: str | None) -> int:
     nulled = [_flag(k) for k, v in doc["args"].items()
               if v is None and getattr(ns, k, None) is not None]
     if nulled:
-        raise UsageError(f"{manifest_path}: args record null where a value "
+        raise ValueError(f"{manifest_path}: args record null where a value "
                          f"is needed: {', '.join(nulled)}")
     manifest = _run(doc["subcommand"], doc["args"],
                     io_utils.resolve_out_dir(out_dir_flag), vars(ns))
@@ -705,13 +684,10 @@ def main(argv=None) -> int:
         args = {k: v for k, v in vars(ns).items()
                 if k not in ("subcommand", "out_dir", "replay")}
         _run(ns.subcommand, args, io_utils.resolve_out_dir(ns.out_dir))
-    except UsageError as e:
+    except ValueError as e:  # invalid or out-of-range input
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as e:
-        print(f"error: line {e.lineno} column {e.colno}: {e.msg}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError) as e:
+    except (OSError, TypeError) as e:  # outputs not written, an internal error
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

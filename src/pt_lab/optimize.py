@@ -18,11 +18,10 @@ from .instances import (
     ImpurityBandInstance,
     SpinGlassInstance,
     all_classical_energies,
-    classical_energy,
     ib_energy,
+    pair_energies,
 )
 
-SD_MAX_N = 22
 _BLOCK = 1 << 18
 # rows of pair_hamming_histogram's distance table per block
 _PAIR_BLOCK = 2048
@@ -37,35 +36,36 @@ class LocalMinimumRecord:
     ties: bool = False
 
 
-def _energy_of(inst, z: int) -> float:
-    if isinstance(inst, SpinGlassInstance):
-        return classical_energy(inst, z)
-    return ib_energy(inst, z)
-
-
-def _neighbor_energies(inst, z: int) -> np.ndarray:
-    if isinstance(inst, SpinGlassInstance):
-        s = spins_from_labels(np.array([z]), inst.n)[0]
-        return classical_energy(inst, z) - 2.0 * s * (inst.h + inst.J @ s)
-    return np.array([ib_energy(inst, z ^ (1 << i)) for i in range(inst.n)])
+def _flip_energies(inst, z: int) -> np.ndarray:
+    """Energies of z's n single flips, bit i's at index i, then of z itself,
+    in the bits of all_classical_energies, which the basin map reads: the
+    marked lookup on a band, pair_energies on a glass. pair_energies keeps
+    those bits on blocks of a multiple of 4 labels, so the glass's labels
+    are padded with z to one."""
+    n = inst.n
+    labels = [z ^ (1 << i) for i in range(n)] + [z]
+    if isinstance(inst, ImpurityBandInstance):
+        return np.array([ib_energy(inst, x) for x in labels])
+    padded = np.array(labels + [z] * (-len(labels) % 4), dtype=np.int64)
+    return pair_energies(inst.h, inst.J, padded)[:n + 1]
 
 
 def steepest_descent(inst, z: int) -> LocalMinimumRecord:
     """Greedy single-flip descent: take the lowest-energy flip until no
-    flip lowers the energy; ties break toward the lowest bit index."""
+    flip lowers the energy; ties break toward the lowest bit index. It
+    reads the basin map's energies, so it ends where the map sends z."""
     z = check_bitstring(z, inst.n)
-    energy = _energy_of(inst, z)
     steps = 0
     ties = False
     while True:
-        neigh = _neighbor_energies(inst, z)
+        E = _flip_energies(inst, z)
+        neigh, energy = E[:-1], float(E[-1])
         best = int(np.argmin(neigh))
         if neigh[best] >= energy:
             return LocalMinimumRecord(z=z, energy=energy, steps=steps, ties=ties)
         if np.sum(neigh == neigh[best]) > 1:
             ties = True
         z ^= 1 << best
-        energy = float(neigh[best])
         steps += 1
 
 
@@ -116,8 +116,6 @@ def basin_distribution(inst, start_law=None):
     their energies, and each state's basin index in the smallest unsigned
     dtype that holds the minima count, from one descent pass."""
     n = inst.n
-    if n > SD_MAX_N:
-        raise ValueError(f"full enumeration capped at n = {SD_MAX_N}")
     if "_basins" not in vars(inst):
         E = all_classical_energies(inst)
         roots = _basin_roots(E, n)

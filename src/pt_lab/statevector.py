@@ -153,13 +153,10 @@ def driver_terms(inst):
 
 
 def driver_x_diagonal(inst) -> np.ndarray:
-    """Eigenvalues of H_D over the x basis, ordered by x-basis label."""
-    hx, Jx = driver_terms(inst)
-    n = inst.n
-    if Jx is None:
-        pop = np.bitwise_count(index_array(n)).astype(np.int64)
-        return hx[0] * (n - 2.0 * pop)
-    return pair_energies(hx, Jx, index_array(n))
+    """Eigenvalues of a spin glass's matched driver H_D over the x basis,
+    ordered by x-basis label."""
+    hx, Jx = inst.driver_coefficients()
+    return pair_energies(hx, Jx, index_array(inst.n))
 
 
 def _fwht(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:

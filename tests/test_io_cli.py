@@ -387,6 +387,9 @@ _BAND_DOC = instance_to_dict(gen_impurity_band(6, 3, 0.5, seed=7))
     pytest.param({**_BAND_DOC, "n": "16"}, "n must be an integer", id="n-str"),
     pytest.param({**_BAND_DOC, "n": 8.5}, "n must be an integer", id="n-8.5"),
     pytest.param({**_BAND_DOC, "W": "x"}, "W", id="W-str"),
+    # the loader raises TypeError on these shapes; they are bad input too
+    pytest.param({**_GLASS_DOC, "J": [1, 2]}, "unpack", id="J-flat"),
+    pytest.param({**_BAND_DOC, "marked": 5}, "not iterable", id="marked-int"),
 ])
 def test_malformed_instance_file_is_usage_error(tmp_path, capsys, doc, word):
     bad = tmp_path / "bad.json"
@@ -399,6 +402,47 @@ def test_malformed_instance_file_is_usage_error(tmp_path, capsys, doc, word):
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
     assert word in err[0]
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["spectrum", "--instance", "glass25.json"], "capped at n = 24"),
+    (["minima", "--instance", "glass25.json"], "capped at n = 24"),
+    (["sd", "--instance", "glass25.json", "--z0", "auto"], "capped at n = 24"),
+    (["pblm-ensemble", "--m", "2", "--gamma", "1.5", "--realizations", "1"],
+     "too few samples"),
+    (["stats-fit", "--input", "two.csv", "--column", "x"], "too few samples"),
+    (["sd", "--instance", "j-flat.json"], "unpack"),
+    (["sd", "--instance", "marked-int.json"], "not iterable"),
+], ids=["spectrum-n25", "minima-n25", "sd-auto-n25", "pblm-fit", "stats-fit",
+        "J-flat", "marked-int"])
+def test_input_the_library_refuses_exits_2(tmp_path, capsys, argv, word):
+    # main maps every ValueError to exit 2, whichever layer raised it, and
+    # a run that fails writes nothing
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "glass25.json").write_text(
+        json.dumps(instance_to_dict(gen_spin_glass(n=25, seed=0))))
+    (inputs / "j-flat.json").write_text(json.dumps({**_GLASS_DOC, "J": [1, 2]}))
+    (inputs / "marked-int.json").write_text(
+        json.dumps({**_BAND_DOC, "marked": 5}))
+    write_csv(inputs / "two.csv", {"x": [1.0, 2.0]})
+    argv = [str(inputs / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    out = tmp_path / "out"
+    rc = main(["--out-dir", str(out), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+    assert not any(out.iterdir())
+
+
+def test_outputs_that_cannot_be_written_exit_1(tmp_path, capsys):
+    # an OSError is no bad input: the run could not write its outputs
+    (tmp_path / "instance.json").mkdir()
+    rc = main(["--out-dir", str(tmp_path), "gen-instance", "--kind",
+               "spin-glass", "--n", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_numeric_downfold_past_the_dense_range(tmp_path):

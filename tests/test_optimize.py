@@ -49,6 +49,37 @@ def test_steepest_descent_fixed_point():
     assert again.steps == 0
 
 
+@pytest.mark.parametrize("make, starts", [
+    # 3401 is a minimum of this table, but a descent on energies rounded
+    # another way saw a lower flip and walked two steps to 3432
+    pytest.param(lambda: gen_spin_glass(n=12, dimer_count=0, seed=2),
+                 [3401, 300], id="glass-12-no-dimers"),
+    pytest.param(lambda: gen_spin_glass(n=16, dimer_count=0, seed=3), [300],
+                 id="glass-16-no-dimers"),
+    pytest.param(lambda: gen_spin_glass(n=10, seed=1), [300], id="glass-10"),
+    pytest.param(lambda: gen_spin_glass(n=7, seed=4), None, id="glass-7"),
+    pytest.param(lambda: gen_impurity_band(8, 20, 0.5, seed=2), None,
+                 id="band-8"),
+])
+def test_steepest_descent_ends_where_the_basin_map_sends_it(make, starts):
+    # sd and the basin map read one landscape: every start descends to the
+    # minimum the map assigns it, with that minimum's energy bit for bit.
+    # starts lists given starts and then a count of random ones; None is all
+    inst = make()
+    n = inst.n
+    minima, energies, _ = basin_distribution(inst)
+    roots = optimize._basin_roots(all_classical_energies(inst), n)
+    if starts is None:
+        zs = range(1 << n)
+    else:
+        *given, count = starts
+        zs = [*given, *np.random.default_rng(0).integers(0, 1 << n, count)]
+    for z in zs:
+        rec = steepest_descent(inst, int(z))
+        assert rec.z == roots[z]
+        assert rec.energy == energies[np.searchsorted(minima, rec.z)]
+
+
 def test_enumerate_local_minima_is_exhaustive():
     g = gen_spin_glass(n=8, seed=11)
     E = all_classical_energies(g)
