@@ -116,10 +116,15 @@ def reduced_transfer(setup: GroverSetup, times) -> np.ndarray:
     return float(out[0]) if np.ndim(times) == 0 else out
 
 
+def _in_regime(setup: GroverSetup) -> bool:
+    """Whether the perturbative forms apply: eps0 >= 5 W."""
+    return bool(setup.eps0 >= _REGIME_FACTOR * setup.W)
+
+
 def _check_regime(setup: GroverSetup):
     if not setup.eps0 > 0:
         raise ValueError(f"needs a positive driver error eps0, got {setup.eps0}")
-    if setup.W > 0 and setup.eps0 < _REGIME_FACTOR * setup.W:
+    if not _in_regime(setup):
         warnings.warn(
             "perturbative treatment assumes eps0 >> W; "
             f"eps0/W = {setup.eps0 / setup.W:.3g}", stacklevel=3)
@@ -186,5 +191,5 @@ def error_time_report(setup: GroverSetup) -> GroverErrorReport:
         t_degraded=t_g * t_g * setup.eps0,
         p0=p0,
         t0=t0,
-        in_regime=bool(setup.eps0 >= _REGIME_FACTOR * setup.W),
+        in_regime=_in_regime(setup),
     )

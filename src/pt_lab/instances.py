@@ -193,6 +193,20 @@ def pair_energies(h: np.ndarray, J: np.ndarray, labels: np.ndarray) -> np.ndarra
     return out
 
 
+def label_energies(inst, labels) -> np.ndarray:
+    """Classical energies of the given labels in the bits of
+    all_classical_energies, without its 2^n table: the marked lookup on an
+    impurity band, pair_energies on a spin glass, whose labels are padded
+    with label 0 to a multiple of 4 (see _ENUM_BLOCK)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if isinstance(inst, ImpurityBandInstance):
+        marked = dict(zip(inst.marked, (inst.base_energy + inst.eps).tolist()))
+        return np.array([marked.get(z, 0.0) for z in labels.tolist()])
+    padded = np.zeros(len(labels) + (-len(labels) % 4), dtype=np.int64)
+    padded[:len(labels)] = labels
+    return pair_energies(inst.h, inst.J, padded)[:len(labels)]
+
+
 def all_classical_energies(inst) -> np.ndarray:
     """Dense vector of classical energies over all 2^n basis states.
 

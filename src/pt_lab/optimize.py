@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import check_bitstring, spins_from_labels
-from .instances import (
-    ImpurityBandInstance,
-    SpinGlassInstance,
-    all_classical_energies,
-    ib_energy,
-    pair_energies,
-)
+from .instances import SpinGlassInstance, all_classical_energies, label_energies
 
 _BLOCK = 1 << 18
 # rows of pair_hamming_histogram's distance table per block
@@ -36,29 +30,17 @@ class LocalMinimumRecord:
     ties: bool = False
 
 
-def _flip_energies(inst, z: int) -> np.ndarray:
-    """Energies of z's n single flips, bit i's at index i, then of z itself,
-    in the bits of all_classical_energies, which the basin map reads: the
-    marked lookup on a band, pair_energies on a glass. pair_energies keeps
-    those bits on blocks of a multiple of 4 labels, so the glass's labels
-    are padded with z to one."""
-    n = inst.n
-    labels = [z ^ (1 << i) for i in range(n)] + [z]
-    if isinstance(inst, ImpurityBandInstance):
-        return np.array([ib_energy(inst, x) for x in labels])
-    padded = np.array(labels + [z] * (-len(labels) % 4), dtype=np.int64)
-    return pair_energies(inst.h, inst.J, padded)[:n + 1]
-
-
 def steepest_descent(inst, z: int) -> LocalMinimumRecord:
     """Greedy single-flip descent: take the lowest-energy flip until no
     flip lowers the energy; ties break toward the lowest bit index. It
-    reads the basin map's energies, so it ends where the map sends z."""
+    reads the basin map's energies (label_energies keeps the bits of
+    all_classical_energies), so it ends where the map sends z."""
     z = check_bitstring(z, inst.n)
     steps = 0
     ties = False
     while True:
-        E = _flip_energies(inst, z)
+        # z's n single flips, bit i's at index i, then z itself
+        E = label_energies(inst, [z ^ (1 << i) for i in range(inst.n)] + [z])
         neigh, energy = E[:-1], float(E[-1])
         best = int(np.argmin(neigh))
         if neigh[best] >= energy:

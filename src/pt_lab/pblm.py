@@ -76,14 +76,11 @@ class PBLMConfig:
 
 @dataclass(frozen=True)
 class LevyStableParams:
-    alpha: float
     beta: float
     C: float
     shift: float
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 2:
-            raise ValueError("alpha must lie in (0, 2]")
         if abs(self.beta) > 1:
             raise ValueError("|beta| must be <= 1")
         if self.C <= 0:
@@ -232,9 +229,7 @@ def _standard_pdf(x: np.ndarray, beta: float) -> np.ndarray:
 
 
 def stable_pdf(x, params: LevyStableParams) -> np.ndarray:
-    """Density of the index-1 stable family; only alpha = 1 is implemented."""
-    if params.alpha != 1.0:
-        raise ValueError("only alpha = 1 densities are implemented")
+    """Density of the index-1 stable family."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     z = (x_arr - params.shift) / params.C
     out = _standard_pdf(z, params.beta) / params.C
@@ -248,8 +243,6 @@ def stable_sample(params: LevyStableParams, count: int, seed: int = 0) -> np.nda
     - beta log( (pi/2) W cos U / (pi/2 + beta U) ) ] with U uniform on
     (-pi/2, pi/2) and W ~ Exp(1); scale and shift act affinely.
     """
-    if params.alpha != 1.0:
-        raise ValueError("only alpha = 1 sampling is implemented")
     rng = np.random.default_rng(seed)
     U = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=count)
     W = rng.exponential(1.0, size=count)
@@ -300,7 +293,7 @@ def fit_stable_quantiles(samples, beta: float = 1.0) -> LevyStableParams:
     C = (s75 - s25) / (q75s - q25s)
     if C <= 0:
         raise ValueError("degenerate sample spread")
-    return LevyStableParams(alpha=1.0, beta=beta, C=float(C),
+    return LevyStableParams(beta=beta, C=float(C),
                             shift=float(s50 - C * q50s))
 
 

@@ -61,13 +61,13 @@ import numpy as np
 from .bits import (check_bitstring, hamming_histogram_from, hamming_table,
                    index_array, krawtchouk_table)
 from .instances import (
+    ENUMERATION_MAX_N,
     ImpurityBandInstance,
     SpinGlassInstance,
     all_classical_energies,
     pair_energies,
 )
 
-TROTTER_MAX_N = 24
 DENSE_MAX_N = 14
 NORM_TOL = 1e-8
 # survival samples per ladder rung, give or take (see run_pt_protocol)
@@ -140,16 +140,6 @@ class EvolutionConfig:
         if self.dt is not None:
             return max(1, int(np.ceil(total_time / self.dt)))
         return 300
-
-
-def driver_terms(inst):
-    """Per-flip driver coefficients (hx, Jx) of inst's driver: the uniform
-    one of an impurity band (Jx None) or the matched one of a spin glass."""
-    if isinstance(inst, ImpurityBandInstance):
-        return np.full(inst.n, -inst.B_perp), None
-    if isinstance(inst, SpinGlassInstance):
-        return inst.driver_coefficients()
-    raise TypeError(f"not an instance: {type(inst)!r}")
 
 
 def driver_x_diagonal(inst) -> np.ndarray:
@@ -391,8 +381,15 @@ class _BandPropagator:
         """Advance x by steps * dt, one expansion per segment of `every`
         steps (one for the whole call when every = 0) and a shorter last
         one. With every > 0 it returns the survival after each segment.
-        Calls compose: the same segments give the same arithmetic.
+        Calls compose: the same segments give the same arithmetic. A call
+        whose half-width * time passes _MAX_TAU ** 2 = 2^28, about its
+        count of products, is refused before any product runs.
         """
+        tau = self.half * steps * self.dt
+        if tau > _MAX_TAU ** 2:
+            raise ValueError(f"band time {steps * self.dt:g} is too long for "
+                             f"one run: half-width {self.half:.6g} times time "
+                             f"is {tau:.3g}, past 2^28 Chebyshev products")
         samples, done = [], 0
         while done < steps:
             seg = min(every or steps, steps - done)
@@ -439,8 +436,7 @@ class _LevelPropagator(_BandPropagator):
         energy[:inst.M] = inst.base_energy + inst.eps
         super().__init__(inst, dt, energy)
         # 2 A = 2 (L - centre) / half as a level column and a centre row
-        hx, _ = driver_terms(inst)
-        levels = hx[0] * (n - 2.0 * np.arange(n + 1)[:, None])
+        levels = -inst.B_perp * (n - 2.0 * np.arange(n + 1)[:, None])
         self._level_scale = (2.0 / self.half) * (levels - self.centre)
         self._centre_scale = (2.0 / self.half) * energy
         start = dict(zip(np.asarray(support).tolist(), np.asarray(amps).tolist()))
@@ -530,13 +526,13 @@ class _DenseBandPropagator(_BandPropagator):
         energy = inst.base_energy + inst.eps
         super().__init__(inst, dt, energy)
         n, h = inst.n, inst.n // 2
-        hx, _ = driver_terms(inst)
         # 2 A = 2 (H - centre) / half, with the 1/N of the transform pair
         scale = 2.0 / (self.half * (1 << n))
         pop_hi = np.bitwise_count(np.arange(1 << (n - h)))
         pop_lo = np.bitwise_count(np.arange(1 << h))
-        self._levels_hi = scale * (hx[0] * (n - h - 2.0 * pop_hi) - self.centre)
-        self._levels_lo = scale * (hx[0] * (h - 2.0 * pop_lo))
+        self._levels_hi = scale * (-inst.B_perp * (n - h - 2.0 * pop_hi)
+                                   - self.centre)
+        self._levels_lo = scale * (-inst.B_perp * (h - 2.0 * pop_lo))
         self._marked_scale = (2.0 / self.half) * energy
         self.z0 = z0
         self.x = np.zeros(1 << n, dtype=np.complex128)
@@ -595,8 +591,8 @@ def evolve_trotter(inst, amps, support, config: EvolutionConfig) -> np.ndarray:
     changes the input, and a time past _check_time's range is a ValueError.
     """
     amps, support = np.asarray(amps, dtype=np.complex128), np.asarray(support)
-    if inst.n > TROTTER_MAX_N:
-        raise ValueError(f"state-vector evolution capped at n = {TROTTER_MAX_N}")
+    if inst.n > ENUMERATION_MAX_N:
+        raise ValueError(f"state-vector evolution capped at n = {ENUMERATION_MAX_N}")
     if amps.ndim != 1 or amps.shape != support.shape:
         raise ValueError("the start needs one amplitude per label")
     if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
@@ -628,7 +624,10 @@ def dense_hamiltonian(inst) -> np.ndarray:
     idx = np.arange(N)
     H = np.zeros((N, N))
     H[idx, idx] = all_classical_energies(inst)
-    hx, Jx = driver_terms(inst)
+    if isinstance(inst, SpinGlassInstance):
+        hx, Jx = inst.driver_coefficients()
+    else:
+        hx, Jx = np.full(n, -inst.B_perp), None
     for i in range(n):
         H[idx, idx ^ (1 << i)] += hx[i]
     if Jx is not None:
@@ -646,7 +645,9 @@ def exact_eigs(inst):
 
 @dataclass
 class PTResult:
-    """Outcome of one transfer run: exact output distribution plus traces."""
+    """Outcome of one transfer run: exact output distribution plus traces.
+    transferred_weight is the propagator's weight(z0) after its last call
+    (a ladder's ladder_weights[-1]), 0.0 after a zero-time run."""
 
     n: int
     z0: int
@@ -661,15 +662,6 @@ class PTResult:
     saturated: bool | None = None
     ladder_times: list = field(default_factory=list)
     ladder_weights: list = field(default_factory=list)
-
-
-def transferred_weight(inst, z0: int, probabilities: np.ndarray) -> float:
-    """Weight moved out of |z0>: onto the other marked states for the
-    impurity band, onto everything else for generic instances."""
-    if isinstance(inst, ImpurityBandInstance):
-        others = [z for z in inst.marked if z != z0]
-        return float(probabilities[others].sum())
-    return float(1.0 - probabilities[z0])
 
 
 def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
@@ -689,15 +681,15 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
 
     The run holds one propagator (_propagator) and advances it one call
     per rung, once the rung passes _check_time, and reads each rung's
-    weight from it. After the last rung the propagator releases its tables
-    and forms the 2^n state once; the last survival sample reads it, as
-    P(z0) does.
+    weight from it; the last read is the run's transferred_weight. After
+    the last rung the propagator releases its tables and forms the 2^n
+    state once; the last survival sample reads it, as P(z0) does.
     """
     config = config or EvolutionConfig()
     n = inst.n
     z0 = check_bitstring(z0, n)
-    if n > TROTTER_MAX_N:
-        raise ValueError(f"state-vector evolution capped at n = {TROTTER_MAX_N}")
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(f"state-vector evolution capped at n = {ENUMERATION_MAX_N}")
     E = all_classical_energies(inst)
 
     ladder = config.total_time is None
@@ -714,10 +706,10 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     ladder_weights: list = []
     saturated: bool | None = None
 
-    if not ladder and (config.total_time == 0.0 or dt == 0.0):
+    if not ladder and config.total_time == 0.0:
         probs = np.zeros(1 << n)
         probs[z0] = 1.0
-        total_t = 0.0
+        total_t, weight = 0.0, 0.0
     else:
         prop = _propagator(inst, dt, np.ones(1), [z0], z0)
 
@@ -750,6 +742,7 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         else:
             advance(steps, 0.0)
             total_t = config.total_time
+        weight = prop.weight(z0)
         psi = prop.state()
         survival[-1] = _z_probability(psi, z0)
         probs = np.abs(psi) ** 2
@@ -761,7 +754,7 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
         times=np.asarray(times), survival=np.asarray(survival),
         energy_edges=edges, energy_hist=e_hist,
         hamming_hist=hamming_histogram_from(z0, probs, n),
-        transferred_weight=transferred_weight(inst, z0, probs),
+        transferred_weight=weight,
         saturated=saturated, ladder_times=ladder_times,
         ladder_weights=ladder_weights,
     )

@@ -149,6 +149,10 @@ def test_regime_warning_when_error_is_small():
     W = eps.max() - eps.min()
     with pytest.warns(UserWarning):
         peak_transfer(GroverSetup(n=10, eps=eps, eps0=2.0 * W))
+    # the report's flag reads the same rule
+    with pytest.warns(UserWarning):
+        rep = error_time_report(GroverSetup(n=10, eps=eps, eps0=2.0 * W))
+    assert rep.in_regime is False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         peak_transfer(GroverSetup(n=10, eps=eps, eps0=10.0 * W))

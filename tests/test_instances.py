@@ -239,3 +239,21 @@ def test_pair_energies_independent_of_block_size(monkeypatch, block):
     expect = pair_energies(g.h, g.J, labels)
     monkeypatch.setattr(instances, "_ENUM_BLOCK", block)
     assert np.array_equal(pair_energies(g.h, g.J, labels), expect)
+
+
+@pytest.mark.parametrize("n, seed, dimers", [(8, 0, None), (12, 1, 0),
+                                             (16, 3, None), (16, 2, 0)])
+def test_label_energies_match_the_table_bits(n, seed, dimers):
+    # any subset of labels, of any size, gets the table's own bits without
+    # the table, so the descent and the output columns agree with the basin
+    # map
+    g = gen_spin_glass(n=n, seed=seed, dimer_count=dimers)
+    E = all_classical_energies(g)
+    rng = np.random.default_rng(seed)
+    for k in (1, 2, 3, 5, 6, 7, 17, 63, 1024):
+        labels = rng.integers(0, 1 << n, size=k)
+        assert np.array_equal(instances.label_energies(g, labels), E[labels])
+    b = gen_impurity_band(n=n, M=6, W=0.5, seed=seed)
+    labels = np.array([*b.marked, 0, 1, *b.marked[:2]])
+    want = all_classical_energies(b)[labels]
+    np.testing.assert_array_equal(instances.label_energies(b, labels), want)

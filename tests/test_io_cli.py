@@ -563,6 +563,43 @@ def test_pt_run_zero_field_override_is_identity(tmp_path, ib_instance):
     assert np.allclose(surv["survival_probability"], 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["impurity-band", "spin-glass"])
+def test_ladder_transferred_weight_is_the_last_rung(tmp_path, kind):
+    # the run reports the weight its last rung read from the propagator; on
+    # this band a sum over the formed state's marked probabilities differs
+    # from it in the last bits
+    flags = ["--m", "16"] if kind == "impurity-band" else []
+    assert main(["--out-dir", str(tmp_path), "gen-instance", "--kind", kind,
+                 "--n", "12", "--seed", "1", *flags]) == 0
+    for cmd in ("pt-run", "pipeline"):
+        assert main(["--out-dir", str(tmp_path / cmd), cmd, "--instance",
+                     str(tmp_path / "instance.json"), "--dt", "0.1",
+                     "--start-time", "2", "--max-doublings", "2",
+                     "--saturation-rtol", "0"]) == 0
+    result = json.loads((tmp_path / "pt-run" / "pt_result.json").read_text())
+    summary = json.loads(
+        (tmp_path / "pipeline" / "pipeline_summary.json").read_text())
+    assert result["transferred_weight"] == result["ladder_weights"][-1]
+    assert summary["transferred_weight"] == result["transferred_weight"]
+
+
+def test_band_time_past_the_work_bound_exits_2(tmp_path):
+    # half-width * time = 1.5e9 > 2^28 on this band: refused before any
+    # product runs, where it would run for hours
+    inp = tmp_path / "in"
+    assert main(["--out-dir", str(inp), "gen-instance", "--kind",
+                 "impurity-band", "--n", "6", "--m", "3", "--b-perp", "2"]) == 0
+    out = subprocess.run(
+        [sys.executable, "-m", "pt_lab.cli", "--out-dir", str(tmp_path / "run"),
+         "evolve", "--instance", str(inp / "instance.json"), "--time", "1e8",
+         "--steps", "1"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": _SRC})
+    assert out.returncode == 2
+    err = out.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "2^28" in err[0]
+
+
 def test_evolve_emits_state_table(tmp_path, ib_instance):
     rc = main(["--out-dir", str(tmp_path), "evolve",
                "--instance", str(ib_instance), "--time", "2", "--steps", "64",
@@ -576,14 +613,24 @@ def test_evolve_emits_state_table(tmp_path, ib_instance):
     assert 0.0 <= doc["survival"] <= 1.0
 
 
-def test_band_evolve_survival_is_exact(tmp_path):
+def test_band_evolve_survival_is_exact(tmp_path, monkeypatch):
     # the impurity-band benchmark's evolve (n = 20, M = 64, --z0 auto,
     # t = 10): a band evolves exactly, so its survival is the marked-subspace
-    # eigensystem's, whatever --steps says
+    # eigensystem's, whatever --steps says. It builds no 2^n energy table:
+    # its top rows read their energies by label
+    import pt_lab.instances
+    import pt_lab.statevector
+
     inp = tmp_path / "in"
     assert main(["--out-dir", str(inp), "gen-instance", "--kind",
                  "impurity-band", "--n", "20", "--m", "64", "--w", "0.5",
                  "--b-perp", "2", "--seed", "0"]) == 0
+
+    def no_table(inst):
+        raise AssertionError("the 2^n energy table was built")
+
+    for module in (pt_lab.instances, pt_lab.statevector):
+        monkeypatch.setattr(module, "all_classical_energies", no_table)
     assert main(["--out-dir", str(tmp_path / "run"), "evolve", "--instance",
                  str(inp / "instance.json"), "--time", "10", "--steps", "10",
                  "--top-k", "4"]) == 0
@@ -776,6 +823,19 @@ def test_grover_sweep_rows(tmp_path):
     assert cols["t_grover"] == pytest.approx(expect)
 
 
+def test_grover_sweep_warns_once_per_eps0(tmp_path, capsys):
+    # eps0 = 1.5 alone is out of the eps0 >= 5 W regime: one warning line,
+    # without the source location of the library's warnings
+    rc = main(["--out-dir", str(tmp_path), "grover-sweep", "--n", "14",
+               "--m", "64", "--w", "0.6", "--eps0", "6", "3", "1.5"])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: eps0 = 1.5:")
+    assert "eps0 >> W" in err[0] and ".py" not in err[0]
+    cols = read_csv_columns(tmp_path / "grover_sweep.csv")
+    assert np.array_equal(cols["eps0_energy"], [6.0, 3.0, 1.5])
+
+
 def test_sd_reaches_local_minimum(tmp_path, glass_instance):
     rc = main(["--out-dir", str(tmp_path), "sd",
                "--instance", str(glass_instance), "--z0", "0"])
@@ -835,7 +895,7 @@ def test_pipeline_shares_one_landscape(tmp_path, glass_instance, monkeypatch):
     import pt_lab.instances as instances
     import pt_lab.optimize as optimize
 
-    calls = {"pair_energies": 0, "_basin_roots": 0, "_descent_pointers": 0}
+    calls = {"index_array": 0, "_basin_roots": 0, "_descent_pointers": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -845,8 +905,10 @@ def test_pipeline_shares_one_landscape(tmp_path, glass_instance, monkeypatch):
             return fn(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    # one enumeration of all 2^n energies is one pair_energies call
-    counted(instances, "pair_energies")
+    # one enumeration of all 2^n energies is one index_array call in
+    # instances: pair_energies also serves the output table's rows by label,
+    # and the driver's diagonal, so counting it would count those
+    counted(instances, "index_array")
     counted(optimize, "_basin_roots")
     # one descent pass serves the automatic start and the enrichment
     counted(optimize, "_descent_pointers")
@@ -854,7 +916,7 @@ def test_pipeline_shares_one_landscape(tmp_path, glass_instance, monkeypatch):
                "--instance", str(glass_instance), "--dt", "0.1",
                "--start-time", "1", "--max-doublings", "1"])
     assert rc == 0
-    assert calls == {"pair_energies": 1, "_basin_roots": 1,
+    assert calls == {"index_array": 1, "_basin_roots": 1,
                      "_descent_pointers": 1}
 
     inst = load_instance(glass_instance)
@@ -1007,6 +1069,19 @@ def test_every_traced_function_exists():
         text=True, env={**os.environ,
                         "PYTHONPATH": os.pathsep.join([_SRC, str(perfbench)])})
     assert out.stdout.split() == []
+
+
+def test_benchmark_checks_pass():
+    # the benchmark's own output checks, one operation per workload: the
+    # seed-3 glass pipeline summary, the band's downfolded eigenvalues and
+    # evolve norm, and the ensemble's fit redone from its CSV
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all",
+         "--seconds", "0", "--trace", "0"],
+        cwd=root, check=True, capture_output=True, text=True, timeout=170)
+    last = json.loads(out.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, out.stderr
 
 
 @pytest.mark.parametrize("cmd", ["pt-run", "pipeline"])

@@ -122,7 +122,7 @@ def test_sigma_star_homogeneous_in_coupling():
 
 def test_stable_pdf_cauchy_case():
     x = np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
-    params = LevyStableParams(alpha=1.0, beta=0.0, C=1.0, shift=0.0)
+    params = LevyStableParams(beta=0.0, C=1.0, shift=0.0)
     np.testing.assert_allclose(stable_pdf(x, params),
                                1.0 / (np.pi * (1.0 + x**2)), rtol=1e-5)
     assert stable_pdf(0.0, params) == pytest.approx(1.0 / np.pi, rel=1e-6)
@@ -134,13 +134,13 @@ def test_stable_pdf_skewed_reference_values():
     x = np.array([-0.5, 0.0, 0.5, 1.0, 2.0, 5.0])
     want = np.array([0.28297930, 0.26224013, 0.21231847,
                      0.16353124, 0.09552423, 0.02655890])
-    params = LevyStableParams(alpha=1.0, beta=1.0, C=1.0, shift=0.0)
+    params = LevyStableParams(beta=1.0, C=1.0, shift=0.0)
     np.testing.assert_allclose(stable_pdf(x, params), want, atol=2e-7)
 
 
 def test_stable_pdf_affine_map():
-    params = LevyStableParams(alpha=1.0, beta=1.0, C=2.5, shift=-3.0)
-    std = LevyStableParams(alpha=1.0, beta=1.0, C=1.0, shift=0.0)
+    params = LevyStableParams(beta=1.0, C=2.5, shift=-3.0)
+    std = LevyStableParams(beta=1.0, C=1.0, shift=0.0)
     x = np.array([-4.0, -3.0, 0.0, 4.0])
     np.testing.assert_allclose(stable_pdf(x, params),
                                stable_pdf((x + 3.0) / 2.5, std) / 2.5,
@@ -176,14 +176,9 @@ def test_stable_pdf_left_tail_is_double_exponential():
 
 def test_stable_params_validation():
     with pytest.raises(ValueError):
-        LevyStableParams(alpha=2.5, beta=0.0, C=1.0, shift=0.0)
+        LevyStableParams(beta=1.5, C=1.0, shift=0.0)
     with pytest.raises(ValueError):
-        LevyStableParams(alpha=1.0, beta=1.5, C=1.0, shift=0.0)
-    with pytest.raises(ValueError):
-        LevyStableParams(alpha=1.0, beta=0.0, C=-1.0, shift=0.0)
-    with pytest.raises(ValueError):
-        stable_pdf(0.0, LevyStableParams(alpha=1.8, beta=0.0, C=1.0,
-                                         shift=0.0))
+        LevyStableParams(beta=0.0, C=-1.0, shift=0.0)
     with pytest.raises(ValueError):
         fit_stable_quantiles(np.arange(100.0), beta=1.5)
 
@@ -206,7 +201,7 @@ def test_frozen_quartiles_match_solver():
 def test_stable_sample_matches_quantiles(beta):
     # the Chambers-Mallows-Stuck sampler and the quantile lookup are
     # independent implementations of the same law
-    params = LevyStableParams(alpha=1.0, beta=beta, C=1.0, shift=0.0)
+    params = LevyStableParams(beta=beta, C=1.0, shift=0.0)
     s = stable_sample(params, 200_000, seed=1)
     got = np.percentile(s, [25.0, 50.0, 75.0])
     np.testing.assert_allclose(got, _standard_quantiles(beta), atol=0.02)
@@ -214,7 +209,7 @@ def test_stable_sample_matches_quantiles(beta):
 
 
 def test_fit_recovers_affine_parameters():
-    params = LevyStableParams(alpha=1.0, beta=1.0, C=3.0, shift=5.0)
+    params = LevyStableParams(beta=1.0, C=3.0, shift=5.0)
     s = stable_sample(params, 150_000, seed=7)
     fit = fit_stable_quantiles(s, beta=1.0)
     assert fit.C == pytest.approx(3.0, rel=0.02)

@@ -11,10 +11,10 @@ from pt_lab.downfold import marked_eigensystem
 from pt_lab.instances import (ImpurityBandInstance, all_classical_energies,
                               gen_impurity_band, gen_spin_glass)
 from pt_lab.spectral import transition_distribution, transition_probability
-from pt_lab.statevector import (EvolutionConfig, dense_hamiltonian, driver_terms,
+from pt_lab.statevector import (EvolutionConfig, dense_hamiltonian,
                                 driver_x_diagonal, evolve_trotter, exact_eigs,
                                 run_pt_protocol, sample_output,
-                                transferred_weight, _chebyshev_coefficients,
+                                _chebyshev_coefficients,
                                 _fwht, _DenseBandPropagator, _FwhtPropagator,
                                 _LevelPropagator, _propagator, _relabel)
 
@@ -168,13 +168,21 @@ def _backend(inst, z0):
     return type(_propagator(inst, 0.1, np.ones(1), [z0], z0))
 
 
+def _moved_weight(inst, z0, p):
+    # the weight moved out of |z0> read off the output distribution p: onto
+    # the other marked states of a band, everything but z0 on a glass
+    if isinstance(inst, ImpurityBandInstance):
+        return float(p[[z for z in inst.marked if z != z0]].sum())
+    return float(1.0 - p[z0])
+
+
 def _check_propagator_composes(inst, z0, backend):
     # advance(a) then advance(b) against advance(a + b) at the same dt: on
     # the Trotter path the closing and reopening half-phases between the
     # calls cost a rounding error, no Trotter error; a band runs the same
-    # sampled segments either way. A rung's weight is the formed state's
-    # transferred_weight: the same amplitudes on a 2^n state, level
-    # coordinates' own overlaps on the level path
+    # sampled segments either way. A rung's weight is the one read off the
+    # formed state: the same amplitudes on a 2^n state, level coordinates'
+    # own overlaps on the level path
     split, whole = (_propagator(inst, 0.01, np.ones(1), [z0], z0)
                     for _ in range(2))
     assert type(split) is backend
@@ -184,7 +192,7 @@ def _check_propagator_composes(inst, z0, backend):
     weight = split.weight(z0)
     psi = split.state()
     np.testing.assert_allclose(psi, whole.state(), rtol=0, atol=1e-12)
-    want = transferred_weight(inst, z0, np.abs(psi) ** 2)
+    want = _moved_weight(inst, z0, np.abs(psi) ** 2)
     if backend is not _LevelPropagator:
         assert weight == want
     else:
@@ -328,8 +336,9 @@ def test_band_ladder_weights_match_full_state_runs():
     exact = _exact_states(inst, z0, res.ladder_times)
     for w, psi in zip(res.ladder_weights, exact):
         assert w == pytest.approx(
-            transferred_weight(inst, z0, np.abs(psi) ** 2), abs=1e-12)
+            _moved_weight(inst, z0, np.abs(psi) ** 2), abs=1e-12)
     assert res.ladder_weights[-1] > 0.01
+    assert res.transferred_weight == res.ladder_weights[-1]
 
 
 def test_uniform_trotter_builds_no_state_sized_table(monkeypatch, traced_peak):
@@ -411,20 +420,6 @@ def test_driver_spectrum_matches_dense():
                                np.sort(driver_x_diagonal(g0)), atol=1e-10)
 
 
-def test_driver_terms_type_checks():
-    # the instance type picks the driver
-    ib = gen_impurity_band(n=6, M=3, W=0.2, seed=0)
-    g = gen_spin_glass(n=6, seed=0)
-    with pytest.raises(TypeError):
-        driver_terms(object())
-    hx, Jx = driver_terms(ib)
-    assert Jx is None
-    np.testing.assert_allclose(hx, -1.0)
-    hx, Jx = driver_terms(g)
-    np.testing.assert_array_equal(hx, g.driver_coefficients()[0])
-    np.testing.assert_array_equal(Jx, g.driver_coefficients()[1])
-
-
 def test_dense_hamiltonian_structure():
     inst = gen_impurity_band(n=6, M=4, W=0.3, seed=1, B_perp=1.3)
     H = dense_hamiltonian(inst)
@@ -436,6 +431,16 @@ def test_dense_hamiltonian_structure():
         for i in range(6):
             assert H[z, z ^ (1 << i)] == pytest.approx(-1.3)
     assert H[0, 3] == 0.0
+    # a glass takes its matched driver: field terms on single flips, bond
+    # terms on pair flips
+    g = gen_spin_glass(n=6, seed=0)
+    H = dense_hamiltonian(g)
+    hx, Jx = g.driver_coefficients()
+    for z in (0, 5, 63):
+        for i in range(6):
+            assert H[z, z ^ (1 << i)] == hx[i]
+            for j in range(i + 1, 6):
+                assert H[z, z ^ (1 << i) ^ (1 << j)] == Jx[i, j]
 
 
 def test_exact_eigs_reconstruction():
@@ -552,8 +557,7 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch):
             assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
         assert not np.allclose(res.survival, 1.0)
         assert {name for name, count in calls.items() if count} == {path}
-        if path == "dense":  # rung weights read the marked amplitudes
-            assert res.ladder_weights[-1] == res.transferred_weight
+        assert res.ladder_weights[-1] == res.transferred_weight
 
 
 @SYMMETRIC
@@ -705,15 +709,43 @@ def test_time_past_the_phase_limit_is_refused(kind):
         np.testing.assert_allclose(rungs, [limit / 3, 2 * limit / 3])
 
 
+@pytest.mark.parametrize("M", [3, 9], ids=["level-band", "dense-band"])
+def test_band_call_past_the_work_bound_is_refused(monkeypatch, M):
+    # a band call with half-width * time past _MAX_TAU ** 2 is refused
+    # before it runs, and a ladder checks each rung before its call. A
+    # smaller _MAX_TAU keeps the calls that do run cheap
+    import pt_lab.statevector as sv
+
+    monkeypatch.setattr(sv, "_MAX_TAU", 8.0)
+    inst = gen_impurity_band(n=6, M=M, W=0.5, seed=1)
+    z0 = inst.marked[0]
+    limit = 64.0 / _propagator(inst, 1.0, np.ones(1), [z0], z0).half
+    evolve_trotter(inst, [1.0], [z0], EvolutionConfig(
+        total_time=0.99 * limit, trotter_steps=1))
+    with pytest.raises(ValueError, match="2\\^28"):
+        evolve_trotter(inst, [1.0], [z0], EvolutionConfig(
+            total_time=1.01 * limit, trotter_steps=1))
+    rungs = []
+    with pytest.raises(ValueError, match="2\\^28"):
+        run_pt_protocol(inst, z0, EvolutionConfig(
+            dt=limit / 3, start_time=limit / 3, saturation_rtol=0.0),
+            on_rung=lambda t, w, change: rungs.append(t))
+    # calls of limit/3, limit/3 and 2 limit/3 run; the next, 4 limit/3, not
+    np.testing.assert_allclose(rungs, [limit / 3, 2 * limit / 3, 4 * limit / 3])
+
+
 def test_transferred_weight_conventions():
+    # a band moves weight onto its other marked states, a glass onto every
+    # other label; the run reads it from the propagator, not from p
     ib = gen_impurity_band(n=6, M=3, W=0.2, seed=1)
-    p = np.zeros(64)
     z0, z1, z2 = ib.marked
-    p[z0], p[z1], p[z2] = 0.5, 0.2, 0.1
-    p[(z0 + 1) % 64] = 0.2
-    assert transferred_weight(ib, z0, p) == pytest.approx(0.3)
+    res = run_pt_protocol(ib, z0, EvolutionConfig(total_time=3.0))
+    p = res.probabilities
+    assert 1.0 - p[z0] - p[z1] - p[z2] > 0.01  # weight off the marked states
+    assert res.transferred_weight == pytest.approx(p[z1] + p[z2])
     g = gen_spin_glass(n=6, seed=1)
-    assert transferred_weight(g, 5, p) == pytest.approx(1.0 - p[5])
+    res = run_pt_protocol(g, 5, EvolutionConfig(total_time=3.0))
+    assert res.transferred_weight == pytest.approx(1.0 - res.probabilities[5])
 
 
 def test_sample_output_deterministic():
