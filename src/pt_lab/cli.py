@@ -271,10 +271,6 @@ def _cmd_downfold(args, out_dir, manifest):
         calibration_A=args["calibration_a"])
     mat = downfold.build_downfolded(inst, params, seed=args["seed"])
     io_utils.save_downfolded(mat, out_dir / "downfolded", manifest)
-    io_utils.write_json(out_dir / "downfold_report.json",
-                        {"M": mat.M, "n": mat.n, "B_perp": mat.B_perp, "W": mat.W,
-                         "V_typ": mat.V_typ, "shift": mat.shift,
-                         "phase_mode": params.phase_mode}, manifest)
 
 
 def _one_pblm_realization(config, seed, eta, fit_gammas):
@@ -432,12 +428,10 @@ def _cmd_pipeline(args, out_dir, manifest):
     pt_win = np.bincount(d_sel, weights=probs[sel], minlength=inst.n + 1)
     uni_win = np.bincount(d_sel, minlength=inst.n + 1).astype(float)
     uni_win /= max(uni_win.sum(), 1.0)
-    pt_full = result.hamming_hist
     distances = np.arange(inst.n + 1)
     io_utils.write_csv(out_dir / "fig_hamming_from_start.csv",
                        {"hamming_distance": distances, "pt_window_weight": pt_win,
-                        "uniform_window_weight": uni_win, "pt_full_weight": pt_full},
-                       manifest)
+                        "uniform_window_weight": uni_win}, manifest)
 
     # pairwise Hamming structure inside the window
     pair_hist = optimize.pair_hamming_histogram(sel, probs[sel], inst.n)
@@ -463,7 +457,7 @@ def _cmd_pipeline(args, out_dir, manifest):
         "window_weight_pt": window_weight,
         "window_dos_fraction": dos_fraction,
         "window_ratio": window_weight / dos_fraction if dos_fraction else math.inf,
-        "median_hamming_pt": optimize.median_hamming(pt_full),
+        "median_hamming_pt": optimize.median_hamming(result.hamming_hist),
         "alternation_contrast": optimize.alternation_contrast(pair_hist),
         "minima_count": int(len(lab)),
         "enriched_minima": int(np.sum(ratio[finite] > 1.0)),

@@ -286,20 +286,16 @@ def sample_w(n: int, count: int, seed: int = 0) -> np.ndarray:
 
 def extract_numeric_elements(inst: ImpurityBandInstance,
                              atol: float = 1e-9) -> float:
-    """|V| between two degenerate marked states, read off the exact spectrum.
-
-    For a resonant pair the two band eigenvalues split by 2|V|; the band
-    states are identified by their marked weight. Requires M = 2 and
-    eps_1 = eps_2 within atol.
+    """|V| between two degenerate marked states: the off-diagonal entry of
+    the pair's band projection (_numeric_downfold), whose two eigenvalues
+    split by 2|V|. Requires M = 2 and eps_1 = eps_2 within atol; a pair
+    whose projection is ill-conditioned is a ValueError.
     """
     if inst.M != 2:
         raise ValueError("needs exactly two marked states")
     if abs(inst.eps[0] - inst.eps[1]) > atol:
         raise ValueError("marked energies must be degenerate for a resonant pair")
-    vals, amp = marked_eigensystem(inst)
-    weight = (amp ** 2).sum(axis=0)
-    sel = np.argsort(weight)[-2:]
-    return float(abs(vals[sel[0]] - vals[sel[1]]) / 2.0)
+    return float(abs(_numeric_downfold(inst)[0, 1]))
 
 
 def calibrate_prefactor(n: int, B_perp: float, distances, seed: int = 0) -> float:
@@ -308,7 +304,9 @@ def calibrate_prefactor(n: int, B_perp: float, distances, seed: int = 0) -> floa
     For each requested distance a degenerate two-state instance is built
     (first state random, second at the given Hamming distance), the
     numeric |V| extracted, and A_d = (|V| / V_unit(d))^2 computed; the
-    geometric mean over distances is returned.
+    geometric mean over distances is returned. A pair whose band
+    projection is ill-conditioned is a ValueError, as in
+    extract_numeric_elements.
     """
     from .instances import ImpurityBandInstance
 

@@ -23,8 +23,6 @@ from . import __version__
 FORMAT_VERSION = 1
 ENV_OUT_DIR = "PT_LAB_OUT"
 DEFAULT_OUT_DIR = "pt_lab_out"
-# save_downfolded writes a CSV copy of matrices up to this size
-DOWNFOLDED_CSV_MAX_M = 128
 
 
 def resolve_out_dir(flag_value: str | None) -> Path:
@@ -100,9 +98,7 @@ class RunManifest:
             "outputs": self.outputs,
         }
         path = out_dir / "manifest.json"
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True, default=_json_default)
-            f.write("\n")
+        write_json(path, doc)
         return path
 
 
@@ -172,7 +168,8 @@ def read_csv_columns(path) -> dict:
 
 def save_downfolded(mat: DownfoldedMatrix, base: Path,
                     manifest: RunManifest | None = None) -> list[Path]:
-    """Dense little-endian float64 blob plus JSON sidecar; CSV when M is small."""
+    """Dense little-endian float64 blob plus its JSON metadata sidecar; the
+    one format that load_downfolded reads."""
     base = Path(base)
     bin_path = base.with_suffix(".bin")
     with open(bin_path, "wb") as f:
@@ -185,16 +182,9 @@ def save_downfolded(mat: DownfoldedMatrix, base: Path,
     }
     json_path = base.with_suffix(".json")
     write_json(json_path, meta, manifest)
-    paths = [bin_path, json_path]
     if manifest is not None:
         manifest.record(bin_path)
-    if mat.M <= DOWNFOLDED_CSV_MAX_M:
-        csv_path = base.with_suffix(".csv")
-        row, col = np.indices(mat.matrix.shape)
-        write_csv(csv_path, {"row": row.ravel(), "col": col.ravel(),
-                             "value_energy": mat.matrix.ravel()}, manifest)
-        paths.append(csv_path)
-    return paths
+    return [bin_path, json_path]
 
 
 def load_downfolded(base: Path) -> DownfoldedMatrix:

@@ -185,6 +185,17 @@ def test_numeric_extraction_single_flip_is_exact():
     assert extract_numeric_elements(inst) == pytest.approx(1.5, abs=1e-9)
 
 
+def test_numeric_extraction_refuses_an_ill_conditioned_pair():
+    # the two eigenstates of largest marked weight are both antisymmetric,
+    # with parallel marked components (0.39, -0.39) and (-0.43, 0.43); half
+    # their splitting, 2.4743, is no tunneling amplitude. The band
+    # projection refuses the pair, and so must the extraction
+    inst = ImpurityBandInstance(n=6, marked=(0, 0b111), eps=(0.0, 0.0),
+                                W=0.1, B_perp=3.0)
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        extract_numeric_elements(inst)
+
+
 def test_numeric_extraction_decays_with_distance():
     # beyond d ~ n/2 the reading is swamped by hybridization with the
     # bulk, so only the resolvable range is checked
