@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,11 +64,6 @@ pblm = _lazy("pt_lab.pblm")
 statevector = _lazy("pt_lab.statevector")
 
 
-def _read_json(path):
-    with open(path) as f:
-        return json.load(f)
-
-
 def _load_checked(path, load=None):
     """load(path), every failure to read it turned into bad input (ValueError)
     that names the path: the loaders raise TypeError where a document holds
@@ -88,12 +82,12 @@ def _flag(name):
     return f"--{name.replace('_', '-')}"
 
 
-def _given(args, *names):
-    """The flags among names that the run sets: an absent one records None
-    (False for a switch), so a given 0 still counts. A name the subcommand
-    lacks (evolve has no ladder flags) counts as absent."""
-    return [_flag(k) for k in names
-            if args.get(k) is not None and args.get(k) is not False]
+def _given(args, *names, **defaults):
+    """The flags among names (default None, so a given 0 still counts) and
+    defaults (name=default) that the run sets away from their default. A
+    name the subcommand lacks (evolve has no ladder flags) counts as unset."""
+    defaults = {**dict.fromkeys(names), **defaults}
+    return [_flag(k) for k, d in defaults.items() if args.get(k, d) != d]
 
 
 def _count_arg(args, name):
@@ -161,25 +155,32 @@ def _print_rung(total_time, weight, change):
 # subcommand handlers (args is the parsed-namespace dict minus globals)
 
 
+# flags that some runs ignore, with the defaults that the parser gives them:
+# gen-instance's of each instance kind, and the predicted law's besides --m
+# and --gamma. A run that would ignore one refuses it away from its default
+_KIND_DEFAULTS = {
+    "impurity-band": {"m": None, "w": 0.5, "b_perp": 2.0, "eps_law": "uniform"},
+    "spin-glass": {"dimer_count": None, "driver_scale": 0.2}}
+_LAW_DEFAULTS = {"lam": 1.0, "v_typ": 1.0}
+
+
 def _cmd_gen_instance(args, out_dir, manifest):
-    band = args["kind"] == "impurity-band"
-    if band and _given(args, "dimer_count"):
-        raise ValueError("--dimer-count applies to spin-glass instances")
-    if band and args["m"] is None:
-        raise ValueError("gen-instance --kind impurity-band requires --m")
-    if not band and _given(args, "m"):
-        raise ValueError("--m applies to impurity-band instances")
-    if band:
-        inst = instances.gen_impurity_band(
-            args["n"], args["m"], args["w"], eps_law=args["eps_law"],
-            seed=args["seed"], B_perp=args["b_perp"])
-    else:
+    for kind, defaults in _KIND_DEFAULTS.items():
+        ignored = _given(args, **defaults)
+        if kind != args["kind"] and ignored:
+            raise ValueError(f"{ignored[0]} applies to {kind} instances")
+    if args["kind"] == "spin-glass":
         inst = instances.gen_spin_glass(
             args["n"], dimer_count=args["dimer_count"], seed=args["seed"],
             driver_scale=args["driver_scale"])
-    doc = instances.instance_to_dict(inst)
+    elif args["m"] is None:
+        raise ValueError("gen-instance --kind impurity-band requires --m")
+    else:
+        inst = instances.gen_impurity_band(
+            args["n"], args["m"], args["w"], eps_law=args["eps_law"],
+            seed=args["seed"], B_perp=args["b_perp"])
     path = out_dir / args["out"]
-    io_utils.write_json(path, doc, manifest)
+    io_utils.write_json(path, instances.instance_to_dict(inst), manifest)
     print(f"wrote {path}")
 
 
@@ -259,10 +260,11 @@ def _cmd_pt_run(args, out_dir, manifest):
                          "transferred_weight": result.transferred_weight,
                          "ladder_times": result.ladder_times,
                          "ladder_weights": result.ladder_weights}, manifest)
-    return result
 
 
 def _cmd_downfold(args, out_dir, manifest):
+    if args["phase_mode"] == "numeric_extraction" and _given(args, seed=0):
+        raise ValueError("--seed draws the phases, which numeric_extraction does not")
     inst = _load_checked(args["instance"])
     if not isinstance(inst, instances.ImpurityBandInstance):
         raise ValueError("downfold needs an impurity-band instance")
@@ -270,6 +272,11 @@ def _cmd_downfold(args, out_dir, manifest):
         n=inst.n, B_perp=inst.B_perp, phase_mode=args["phase_mode"],
         calibration_A=args["calibration_a"])
     mat = downfold.build_downfolded(inst, params, seed=args["seed"])
+    # downfolded.json's V_typ reads the theta series in every phase mode
+    if inst.B_perp <= downfold.THETA_MIN_B_PERP:
+        print(f"warning: B_perp = {inst.B_perp:g}: the theta series behind V(d) "
+              f"and V_typ assumes B_perp > {downfold.THETA_MIN_B_PERP:g}",
+              file=sys.stderr)
     io_utils.save_downfolded(mat, out_dir / "downfolded", manifest)
 
 
@@ -352,10 +359,7 @@ def _cmd_grover_sweep(args, out_dir, manifest):
         raise ValueError(f"--w must be finite and > 0, got {W}")
     eps = np.random.default_rng(args["seed"]).uniform(-W / 2.0, W / 2.0, size=M)
     setups = [grover.GroverSetup(n=n, eps=eps, eps0=eps0) for eps0 in args["eps0"]]
-    # a report's formulas each warn out of the regime: one line per eps0
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "perturbative treatment", UserWarning)
-        reports = [grover.error_time_report(setup) for setup in setups]
+    reports = [grover.error_time_report(setup) for setup in setups]
     for setup, rep in zip(setups, reports):
         if not rep.in_regime:
             print(f"warning: eps0 = {setup.eps0:g}: perturbative treatment "
@@ -478,6 +482,10 @@ def _cmd_stats_fit(args, out_dir, manifest):
     if len(missing) == 1:
         raise ValueError(f"stats-fit: {missing[0]} is missing; --m and "
                          "--gamma together select the predicted law")
+    ignored = _given(args, **_LAW_DEFAULTS)
+    if missing and ignored:
+        raise ValueError(f"{ignored[0]} sets the predicted law, which needs "
+                         "--m and --gamma")
     config = None if missing else _pblm_config(args)
     cols = _load_checked(args["input"], io_utils.read_csv_columns)
     name = args["column"]
@@ -534,14 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand")
 
     g = sub.add_parser("gen-instance", help="generate and save a problem instance")
-    g.add_argument("--kind", choices=["impurity-band", "spin-glass"], required=True)
+    g.add_argument("--kind", choices=list(_KIND_DEFAULTS), required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, help="number of marked states (impurity band)")
-    g.add_argument("--w", type=float, default=0.5, help="energy strip width")
-    g.add_argument("--b-perp", type=float, default=2.0)
-    g.add_argument("--eps-law", choices=["uniform", "gauss"], default="uniform")
-    g.add_argument("--dimer-count", type=int, default=None)
-    g.add_argument("--driver-scale", type=float, default=0.2)
+    g.add_argument("--w", type=float, help="energy strip width")
+    g.add_argument("--b-perp", type=float)
+    g.add_argument("--eps-law", choices=["uniform", "gauss"])
+    g.add_argument("--dimer-count", type=int)
+    g.add_argument("--driver-scale", type=float)
+    g.set_defaults(**{k: v for d in _KIND_DEFAULTS.values() for k, v in d.items()})
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="instance.json")
 
@@ -580,8 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("pblm-ensemble", help="heavy-tailed matrix ensemble statistics")
     pe.add_argument("--m", type=int, required=True)
     pe.add_argument("--gamma", type=float, required=True)
-    pe.add_argument("--lam", type=float, default=1.0)
-    pe.add_argument("--v-typ", type=float, default=1.0)
+    pe.add_argument("--lam", type=float, default=_LAW_DEFAULTS["lam"])
+    pe.add_argument("--v-typ", type=float, default=_LAW_DEFAULTS["v_typ"])
     pe.add_argument("--realizations", type=int, default=20)
     pe.add_argument("--eta", type=float, default=None)
     pe.add_argument("--fit-gammas", action="store_true",
@@ -611,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="with --gamma, compare the fit with the predicted law")
     sf.add_argument("--gamma", type=float, default=None,
                     help="with --m, compare the fit with the predicted law")
-    sf.add_argument("--lam", type=float, default=1.0)
-    sf.add_argument("--v-typ", type=float, default=1.0)
+    sf.add_argument("--lam", type=float, default=_LAW_DEFAULTS["lam"])
+    sf.add_argument("--v-typ", type=float, default=_LAW_DEFAULTS["v_typ"])
     return p
 
 
@@ -643,7 +652,7 @@ def _recorded_argv(subcommand, args) -> list[str]:
 
 
 def _replay(manifest_path: str, out_dir_flag: str | None) -> int:
-    doc = _load_checked(manifest_path, _read_json)
+    doc = _load_checked(manifest_path, lambda p: json.loads(Path(p).read_text()))
     if (not isinstance(doc, dict) or doc.get("subcommand") not in _HANDLERS
             or not isinstance(doc.get("args"), dict)):
         raise ValueError(f"{manifest_path}: not a run manifest")

@@ -16,7 +16,6 @@ heavy-tailed law PDF(w) = 1/(w^2 sqrt(pi log w)) for large n.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +27,10 @@ from .bits import hamming_table, krawtchouk_table
 # zero: over n <= 32 and M <= 100 its zero eigenvalues come out below 1e-14
 # of the largest and its nonzero ones above 1e-6
 _GRAM_RTOL = 1e-10
+
+# theta's series, behind V(d) and V_typ, is asymptotic in large B_perp and
+# applies above this field; below it theta still returns the truncated sum
+THETA_MIN_B_PERP = 1.0
 
 
 @dataclass(frozen=True)
@@ -95,16 +98,11 @@ class DownfoldedMatrix:
 def theta(B_perp: float) -> float:
     """Truncated inverse-field series 1/(4B^2) + 1/(24B^4) + 1/(60B^6).
 
-    The series is asymptotic in large B; values at B_perp <= 1 are
-    returned with a validity warning instead of an error so sweeps can
-    cross the boundary.
+    The series applies for B_perp > THETA_MIN_B_PERP; below it the sum is
+    still returned, so sweeps can cross the boundary.
     """
     if B_perp <= 0:
         raise ValueError("B_perp must be positive")
-    if B_perp <= 1:
-        warnings.warn("theta series is asymptotic in large B_perp; "
-                      f"B_perp = {B_perp} is outside its validity range",
-                      stacklevel=2)
     b2 = B_perp * B_perp
     return 1.0 / (4 * b2) + 1.0 / (24 * b2 ** 2) + 1.0 / (60 * b2 ** 3)
 

@@ -12,7 +12,6 @@ perturbative in eps0/W and the protocol slows down by eps0/W.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .bits import check_n
 from .spectral import spectral_propagation
 
+# the perturbative forms apply for eps0 >= _REGIME_FACTOR * W (in_regime)
 _REGIME_FACTOR = 5.0
 
 
@@ -116,18 +116,11 @@ def reduced_transfer(setup: GroverSetup, times) -> np.ndarray:
     return float(out[0]) if np.ndim(times) == 0 else out
 
 
-def _in_regime(setup: GroverSetup) -> bool:
-    """Whether the perturbative forms apply: eps0 >= 5 W."""
-    return bool(setup.eps0 >= _REGIME_FACTOR * setup.W)
-
-
 def _check_regime(setup: GroverSetup):
+    """Refuse eps0 <= 0. Below the regime, where error_time_report's
+    in_regime is False, the forms still return their values."""
     if not setup.eps0 > 0:
         raise ValueError(f"needs a positive driver error eps0, got {setup.eps0}")
-    if not _in_regime(setup):
-        warnings.warn(
-            "perturbative treatment assumes eps0 >> W; "
-            f"eps0/W = {setup.eps0 / setup.W:.3g}", stacklevel=3)
 
 
 def perturbative_transfer(t, setup: GroverSetup) -> np.ndarray:
@@ -191,5 +184,5 @@ def error_time_report(setup: GroverSetup) -> GroverErrorReport:
         t_degraded=t_g * t_g * setup.eps0,
         p0=p0,
         t0=t0,
-        in_regime=_in_regime(setup),
+        in_regime=bool(setup.eps0 >= _REGIME_FACTOR * setup.W),
     )

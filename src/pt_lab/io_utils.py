@@ -175,7 +175,6 @@ def save_downfolded(mat: DownfoldedMatrix, base: Path,
     with open(bin_path, "wb") as f:
         f.write(np.ascontiguousarray(mat.matrix, dtype="<f8").tobytes())
     meta = {
-        "format_version": FORMAT_VERSION,
         "M": mat.M, "n": mat.n, "B_perp": mat.B_perp,
         "V_typ": mat.V_typ, "W": mat.W, "shift": mat.shift,
         "dtype": "<f8", "order": "C",

@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from pt_lab.instances import gen_impurity_band, ImpurityBandInstance
-from pt_lab.downfold import (DownfoldedMatrix, TunnelingParams,
-                             amplitude_table, build_downfolded,
+from pt_lab.downfold import (THETA_MIN_B_PERP, DownfoldedMatrix,
+                             TunnelingParams, amplitude_table, build_downfolded,
                              calibrate_prefactor, cdf_w,
                              extract_numeric_elements, marked_eigensystem,
                              pdf_w, reference_amplitude, sample_w,
@@ -33,14 +33,15 @@ def test_theta_value():
     assert theta(1.5) == pytest.approx(float(_theta_mp(1.5)), rel=1e-12)
 
 
-def test_theta_warns_only_in_strong_coupling():
-    with pytest.warns(UserWarning):
-        theta(1.0)
-    with pytest.warns(UserWarning):
-        theta(0.7)
+def test_theta_range_is_data_and_theta_does_not_warn():
+    # the series applies for B_perp > 1; out of that range theta returns the
+    # truncated sum, bit for bit as it did while it warned, and warns nothing
+    assert THETA_MIN_B_PERP == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta(1.01)
+        assert theta(0.7) == 0.8254072141143007
+        assert theta(1.0) == 0.30833333333333335
+        assert theta(1.01) == pytest.approx(float(_theta_mp(1.01)), rel=1e-12)
 
 
 def test_v_typ_leading_term():
@@ -306,11 +307,8 @@ def test_marked_eigensystem_matches_dense(case):
     d_sel = np.sort(np.argsort(d_weight)[-inst.M:])
     np.testing.assert_allclose(vals[sel], d_vals[d_sel], rtol=0, atol=1e-12)
     np.testing.assert_allclose(weight[sel], d_weight[d_sel], rtol=0, atol=1e-12)
-    with warnings.catch_warnings():
-        # V_typ's theta series warns below B_perp = 1; the matrix ignores it
-        warnings.simplefilter("ignore", UserWarning)
-        mat = build_downfolded(inst, TunnelingParams(
-            n=inst.n, B_perp=inst.B_perp, phase_mode="numeric_extraction"))
+    mat = build_downfolded(inst, TunnelingParams(
+        n=inst.n, B_perp=inst.B_perp, phase_mode="numeric_extraction"))
     np.testing.assert_allclose(mat.matrix, _dense_projection(inst),
                                rtol=0, atol=1e-12)
     if inst.M == 2:

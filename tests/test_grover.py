@@ -143,19 +143,31 @@ def test_error_time_report_fields():
     assert rep.p0 == pytest.approx(0.08506944444444445)
 
 
-def test_regime_warning_when_error_is_small():
+def test_in_regime_reads_eps0_against_five_w():
     rng = np.random.default_rng(0)
     eps = rng.uniform(-0.3, 0.3, 16)
     W = eps.max() - eps.min()
-    with pytest.warns(UserWarning):
-        peak_transfer(GroverSetup(n=10, eps=eps, eps0=2.0 * W))
-    # the report's flag reads the same rule
-    with pytest.warns(UserWarning):
-        rep = error_time_report(GroverSetup(n=10, eps=eps, eps0=2.0 * W))
-    assert rep.in_regime is False
+    for factor, want in [(2.0, False), (4.99, False), (5.0, True), (10.0, True)]:
+        rep = error_time_report(GroverSetup(n=10, eps=eps, eps0=factor * W))
+        assert rep.in_regime is want, factor
+
+
+def test_out_of_regime_forms_return_values_without_warning():
+    # eps0 = 4 W lies below the regime; the forms return their values,
+    # bit for bit as they did while they warned, and warn nothing
+    rng = np.random.default_rng(0)
+    eps = rng.uniform(-0.3, 0.3, 64)
+    setup = GroverSetup(n=14, eps=eps, eps0=4.0 * (eps.max() - eps.min()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        peak_transfer(GroverSetup(n=10, eps=eps, eps0=10.0 * W))
+        t0, p0 = peak_transfer(setup)
+        rep = error_time_report(setup)
+    assert (t0, p0) == (1.316274044795355, 0.5376120412164382)
+    assert (rep.t_pt, rep.gamma0, rep.t_grover, rep.t_degraded, rep.p0,
+            rep.t0) == (4.896743167497001, 8.062178524371548,
+                        2.1641401910876223, 11.178263328256508,
+                        0.5376120412164382, 1.316274044795355)
+    assert rep.in_regime is False
 
 
 def _exponential_transfer(setup, times):

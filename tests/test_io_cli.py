@@ -301,11 +301,30 @@ def test_bad_z0_is_usage_error(tmp_path, ib_instance, capsys, cmd, z0):
     (["gen-instance", "--kind", "spin-glass", "--n", "6", "--m", "3"], "--m"),
     (["gen-instance", "--kind", "impurity-band", "--n", "6", "--m", "3",
       "--dimer-count", "2"], "--dimer-count"),
+    (["gen-instance", "--kind", "spin-glass", "--n", "6", "--w", "3"], "--w"),
+    (["gen-instance", "--kind", "spin-glass", "--n", "6", "--b-perp", "9"],
+     "--b-perp"),
+    (["gen-instance", "--kind", "spin-glass", "--n", "6", "--eps-law",
+      "gauss"], "--eps-law"),
+    (["gen-instance", "--kind", "impurity-band", "--n", "6", "--m", "3",
+      "--driver-scale", "0.5"], "--driver-scale"),
+    (["stats-fit", "--lam", "5"], "--lam"),
+    (["stats-fit", "--v-typ", "2"], "--v-typ"),
+    (["downfold", "--phase-mode", "numeric_extraction", "--seed", "3"],
+     "--seed"),
 ], ids=["steps-ladder", "steps-dt", "start-time", "rtol", "doublings0",
-        "glass-m", "band-dimers"])
+        "glass-m", "band-dimers", "glass-w", "glass-b-perp", "glass-eps-law",
+        "band-driver-scale", "stats-fit-lam", "stats-fit-v-typ",
+        "numeric-downfold-seed"])
 def test_flags_a_run_would_ignore_are_usage_errors(tmp_path, ib_instance,
                                                    capsys, argv, flag):
-    if argv[0] != "gen-instance":
+    if argv[0] == "stats-fit":
+        sites = tmp_path / "sites.csv"
+        write_csv(sites, {"sigma_doubleprime_energy": [1.0, 2.0, 3.0, 4.0]})
+        argv = [*argv, "--input", str(sites)]
+        tmp_path = tmp_path / "out"
+        tmp_path.mkdir()
+    elif argv[0] != "gen-instance":
         argv = [argv[0], "--instance", str(ib_instance), *argv[1:]]
     rc = main(["--out-dir", str(tmp_path), *argv])
     assert rc == 2
@@ -521,6 +540,18 @@ def test_gen_instance_impurity_band_requires_m(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "--m" in err[0]
 
 
+def test_other_kind_flags_at_their_defaults_are_accepted(tmp_path):
+    # the manifest records every flag at its default, so a flag of the
+    # other kind that keeps its default changes nothing
+    plain, explicit = tmp_path / "plain", tmp_path / "explicit"
+    argv = ["gen-instance", "--kind", "spin-glass", "--n", "6", "--seed", "2"]
+    assert main(["--out-dir", str(plain), *argv]) == 0
+    assert main(["--out-dir", str(explicit), *argv, "--w", "0.5", "--b-perp",
+                 "2", "--eps-law", "uniform"]) == 0
+    a, b = ((d / "instance.json").read_bytes() for d in (plain, explicit))
+    assert a == b
+
+
 def test_gen_instance_no_dimers(tmp_path):
     rc = main(["--out-dir", str(tmp_path), "gen-instance", "--kind",
                "spin-glass", "--n", "8", "--dimer-count", "0", "--seed", "2"])
@@ -682,6 +713,24 @@ def test_downfold_bad_input_is_usage_error(tmp_path, capsys, b_perp, flags,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("mode", ["random_sign", "numeric_extraction"])
+def test_downfold_outside_the_theta_range_warns_in_one_line(tmp_path, capsys,
+                                                            mode):
+    # V_typ reads the theta series in every phase mode, so at B_perp = 1 each
+    # mode prints one warning line naming the field, and no Python warning
+    inp, out = tmp_path / "in", tmp_path / "out"
+    assert main(["--out-dir", str(inp), "gen-instance", "--kind", "impurity-band",
+                 "--n", "6", "--m", "3", "--b-perp", "1", "--seed", "1"]) == 0
+    capsys.readouterr()
+    rc = main(["--out-dir", str(out), "downfold", "--instance",
+               str(inp / "instance.json"), "--phase-mode", mode])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: B_perp = 1:"), err
+    assert "theta" in err[0] and "Warning" not in err[0]
+    assert (out / "downfolded.bin").exists()
+
+
 def test_pblm_ensemble_outputs(tmp_path):
     rc = main(["--out-dir", str(tmp_path), "pblm-ensemble", "--m", "64",
                "--gamma", "1.5", "--realizations", "2", "--seed", "11"])
@@ -814,7 +863,7 @@ def test_grover_sweep_rows(tmp_path):
 
 def test_grover_sweep_warns_once_per_eps0(tmp_path, capsys):
     # eps0 = 1.5 alone is out of the eps0 >= 5 W regime: one warning line,
-    # without the source location of the library's warnings
+    # read from the report's in_regime, with no source location
     rc = main(["--out-dir", str(tmp_path), "grover-sweep", "--n", "14",
                "--m", "64", "--w", "0.6", "--eps0", "6", "3", "1.5"])
     assert rc == 0
@@ -1100,6 +1149,28 @@ def test_no_new_library_name_is_reached_from_tests_only():
     unread = {q for q in defined if q.split(".", 1)[1] not in read}
     assert len(defined) > 100  # the scan found the package
     assert unread <= TEST_ONLY_NAMES, sorted(unread - TEST_ONLY_NAMES)
+
+
+def test_library_modules_do_not_warn():
+    # the library returns out-of-range notices as data and cli prints them
+    # as one warning: line, so no package module imports or calls warnings
+    import ast
+
+    found = []
+    for path in sorted(Path(_SRC, "pt_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                hit = any(a.name.split(".")[0] == "warnings" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").split(".")[0] == "warnings"
+            elif isinstance(node, ast.Attribute):
+                hit = (node.attr == "warn" and isinstance(node.value, ast.Name)
+                       and node.value.id == "warnings")
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_benchmark_checks_pass():
