@@ -1,10 +1,11 @@
 """Command-line front end: experiment orchestration and file emission.
 
-Every subcommand writes its outputs plus a manifest.json into the run
-directory (--out-dir, else $PT_LAB_OUT, else ./pt_lab_out). main alone maps
-an exception to an exit code: 0 success; 2 for a ValueError, any invalid or
-out-of-range input, which the handlers and the library raise alike; 1 for an
-OSError or TypeError, outputs that could not be written or an internal error.
+Each subcommand's handler computes and returns its outputs; _run alone
+writes them and a manifest.json into the run directory (--out-dir, else
+$PT_LAB_OUT, else ./pt_lab_out). main alone maps an exception to an exit
+code: 0 success; 2 for a ValueError, any invalid or out-of-range input,
+which any layer may raise and which leaves nothing on disk; 1 for an
+OSError or TypeError, outputs not written or an internal error.
 
 The package modules are lazy handles, each run on its first attribute
 access, so a process runs only the modules its subcommand reaches and its
@@ -22,6 +23,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 # One OpenBLAS thread per CLI process unless the user sets the variable.
 # The CLI's work is many small products and eigh calls (M <= 1024). On a
@@ -152,7 +154,18 @@ def _print_rung(total_time, weight, change):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (args is the parsed-namespace dict minus globals)
+# subcommand handlers: each takes the parsed-namespace dict minus globals and
+# the run directory, which only names paths in a stdout line, and writes nothing
+
+
+class _Columns(dict):
+    """A CSV table, named columns of equal length (io_utils.write_csv)."""
+
+
+class _Outputs(NamedTuple):
+    files: dict  # name -> _Columns, a JSON document or a DownfoldedMatrix
+    line: str | None = None  # stdout summary, printed once the files exist
+    seeds: tuple = ()  # seeds drawn besides --seed; the manifest hash covers them
 
 
 # flags that some runs ignore, with the defaults that the parser gives them:
@@ -164,7 +177,7 @@ _KIND_DEFAULTS = {
 _LAW_DEFAULTS = {"lam": 1.0, "v_typ": 1.0}
 
 
-def _cmd_gen_instance(args, out_dir, manifest):
+def _cmd_gen_instance(args, out_dir):
     for kind, defaults in _KIND_DEFAULTS.items():
         ignored = _given(args, **defaults)
         if kind != args["kind"] and ignored:
@@ -179,21 +192,19 @@ def _cmd_gen_instance(args, out_dir, manifest):
         inst = instances.gen_impurity_band(
             args["n"], args["m"], args["w"], eps_law=args["eps_law"],
             seed=args["seed"], B_perp=args["b_perp"])
-    path = out_dir / args["out"]
-    io_utils.write_json(path, instances.instance_to_dict(inst), manifest)
-    print(f"wrote {path}")
+    return _Outputs({args["out"]: instances.instance_to_dict(inst)},
+                    f"wrote {out_dir / args['out']}")
 
 
-def _cmd_spectrum(args, out_dir, manifest):
+def _cmd_spectrum(args, out_dir):
     inst = _load_checked(args["instance"])
     summary = instances.spectrum_summary(inst, bins=_count_arg(args, "bins"))
-    io_utils.write_csv(out_dir / "spectrum.csv",
-                       {"bin_lo_energy": summary.bin_edges[:-1],
-                        "bin_hi_energy": summary.bin_edges[1:],
-                        "count_states": summary.counts}, manifest)
-    io_utils.write_json(out_dir / "spectrum.json",
-                        {"e_min": summary.e_min, "e_max": summary.e_max,
-                         "mean": summary.mean, "std": summary.std}, manifest)
+    return _Outputs({
+        "spectrum.csv": _Columns(bin_lo_energy=summary.bin_edges[:-1],
+                                 bin_hi_energy=summary.bin_edges[1:],
+                                 count_states=summary.counts),
+        "spectrum.json": {"e_min": summary.e_min, "e_max": summary.e_max,
+                          "mean": summary.mean, "std": summary.std}})
 
 
 def _top_k_rows(inst, z0, probs, k):
@@ -207,12 +218,12 @@ def _top_k_rows(inst, z0, probs, k):
     kth = np.partition(key, len(key) - k)[len(key) - k]
     cand = np.flatnonzero(key >= kth)
     z = cand[np.lexsort((cand, -key[cand]))][:k]
-    return {"z": z, "probability": probs[z],
-            "classical_energy": instances.label_energies(inst, z),
-            "hamming_from_z0": bits.hamming_array(z, z0)}
+    return _Columns(z=z, probability=probs[z],
+                    classical_energy=instances.label_energies(inst, z),
+                    hamming_from_z0=bits.hamming_array(z, z0))
 
 
-def _cmd_evolve(args, out_dir, manifest):
+def _cmd_evolve(args, out_dir):
     inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
     z0 = _choose_start(inst, args["z0"])
     if args["time"] is None:
@@ -221,48 +232,46 @@ def _cmd_evolve(args, out_dir, manifest):
     top_k = _count_arg(args, "top_k")
     psi = statevector.evolve_trotter(inst, [1.0], [z0], config)
     probs = np.abs(psi) ** 2
-    io_utils.write_csv(out_dir / "evolve_state.csv",
-                       _top_k_rows(inst, z0, probs, top_k), manifest)
-    io_utils.write_json(out_dir / "evolve.json",
-                        {"z0": z0, "time": args["time"],
-                         "steps": config.resolve_steps(args["time"]),
-                         "norm": float(np.sqrt(probs.sum())),
-                         "survival": float(probs[z0])}, manifest)
+    return _Outputs({
+        "evolve_state.csv": _top_k_rows(inst, z0, probs, top_k),
+        "evolve.json": {"z0": z0, "time": args["time"],
+                        "steps": config.resolve_steps(args["time"]),
+                        "norm": float(np.sqrt(probs.sum())),
+                        "survival": float(probs[z0])}})
 
 
-def _transfer(args, out_dir, manifest):
-    """pt-run's and pipeline's transfer run, pt_* files written: (inst, result)."""
+def _transfer(args):
+    """pt-run's and pipeline's transfer run: (inst, result, its pt_* files)."""
     inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
     z0 = _choose_start(inst, args["z0"])
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
     result = statevector.run_pt_protocol(inst, z0, config, on_rung=_print_rung)
-    rows = _top_k_rows(inst, result.z0, result.probabilities, top_k)
-    io_utils.write_csv(out_dir / "pt_output.csv", rows, manifest)
-    io_utils.write_csv(out_dir / "pt_survival.csv",
-                       {"time": result.times, "survival_probability": result.survival},
-                       manifest)
-    io_utils.write_csv(out_dir / "pt_energy_hist.csv",
-                       {"bin_lo_energy": result.energy_edges[:-1],
-                        "bin_hi_energy": result.energy_edges[1:],
-                        "probability": result.energy_hist}, manifest)
-    io_utils.write_csv(out_dir / "pt_hamming_hist.csv",
-                       {"hamming_distance": np.arange(len(result.hamming_hist)),
-                        "probability": result.hamming_hist}, manifest)
-    return inst, result
+    files = {
+        "pt_output.csv": _top_k_rows(inst, result.z0, result.probabilities, top_k),
+        "pt_survival.csv": _Columns(time=result.times,
+                                    survival_probability=result.survival),
+        "pt_energy_hist.csv": _Columns(bin_lo_energy=result.energy_edges[:-1],
+                                       bin_hi_energy=result.energy_edges[1:],
+                                       probability=result.energy_hist),
+        "pt_hamming_hist.csv": _Columns(
+            hamming_distance=np.arange(len(result.hamming_hist)),
+            probability=result.hamming_hist)}
+    return inst, result, files
 
 
-def _cmd_pt_run(args, out_dir, manifest):
-    _, result = _transfer(args, out_dir, manifest)
-    io_utils.write_json(out_dir / "pt_result.json",
-                        {"z0": result.z0, "total_time": result.total_time,
-                         "saturated": result.saturated,
-                         "transferred_weight": result.transferred_weight,
-                         "ladder_times": result.ladder_times,
-                         "ladder_weights": result.ladder_weights}, manifest)
+def _cmd_pt_run(args, out_dir):
+    _, result, files = _transfer(args)
+    files["pt_result.json"] = {
+        "z0": result.z0, "total_time": result.total_time,
+        "saturated": result.saturated,
+        "transferred_weight": result.transferred_weight,
+        "ladder_times": result.ladder_times,
+        "ladder_weights": result.ladder_weights}
+    return _Outputs(files)
 
 
-def _cmd_downfold(args, out_dir, manifest):
+def _cmd_downfold(args, out_dir):
     if args["phase_mode"] == "numeric_extraction" and _given(args, seed=0):
         raise ValueError("--seed draws the phases, which numeric_extraction does not")
     inst = _load_checked(args["instance"])
@@ -277,7 +286,7 @@ def _cmd_downfold(args, out_dir, manifest):
         print(f"warning: B_perp = {inst.B_perp:g}: the theta series behind V(d) "
               f"and V_typ assumes B_perp > {downfold.THETA_MIN_B_PERP:g}",
               file=sys.stderr)
-    io_utils.save_downfolded(mat, out_dir / "downfolded", manifest)
+    return _Outputs({"downfolded": mat})
 
 
 def _one_pblm_realization(config, seed, eta, fit_gammas):
@@ -293,7 +302,7 @@ def _pblm_config(args) -> pblm.PBLMConfig:
                            V_typ_unit=args["v_typ"])
 
 
-def _cmd_pblm_ensemble(args, out_dir, manifest):
+def _cmd_pblm_ensemble(args, out_dir):
     config = _pblm_config(args)
     R = _count_arg(args, "realizations")
     eta = args["eta"]
@@ -301,12 +310,10 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
         raise ValueError(f"--eta must be positive, got {eta}")
     fit_gammas = args["fit_gammas"]
     seeds = [args["seed"] + r for r in range(R)]
-    manifest.seeds.extend(seeds)
     sigma, omegas, gammas = zip(*(_one_pblm_realization(config, s, eta, fit_gammas)
                                   for s in seeds))
     sigma, omegas = np.concatenate(sigma), np.concatenate(omegas)
     gammas = np.concatenate(gammas) if fit_gammas else [None] * len(sigma)
-    # both fits run before the first write, so a failed fit writes no file
     sigma2 = sigma.imag
     fit = pblm.fit_stable_quantiles(sigma2[sigma2 > 0])
     pred = pblm.predicted_gamma_law(config)
@@ -328,15 +335,14 @@ def _cmd_pblm_ensemble(args, out_dir, manifest):
         report["censored_fraction"] = censored.mean()
     seed_col = np.repeat(seeds, config.M)
     index_col = np.tile(np.arange(config.M), R)
-    io_utils.write_csv(out_dir / "pblm_sites.csv",
-                       {"realization_seed": seed_col, "site": index_col,
-                        "sigma_prime_energy": sigma.real,
-                        "sigma_doubleprime_energy": sigma.imag, "gamma_rate": gammas},
-                       manifest)
-    io_utils.write_csv(out_dir / "pblm_states.csv",
-                       {"realization_seed": seed_col, "state": index_col,
-                        "participation_ratio": omegas}, manifest)
-    io_utils.write_json(out_dir / "pblm_fit.json", report, manifest)
+    return _Outputs({
+        "pblm_sites.csv": _Columns(realization_seed=seed_col, site=index_col,
+                                   sigma_prime_energy=sigma.real,
+                                   sigma_doubleprime_energy=sigma.imag,
+                                   gamma_rate=gammas),
+        "pblm_states.csv": _Columns(realization_seed=seed_col, state=index_col,
+                                    participation_ratio=omegas),
+        "pblm_fit.json": report}, seeds=seeds)
 
 
 # times per driver-error period in _simulated_peak's scan
@@ -353,7 +359,7 @@ def _simulated_peak(setup):
     return float(times[k]), float(pop[k])
 
 
-def _cmd_grover_sweep(args, out_dir, manifest):
+def _cmd_grover_sweep(args, out_dir):
     n, M, W = args["n"], args["m"], args["w"]
     if not (math.isfinite(W) and W > 0):
         raise ValueError(f"--w must be finite and > 0, got {W}")
@@ -366,48 +372,44 @@ def _cmd_grover_sweep(args, out_dir, manifest):
                   f"assumes eps0 >> W; eps0/W = {setup.eps0 / setup.W:.3g}",
                   file=sys.stderr)
     peaks = [_simulated_peak(setup) for setup in setups]
-    io_utils.write_csv(out_dir / "grover_sweep.csv",
-                       {"n": [n] * len(setups), "M": [M] * len(setups),
-                        "W_energy": [W] * len(setups),
-                        "eps0_energy": [setup.eps0 for setup in setups],
-                        "t_pt_predicted": [rep.t_pt for rep in reports],
-                        "t_pt_simulated": [t / p if p > 0 else math.inf for t, p in peaks],
-                        "t_grover": [rep.t_grover for rep in reports],
-                        "p0_peak": [rep.p0 for rep in reports],
-                        "t0_peak": [rep.t0 for rep in reports]}, manifest)
+    return _Outputs({"grover_sweep.csv": _Columns(
+        n=[n] * len(setups), M=[M] * len(setups), W_energy=[W] * len(setups),
+        eps0_energy=[setup.eps0 for setup in setups],
+        t_pt_predicted=[rep.t_pt for rep in reports],
+        t_pt_simulated=[t / p if p > 0 else math.inf for t, p in peaks],
+        t_grover=[rep.t_grover for rep in reports],
+        p0_peak=[rep.p0 for rep in reports],
+        t0_peak=[rep.t0 for rep in reports])})
 
 
-def _cmd_sd(args, out_dir, manifest):
+def _cmd_sd(args, out_dir):
     inst = _load_checked(args["instance"])
     z0 = _choose_start(inst, args["z0"])
     rec = optimize.steepest_descent(inst, z0)
-    io_utils.write_json(out_dir / "sd.json",
-                        {"z_start": z0, "z_min": rec.z, "energy": rec.energy,
-                         "steps": rec.steps, "ties": rec.ties}, manifest)
-    print(f"start {z0} -> minimum {rec.z} energy {rec.energy:.6f} "
-          f"steps {rec.steps}{' (ties)' if rec.ties else ''}")
+    return _Outputs(
+        {"sd.json": {"z_start": z0, "z_min": rec.z, "energy": rec.energy,
+                     "steps": rec.steps, "ties": rec.ties}},
+        f"start {z0} -> minimum {rec.z} energy {rec.energy:.6f} "
+        f"steps {rec.steps}{' (ties)' if rec.ties else ''}")
 
 
 def _bitstring(z, n):
     return format(z, f"0{n}b")
 
 
-def _cmd_minima(args, out_dir, manifest):
+def _cmd_minima(args, out_dir):
     inst = _load_checked(args["instance"])
     records = sorted(optimize.enumerate_local_minima(inst), key=lambda r: (r.energy, r.z))
-    io_utils.write_csv(out_dir / "minima.csv",
-                       {"z": [r.z for r in records],
-                        "bitstring": [_bitstring(r.z, inst.n) for r in records],
-                        "energy": [r.energy for r in records],
-                        "basin_probability_uniform": [r.basin_probability
-                                                      for r in records]},
-                       manifest)
-    print(f"{len(records)} local minima; "
-          f"global minimum energy {records[0].energy:.6f}")
+    columns = _Columns(z=[r.z for r in records],
+                       bitstring=[_bitstring(r.z, inst.n) for r in records],
+                       energy=[r.energy for r in records],
+                       basin_probability_uniform=[r.basin_probability for r in records])
+    return _Outputs({"minima.csv": columns}, f"{len(records)} local minima; "
+                    f"global minimum energy {records[0].energy:.6f}")
 
 
-def _cmd_pipeline(args, out_dir, manifest):
-    inst, result = _transfer(args, out_dir, manifest)
+def _cmd_pipeline(args, out_dir):
+    inst, result, files = _transfer(args)
 
     E = instances.all_classical_energies(inst)
     N = 1 << inst.n
@@ -419,10 +421,10 @@ def _cmd_pipeline(args, out_dir, manifest):
     dos_w, _ = np.histogram(E, bins=edges)
     sd_w, _ = np.histogram(en, bins=edges, weights=m_u)
     sdpt_w, _ = np.histogram(en, bins=edges, weights=m_pt)
-    io_utils.write_csv(out_dir / "fig_energy_panels.csv",
-                       {"bin_lo_energy": edges[:-1], "bin_hi_energy": edges[1:],
-                        "dos_weight": dos_w / N, "sd_weight": sd_w,
-                        "pt_weight": result.energy_hist, "sd_pt_weight": sdpt_w}, manifest)
+    files["fig_energy_panels.csv"] = _Columns(
+        bin_lo_energy=edges[:-1], bin_hi_energy=edges[1:],
+        dos_weight=dos_w / N, sd_weight=sd_w,
+        pt_weight=result.energy_hist, sd_pt_weight=sdpt_w)
 
     # 1-sigma window around the weighted mean output energy
     lo_e, hi_e = optimize.pt_energy_window(probs, E)
@@ -433,21 +435,20 @@ def _cmd_pipeline(args, out_dir, manifest):
     uni_win = np.bincount(d_sel, minlength=inst.n + 1).astype(float)
     uni_win /= max(uni_win.sum(), 1.0)
     distances = np.arange(inst.n + 1)
-    io_utils.write_csv(out_dir / "fig_hamming_from_start.csv",
-                       {"hamming_distance": distances, "pt_window_weight": pt_win,
-                        "uniform_window_weight": uni_win}, manifest)
+    files["fig_hamming_from_start.csv"] = _Columns(
+        hamming_distance=distances, pt_window_weight=pt_win,
+        uniform_window_weight=uni_win)
 
     # pairwise Hamming structure inside the window
     pair_hist = optimize.pair_hamming_histogram(sel, probs[sel], inst.n)
-    io_utils.write_csv(out_dir / "fig_pair_hamming.csv",
-                       {"hamming_distance": distances,
-                        "joint_probability_weight": pair_hist}, manifest)
+    files["fig_pair_hamming.csv"] = _Columns(hamming_distance=distances,
+                                             joint_probability_weight=pair_hist)
 
     # enrichment of every local minimum
-    io_utils.write_csv(out_dir / "fig_enrichment.csv",
-                       {"z": lab, "bitstring": [_bitstring(int(z), inst.n) for z in lab],
-                        "energy": en, "basin_mass_uniform": m_u, "basin_mass_pt": m_pt,
-                        "enrichment_ratio": ratio}, manifest)
+    files["fig_enrichment.csv"] = _Columns(
+        z=lab, bitstring=[_bitstring(int(z), inst.n) for z in lab],
+        energy=en, basin_mass_uniform=m_u, basin_mass_pt=m_pt,
+        enrichment_ratio=ratio)
 
     window_weight = float(probs[window].sum())
     dos_fraction = float(window.sum()) / N
@@ -467,14 +468,14 @@ def _cmd_pipeline(args, out_dir, manifest):
         "enriched_minima": int(np.sum(ratio[finite] > 1.0)),
         "global_min_ratio": "" if math.isnan(global_ratio) else repr(global_ratio),
     }
-    io_utils.write_json(out_dir / "pipeline_summary.json", summary, manifest)
-    print(f"pipeline: window ratio {summary['window_ratio']:.2f}, "
-          f"median Hamming {summary['median_hamming_pt']:.0f}, "
-          f"alternation {summary['alternation_contrast']:+.4f}, "
-          f"{summary['enriched_minima']} enriched minima")
+    files["pipeline_summary.json"] = summary
+    return _Outputs(files, f"pipeline: window ratio {summary['window_ratio']:.2f}, "
+                    f"median Hamming {summary['median_hamming_pt']:.0f}, "
+                    f"alternation {summary['alternation_contrast']:+.4f}, "
+                    f"{summary['enriched_minima']} enriched minima")
 
 
-def _cmd_stats_fit(args, out_dir, manifest):
+def _cmd_stats_fit(args, out_dir):
     beta = args["beta"]
     if not -1.0 <= beta <= 1.0:
         raise ValueError(f"--beta must lie in [-1, 1], got {beta}")
@@ -512,23 +513,16 @@ def _cmd_stats_fit(args, out_dir, manifest):
                             "sigma_star": pred.sigma_star, "omega": pred.omega}
         doc["ratios"] = {"shift_over_predicted": fit.shift / pred.sigma_typ,
                          "scale_over_predicted": fit.C / pred.scale}
-    io_utils.write_json(out_dir / "stats_fit.json", doc, manifest)
-    print(f"fit: shift {fit.shift:.6g}, scale {fit.C:.6g} ({len(samples)} samples)")
+    return _Outputs({"stats_fit.json": doc}, f"fit: shift {fit.shift:.6g}, "
+                    f"scale {fit.C:.6g} ({len(samples)} samples)")
 
 
 _HANDLERS = {
-    "gen-instance": _cmd_gen_instance,
-    "spectrum": _cmd_spectrum,
-    "evolve": _cmd_evolve,
-    "pt-run": _cmd_pt_run,
-    "downfold": _cmd_downfold,
-    "pblm-ensemble": _cmd_pblm_ensemble,
-    "grover-sweep": _cmd_grover_sweep,
-    "sd": _cmd_sd,
-    "minima": _cmd_minima,
-    "pipeline": _cmd_pipeline,
-    "stats-fit": _cmd_stats_fit,
-}
+    "gen-instance": _cmd_gen_instance, "spectrum": _cmd_spectrum,
+    "evolve": _cmd_evolve, "pt-run": _cmd_pt_run, "downfold": _cmd_downfold,
+    "pblm-ensemble": _cmd_pblm_ensemble, "grover-sweep": _cmd_grover_sweep,
+    "sd": _cmd_sd, "minima": _cmd_minima, "pipeline": _cmd_pipeline,
+    "stats-fit": _cmd_stats_fit}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,13 +621,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(subcommand: str, args: dict, out_dir: Path,
          defaults: dict | None = None) -> io_utils.RunManifest:
-    """Run subcommand on args, read over defaults; the manifest records
-    args alone."""
-    manifest = io_utils.RunManifest(subcommand=subcommand, args=args)
-    if args.get("seed") is not None:
-        manifest.seeds.append(args["seed"])
-    _HANDLERS[subcommand]({**(defaults or {}), **args}, out_dir, manifest)
+    """Run subcommand on args, read over defaults; only once it has returned,
+    create out_dir and write its outputs and a manifest of args alone."""
+    run = _HANDLERS[subcommand]({**(defaults or {}), **args}, out_dir)
+    seeds = [] if args.get("seed") is None else [args["seed"]]
+    manifest = io_utils.RunManifest(subcommand, args, [*seeds, *run.seeds])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, output in run.files.items():
+        if isinstance(output, _Columns):
+            io_utils.write_csv(out_dir / name, output, manifest)
+        elif isinstance(output, dict):
+            io_utils.write_json(out_dir / name, output, manifest)
+        else:
+            io_utils.save_downfolded(output, out_dir / name, manifest)
     manifest.write(out_dir)
+    if run.line is not None:
+        print(run.line)
     return manifest
 
 

@@ -32,6 +32,8 @@ _GRAM_RTOL = 1e-10
 # applies above this field; below it theta still returns the truncated sum
 THETA_MIN_B_PERP = 1.0
 
+_PAIR_ATOL = 1e-9  # extract_numeric_elements' degeneracy tolerance on eps_1 - eps_2
+
 
 @dataclass(frozen=True)
 class TunnelingParams:
@@ -282,16 +284,15 @@ def sample_w(n: int, count: int, seed: int = 0) -> np.ndarray:
     return np.exp(log_c[_reference_distance(n)] - log_c[d])
 
 
-def extract_numeric_elements(inst: ImpurityBandInstance,
-                             atol: float = 1e-9) -> float:
+def extract_numeric_elements(inst: ImpurityBandInstance) -> float:
     """|V| between two degenerate marked states: the off-diagonal entry of
     the pair's band projection (_numeric_downfold), whose two eigenvalues
-    split by 2|V|. Requires M = 2 and eps_1 = eps_2 within atol; a pair
+    split by 2|V|. Requires M = 2 and eps_1 = eps_2 within _PAIR_ATOL; a pair
     whose projection is ill-conditioned is a ValueError.
     """
     if inst.M != 2:
         raise ValueError("needs exactly two marked states")
-    if abs(inst.eps[0] - inst.eps[1]) > atol:
+    if abs(inst.eps[0] - inst.eps[1]) > _PAIR_ATOL:
         raise ValueError("marked energies must be degenerate for a resonant pair")
     return float(abs(_numeric_downfold(inst)[0, 1]))
 

@@ -26,15 +26,10 @@ DEFAULT_OUT_DIR = "pt_lab_out"
 
 
 def resolve_out_dir(flag_value: str | None) -> Path:
-    """Explicit --out-dir wins, then the PT_LAB_OUT variable, then ./pt_lab_out."""
-    if flag_value:
-        base = Path(flag_value)
-    elif os.environ.get(ENV_OUT_DIR):
-        base = Path(os.environ[ENV_OUT_DIR])
-    else:
-        base = Path(DEFAULT_OUT_DIR)
-    base.mkdir(parents=True, exist_ok=True)
-    return base
+    """The run directory: explicit --out-dir wins, then the PT_LAB_OUT
+    variable, then ./pt_lab_out. Only resolved; the run creates it when it
+    writes its outputs."""
+    return Path(flag_value or os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR)
 
 
 def _canonical_json(doc) -> bytes:
@@ -56,7 +51,8 @@ def _json_default(obj):
 
 def sha256_file(path) -> str:
     # hashlib maps OpenSSL's libcrypto (about 3.6 MB resident), so it is
-    # imported at the first hash, after a run has released its state arrays
+    # imported at the first hash, after the run's handler has returned and
+    # released its state arrays
     import hashlib
 
     h = hashlib.sha256()

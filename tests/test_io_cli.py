@@ -110,7 +110,8 @@ def test_resolve_out_dir_precedence(tmp_path, monkeypatch):
     assert resolve_out_dir(None) == tmp_path / "from_env"
     monkeypatch.delenv("PT_LAB_OUT")
     assert resolve_out_dir(None).name == "pt_lab_out"
-    assert (tmp_path / "flag").is_dir() and (tmp_path / "from_env").is_dir()
+    # it only resolves: the run creates its directory when it writes
+    assert not any(tmp_path.iterdir())
 
 
 def test_manifest_hash_covers_args_not_outputs(tmp_path):
@@ -227,7 +228,7 @@ def test_time_past_the_phase_limit(tmp_path, gen):
     err = out.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "out of range" in err[0]
-    assert not run.exists() or not any(run.iterdir())
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("cmd, flag, value", [
@@ -285,11 +286,12 @@ def test_generator_arguments_out_of_range(tmp_path, capsys, argv, word):
 ])
 def test_bad_z0_is_usage_error(tmp_path, ib_instance, capsys, cmd, z0):
     extra = ["--time", "1"] if cmd == "evolve" else []
-    rc = main(["--out-dir", str(tmp_path), cmd, "--instance", str(ib_instance),
-               *extra, "--z0", z0])
+    rc = main(["--out-dir", str(tmp_path / "x3" / "deep" / "er"), cmd,
+               "--instance", str(ib_instance), *extra, "--z0", z0])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --z0")
+    assert not (tmp_path / "x3").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -322,15 +324,13 @@ def test_flags_a_run_would_ignore_are_usage_errors(tmp_path, ib_instance,
         sites = tmp_path / "sites.csv"
         write_csv(sites, {"sigma_doubleprime_energy": [1.0, 2.0, 3.0, 4.0]})
         argv = [*argv, "--input", str(sites)]
-        tmp_path = tmp_path / "out"
-        tmp_path.mkdir()
     elif argv[0] != "gen-instance":
         argv = [argv[0], "--instance", str(ib_instance), *argv[1:]]
-    rc = main(["--out-dir", str(tmp_path), *argv])
+    rc = main(["--out-dir", str(tmp_path / "out" / "run"), *argv])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
-    assert not any(tmp_path.iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, word", [
@@ -411,7 +411,7 @@ def test_malformed_instance_file_is_usage_error(tmp_path, capsys, doc, word):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
     assert word in err[0]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, word", [
@@ -427,7 +427,7 @@ def test_malformed_instance_file_is_usage_error(tmp_path, capsys, doc, word):
         "J-flat", "marked-int"])
 def test_input_the_library_refuses_exits_2(tmp_path, capsys, argv, word):
     # main maps every ValueError to exit 2, whichever layer raised it, and
-    # a run that fails writes nothing
+    # a run that fails creates nothing, not even its directory
     inputs = tmp_path / "in"
     inputs.mkdir()
     (inputs / "glass25.json").write_text(
@@ -438,11 +438,11 @@ def test_input_the_library_refuses_exits_2(tmp_path, capsys, argv, word):
     write_csv(inputs / "two.csv", {"x": [1.0, 2.0]})
     argv = [str(inputs / a) if a.endswith((".json", ".csv")) else a for a in argv]
     out = tmp_path / "out"
-    rc = main(["--out-dir", str(out), *argv])
+    rc = main(["--out-dir", str(out / "deep" / "run"), *argv])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_outputs_that_cannot_be_written_exit_1(tmp_path, capsys):
@@ -710,7 +710,7 @@ def test_downfold_bad_input_is_usage_error(tmp_path, capsys, b_perp, flags,
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["random_sign", "numeric_extraction"])
@@ -809,7 +809,7 @@ def test_stats_fit_rejects_unreadable_input(tmp_path, capsys, case):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_stats_fit_rejects_beta_outside_unit_interval(tmp_path, capsys):
@@ -1173,6 +1173,29 @@ def test_library_modules_do_not_warn():
     assert found == []
 
 
+def test_only_run_writes_files():
+    # handlers return their outputs and cli._run alone writes them, after
+    # the handler has returned, so a run that a handler refuses leaves
+    # nothing on disk. No handler may call a writer of io_utils
+    import ast
+
+    writers = {"write_csv", "write_json", "save_downfolded", "write"}
+    tree = ast.parse(Path(_SRC, "pt_lab", "cli.py").read_text())
+    handlers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and (fn.name.startswith("_cmd_") or fn.name == "_transfer")]
+    found = []
+    for fn in handlers:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    func.id if isinstance(func, ast.Name) else None)
+                if name in writers:
+                    found.append(f"{fn.name}:{node.lineno} {name}")
+    assert len(handlers) == 12  # the scan found the 11 handlers and _transfer
+    assert found == []
+
+
 def test_benchmark_checks_pass():
     # the benchmark's own output checks, one operation per workload: the
     # seed-3 glass pipeline summary, the band's downfolded eigenvalues and
@@ -1224,6 +1247,24 @@ def test_pipeline_applies_the_b_perp_override(tmp_path, ib_instance):
         # the first line stamps the manifest hash, which records the subcommand
         assert ((run / name).read_text().splitlines()[1:]
                 == (base / name).read_text().splitlines()[1:]), name
+
+
+def test_pipeline_refused_in_its_analysis_writes_no_table(
+        tmp_path, glass_instance, capsys, monkeypatch):
+    # the transfer's pt_* tables are written with the analysis's, once the
+    # whole run has been computed
+    import pt_lab.optimize as optimize
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(optimize, "enrichment_ratio", refuse)
+    out = tmp_path / "run"
+    rc = main(["--out-dir", str(out), "pipeline", "--instance",
+               str(glass_instance), "--time", "1", "--steps", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == ["error: refused"]
+    assert not list(tmp_path.rglob("pt_*")) and not out.exists()
 
 
 def test_pipeline_b_perp_on_a_glass_is_usage_error(tmp_path, glass_instance,
@@ -1424,6 +1465,22 @@ def test_replay_rejects_a_recorded_null(tmp_path, capsys):
     assert not redo.exists()
 
 
+def test_replay_of_a_run_the_handler_refuses_creates_nothing(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["--out-dir", str(run), "gen-instance", "--kind",
+                 "spin-glass", "--n", "6"]) == 0
+    doc = json.loads((run / "manifest.json").read_text())
+    doc["args"]["n"] = 40
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["--out-dir", str(tmp_path / "redo" / "deep"), "--replay", str(old)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "qubit count" in err[0]
+    assert not (tmp_path / "redo").exists()
+
+
 def test_replay_malformed_manifest(tmp_path, capsys):
     bad = tmp_path / "m.json"
     bad.write_text("{broken")
@@ -1443,7 +1500,7 @@ def test_directory_input_is_usage_error(tmp_path, capsys, argv):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_replay_missing_input_is_usage_error(tmp_path, ib_instance, capsys):
