@@ -113,17 +113,21 @@ def _override_b_perp(inst, b_perp):
 def _choose_start(inst, z0_arg):
     """'auto' picks the lowest-energy marked state (impurity band) or the
     second-lowest local minimum (glass), a low but non-global start; ties
-    in energy go to the lower label."""
+    in energy go to the lower label. On a glass 'auto' builds the basin map,
+    so callers check their flags first."""
     if z0_arg != "auto":
         try:
             return bits.check_bitstring(int(z0_arg, 0), inst.n)
         except ValueError as e:
             raise ValueError(f"--z0: {e}") from e
     if isinstance(inst, instances.ImpurityBandInstance):
-        return inst.marked[int(np.argmin(inst.eps))]
-    labels, energies = optimize.local_minima(inst)
+        labels, energies, rank = np.array(inst.marked), inst.eps, 0
+    else:
+        (labels, energies), rank = optimize.local_minima(inst), 1
+    if not len(labels):
+        raise ValueError("--z0 auto needs a marked state; the band has none")
     order = np.lexsort((labels, energies))
-    return int(labels[order[min(1, len(order) - 1)]])
+    return int(labels[order[min(rank, len(order) - 1)]])
 
 
 def _evolution_config(args) -> statevector.EvolutionConfig:
@@ -224,12 +228,12 @@ def _top_k_rows(inst, z0, probs, k):
 
 
 def _cmd_evolve(args, out_dir):
-    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
-    z0 = _choose_start(inst, args["z0"])
     if args["time"] is None:
         raise ValueError("evolve requires --time")
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
+    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
+    z0 = _choose_start(inst, args["z0"])
     psi = statevector.evolve_trotter(inst, [1.0], [z0], config)
     probs = np.abs(psi) ** 2
     return _Outputs({
@@ -242,10 +246,10 @@ def _cmd_evolve(args, out_dir):
 
 def _transfer(args):
     """pt-run's and pipeline's transfer run: (inst, result, its pt_* files)."""
-    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
-    z0 = _choose_start(inst, args["z0"])
     config = _evolution_config(args)
     top_k = _count_arg(args, "top_k")
+    inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
+    z0 = _choose_start(inst, args["z0"])
     result = statevector.run_pt_protocol(inst, z0, config, on_rung=_print_rung)
     files = {
         "pt_output.csv": _top_k_rows(inst, result.z0, result.probabilities, top_k),
@@ -277,10 +281,8 @@ def _cmd_downfold(args, out_dir):
     inst = _load_checked(args["instance"])
     if not isinstance(inst, instances.ImpurityBandInstance):
         raise ValueError("downfold needs an impurity-band instance")
-    params = downfold.TunnelingParams(
-        n=inst.n, B_perp=inst.B_perp, phase_mode=args["phase_mode"],
-        calibration_A=args["calibration_a"])
-    mat = downfold.build_downfolded(inst, params, seed=args["seed"])
+    mat = downfold.build_downfolded(inst, args["phase_mode"], args["calibration_a"],
+                                    seed=args["seed"])
     # downfolded.json's V_typ reads the theta series in every phase mode
     if inst.B_perp <= downfold.THETA_MIN_B_PERP:
         print(f"warning: B_perp = {inst.B_perp:g}: the theta series behind V(d) "

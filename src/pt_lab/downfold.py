@@ -35,31 +35,6 @@ THETA_MIN_B_PERP = 1.0
 _PAIR_ATOL = 1e-9  # extract_numeric_elements' degeneracy tolerance on eps_1 - eps_2
 
 
-@dataclass(frozen=True)
-class TunnelingParams:
-    n: int
-    B_perp: float
-    phase_mode: str = "random_sign"
-    # the prefactor A of V(d); 1 is the unit prefactor
-    calibration_A: float = 1.0
-
-    def __post_init__(self):
-        if self.B_perp <= 0:
-            raise ValueError("B_perp must be positive")
-        if not (math.isfinite(self.calibration_A) and self.calibration_A > 0):
-            raise ValueError("calibration A must be finite and > 0, "
-                             f"got {self.calibration_A}")
-        if self.phase_mode not in ("random_sign", "random_phase", "numeric_extraction"):
-            raise ValueError(
-                "phase_mode must be random_sign, random_phase or numeric_extraction")
-
-    @property
-    def shift(self) -> float:
-        # Second-order common shift of the marked levels; any common value
-        # drops out of the intra-band dynamics.
-        return -self.B_perp ** 2
-
-
 @dataclass
 class DownfoldedMatrix:
     """Real symmetric M x M effective Hamiltonian plus its build metadata."""
@@ -113,7 +88,7 @@ def v_typ(n: int, B_perp: float) -> float:
     """Typical tunneling scale n^2 2^{-n/2} e^{-n/(4B^2)} (unit prefactor).
 
     Uses only the leading theta term, matching the quoted asymptotic
-    form; tunneling_amplitude keeps the full series.
+    form; amplitude_table keeps the full series.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -128,22 +103,19 @@ def _log_binomials(n: int) -> np.ndarray:
                      for d in range(n + 1)])
 
 
-def amplitude_table(params: TunnelingParams) -> np.ndarray:
-    """V(d) = sqrt(A) n^{5/4} e^{-n theta} / sqrt(C(n, d)) for d = 0..n in
-    logs, which avoid overflow (entry 0 unused, set to 0)."""
-    n = params.n
-    th = theta(params.B_perp)
+def amplitude_table(n: int, B_perp: float, calibration_A: float = 1.0) -> np.ndarray:
+    """V(d) = sqrt(A) n^{5/4} e^{-n theta} / sqrt(C(n, d)) for d = 0..n, with
+    A = calibration_A (1 is the unit prefactor), in logs, which avoid
+    overflow (entry 0 unused, set to 0). The one home of V(d): V_typ is its
+    entry at _reference_distance(n)."""
+    th = theta(B_perp)
+    if not (math.isfinite(calibration_A) and calibration_A > 0):
+        raise ValueError("calibration A must be finite and > 0, "
+                         f"got {calibration_A}")
     log_c = _log_binomials(n)
-    tab = np.exp(0.5 * math.log(params.calibration_A) + 1.25 * math.log(n) - n * th - 0.5 * log_c)
+    tab = np.exp(0.5 * math.log(calibration_A) + 1.25 * math.log(n) - n * th - 0.5 * log_c)
     tab[0] = 0.0
     return tab
-
-
-def tunneling_amplitude(d: int, params: TunnelingParams) -> float:
-    """V(d) for one distance 1 <= d <= n, read from amplitude_table."""
-    if not 1 <= d <= params.n:
-        raise ValueError(f"need 1 <= d <= n, got d = {d}")
-    return float(amplitude_table(params)[d])
 
 
 def _reference_distance(n: int) -> int:
@@ -152,33 +124,31 @@ def _reference_distance(n: int) -> int:
     return max(1, n // 2)
 
 
-def reference_amplitude(params: TunnelingParams) -> float:
-    """Amplitude at the reference distance (normalizes w below)."""
-    return tunneling_amplitude(_reference_distance(params.n), params)
+def build_downfolded(inst: ImpurityBandInstance, phase_mode: str = "random_sign",
+                     calibration_A: float = 1.0, seed: int = 0) -> DownfoldedMatrix:
+    """Assemble the M x M effective matrix for a concrete instance, at its
+    own n and B_perp.
 
-
-def build_downfolded(inst: ImpurityBandInstance, params: TunnelingParams,
-                     seed: int = 0) -> DownfoldedMatrix:
-    """Assemble the M x M effective matrix for a concrete instance.
-
-    Off-diagonal magnitudes are V(d_ij); the unknown phase factor is
-    drawn per phase_mode: independent signs (default) or sqrt(2) sin of
-    a uniform phase. numeric_extraction instead projects the exact
-    Hamiltonian onto its M impurity-band eigenstates, taken from
-    marked_eigensystem, and keeps whatever diagonal that projection
-    produces.
+    Off-diagonal magnitudes are V(d_ij) with prefactor calibration_A; the
+    unknown phase factor is drawn per phase_mode: independent signs
+    (default) or sqrt(2) sin of a uniform phase. numeric_extraction
+    instead projects the exact Hamiltonian onto its M impurity-band
+    eigenstates, taken from marked_eigensystem, and keeps whatever
+    diagonal that projection produces.
     """
-    if inst.n != params.n:
-        raise ValueError("instance and params disagree on n")
+    tab = amplitude_table(inst.n, inst.B_perp, calibration_A)
+    if phase_mode not in ("random_sign", "random_phase", "numeric_extraction"):
+        raise ValueError(
+            "phase_mode must be random_sign, random_phase or numeric_extraction")
     M = inst.M
-    if params.phase_mode == "numeric_extraction":
+    if phase_mode == "numeric_extraction":
         mat = _numeric_downfold(inst)
         shift = float(np.mean(np.diag(mat) - inst.eps)) if M else 0.0
     else:
         rng = np.random.default_rng(seed)
-        V = amplitude_table(params)[hamming_table(inst.marked)]
+        V = tab[hamming_table(inst.marked)]
         iu = np.triu_indices(M, 1)
-        if params.phase_mode == "random_sign":
+        if phase_mode == "random_sign":
             phase = rng.choice(np.array([-1.0, 1.0]), size=len(iu[0]))
         else:
             phase = math.sqrt(2.0) * np.sin(rng.uniform(0.0, 2.0 * math.pi,
@@ -186,10 +156,12 @@ def build_downfolded(inst: ImpurityBandInstance, params: TunnelingParams,
         mat = np.zeros((M, M))
         mat[iu] = V[iu] * phase
         mat = mat + mat.T
-        shift = params.shift
+        # second-order common shift of the marked levels; any common value
+        # drops out of the intra-band dynamics
+        shift = -inst.B_perp ** 2
         mat[np.diag_indices(M)] = inst.eps + shift
-    return DownfoldedMatrix(matrix=mat, V_typ=reference_amplitude(params),
-                            W=inst.W, B_perp=params.B_perp, n=inst.n, shift=shift)
+    return DownfoldedMatrix(matrix=mat, V_typ=float(tab[_reference_distance(inst.n)]),
+                            W=inst.W, B_perp=inst.B_perp, n=inst.n, shift=shift)
 
 
 def marked_eigensystem(inst: ImpurityBandInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -305,11 +277,14 @@ def calibrate_prefactor(n: int, B_perp: float, distances, seed: int = 0) -> floa
     numeric |V| extracted, and A_d = (|V| / V_unit(d))^2 computed; the
     geometric mean over distances is returned. A pair whose band
     projection is ill-conditioned is a ValueError, as in
-    extract_numeric_elements.
+    extract_numeric_elements, and so is a distance outside [1, n].
     """
     from .instances import ImpurityBandInstance
 
-    params = TunnelingParams(n=n, B_perp=B_perp)
+    V = amplitude_table(n, B_perp)
+    for d in distances:
+        if not 1 <= d <= n:
+            raise ValueError(f"need 1 <= d <= n, got d = {d}")
     rng = np.random.default_rng(seed)
     logs = []
     for d in distances:
@@ -321,5 +296,5 @@ def calibrate_prefactor(n: int, B_perp: float, distances, seed: int = 0) -> floa
         inst = ImpurityBandInstance(n=n, marked=(z1, z2), eps=np.zeros(2),
                                     W=1.0, B_perp=B_perp)
         v_num = extract_numeric_elements(inst)
-        logs.append(2.0 * (math.log(v_num) - math.log(tunneling_amplitude(d, params))))
+        logs.append(2.0 * (math.log(v_num) - math.log(V[d])))
     return math.exp(float(np.mean(logs)))

@@ -649,7 +649,6 @@ class PTResult:
     transferred_weight is the propagator's weight(z0) after its last call
     (a ladder's ladder_weights[-1]), 0.0 after a zero-time run."""
 
-    n: int
     z0: int
     total_time: float
     probabilities: np.ndarray
@@ -750,7 +749,7 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
     edges = np.histogram_bin_edges(E, bins=64)
     e_hist, _ = np.histogram(E, bins=edges, weights=probs)
     return PTResult(
-        n=n, z0=z0, total_time=float(total_t), probabilities=probs,
+        z0=z0, total_time=float(total_t), probabilities=probs,
         times=np.asarray(times), survival=np.asarray(survival),
         energy_edges=edges, energy_hist=e_hist,
         hamming_hist=hamming_histogram_from(z0, probs, n),

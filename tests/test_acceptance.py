@@ -16,8 +16,8 @@ import numpy as np
 from scipy.stats import kstest
 
 from pt_lab.cli import main
-from pt_lab.downfold import (TunnelingParams, build_downfolded, cdf_w, pdf_w,
-                             sample_w, theta, v_typ)
+from pt_lab.downfold import (build_downfolded, cdf_w, pdf_w, sample_w, theta,
+                             v_typ)
 from pt_lab.grover import (GroverSetup, error_time_report, grover_time,
                            reduced_transfer)
 from pt_lab.instances import gen_impurity_band, gen_spin_glass
@@ -113,9 +113,7 @@ def test_05_downfolded_matrix_reproduces_exact_band():
     marked = np.fromiter(inst.marked, dtype=np.int64)
     weight = (vecs[marked, :] ** 2).sum(axis=0)
     band = np.sort(vals[np.argsort(weight)[-6:]])
-    mat = build_downfolded(
-        inst, TunnelingParams(n=12, B_perp=2.0, phase_mode="numeric_extraction"),
-        seed=0)
+    mat = build_downfolded(inst, "numeric_extraction", seed=0)
     eff = np.sort(np.linalg.eigvalsh(mat.matrix)) + inst.base_energy
     dev = float(np.max(np.abs(band - eff)))
     elapsed = time.monotonic() - t0

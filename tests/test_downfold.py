@@ -8,11 +8,10 @@ from scipy.integrate import quad
 
 from pt_lab.instances import gen_impurity_band, ImpurityBandInstance
 from pt_lab.downfold import (THETA_MIN_B_PERP, DownfoldedMatrix,
-                             TunnelingParams, amplitude_table, build_downfolded,
+                             amplitude_table, build_downfolded,
                              calibrate_prefactor, cdf_w,
                              extract_numeric_elements, marked_eigensystem,
-                             pdf_w, reference_amplitude, sample_w,
-                             tunneling_amplitude, theta, v_typ)
+                             pdf_w, sample_w, theta, v_typ)
 from pt_lab.statevector import exact_eigs
 
 mp.mp.dps = 30
@@ -52,28 +51,29 @@ def test_v_typ_leading_term():
     assert v_typ(n, B) == pytest.approx(want, rel=1e-12)
 
 
-def test_tunneling_amplitude_matches_high_precision():
+def test_amplitude_table_matches_high_precision():
     for n, d, B in [(10, 3, 2.0), (10, 5, 2.0), (16, 8, 1.4), (24, 1, 3.0)]:
-        params = TunnelingParams(n=n, B_perp=B)
-        assert tunneling_amplitude(d, params) == pytest.approx(
+        assert amplitude_table(n, B)[d] == pytest.approx(
             _amp_mp(n, d, B), rel=1e-10)
 
 
 def test_amplitude_table_consistent():
-    params = TunnelingParams(n=12, B_perp=1.8)
-    tab = amplitude_table(params)
+    tab = amplitude_table(12, 1.8)
     assert tab.shape == (13,)
     assert tab[0] == 0.0
+    # each entry is the closed form at its distance, and V_typ the entry at
+    # n // 2
     for d in range(1, 13):
-        assert tab[d] == pytest.approx(tunneling_amplitude(d, params),
-                                       rel=1e-12)
-    assert reference_amplitude(params) == pytest.approx(tab[6], rel=1e-12)
+        want = 12**1.25 * math.exp(-12 * theta(1.8)) / math.sqrt(math.comb(12, d))
+        assert tab[d] == pytest.approx(want, rel=1e-12)
+    inst = ImpurityBandInstance(n=12, marked=(0, 1), eps=(0.0, 0.0), W=0.1,
+                                B_perp=1.8)
+    assert build_downfolded(inst).V_typ == pytest.approx(tab[6], rel=1e-12)
 
 
 def test_amplitude_decreases_to_the_equator():
     # binomial growth suppresses the amplitude up to d = n/2
-    params = TunnelingParams(n=20, B_perp=2.0)
-    tab = amplitude_table(params)
+    tab = amplitude_table(20, 2.0)
     assert np.all(np.diff(tab[1:11]) < 0)
     assert tab[10] == pytest.approx(tab[20 - 10] * 1.0)
 
@@ -95,38 +95,30 @@ def test_downfold_does_not_import_statevector():
     assert done.stdout.splitlines()[-1] == "False", done.stderr
 
 
-def test_tunneling_params_defaults():
-    p = TunnelingParams(n=10, B_perp=1.5)
-    assert p.calibration_A == 1.0
-    assert p.shift == pytest.approx(-1.5**2)
-
-
 def test_build_downfolded_random_sign():
     inst = gen_impurity_band(n=14, M=20, W=0.4, seed=5, B_perp=2.0)
-    params = TunnelingParams(n=14, B_perp=2.0)
-    mat = build_downfolded(inst, params, seed=1)
+    mat = build_downfolded(inst, seed=1)
     H = mat.matrix
     assert H.shape == (20, 20)
     np.testing.assert_allclose(H, H.T, atol=0)
-    np.testing.assert_allclose(np.diag(H), np.asarray(inst.eps) + params.shift)
-    tab = amplitude_table(params)
+    np.testing.assert_allclose(np.diag(H), np.asarray(inst.eps) - 2.0**2)
+    tab = amplitude_table(14, 2.0)
     marked = np.asarray(inst.marked, dtype=np.uint64)
     for a in range(20):
         for b in range(a + 1, 20):
             d = bin(int(marked[a]) ^ int(marked[b])).count("1")
             assert abs(H[a, b]) == pytest.approx(tab[d], rel=1e-12)
-    assert mat.V_typ == pytest.approx(reference_amplitude(params))
+    assert mat.V_typ == pytest.approx(tab[7])
     assert mat.W == inst.W
     # deterministic in the seed
-    again = build_downfolded(inst, params, seed=1)
+    again = build_downfolded(inst, seed=1)
     np.testing.assert_allclose(again.matrix, H, atol=0)
 
 
 def test_build_downfolded_random_phase_mode():
     inst = gen_impurity_band(n=12, M=40, W=0.4, seed=9, B_perp=2.0)
-    params = TunnelingParams(n=12, B_perp=2.0, phase_mode="random_phase")
-    mat = build_downfolded(inst, params, seed=3)
-    tab = amplitude_table(params)
+    mat = build_downfolded(inst, "random_phase", seed=3)
+    tab = amplitude_table(12, 2.0)
     marked = np.asarray(inst.marked, dtype=np.uint64)
     iu = np.triu_indices(40, k=1)
     d = np.bitwise_count(marked[iu[0]] ^ marked[iu[1]]).astype(int)
@@ -214,16 +206,14 @@ def test_numeric_extraction_order_of_magnitude():
     inst = ImpurityBandInstance(n=10, marked=(0, 0b11111), eps=(0.0, 0.0),
                                 W=0.1, B_perp=1.5)
     v_num = extract_numeric_elements(inst)
-    v_form = tunneling_amplitude(5, TunnelingParams(n=10, B_perp=1.5))
+    v_form = amplitude_table(10, 1.5)[5]
     assert 0.1 < v_num / v_form < 10.0
 
 
 def test_numeric_mode_matches_extraction():
     inst = ImpurityBandInstance(n=10, marked=(0, 0b11111), eps=(0.0, 0.0),
                                 W=0.1, B_perp=1.5)
-    params = TunnelingParams(n=10, B_perp=1.5,
-                             phase_mode="numeric_extraction")
-    mat = build_downfolded(inst, params)
+    mat = build_downfolded(inst, "numeric_extraction")
     assert abs(mat.matrix[0, 1]) == pytest.approx(
         extract_numeric_elements(inst), rel=0.05)
 
@@ -236,9 +226,21 @@ def test_calibrate_prefactor_roundtrip():
     inst = ImpurityBandInstance(n=10, marked=(0, 0b11111), eps=(0.0, 0.0),
                                 W=0.1, B_perp=1.5)
     v_num = extract_numeric_elements(inst)
-    v_cal = tunneling_amplitude(
-        5, TunnelingParams(n=10, B_perp=1.5, calibration_A=A))
+    v_cal = amplitude_table(10, 1.5, calibration_A=A)[5]
     assert v_cal == pytest.approx(v_num, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [0, -1, 11])
+def test_calibrate_prefactor_refuses_a_distance_outside_1_to_n(d, monkeypatch):
+    # before any pair is extracted
+    import pt_lab.downfold as downfold
+
+    def refuse(inst):
+        raise AssertionError("pair extracted")
+
+    monkeypatch.setattr(downfold, "extract_numeric_elements", refuse)
+    with pytest.raises(ValueError, match="need 1 <= d <= n"):
+        calibrate_prefactor(n=10, B_perp=1.5, distances=(5, d), seed=0)
 
 
 # ------------------------------------------- marked-subspace eigensystem
@@ -307,8 +309,7 @@ def test_marked_eigensystem_matches_dense(case):
     d_sel = np.sort(np.argsort(d_weight)[-inst.M:])
     np.testing.assert_allclose(vals[sel], d_vals[d_sel], rtol=0, atol=1e-12)
     np.testing.assert_allclose(weight[sel], d_weight[d_sel], rtol=0, atol=1e-12)
-    mat = build_downfolded(inst, TunnelingParams(
-        n=inst.n, B_perp=inst.B_perp, phase_mode="numeric_extraction"))
+    mat = build_downfolded(inst, "numeric_extraction")
     np.testing.assert_allclose(mat.matrix, _dense_projection(inst),
                                rtol=0, atol=1e-12)
     if inst.M == 2:
@@ -327,10 +328,9 @@ def test_numeric_extraction_never_forms_the_dense_hamiltonian(monkeypatch,
     monkeypatch.setattr(sv, "exact_eigs", refuse)
     monkeypatch.setattr(sv, "dense_hamiltonian", refuse)
     inst = gen_impurity_band(14, 3, 0.5, seed=0, B_perp=2.0)
-    params = TunnelingParams(n=14, B_perp=2.0, phase_mode="numeric_extraction")
 
     def run():
-        build_downfolded(inst, params)
+        build_downfolded(inst, "numeric_extraction")
         return calibrate_prefactor(n=14, B_perp=1.5, distances=(3, 7))
 
     prefactor, peak = traced_peak(run)

@@ -16,10 +16,10 @@ import pytest
 
 import pt_lab
 from pt_lab.cli import _run, _top_k_rows, main
-from pt_lab.downfold import (TunnelingParams, build_downfolded,
-                             marked_eigensystem)
-from pt_lab.instances import (all_classical_energies, gen_impurity_band,
-                              gen_spin_glass, instance_to_dict, load_instance)
+from pt_lab.downfold import build_downfolded, marked_eigensystem
+from pt_lab.instances import (ImpurityBandInstance, all_classical_energies,
+                              gen_impurity_band, gen_spin_glass,
+                              instance_to_dict, load_instance)
 from pt_lab.io_utils import (RunManifest, load_downfolded, read_csv_columns,
                              resolve_out_dir, save_downfolded, sha256_file,
                              write_csv, write_json)
@@ -131,7 +131,7 @@ def test_manifest_hash_covers_args_not_outputs(tmp_path):
 
 def test_downfolded_roundtrip_is_bit_exact(tmp_path):
     inst = gen_impurity_band(6, 3, 0.5, seed=5, B_perp=2.0)
-    mat = build_downfolded(inst, TunnelingParams(n=6, B_perp=2.0), seed=3)
+    mat = build_downfolded(inst, seed=3)
     paths = save_downfolded(mat, tmp_path / "df")
     assert {p.suffix for p in paths} == {".bin", ".json"}
     back = load_downfolded(tmp_path / "df")
@@ -292,6 +292,55 @@ def test_bad_z0_is_usage_error(tmp_path, ib_instance, capsys, cmd, z0):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --z0")
     assert not (tmp_path / "x3").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pt-run", "--steps", "5"], "--steps"),
+    (["evolve", "--steps", "5"], "--time"),
+    (["pipeline", "--start-time", "1", "--time", "2"], "--start-time"),
+    (["pt-run", "--top-k", "0"], "--top-k"),
+    (["evolve", "--time", "1", "--top-k", "0"], "--top-k"),
+])
+def test_bad_evolution_flag_is_refused_before_the_start_is_chosen(
+        tmp_path, glass_instance, capsys, monkeypatch, argv, flag):
+    # --z0 auto on a glass builds the basin map; a run its flags refuse
+    # must not build it first
+    import pt_lab.optimize as optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("basin map built")
+
+    monkeypatch.setattr(optimize, "basin_distribution", refuse)
+    rc = main(["--out-dir", str(tmp_path / "run"), argv[0], "--instance",
+               str(glass_instance), *argv[1:]])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+def _band_file(tmp_path, marked, eps):
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(instance_to_dict(ImpurityBandInstance(
+        n=4, marked=marked, eps=eps, W=0.5, B_perp=2.0))))
+    return path
+
+
+def test_band_auto_start_breaks_an_energy_tie_by_label(tmp_path):
+    band = _band_file(tmp_path, (5, 3), (0.0, 0.0))
+    assert main(["--out-dir", str(tmp_path / "run"), "evolve", "--instance",
+                 str(band), "--time", "1"]) == 0
+    assert json.loads((tmp_path / "run" / "evolve.json").read_text())["z0"] == 3
+
+
+def test_band_without_marked_states_has_no_auto_start(tmp_path, capsys):
+    band = _band_file(tmp_path, (), ())
+    rc = main(["--out-dir", str(tmp_path / "run"), "evolve", "--instance",
+               str(band), "--time", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --z0 auto")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -672,8 +721,7 @@ def test_downfold_cli_matches_library(tmp_path, ib_instance):
                "--instance", str(ib_instance), "--seed", "4"])
     assert rc == 0
     inst = load_instance(ib_instance)
-    expect = build_downfolded(inst, TunnelingParams(n=inst.n, B_perp=inst.B_perp),
-                              seed=4)
+    expect = build_downfolded(inst, seed=4)
     back = load_downfolded(tmp_path / "downfolded")
     assert np.array_equal(back.matrix, expect.matrix)
     meta = json.loads((tmp_path / "downfolded.json").read_text())
@@ -1148,7 +1196,7 @@ def test_no_new_library_name_is_reached_from_tests_only():
             read |= names
     unread = {q for q in defined if q.split(".", 1)[1] not in read}
     assert len(defined) > 100  # the scan found the package
-    assert unread <= TEST_ONLY_NAMES, sorted(unread - TEST_ONLY_NAMES)
+    assert unread == TEST_ONLY_NAMES, sorted(unread ^ TEST_ONLY_NAMES)
 
 
 def test_library_modules_do_not_warn():
