@@ -27,11 +27,6 @@ def check_bitstring(z: int, n: int) -> int:
     return z
 
 
-def hamming(a: int, b: int) -> int:
-    """Hamming distance between two equal-length bit-strings."""
-    return (int(a) ^ int(b)).bit_count()
-
-
 def hamming_array(zs: np.ndarray, z0: int) -> np.ndarray:
     """Vectorized Hamming distance of an array of labels from z0."""
     x = np.asarray(zs, dtype=np.uint64) ^ np.uint64(int(z0))

@@ -84,19 +84,6 @@ def theta(B_perp: float) -> float:
     return 1.0 / (4 * b2) + 1.0 / (24 * b2 ** 2) + 1.0 / (60 * b2 ** 3)
 
 
-def v_typ(n: int, B_perp: float) -> float:
-    """Typical tunneling scale n^2 2^{-n/2} e^{-n/(4B^2)} (unit prefactor).
-
-    Uses only the leading theta term, matching the quoted asymptotic
-    form; amplitude_table keeps the full series.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if B_perp <= 0:
-        raise ValueError("B_perp must be positive")
-    return n * n * 2.0 ** (-n / 2.0) * math.exp(-n / (4.0 * B_perp ** 2))
-
-
 def _log_binomials(n: int) -> np.ndarray:
     """log C(n, d) for d = 0..n."""
     return np.array([math.lgamma(n + 1) - math.lgamma(d + 1) - math.lgamma(n - d + 1)

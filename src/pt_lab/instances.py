@@ -165,22 +165,6 @@ class SpinGlassInstance:
         return hx, Jx
 
 
-def classical_energy(inst: SpinGlassInstance, z: int) -> float:
-    """E(z) = sum_i h_i s_i + sum_{i<j} J_ij s_i s_j."""
-    z = check_bitstring(z, inst.n)
-    s = spins_from_labels(np.array([z]), inst.n)[0]
-    return float(inst.h @ s + 0.5 * s @ inst.J @ s)
-
-
-def ib_energy(inst: ImpurityBandInstance, z: int) -> float:
-    z = check_bitstring(z, inst.n)
-    try:
-        j = inst.marked.index(z)
-    except ValueError:
-        return 0.0
-    return float(inst.base_energy + inst.eps[j])
-
-
 def pair_energies(h: np.ndarray, J: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Quadratic form h.s + sum_{i<j} J s s evaluated on given labels, in
     blocks of _ENUM_BLOCK = 2^12 labels, so the block x n spin matrix and the
@@ -197,8 +181,11 @@ def label_energies(inst, labels) -> np.ndarray:
     """Classical energies of the given labels in the bits of
     all_classical_energies, without its 2^n table: the marked lookup on an
     impurity band, pair_energies on a spin glass, whose labels are padded
-    with label 0 to a multiple of 4 (see _ENUM_BLOCK)."""
+    with label 0 to a multiple of 4 (see _ENUM_BLOCK). A label outside
+    [0, 2^n) is refused as check_bitstring refuses it."""
     labels = np.asarray(labels, dtype=np.int64)
+    for z in (labels.min(initial=0), labels.max(initial=0)):
+        check_bitstring(z, inst.n)
     if isinstance(inst, ImpurityBandInstance):
         marked = dict(zip(inst.marked, (inst.base_energy + inst.eps).tolist()))
         return np.array([marked.get(z, 0.0) for z in labels.tolist()])

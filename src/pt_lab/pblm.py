@@ -40,6 +40,7 @@ EULER_GAMMA = 0.5772156649015329
 _S1_QUARTILES = (-0.41776476405072077, 0.5756301439450774, 2.550815682820456)
 
 _GRID_PER_DECADE = 256
+_GAMMA_WINDOW = (0.9, 0.37)  # gamma_samples' survival window (hi, lo)
 _PIECE_NODES = 30
 _PIECES = 31
 # rows per block of the per-site row passes (self-energies, row spreads)
@@ -332,16 +333,17 @@ def _off_diagonal_norms(H: np.ndarray) -> np.ndarray:
     return out
 
 
-def gamma_samples(matrix: DownfoldedMatrix, window: tuple = (0.9, 0.37)) -> np.ndarray:
+def gamma_samples(matrix: DownfoldedMatrix) -> np.ndarray:
     """Decay rate Gamma_j of every basis state j under e^{-i H t}; nan = censored.
 
     Every survival curve S_j(t) comes from one spectral product on a shared
     log time grid, 0.1/max spread to 5e4/min spread at _GRID_PER_DECADE
     points per decade, with spread_j the off-diagonal norm of row j of H.
-    For window (hi, lo), t_cross is the first grid time with S_j < lo. Site
-    j is censored if spread_j = 0, if t_cross > 1e4/spread_j (or S_j never
-    crosses), if S_j >= hi again in [t_cross, 5 t_cross] (an oscillation),
-    or if fewer than 3 samples with t <= 1.02 t_cross lie in [lo, hi].
+    With the window (hi, lo) = _GAMMA_WINDOW = (0.9, 0.37), t_cross is the
+    first grid time with S_j < lo. Site j is censored if spread_j = 0, if
+    t_cross > 1e4/spread_j (or S_j never crosses), if S_j >= hi again in
+    [t_cross, 5 t_cross] (an oscillation), or if fewer than 3 samples with
+    t <= 1.02 t_cross lie in [lo, hi].
     Else Gamma_j is minus the slope of log S_j on those samples, by least
     squares weighted by t, the log grid's spacing; a slope >= 0 is censored.
 
@@ -352,7 +354,7 @@ def gamma_samples(matrix: DownfoldedMatrix, window: tuple = (0.9, 0.37)) -> np.n
     once every site is censored or past 5 t_cross, where the rest of the
     grid can change no rate.
     """
-    hi, lo = window
+    hi, lo = _GAMMA_WINDOW
     vals, vecs = matrix.eigensystem
     spread = _off_diagonal_norms(matrix.matrix)
     coupled = spread > 0.0

@@ -2,11 +2,10 @@
 
 Every transition curve the package reports is a sum over the eigenvalues
 E_gamma of one real symmetric matrix, |sum_gamma w_gamma e^{-i E_gamma t}|^2
-with real weights w_gamma: the ensemble's survival curves (pblm), the
-Grover model's marked transfer (grover) and the dense transition
-probabilities that the tests check the propagators against. This
-module holds that one kernel and imports nothing but numpy, so a caller
-that needs it runs no propagator code.
+with real weights w_gamma: the ensemble's survival curves (pblm) and the
+Grover model's marked transfer (grover). This module holds that one
+kernel and imports nothing but numpy, so a caller that needs it runs no
+propagator code.
 """
 
 from __future__ import annotations
@@ -41,18 +40,3 @@ def spectral_propagation(vals: np.ndarray, weights: np.ndarray, times) -> np.nda
         out[lo:lo + len(t)] = surv
         lo += len(t)
     return out
-
-
-def transition_probability(eigs, z0: int, z: int, t):
-    """P(t, z | z0) = |sum_gamma <z|psi_gamma><psi_gamma|z0> e^{-i E_gamma t}|^2
-    for the eigensystem eigs = (vals, vecs), eigenvectors in columns."""
-    vals, vecs = eigs
-    P = spectral_propagation(vals, vecs[z] * vecs[z0], t)
-    return float(P[0]) if np.ndim(t) == 0 else P
-
-
-def transition_distribution(eigs, z0: int, t: float) -> np.ndarray:
-    """Full output distribution P(t, . | z0) in one matrix-vector product."""
-    vals, vecs = eigs
-    c = vecs[z0] * np.exp(-1j * vals * t)
-    return np.abs(vecs @ c) ** 2

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.stats import kstest
 
 from pt_lab.cli import main
-from pt_lab.downfold import (build_downfolded, cdf_w, pdf_w, sample_w, theta,
-                             v_typ)
+from pt_lab.downfold import (amplitude_table, build_downfolded, cdf_w, pdf_w,
+                             sample_w, theta)
 from pt_lab.grover import (GroverSetup, error_time_report, grover_time,
                            reduced_transfer)
 from pt_lab.instances import gen_impurity_band, gen_spin_glass
@@ -218,9 +218,9 @@ def test_10_formula_suite_reference_values():
         B = mp.mpf(B)
         return 1 / (4 * B ** 2) + 1 / (24 * B ** 4) + 1 / (60 * B ** 6)
 
-    def v_typ_mp(n, B):
-        n, B = mp.mpf(n), mp.mpf(B)
-        return n ** 2 * mp.mpf(2) ** (-n / 2) * mp.e ** (-n / (4 * B ** 2))
+    def amplitude_mp(n, d, B):  # unit prefactor A = 1
+        return (mp.mpf(n) ** mp.mpf("1.25") * mp.e ** (-n * theta_mp(B))
+                / mp.sqrt(mp.binomial(n, d)))
 
     def sigma_omega_mp(om):
         return mp.sqrt(mp.pi / (4 * mp.log(om)))
@@ -233,7 +233,8 @@ def test_10_formula_suite_reference_values():
     om_unit = mp.e ** (mp.pi / 4)  # sigma_omega = 1 exactly
     cases = [
         ("theta(2)", theta(2.0), theta_mp(2)),
-        ("v_typ(20, 2)", v_typ(20, 2.0), v_typ_mp(20, 2)),
+        ("amplitude_table(20, 2)[10]", amplitude_table(20, 2.0)[10],
+         amplitude_mp(20, 10, 2)),
         ("sigma_omega", sigma_omega(float(om_ref)), sigma_omega_mp(om_ref)),
         ("sigma_omega unit", sigma_omega(float(om_unit)), mp.mpf(1)),
         ("mu_omega", mu_omega(float(om_ref)), mu_omega_mp(om_ref)),

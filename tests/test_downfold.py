@@ -11,7 +11,7 @@ from pt_lab.downfold import (THETA_MIN_B_PERP, DownfoldedMatrix,
                              amplitude_table, build_downfolded,
                              calibrate_prefactor, cdf_w,
                              extract_numeric_elements, marked_eigensystem,
-                             pdf_w, sample_w, theta, v_typ)
+                             pdf_w, sample_w, theta)
 from pt_lab.statevector import exact_eigs
 
 mp.mp.dps = 30
@@ -41,14 +41,6 @@ def test_theta_range_is_data_and_theta_does_not_warn():
         assert theta(0.7) == 0.8254072141143007
         assert theta(1.0) == 0.30833333333333335
         assert theta(1.01) == pytest.approx(float(_theta_mp(1.01)), rel=1e-12)
-
-
-def test_v_typ_leading_term():
-    assert v_typ(20, 2.0) == pytest.approx(0.11191593627351176, rel=1e-12)
-    # only the 1/(4B^2) exponent enters, not the full theta series
-    n, B = 30, 1.7
-    want = n**2 * 2.0 ** (-n / 2) * np.exp(-n / (4 * B**2))
-    assert v_typ(n, B) == pytest.approx(want, rel=1e-12)
 
 
 def test_amplitude_table_matches_high_precision():

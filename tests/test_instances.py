@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pt_lab.instances import (COUPLING_GRID, DIMER_J, ImpurityBandInstance,
                               SpinGlassInstance, all_classical_energies,
-                              classical_energy, gen_impurity_band,
-                              gen_spin_glass, ib_energy,
+                              gen_impurity_band, gen_spin_glass,
                               instance_from_dict, instance_to_dict,
                               load_instance, pair_energies, quantize_couplings,
                               spectrum_summary)
@@ -66,12 +65,12 @@ def test_ib_energy_values():
     inst = gen_impurity_band(n=10, M=5, W=0.2, seed=1)
     E = all_classical_energies(inst)
     assert E.shape == (1024,)
-    for z in range(1024):
-        assert E[z] == ib_energy(inst, z)
+    got = instances.label_energies(inst, range(1024))
     for z, e in zip(inst.marked, inst.eps):
-        assert ib_energy(inst, z) == pytest.approx(-10.0 + e)
-    unmarked = next(z for z in range(1024) if z not in inst.marked)
-    assert ib_energy(inst, unmarked) == 0.0
+        assert E[z] == pytest.approx(-10.0 + e)
+        assert got[z] == pytest.approx(-10.0 + e)
+    unmarked = [z for z in range(1024) if z not in inst.marked]
+    assert np.all(E[unmarked] == 0.0) and np.all(got[unmarked] == 0.0)
 
 
 def test_impurity_band_validation():
@@ -130,17 +129,22 @@ def test_classical_energy_matches_direct_sum():
     h = np.asarray(g.h)
     J = np.asarray(g.J)
     rng = np.random.default_rng(0)
-    for z in rng.integers(0, 256, size=40):
+    zs = rng.integers(0, 256, size=40)
+    for z, got in zip(zs, instances.label_energies(g, zs)):
         s = spins_from_labels(np.array([z], dtype=np.uint64), 8)[0]
         direct = h @ s + 0.5 * s @ J @ s
-        assert classical_energy(g, int(z)) == pytest.approx(direct, rel=1e-12)
+        assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_all_energies_match_per_state():
     g = gen_spin_glass(n=8, seed=6)
     E = all_classical_energies(g)
+    got = instances.label_energies(g, range(256))
     for z in range(256):
-        assert E[z] == pytest.approx(classical_energy(g, z), rel=1e-12)
+        s = spins_from_labels(np.array([z], dtype=np.uint64), 8)[0]
+        direct = g.h @ s + 0.5 * s @ g.J @ s
+        assert E[z] == pytest.approx(direct, rel=1e-12)
+        assert got[z] == pytest.approx(direct, rel=1e-12)
 
 
 def test_pair_energies_matches_loop():
@@ -227,7 +231,8 @@ def test_glass_energy_symmetric_under_global_flip_of_fields(seed):
     E = all_classical_energies(g0)
     flipped = E[::-1].copy()  # z -> ~z reverses the index order bitwise
     np.testing.assert_allclose(np.sort(E), np.sort(flipped), rtol=1e-12)
-    assert classical_energy(g0, 0) == pytest.approx(classical_energy(g0, 63))
+    e0, e63 = instances.label_energies(g0, [0, 63])
+    assert e0 == pytest.approx(e63)
 
 
 @pytest.mark.parametrize("block", [4, 12, 64])
@@ -257,3 +262,12 @@ def test_label_energies_match_the_table_bits(n, seed, dimers):
     labels = np.array([*b.marked, 0, 1, *b.marked[:2]])
     want = all_classical_energies(b)[labels]
     np.testing.assert_array_equal(instances.label_energies(b, labels), want)
+
+
+@pytest.mark.parametrize("kind", ["glass", "band"])
+def test_label_energies_refuse_labels_outside_n_bits(kind):
+    inst = (gen_spin_glass(n=6, seed=1) if kind == "glass"
+            else gen_impurity_band(n=6, M=4, W=0.2, seed=1))
+    for z in (64, -1):
+        with pytest.raises(ValueError, match="does not fit in 6 bits"):
+            instances.label_energies(inst, [3, z])

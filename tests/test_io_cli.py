@@ -4,6 +4,7 @@ CLI subcommands run in-process through main(argv) so exit codes and
 emitted artifacts can be checked without subprocess plumbing.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -1162,48 +1163,54 @@ def test_every_traced_function_exists():
 # reach them. A name leaves this list when a subcommand or another module
 # reads it, or when it moves into tests/; new library code must not join it
 TEST_ONLY_NAMES = {
-    "bits.hamming", "downfold.calibrate_prefactor", "downfold.cdf_w",
-    "downfold.pdf_w", "downfold.sample_w", "downfold.v_typ",
-    "grover.perturbative_transfer", "grover.projector_hamiltonian_dense",
-    "instances.classical_energy", "instances.ib_energy",
-    "io_utils.load_downfolded", "optimize.simulated_annealing",
-    "pblm.cauchy_shift_pdf", "pblm.classify_phase", "pblm.pt_time",
-    "pblm.stable_pdf", "pblm.stable_sample",
-    "spectral.transition_distribution", "spectral.transition_probability",
-    "statevector.exact_eigs", "statevector.sample_output",
+    "downfold.calibrate_prefactor", "downfold.cdf_w", "downfold.pdf_w",
+    "downfold.sample_w", "grover.perturbative_transfer",
+    "grover.projector_hamiltonian_dense", "io_utils.load_downfolded",
+    "optimize.simulated_annealing", "pblm.cauchy_shift_pdf",
+    "pblm.classify_phase", "pblm.pt_time", "pblm.stable_pdf",
+    "pblm.stable_sample", "statevector.exact_eigs", "statevector.sample_output",
 }
 
 
-def test_no_new_library_name_is_reached_from_tests_only():
-    # a name counts as read when it appears as a Name, an Attribute or an
-    # imported name anywhere in the package outside its own definition
-    import ast
+def _defined_and_read(path):
+    """(top-level functions and classes of a module, the names it reads): a
+    name counts as read when it appears as a Name, an Attribute or an
+    imported name anywhere in the module outside its own definition."""
+    defined, read = [], set()
+    for stmt in ast.parse(path.read_text()).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(stmt.name)
+            names.discard(stmt.name)
+        read |= names
+    return defined, read
 
+
+def test_no_new_library_name_is_reached_from_tests_only():
     defined, read = [], set()
     for path in sorted(Path(_SRC, "pt_lab").glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            names = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name.rsplit(".", 1)[-1])
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(f"{path.stem}.{stmt.name}")
-                names.discard(stmt.name)
-            read |= names
+        names, module_read = _defined_and_read(path)
+        defined += [f"{path.stem}.{name}" for name in names]
+        read |= module_read
     unread = {q for q in defined if q.split(".", 1)[1] not in read}
     assert len(defined) > 100  # the scan found the package
     assert unread == TEST_ONLY_NAMES, sorted(unread ^ TEST_ONLY_NAMES)
+    # a name that neither the package nor any test reads is dead code
+    tested = set().union(*(_defined_and_read(path)[1] for path
+                           in Path(__file__).parent.glob("test_*.py")))
+    assert not {q for q in unread if q.split(".", 1)[1] not in tested}
 
 
 def test_library_modules_do_not_warn():
     # the library returns out-of-range notices as data and cli prints them
     # as one warning: line, so no package module imports or calls warnings
-    import ast
-
     found = []
     for path in sorted(Path(_SRC, "pt_lab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -1225,8 +1232,6 @@ def test_only_run_writes_files():
     # handlers return their outputs and cli._run alone writes them, after
     # the handler has returned, so a run that a handler refuses leaves
     # nothing on disk. No handler may call a writer of io_utils
-    import ast
-
     writers = {"write_csv", "write_json", "save_downfolded", "write"}
     tree = ast.parse(Path(_SRC, "pt_lab", "cli.py").read_text())
     handlers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)

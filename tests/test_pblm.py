@@ -475,7 +475,7 @@ def test_late_crossing_site_keeps_its_rate():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def test_site_with_two_fit_samples_is_censored():
+def test_site_with_two_fit_samples_is_censored(monkeypatch):
     # on the flat band's exponential decay the narrow window (0.5, 0.495)
     # holds two grid samples of site 0 before it crosses: a slope exists,
     # but the rule asks for three; the window (0.5, 0.49) holds three
@@ -487,8 +487,10 @@ def test_site_with_two_fit_samples_is_censored():
     hi, lo = 0.5, 0.495
     t_cross = t[np.argmax(surv < lo)]
     assert np.sum((t <= 1.02 * t_cross) & (surv >= lo) & (surv <= hi)) == 2
-    assert np.isnan(gamma_samples(band, (hi, lo))[0])
-    assert np.isfinite(gamma_samples(band, (hi, 0.49))[0])
+    monkeypatch.setattr(pblm, "_GAMMA_WINDOW", (hi, lo))
+    assert np.isnan(gamma_samples(band)[0])
+    monkeypatch.setattr(pblm, "_GAMMA_WINDOW", (hi, 0.49))
+    assert np.isfinite(gamma_samples(band)[0])
 
 
 def test_decay_fits_hold_no_survival_table(traced_peak):

@@ -10,7 +10,7 @@ from pt_lab.bits import hamming_array, krawtchouk_table
 from pt_lab.downfold import marked_eigensystem
 from pt_lab.instances import (ImpurityBandInstance, all_classical_energies,
                               gen_impurity_band, gen_spin_glass)
-from pt_lab.spectral import transition_distribution, transition_probability
+from pt_lab.spectral import spectral_propagation
 from pt_lab.statevector import (EvolutionConfig, dense_hamiltonian,
                                 driver_x_diagonal, evolve_trotter, exact_eigs,
                                 run_pt_protocol, sample_output,
@@ -32,9 +32,9 @@ def test_two_level_rabi_oscillation():
     inst = _two_level_instance(B, delta)
     dE = (-1.0 + delta) - 0.0
     Om = np.hypot(B, dE / 2.0)
-    eigs = exact_eigs(inst)
+    vals, vecs = exact_eigs(inst)
     t = np.linspace(0.0, 12.0, 101)
-    got = transition_probability(eigs, 0, 1, t)
+    got = spectral_propagation(vals, vecs[1] * vecs[0], t)
     want = (B / Om) ** 2 * np.sin(Om * t) ** 2
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -450,16 +450,6 @@ def test_exact_eigs_reconstruction():
     np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, H, atol=1e-10)
 
 
-def test_transition_distribution_is_normalized():
-    inst = gen_impurity_band(n=7, M=6, W=0.4, seed=2)
-    eigs = exact_eigs(inst)
-    for t in (0.0, 0.7, 3.3, 11.0):
-        p = transition_distribution(eigs, 5, t)
-        assert p.shape == (128,)
-        assert np.all(p >= -1e-12)
-        assert p.sum() == pytest.approx(1.0, abs=1e-9)
-
-
 def test_long_time_average_dephases():
     # averaging |<z0|e^{-iHt}|z0>|^2 over long times leaves the diagonal
     # ensemble value sum_blocks (sum_{g in block} |<g|z0>|^2)^2, where a
@@ -472,7 +462,7 @@ def test_long_time_average_dephases():
     blocks = np.concatenate([[0], np.cumsum(np.diff(vals[order]) > 1e-9)])
     target = np.sum(np.bincount(blocks, weights=w[order]) ** 2)
     t = np.linspace(0.0, 4000.0, 40001)
-    mean = transition_probability((vals, vecs), z0, z0, t).mean()
+    mean = spectral_propagation(vals, vecs[z0] * vecs[z0], t).mean()
     assert mean == pytest.approx(target, rel=0.02)
 
 
