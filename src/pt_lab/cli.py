@@ -234,7 +234,7 @@ def _cmd_evolve(args, out_dir):
     top_k = _count_arg(args, "top_k")
     inst = _override_b_perp(_load_checked(args["instance"]), args["b_perp"])
     z0 = _choose_start(inst, args["z0"])
-    psi = statevector.evolve_trotter(inst, [1.0], [z0], config)
+    psi = statevector.evolve_trotter(inst, z0, config)
     probs = np.abs(psi) ** 2
     return _Outputs({
         "evolve_state.csv": _top_k_rows(inst, z0, probs, top_k),
@@ -308,8 +308,8 @@ def _cmd_pblm_ensemble(args, out_dir):
     config = _pblm_config(args)
     R = _count_arg(args, "realizations")
     eta = args["eta"]
-    if eta is not None and not eta > 0:
-        raise ValueError(f"--eta must be positive, got {eta}")
+    if eta is not None and not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"--eta must be finite and > 0, got {eta}")
     fit_gammas = args["fit_gammas"]
     seeds = [args["seed"] + r for r in range(R)]
     sigma, omegas, gammas = zip(*(_one_pblm_realization(config, s, eta, fit_gammas)
@@ -624,10 +624,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(subcommand: str, args: dict, out_dir: Path,
          defaults: dict | None = None) -> io_utils.RunManifest:
     """Run subcommand on args, read over defaults; only once it has returned,
-    create out_dir and write its outputs and a manifest of args alone."""
+    create out_dir and write its outputs and a manifest of args alone. A
+    warning names the files that the manifest it replaces records and that
+    this run does not rewrite."""
     run = _HANDLERS[subcommand]({**(defaults or {}), **args}, out_dir)
     seeds = [] if args.get("seed") is None else [args["seed"]]
     manifest = io_utils.RunManifest(subcommand, args, [*seeds, *run.seeds])
+    try:  # the outputs that out_dir's manifest.json records, if it is one
+        doc = json.loads((out_dir / "manifest.json").read_text())
+        recorded = {Path(o["path"]).name for o in doc["outputs"]}
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        recorded = set()
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, output in run.files.items():
         if isinstance(output, _Columns):
@@ -637,6 +644,10 @@ def _run(subcommand: str, args: dict, out_dir: Path,
         else:
             io_utils.save_downfolded(output, out_dir / name, manifest)
     manifest.write(out_dir)
+    unrecorded = recorded - {Path(o["path"]).name for o in manifest.outputs}
+    if unrecorded:
+        print(f"warning: {out_dir / 'manifest.json'} no longer records "
+              f"{', '.join(sorted(unrecorded))}", file=sys.stderr)
     if run.line is not None:
         print(run.line)
     return manifest

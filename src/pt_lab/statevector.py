@@ -10,13 +10,12 @@ basis. Two drivers are supported:
   H_D = driver_scale * [sum_i (|h_i|+1) sigma^x_i
                         + sum_{i<j} (|J_ij|+1) sigma^x_i sigma^x_j].
 
-A start has one form: its amplitudes amps[k] on the ascending labels
-support[k], so a basis state |z0> is [1] on [z0] and a dense start lists
-all 2^n labels. A run holds one propagator, chosen once from the instance
-and the start (_propagator). Its backends share three methods:
-advance(steps, every) advances the state by steps * dt and returns the
-survival samples, weight(z0) reads the transferred weight, and state()
-releases the backend's tables and forms the 2^n output once.
+A run starts from one basis state |z0>, the label it also samples. It
+holds one propagator, chosen once from the instance and z0 (_propagator).
+Its backends share three methods: advance(steps, every) advances the state
+by steps * dt and returns the survival samples, weight() reads the
+transferred weight, and state() releases the backend's tables and forms the
+2^n output once.
 
 An impurity band evolves exactly: each sampled segment is one Chebyshev
 expansion of e^{-iHt} (_chebyshev; Tal-Ezer and Kosloff, J. Chem. Phys. 81,
@@ -25,12 +24,11 @@ carry classical energy e_a, so the spectrum lies in
 [-B_perp n + min(0, min e), B_perp n + max(0, max e)]. One rule picks the
 matrix-vector product the expansion runs on:
 
-* a start with M_c^2 <= 2^n centres (the marked states plus the unmarked
-  labels the start occupies) runs in level coordinates (_LevelPropagator).
-  The uniform driver has n + 1 levels (x-basis popcount j, energy
-  -B_perp (n - 2j)), so span{P_j |c_b>} over the levels j and the centres
-  c_b is invariant under H. A product costs O(n^2 M_c + M_c^2) and builds
-  no 2^n table;
+* a band with M_c^2 <= 2^n centres (the marked states, plus z0 if it is
+  unmarked) runs in level coordinates (_LevelPropagator). The uniform
+  driver has n + 1 levels (x-basis popcount j, energy -B_perp (n - 2j)),
+  so span{P_j |c_b>} over the levels j and the centres c_b is invariant
+  under H. A product costs O(n^2 M_c + M_c^2) and builds no 2^n table;
 * every other band start applies H to the 2^n state (_DenseBandPropagator):
   the driver through two fast Walsh-Hadamard transforms, the classical part
   on the M marked labels. The expansion holds five 2^n complex arrays.
@@ -43,9 +41,9 @@ transform, blocked as one 16 x 16 matrix product per 4 index bits with one
 scratch state. It holds five 2^n complex arrays at most: the state, the
 scratch and three phase tables.
 
-evolve_trotter and the transfer protocol (run_pt_protocol) run the same
-backend-free path on either. A transfer run advances each rung of its time
-ladder in one call and reads the survival trace inside it.
+evolve_trotter and the transfer protocol (run_pt_protocol) share one
+backend-free run (_evolve), one advance call per rung; only the transfer
+run samples the survival inside those calls.
 
 A dense eigensolver backend (exact_eigs) covers small systems for
 cross-checks; the transition curves over its eigenbasis come from the
@@ -69,8 +67,7 @@ from .instances import (
 )
 
 DENSE_MAX_N = 14
-NORM_TOL = 1e-8
-# survival samples per ladder rung, give or take (see run_pt_protocol)
+# survival samples per ladder rung, give or take (see _evolve)
 _TRACE_POINTS = 257
 # largest half-width * time of one Chebyshev expansion; a longer segment is
 # split into equal pieces, which bounds the coefficient FFT at 2^17 points
@@ -231,26 +228,26 @@ def _phase_tables(E, Dx, dt):
 
 
 class _FwhtPropagator:
-    """The spin glass's Trotter path at step dt in the frame of the sampled
-    label z0 (frame 0 when none is given): run label x is instance label
-    x ^ z0. The driver has only sigma^x terms and commutes with every bit
+    """The spin glass's Trotter path at step dt in the frame of the start
+    label z0: run label x is instance label x ^ z0, so the run starts at
+    label 0. The driver has only sigma^x terms and commutes with every bit
     flip, so only ph_cl, of the three 2^n phase tables from _phase_tables,
     is relabelled, once. ph_cl carries the 1/N of the two unnormalized
-    transforms of each step. The 2^n state psi starts as amps on support.
+    transforms of each step.
     """
 
-    def __init__(self, inst, dt: float, amps: np.ndarray, support, z0=None):
+    def __init__(self, inst, dt: float, z0: int):
         # module globals, looked up per run, so a wrapper bound in their
         # place (perfbench's tracer, a test's monkeypatch) sees the call
         E, Dx = all_classical_energies(inst), driver_x_diagonal(inst)
         self.bound = float(max(E.max(), -E.min()) + max(Dx.max(), -Dx.min()))
         _check_time(dt, self.bound)
         self.ph_cl, self.ph_half, self.ph_full = _phase_tables(E, Dx, dt)
-        self.frame = z0 or 0
+        self.frame = z0
         self.psi = np.empty(1 << inst.n, dtype=np.complex128)
-        _relabel(self.ph_cl, self.frame, self.psi)  # the state as scratch
+        _relabel(self.ph_cl, z0, self.psi)  # the state as scratch
         self.psi.fill(0.0)
-        self.psi[np.asarray(support) ^ self.frame] = amps
+        self.psi[0] = 1.0
 
     def advance(self, steps: int, every: int = 0) -> list:
         """Advance psi by `steps` Trotter steps; psi enters and leaves in the
@@ -284,11 +281,10 @@ class _FwhtPropagator:
             samples.append(_z_probability(psi, 0))
         return samples
 
-    def weight(self, z0: int) -> float:
-        """transferred_weight of psi, 1 - |psi(z0)|^2, without |psi|^2 over
-        all 2^n states (the slice keeps numpy's array abs, see
-        _z_probability)."""
-        return 1.0 - _z_probability(self.psi, z0 ^ self.frame)
+    def weight(self) -> float:
+        """transferred_weight, 1 - |psi(z0)|^2 at run label 0, without |psi|^2
+        over all 2^n states (the slice keeps numpy's array abs)."""
+        return 1.0 - _z_probability(self.psi, 0)
 
     def state(self) -> np.ndarray:
         """psi in the instance's labels, relabelled through ph_full's buffer
@@ -349,17 +345,19 @@ class _BandPropagator:
     """An impurity band evolved exactly: each segment that advance samples
     is one Chebyshev expansion of e^{-iHt} (_chebyshev), with its
     coefficients computed once per segment length, so dt sets only the
-    sampling grid. A subclass holds the state x in its own coordinates and
-    gives its product (matvec, 2 A x - w with A = (H - centre) / half), the
-    survival and the marked amplitudes.
+    sampling grid. A subclass holds the state x in its own coordinates,
+    started at |z0>, and gives its product (matvec, 2 A x - w with
+    A = (H - centre) / half), the survival |<z0|psi>|^2 and the marked
+    amplitudes.
 
     energies are the classical energies the product adds, so the spectrum
     lies in [-B_perp n + min(0, min e), B_perp n + max(0, max e)]; a
     zero-width interval is widened to half-width 1.
     """
 
-    def __init__(self, inst: ImpurityBandInstance, dt: float, energies):
-        self.dt, self.marked = dt, np.asarray(inst.marked)
+    def __init__(self, inst: ImpurityBandInstance, dt: float, z0: int,
+                 energies):
+        self.dt, self.z0, self.marked = dt, z0, np.asarray(inst.marked)
         drive = abs(inst.B_perp) * inst.n
         lo = -drive + min(0.0, float(np.min(energies)))
         hi = drive + max(0.0, float(np.max(energies)))
@@ -401,9 +399,9 @@ class _BandPropagator:
                 samples.append(self.survival())
         return samples
 
-    def weight(self, z0: int) -> float:
+    def weight(self) -> float:
         """Weight on the marked states other than z0."""
-        amp = self.marked_amplitudes()[self.marked != z0]
+        amp = self.marked_amplitudes()[self.marked != self.z0]
         return float((np.abs(amp) ** 2).sum())
 
 
@@ -411,8 +409,8 @@ class _LevelPropagator(_BandPropagator):
     """Level coordinates of the uniform driver around a start state:
     psi = sum_j P_j sum_b x[j, b] |c_b>, with P_j the projector onto the
     x-basis states of popcount j and x an (n + 1) x M_c complex array.
-    The centres c_b are the marked states in inst.marked order, then the
-    ascending labels `unmarked` of the start's unmarked support.
+    The centres c_b are the marked states in inst.marked order, then z0
+    when it is unmarked.
 
     H keeps this form, lifted to (L x)[j, b] = eps_j x[j, b]
     + e_b <c_b|psi> with eps_j = -B_perp (n - 2j) the level energies and e_b
@@ -420,13 +418,13 @@ class _LevelPropagator(_BandPropagator):
     2^-n K_j(d(c_a, c_b)) with K the Krawtchouk table, so the centres'
     amplitudes cost one (n + 1) x (n + 1) product and an M_c x M_c gather
     (overlaps); the distances d(c_a, c_b) are kept only as that gather's
-    flat indices. The start gives x directly: |c_b> = sum_j P_j |c_b>, so
-    every row of x is amps on the centres.
+    flat indices. The start gives x directly: |z0> = sum_j P_j |z0>, so x
+    is ones in z0's column.
     """
 
-    def __init__(self, inst: ImpurityBandInstance, dt: float, amps: np.ndarray,
-                 support, unmarked, z0=None):
+    def __init__(self, inst: ImpurityBandInstance, dt: float, z0: int):
         n = self.n = inst.n
+        unmarked = [] if z0 in inst.marked else [z0]
         self.centres = np.array([*inst.marked, *unmarked], dtype=np.uint64)
         m = len(self.centres)
         self.kraw = krawtchouk_table(n) / (1 << n)
@@ -434,16 +432,15 @@ class _LevelPropagator(_BandPropagator):
         self._gather = hamming_table(self.centres) * m + np.arange(m)
         energy = np.zeros(m)
         energy[:inst.M] = inst.base_energy + inst.eps
-        super().__init__(inst, dt, energy)
+        super().__init__(inst, dt, z0, energy)
         # 2 A = 2 (L - centre) / half as a level column and a centre row
         levels = -inst.B_perp * (n - 2.0 * np.arange(n + 1)[:, None])
         self._level_scale = (2.0 / self.half) * (levels - self.centre)
         self._centre_scale = (2.0 / self.half) * energy
-        start = dict(zip(np.asarray(support).tolist(), np.asarray(amps).tolist()))
-        self.x = np.empty((n + 1, m), dtype=np.complex128)
-        self.x[:] = [start.get(c, 0.0) for c in self.centres.tolist()]
-        if z0 is not None:  # <z0|psi> = vdot(probe, x)
-            self.probe = self.kraw[:, np.bitwise_count(self.centres ^ np.uint64(z0))]
+        distance = np.bitwise_count(self.centres ^ np.uint64(z0))
+        self.x = np.zeros((n + 1, m), dtype=np.complex128)
+        self.x[:, distance == 0] = 1.0
+        self.probe = self.kraw[:, distance]  # <z0|psi> = vdot(probe, x)
 
     def matvec(self, v, w, spare):
         np.subtract(self._level_scale * v, w, out=w)
@@ -513,7 +510,7 @@ class _LevelPropagator(_BandPropagator):
 
 
 class _DenseBandPropagator(_BandPropagator):
-    """A band start with more than 2^(n/2) centres, as the 2^n state x.
+    """A band with more than 2^(n/2) centres, as the 2^n state x.
     Its product applies the driver as F (eps o F x) / N, with F the
     unnormalized Walsh-Hadamard transform (_fwht) and eps(x) =
     -B_perp (n - 2 |x|) the x-basis levels, and the classical part on the
@@ -521,10 +518,9 @@ class _DenseBandPropagator(_BandPropagator):
     half of the index bits, so no 2^n table is built besides the state.
     """
 
-    def __init__(self, inst: ImpurityBandInstance, dt: float, amps: np.ndarray,
-                 support, z0=None):
+    def __init__(self, inst: ImpurityBandInstance, dt: float, z0: int):
         energy = inst.base_energy + inst.eps
-        super().__init__(inst, dt, energy)
+        super().__init__(inst, dt, z0, energy)
         n, h = inst.n, inst.n // 2
         # 2 A = 2 (H - centre) / half, with the 1/N of the transform pair
         scale = 2.0 / (self.half * (1 << n))
@@ -534,9 +530,8 @@ class _DenseBandPropagator(_BandPropagator):
                                    - self.centre)
         self._levels_lo = scale * (-inst.B_perp * (h - 2.0 * pop_lo))
         self._marked_scale = (2.0 / self.half) * energy
-        self.z0 = z0
         self.x = np.zeros(1 << n, dtype=np.complex128)
-        self.x[support] = amps
+        self.x[z0] = 1.0
 
     def matvec(self, v, w, spare):
         f, free = spare
@@ -563,56 +558,86 @@ class _DenseBandPropagator(_BandPropagator):
         return self.x
 
 
-def _propagator(inst, dt: float, amps, support, z0=None):
-    """The propagator of one run on inst at step dt from the start amps[k]
-    on the ascending labels support[k], which it leaves unchanged. With z0
-    given it samples |<z0|psi>|^2.
-
-    An impurity band runs in level coordinates (_LevelPropagator) when its
-    start has M_c^2 <= 2^n centres, the marked states plus the unmarked
-    support: past that, the M_c x M_c gather table outgrows the state, and
+def _propagator(inst, dt: float, z0: int):
+    """The propagator of one run on inst at step dt from |z0>, the label it
+    samples. An impurity band runs in level coordinates (_LevelPropagator)
+    when it has M_c^2 <= 2^n centres, the marked states plus z0 if it is
+    unmarked: past that, the M_c x M_c gather table outgrows the state, and
     the band runs on the 2^n state (_DenseBandPropagator). A spin glass
-    takes the Trotter path (_FwhtPropagator).
-    """
+    takes the Trotter path (_FwhtPropagator)."""
     if isinstance(inst, ImpurityBandInstance):
-        unmarked = np.setdiff1d(support, inst.marked, assume_unique=True)
-        if (inst.M + len(unmarked)) ** 2 <= 1 << inst.n:
-            return _LevelPropagator(inst, dt, amps, support, unmarked, z0)
-        return _DenseBandPropagator(inst, dt, amps, support, z0)
-    return _FwhtPropagator(inst, dt, amps, support, z0)
+        if (inst.M + (z0 not in inst.marked)) ** 2 <= 1 << inst.n:
+            return _LevelPropagator(inst, dt, z0)
+        return _DenseBandPropagator(inst, dt, z0)
+    return _FwhtPropagator(inst, dt, z0)
 
 
-def evolve_trotter(inst, amps, support, config: EvolutionConfig) -> np.ndarray:
-    """The 2^n state after propagating the start amps[k] on the ascending
-    labels support[k] under inst's Hamiltonian for config.total_time, by the
-    propagator _propagator picks: exactly on an impurity band (one Chebyshev
-    expansion), by the symmetric product formula e^{-i H_D dt/2}
-    e^{-i H_cl dt} e^{-i H_D dt/2} per step on a spin glass. Neither backend
-    changes the input, and a time past _check_time's range is a ValueError.
-    """
-    amps, support = np.asarray(amps, dtype=np.complex128), np.asarray(support)
+def _evolve(inst, z0: int, config: EvolutionConfig, trace=None,
+            on_rung=None):
+    """The run evolve_trotter and run_pt_protocol share, |z0> under inst's
+    Hamiltonian on config's time grid: (the 2^n state, the total time, the
+    transferred weight, saturated, None for a fixed time).
+
+    One propagator (_propagator) advances one call per rung, once the rung
+    passes _check_time: one rung for a fixed time (zero time returns |z0>),
+    else a ladder from start_time at dt (0.05 by default) that doubles the
+    total. With trace, a dict of lists, a rung of `steps` steps appends
+    its survival every max(1, steps // (_TRACE_POINTS - 1))-th step and at
+    its end, and a ladder rung its time and weight, which on_rung also gets
+    with the relative change (None on the first rung). Without trace a rung
+    samples nothing, so a band rung is one Chebyshev expansion."""
+    z0 = check_bitstring(z0, inst.n)
     if inst.n > ENUMERATION_MAX_N:
         raise ValueError(f"state-vector evolution capped at n = {ENUMERATION_MAX_N}")
-    if amps.ndim != 1 or amps.shape != support.shape:
-        raise ValueError("the start needs one amplitude per label")
-    if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-        raise ValueError("the start is not normalized")
-    if (support.dtype.kind not in "iu" or support[0] < 0
-            or support[-1] >= 1 << inst.n or np.any(support[1:] <= support[:-1])):
-        raise ValueError("start labels must be unique, ascending and in "
-                         f"[0, 2^{inst.n})")
+    ladder = config.total_time is None
+    if ladder:
+        dt = config.dt if config.dt is not None else 0.05
+        first = max(1, int(round(config.start_time / dt)))
+        rungs, saturated = config.max_doublings + 1, False
+    elif config.total_time == 0.0:
+        psi = np.zeros(1 << inst.n, dtype=np.complex128)
+        psi[z0] = 1.0
+        return psi, 0.0, 0.0, None
+    else:
+        first = config.resolve_steps(config.total_time)
+        dt, rungs, saturated = config.total_time / first, 1, None
+    prop = _propagator(inst, dt, z0)
+    done, w_prev = 0, None
+    for _ in range(rungs):
+        steps, t_base = done or first, done * dt
+        _check_time(t_base + steps * dt, prop.bound)
+        if trace is None:
+            prop.advance(steps)
+        else:
+            rec = max(1, steps // (_TRACE_POINTS - 1))
+            trace["survival"].extend(prop.advance(steps, every=rec))
+            trace["times"].extend(t_base + k * dt
+                                  for k in [*range(rec, steps, rec), steps])
+        done += steps
+        if ladder:
+            w_new = prop.weight()
+            trace["ladder_times"].append(done * dt)
+            trace["ladder_weights"].append(w_new)
+            change = None if w_prev is None else abs(w_new - w_prev)
+            if on_rung is not None:
+                on_rung(done * dt, w_new, change and change / max(w_new, 1e-12))
+            if change is not None and change <= config.saturation_rtol * max(w_new, 1e-12):
+                saturated = True
+                break
+            w_prev = w_new
+    weight = prop.weight()  # before state() releases the tables
+    total_t = done * dt if ladder else config.total_time
+    return prop.state(), total_t, weight, saturated
+
+
+def evolve_trotter(inst, z0: int, config: EvolutionConfig) -> np.ndarray:
+    """The 2^n state after propagating |z0> under inst's Hamiltonian for
+    config.total_time: run_pt_protocol's run (_evolve) with no survival
+    trace, exact on an impurity band, the symmetric product formula on a
+    spin glass. A time past _check_time's range is a ValueError."""
     if config.total_time is None:
         raise ValueError("evolve_trotter needs an explicit total_time")
-    T = float(config.total_time)
-    if T == 0.0:
-        psi = np.zeros(1 << inst.n, dtype=np.complex128)
-        psi[support] = amps
-        return psi
-    steps = config.resolve_steps(T)
-    prop = _propagator(inst, T / steps, amps, support)
-    _check_time(T, prop.bound)
-    prop.advance(steps)
-    return prop.state()
+    return _evolve(inst, z0, config)[0]
 
 
 def dense_hamiltonian(inst) -> np.ndarray:
@@ -646,7 +671,7 @@ def exact_eigs(inst):
 @dataclass
 class PTResult:
     """Outcome of one transfer run: exact output distribution plus traces.
-    transferred_weight is the propagator's weight(z0) after its last call
+    transferred_weight is the propagator's weight() after its last call
     (a ladder's ladder_weights[-1]), 0.0 after a zero-time run."""
 
     z0: int
@@ -667,95 +692,30 @@ def run_pt_protocol(inst, z0: int, config: EvolutionConfig | None = None,
                     on_rung=None) -> PTResult:
     """Prepare |z0>, switch the driver on at constant strength, evolve, measure.
 
-    The evolution is that of evolve_trotter (exact on a band, the symmetric
-    product formula on a glass), and the diabatic ramps are idealized as
-    instantaneous. With config.total_time = None the run doubles its length
-    until the transferred weight is stationary at the configured tolerance
-    (the saturation criterion is a relative change below saturation_rtol
-    over one doubling of t); otherwise it runs for exactly total_time.
-    After each rung of that ladder, on_rung (if given) is called with the
-    total time, the transferred weight and its relative change (None on the
-    first rung). A rung of `steps` steps records the survival every
-    max(1, steps // (_TRACE_POINTS - 1))-th step and at its end.
-
-    The run holds one propagator (_propagator) and advances it one call
-    per rung, once the rung passes _check_time, and reads each rung's
-    weight from it; the last read is the run's transferred_weight. After
-    the last rung the propagator releases its tables and forms the 2^n
-    state once; the last survival sample reads it, as P(z0) does.
-    """
+    The evolution is evolve_trotter's (_evolve) with the survival trace, and
+    the diabatic ramps are idealized as instantaneous. With total_time =
+    None the run doubles its length until the transferred weight is
+    stationary (see EvolutionConfig), calling on_rung (if given) after each
+    rung. The last survival sample reads the formed state, as P(z0) does."""
     config = config or EvolutionConfig()
-    n = inst.n
-    z0 = check_bitstring(z0, n)
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(f"state-vector evolution capped at n = {ENUMERATION_MAX_N}")
+    trace = {"times": [0.0], "survival": [1.0], "ladder_times": [],
+             "ladder_weights": []}
+    psi, total_t, weight, saturated = _evolve(inst, z0, config, trace, on_rung)
+    z0 = int(z0)
+    trace["survival"][-1] = _z_probability(psi, z0)
+    probs = np.abs(psi) ** 2
     E = all_classical_energies(inst)
-
-    ladder = config.total_time is None
-    if ladder:
-        dt = config.dt if config.dt is not None else 0.05
-        seg_steps = max(1, int(round(config.start_time / dt)))
-    else:
-        steps = config.resolve_steps(config.total_time)
-        dt = config.total_time / steps
-
-    times = [0.0]
-    survival = [1.0]
-    ladder_times: list = []
-    ladder_weights: list = []
-    saturated: bool | None = None
-
-    if not ladder and config.total_time == 0.0:
-        probs = np.zeros(1 << n)
-        probs[z0] = 1.0
-        total_t, weight = 0.0, 0.0
-    else:
-        prop = _propagator(inst, dt, np.ones(1), [z0], z0)
-
-        def advance(n_steps, t_base):
-            # one call per rung, sampled every `rec` steps and at its end
-            _check_time(t_base + n_steps * dt, prop.bound)
-            rec = max(1, n_steps // (_TRACE_POINTS - 1))
-            survival.extend(prop.advance(n_steps, every=rec))
-            done = [*range(rec, n_steps, rec), n_steps]
-            times.extend(t_base + k * dt for k in done)
-
-        if ladder:
-            # the first rung runs start_time, each later one doubles the total
-            total_steps, saturated, w_prev = 0, False, None
-            for _ in range(config.max_doublings + 1):
-                rung = total_steps or seg_steps
-                advance(rung, total_steps * dt)
-                total_steps += rung
-                w_new = prop.weight(z0)
-                ladder_times.append(total_steps * dt)
-                ladder_weights.append(w_new)
-                change = None if w_prev is None else abs(w_new - w_prev)
-                if on_rung is not None:
-                    on_rung(total_steps * dt, w_new, change and change / max(w_new, 1e-12))
-                if change is not None and change <= config.saturation_rtol * max(w_new, 1e-12):
-                    saturated = True
-                    break
-                w_prev = w_new
-            total_t = total_steps * dt
-        else:
-            advance(steps, 0.0)
-            total_t = config.total_time
-        weight = prop.weight(z0)
-        psi = prop.state()
-        survival[-1] = _z_probability(psi, z0)
-        probs = np.abs(psi) ** 2
-
     edges = np.histogram_bin_edges(E, bins=64)
     e_hist, _ = np.histogram(E, bins=edges, weights=probs)
     return PTResult(
         z0=z0, total_time=float(total_t), probabilities=probs,
-        times=np.asarray(times), survival=np.asarray(survival),
+        times=np.asarray(trace["times"]),
+        survival=np.asarray(trace["survival"]),
         energy_edges=edges, energy_hist=e_hist,
-        hamming_hist=hamming_histogram_from(z0, probs, n),
-        transferred_weight=weight,
-        saturated=saturated, ladder_times=ladder_times,
-        ladder_weights=ladder_weights,
+        hamming_hist=hamming_histogram_from(z0, probs, inst.n),
+        transferred_weight=weight, saturated=saturated,
+        ladder_times=trace["ladder_times"],
+        ladder_weights=trace["ladder_weights"],
     )
 
 

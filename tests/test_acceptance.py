@@ -165,7 +165,7 @@ def test_08_trotter_backend_order_and_accuracy():
     infidelity = None
     for steps in (75, 150, 300, 600):
         config = EvolutionConfig(total_time=10.0, trotter_steps=steps)
-        psi = evolve_trotter(inst, [1.0], [z0], config)
+        psi = evolve_trotter(inst, z0, config)
         errs[steps] = float(np.linalg.norm(psi - exact))
         if steps == 300:
             infidelity = 1.0 - abs(np.vdot(exact, psi)) ** 2

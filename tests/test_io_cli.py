@@ -269,8 +269,9 @@ def test_count_flags_below_one(tmp_path, ib_instance, capsys, cmd, flag, value):
     (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--v-typ", "0"], "V_typ must be"),
     (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--eta", "-1"], "--eta"),
     (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--eta", "0"], "--eta"),
+    (["pblm-ensemble", "--m", "8", "--gamma", "1.5", "--eta", "inf"], "--eta"),
 ], ids=["n0", "n40", "m0", "m20", "dimers9", "w-1", "pblm-m1", "gamma-1",
-        "gamma-nan", "lam-nan", "v-typ0", "eta-1", "eta0"])
+        "gamma-nan", "lam-nan", "v-typ0", "eta-1", "eta0", "eta-inf"])
 def test_generator_arguments_out_of_range(tmp_path, capsys, argv, word):
     rc = main(["--out-dir", str(tmp_path), *argv])
     assert rc == 2
@@ -683,6 +684,20 @@ def test_evolve_emits_state_table(tmp_path, ib_instance):
     doc = json.loads((tmp_path / "evolve.json").read_text())
     assert doc["steps"] == 64 and doc["norm"] == pytest.approx(1.0)
     assert 0.0 <= doc["survival"] <= 1.0
+
+
+def test_glass_evolve_writes_pt_run_top_rows(tmp_path, glass_instance):
+    # evolve is pt-run's fixed-time run without its survival trace, both in
+    # z0's frame, so the top-k rows agree to the last bit; only the
+    # manifest hash line differs
+    rows = []
+    for cmd, name in [("evolve", "evolve_state.csv"), ("pt-run", "pt_output.csv")]:
+        assert main(["--out-dir", str(tmp_path / cmd), cmd, "--instance",
+                     str(glass_instance), "--time", "5", "--steps", "50"]) == 0
+        rows.append([line for line in
+                     (tmp_path / cmd / name).read_text().splitlines()
+                     if not line.startswith("# manifest_hash")])
+    assert rows[0] == rows[1] and len(rows[0]) > 1
 
 
 def test_band_evolve_survival_is_exact(tmp_path, monkeypatch):
@@ -1532,6 +1547,27 @@ def test_replay_of_a_run_the_handler_refuses_creates_nothing(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "qubit count" in err[0]
     assert not (tmp_path / "redo").exists()
+
+
+def test_replaced_manifest_names_the_files_it_stops_recording(tmp_path, capsys):
+    # a second run into one directory replaces its manifest.json: the run
+    # goes ahead, and one warning names the first run's files that the new
+    # manifest does not record. The same run again rewrites all of them
+    gen = ["--out-dir", str(tmp_path), "gen-instance", "--kind",
+           "impurity-band", "--n", "6", "--m", "3"]
+    assert main(gen) == 0 and main(gen) == 0
+    assert capsys.readouterr().err == ""
+    assert main([*gen, "--out", "band.json"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert (len(err) == 1 and err[0].startswith("warning:")
+            and "instance.json" in err[0] and "band.json" not in err[0])
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    assert [Path(o["path"]).name for o in doc["outputs"]] == ["band.json"]
+    # a manifest.json that is no run manifest is replaced without a word
+    for text in ["{broken", "[]", '{"outputs": 3}', '{"outputs": [{"path": 1}]}']:
+        (tmp_path / "manifest.json").write_text(text)
+        assert main(gen) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_replay_malformed_manifest(tmp_path, capsys):

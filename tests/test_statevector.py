@@ -129,7 +129,7 @@ def test_uniform_trotter_matches_fwht_reference(n, M, start, B):
     inst = gen_impurity_band(n=n, M=M, W=0.5, seed=n, B_perp=B)
     z0 = (inst.marked[-1] if start == "marked"
           else min(set(range(1 << n)) - set(inst.marked)))
-    got = [evolve_trotter(inst, [1.0], [z0], EvolutionConfig(
+    got = [evolve_trotter(inst, z0, EvolutionConfig(
         total_time=t, trotter_steps=40)) for t in BAND_TIMES]
     if n <= 10:
         want = _exact_states(inst, z0, BAND_TIMES)
@@ -163,9 +163,8 @@ def _spy_paths(monkeypatch):
 
 
 def _backend(inst, z0):
-    # the backend a transfer run from |z0> holds: its start is given on
-    # its support, as run_pt_protocol passes it
-    return type(_propagator(inst, 0.1, np.ones(1), [z0], z0))
+    # the backend a run from |z0> holds
+    return type(_propagator(inst, 0.1, z0))
 
 
 def _moved_weight(inst, z0, p):
@@ -183,13 +182,13 @@ def _check_propagator_composes(inst, z0, backend):
     # sampled segments either way. A rung's weight is the one read off the
     # formed state: the same amplitudes on a 2^n state, level coordinates'
     # own overlaps on the level path
-    split, whole = (_propagator(inst, 0.01, np.ones(1), [z0], z0)
+    split, whole = (_propagator(inst, 0.01, z0)
                     for _ in range(2))
     assert type(split) is backend
     samples = split.advance(100, every=10) + split.advance(100, every=10)
     np.testing.assert_allclose(samples, whole.advance(200, every=10),
                                rtol=0, atol=1e-12)
-    weight = split.weight(z0)
+    weight = split.weight()
     psi = split.state()
     np.testing.assert_allclose(psi, whole.state(), rtol=0, atol=1e-12)
     want = _moved_weight(inst, z0, np.abs(psi) ** 2)
@@ -207,14 +206,6 @@ def _check_propagator_composes(inst, z0, backend):
     (1, "marked", 2.0, "fwht"),
     (-1, "unmarked", 2.0, "level"),
     (0, "unmarked", 2.0, "fwht"),
-    # a basis state times a phase, or a sparse superposition: one centre
-    # per unmarked label of the support
-    (0, "phase", 2.0, "level"),
-    (0, "superposition", 2.0, "level"),
-    (-2, "spread", 2.0, "level"),
-    (-1, "spread", 2.0, "fwht"),
-    # every amplitude nonzero
-    (0, "dense", 2.0, "fwht"),
     # with no field too: W's start column stays exact, and
     # test_zero_field_run_returns_input reads a transferred weight of 0.0
     (0, "marked", 0.0, "level"),
@@ -224,36 +215,20 @@ def test_uniform_path_selection(monkeypatch, extra, start, B, path):
     M = 16 + extra
     inst = gen_impurity_band(n=n, M=M, W=0.5, seed=2, B_perp=B)
     unmarked = sorted(set(range(1 << n)) - set(inst.marked))
-    amps = np.zeros(1 << n, dtype=complex)
-    if start == "unmarked":
-        amps[unmarked[0]] = 1.0
-    elif start == "superposition":
-        amps[list(inst.marked[:2])] = np.sqrt(0.5)
-    elif start == "spread":
-        # a marked state and two unmarked ones, each with its own amplitude
-        amps[[unmarked[7], inst.marked[3], unmarked[2]]] = [0.6, 0.48j, -0.64]
-    elif start == "dense":
-        rng = np.random.default_rng(M)
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        amps /= np.linalg.norm(amps)
-    else:
-        amps[inst.marked[0]] = 1j if start == "phase" else 1.0
-    support = np.flatnonzero(amps)
+    z0 = unmarked[0] if start == "unmarked" else inst.marked[0]
     calls = _spy_paths(monkeypatch)
-    got = [evolve_trotter(inst, amps[support], support, EvolutionConfig(
+    got = [evolve_trotter(inst, z0, EvolutionConfig(
         total_time=t, trotter_steps=5)) for t in BAND_TIMES]
     path = "dense" if path == "fwht" else path
     assert calls == {"level": 3 * (path == "level"),
                      "dense": 3 * (path == "dense"), "fwht": 0}
-    want = _exact_states(inst, amps, BAND_TIMES)
+    want = _exact_states(inst, z0, BAND_TIMES)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
-    if np.count_nonzero(amps) == 1:
-        z0 = int(np.flatnonzero(amps)[0])
-        res = run_pt_protocol(inst, z0, EvolutionConfig(total_time=0.7,
-                                                        trotter_steps=5))
-        assert calls[path] == 4
-        np.testing.assert_allclose(res.probabilities, np.abs(want[0]) ** 2,
-                                   rtol=0, atol=1e-10)
+    res = run_pt_protocol(inst, z0, EvolutionConfig(total_time=0.7,
+                                                    trotter_steps=5))
+    assert calls[path] == 4
+    np.testing.assert_allclose(res.probabilities, np.abs(want[0]) ** 2,
+                               rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -265,10 +240,9 @@ def test_level_reconstruction_matches_distance_sum(n):
                                               replace=False))
     inst = ImpurityBandInstance(n=n, marked=marked, eps=np.zeros(len(marked)),
                                 W=1.0, B_perp=1.0)
-    # one unmarked centre where there is room for it
-    levels = _LevelPropagator(inst, 1.0, [], [],
-                              [min(set(range(1 << n)) - set(marked))]
-                              if n > 2 else [])
+    # one unmarked centre, the start, where there is room for it
+    z0 = min(set(range(1 << n)) - set(marked)) if n > 2 else marked[0]
+    levels = _LevelPropagator(inst, 1.0, z0)
     W = (rng.normal(size=(n + 1, len(levels.centres)))
          + 1j * rng.normal(size=(n + 1, len(levels.centres))))
     f = krawtchouk_table(n).T @ W / (1 << n)
@@ -280,22 +254,9 @@ def test_level_reconstruction_matches_distance_sum(n):
 
 
 @SYMMETRIC
-def test_band_segments_compose(monkeypatch):
-    # the first half runs in level coordinates; its output has 2^n
-    # nonzero amplitudes, so the second half runs on the 2^n state
+def test_band_segments_compose():
+    # level coordinates, and the 2^n state of a dense band (M^2 > 2^6)
     inst = gen_impurity_band(n=8, M=6, W=0.5, seed=4, B_perp=1.3)
-    start = [1.0], [inst.marked[2]]
-    whole = evolve_trotter(inst, *start, EvolutionConfig(
-        total_time=2.0, trotter_steps=200))
-    calls = _spy_paths(monkeypatch)
-    half = evolve_trotter(inst, *start, EvolutionConfig(
-        total_time=1.0, trotter_steps=100))
-    again = evolve_trotter(inst, half, np.arange(1 << 8), EvolutionConfig(
-        total_time=1.0, trotter_steps=100))
-    assert calls == {"level": 1, "dense": 1, "fwht": 0}
-    np.testing.assert_allclose(again, whole, atol=1e-12)
-    # the propagators themselves: level coordinates, and the 2^n state of
-    # a dense band (M^2 > 2^6)
     _check_propagator_composes(inst, inst.marked[2], _LevelPropagator)
     dense = gen_impurity_band(n=6, M=9, W=0.5, seed=4, B_perp=1.3)
     _check_propagator_composes(dense, dense.marked[2], _DenseBandPropagator)
@@ -304,26 +265,20 @@ def test_band_segments_compose(monkeypatch):
 @pytest.mark.parametrize("kind", ["glass", "level-band", "dense-band"])
 def test_unstepped_propagator_forms_its_start(kind):
     # with no step taken, the state formed is the start itself, on every
-    # backend; the level-band start is a marked and an unmarked label with
-    # complex amplitudes
+    # backend; the level-band start is an unmarked label, a centre of its own
     if kind == "glass":
-        inst = gen_spin_glass(n=6, seed=2)
-        support, amps = [9], [1.0]
+        inst, z0 = gen_spin_glass(n=6, seed=2), 9
     else:
         inst = gen_impurity_band(n=8, M=6 if kind == "level-band" else 17,
                                  W=0.5, seed=4, B_perp=1.3)
-        free = min(set(range(1 << 8)) - set(inst.marked))
-        support = sorted({inst.marked[2], free} if kind == "level-band"
-                         else {inst.marked[2]})
-        amps = ([np.sqrt(0.5), 1j * np.sqrt(0.5)] if kind == "level-band"
-                else [1.0])
-    full = np.zeros(1 << inst.n, dtype=complex)
-    full[support] = amps
-    unmoved = _propagator(inst, 0.05, np.asarray(amps), support, support[0])
+        z0 = (min(set(range(1 << 8)) - set(inst.marked))
+              if kind == "level-band" else inst.marked[2])
+    unmoved = _propagator(inst, 0.05, z0)
     assert type(unmoved) is {"glass": _FwhtPropagator,
                              "level-band": _LevelPropagator,
                              "dense-band": _DenseBandPropagator}[kind]
-    np.testing.assert_allclose(unmoved.state(), full, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(unmoved.state(), np.eye(1 << inst.n)[z0],
+                               rtol=0, atol=1e-15)
 
 
 @SYMMETRIC
@@ -344,9 +299,8 @@ def test_band_ladder_weights_match_full_state_runs():
 def test_uniform_trotter_builds_no_state_sized_table(monkeypatch, traced_peak):
     # the level path keeps the state and one scratch: no 2^n phase
     # table, no x-basis driver diagonal, no classical-energy vector, and
-    # no 2^n start, which the traced call builds from its labels. The
-    # basis-state start and the superposition of two marked states both
-    # run in level coordinates
+    # no 2^n start, which the traced call builds from its label. A marked
+    # and an unmarked start both run in level coordinates
     import pt_lab.statevector as sv
 
     def forbidden(*args, **kwargs):
@@ -357,10 +311,9 @@ def test_uniform_trotter_builds_no_state_sized_table(monkeypatch, traced_peak):
     calls = _spy_paths(monkeypatch)
     inst = gen_impurity_band(n=16, M=64, W=0.5, seed=0, B_perp=2.0)
     cfg = EvolutionConfig(total_time=1.0, trotter_steps=4)
-    for start in [([1.0], [inst.marked[0]]),
-                  ([np.sqrt(0.5)] * 2, sorted(inst.marked[:2]))]:
+    for z0 in [inst.marked[0], min(set(range(1 << 16)) - set(inst.marked))]:
         calls.update(level=0, dense=0, fwht=0)
-        out, peak = traced_peak(evolve_trotter, inst, *start, cfg)
+        out, peak = traced_peak(evolve_trotter, inst, z0, cfg)
         assert calls == {"level": 1, "dense": 0, "fwht": 0}
         assert peak <= 2.25 * out.nbytes
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -389,7 +342,7 @@ def test_fwht_trotter_holds_five_states(monkeypatch, traced_peak, kind):
     # two rungs of 5 steps, sampled after every step
     assert len(res.survival) == 11 and len(res.ladder_weights) == 2
     assert peak <= bound
-    _, peak = traced_peak(evolve_trotter, inst, [1.0], [z0],
+    _, peak = traced_peak(evolve_trotter, inst, z0,
                           EvolutionConfig(total_time=0.5, trotter_steps=5))
     assert peak <= bound
     path = "fwht" if kind == "glass" else "dense"
@@ -404,7 +357,7 @@ def test_uniform_trotter_norm_drift_over_long_runs(monkeypatch):
     calls = _spy_paths(monkeypatch)
     for M in (8, 65):
         inst = gen_impurity_band(n=12, M=M, W=0.5, seed=3, B_perp=2.0)
-        out = evolve_trotter(inst, [1.0], [inst.marked[0]], EvolutionConfig(
+        out = evolve_trotter(inst, inst.marked[0], EvolutionConfig(
             total_time=1000.0, trotter_steps=20000))
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
     assert calls == {"level": 1, "dense": 1, "fwht": 0}
@@ -478,7 +431,7 @@ def test_trotter_converges_to_exact(kind):
     psi_exact = vecs @ (phases * vecs[z0])
     err = {}
     for steps in (400, 800):
-        psi = evolve_trotter(g, [1.0], [z0], EvolutionConfig(
+        psi = evolve_trotter(g, z0, EvolutionConfig(
             total_time=T, trotter_steps=steps))
         err[steps] = np.linalg.norm(psi - psi_exact)
     assert err[800] < 1e-3
@@ -486,15 +439,8 @@ def test_trotter_converges_to_exact(kind):
 
 
 def test_trotter_segments_compose():
-    # one 200-step run equals two 100-step runs at the same dt
+    # 200 steps equal two calls of 100 steps at the same dt
     g = gen_spin_glass(n=5, seed=8)
-    whole = evolve_trotter(g, [1.0], [3],
-                           EvolutionConfig(total_time=2.0, trotter_steps=200))
-    half = evolve_trotter(g, [1.0], [3],
-                          EvolutionConfig(total_time=1.0, trotter_steps=100))
-    again = evolve_trotter(g, half, np.arange(1 << 5),
-                           EvolutionConfig(total_time=1.0, trotter_steps=100))
-    np.testing.assert_allclose(again, whole, atol=1e-12)
     _check_propagator_composes(g, 3, _FwhtPropagator)
 
 
@@ -502,9 +448,9 @@ def test_trotter_segments_compose():
 @pytest.mark.parametrize("z0", [21, 0, 63])
 def test_survival_trace_matches_fixed_time_runs(monkeypatch, z0):
     # rungs of 10, 10 and 20 steps at 4 trace points sample every 3, 3
-    # and 6 steps, each rung ending on a shorter leftover chunk. The
-    # sampled run works in z0's frame (z0 = 0: the identity frame), the
-    # fixed-time runs in the instance's labels
+    # and 6 steps, each rung ending on a shorter leftover chunk. Both the
+    # sampled run and the unsampled fixed-time runs work in z0's frame
+    # (z0 = 0: the identity frame)
     import pt_lab.statevector as sv
 
     monkeypatch.setattr(sv, "_TRACE_POINTS", 4)
@@ -516,7 +462,7 @@ def test_survival_trace_matches_fixed_time_runs(monkeypatch, z0):
     np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19, 20,
                                           26, 32, 38, 40])
     for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
-        psi = evolve_trotter(g, [1.0], [z0], EvolutionConfig(
+        psi = evolve_trotter(g, z0, EvolutionConfig(
             total_time=t, trotter_steps=k))
         assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
     # the rung weight reads one amplitude, the output weight all of them
@@ -542,7 +488,7 @@ def test_uniform_survival_trace_matches_fixed_time_runs(monkeypatch):
         np.testing.assert_array_equal(steps, [0, 3, 6, 9, 10, 13, 16, 19,
                                               20, 26, 32, 38, 40])
         for t, k, s in zip(res.times[1:], steps[1:], res.survival[1:]):
-            psi = evolve_trotter(g, [1.0], [z0], EvolutionConfig(
+            psi = evolve_trotter(g, z0, EvolutionConfig(
                 total_time=t, trotter_steps=k))
             assert s == pytest.approx(abs(psi[z0]) ** 2, abs=1e-12)
         assert not np.allclose(res.survival, 1.0)
@@ -582,7 +528,7 @@ def test_uniform_trotter_preserves_norm(seed, T, steps, B):
         z0 = g.marked[seed % 4]
         assert (_backend(g, z0) is _DenseBandPropagator) == (M == 6)
         cfg = EvolutionConfig(total_time=T, trotter_steps=steps)
-        out = evolve_trotter(g, [1.0], [z0], cfg)
+        out = evolve_trotter(g, z0, cfg)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -591,7 +537,7 @@ def test_uniform_trotter_preserves_norm(seed, T, steps, B):
 def test_trotter_preserves_norm(seed, T, steps):
     g = gen_spin_glass(n=5, seed=seed)
     cfg = EvolutionConfig(total_time=T, trotter_steps=steps)
-    out = evolve_trotter(g, [1.0], [seed % 32], cfg)
+    out = evolve_trotter(g, seed % 32, cfg)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -599,32 +545,15 @@ def test_evolve_requires_time_and_matching_size():
     # a label past 2^n is a start of a larger system
     g = gen_spin_glass(n=5, seed=0)
     with pytest.raises(ValueError, match="total_time"):
-        evolve_trotter(g, [1.0], [0], EvolutionConfig())
-    with pytest.raises(ValueError, match="labels"):
-        evolve_trotter(g, [1.0], [32], EvolutionConfig(total_time=1.0))
-
-
-@pytest.mark.parametrize("amps, support, match", [
-    pytest.param([0.6, 0.8], [3, 3], "labels", id="repeated-label"),
-    pytest.param([0.6, 0.8], [5, 3], "labels", id="descending-label"),
-    pytest.param([1.0], [-1], "labels", id="negative-label"),
-    pytest.param([0.6, 0.8], [3], "one amplitude per label",
-                 id="unequal-lengths"),
-    pytest.param([0.6, 0.6], [3, 5], "normalized", id="unnormalized"),
-])
-def test_evolve_rejects_bad_starts(amps, support, match):
-    g = gen_spin_glass(n=5, seed=0)
-    with pytest.raises(ValueError, match=match):
-        evolve_trotter(g, amps, support, EvolutionConfig(total_time=1.0))
+        evolve_trotter(g, 0, EvolutionConfig())
+    with pytest.raises(ValueError, match="does not fit in 5 bits"):
+        evolve_trotter(g, 32, EvolutionConfig(total_time=1.0))
 
 
 def test_zero_time_evolve_returns_the_start():
     g = gen_spin_glass(n=5, seed=0)
-    psi = evolve_trotter(g, [0.6, 0.8j], [3, 17],
-                         EvolutionConfig(total_time=0.0))
-    want = np.zeros(32, dtype=complex)
-    want[[3, 17]] = [0.6, 0.8j]
-    np.testing.assert_array_equal(psi, want)
+    psi = evolve_trotter(g, 17, EvolutionConfig(total_time=0.0))
+    np.testing.assert_array_equal(psi, np.eye(32, dtype=complex)[17])
 
 
 def test_resolve_steps():
@@ -684,11 +613,11 @@ def test_time_past_the_phase_limit_is_refused(kind):
         M = 9 if kind == "dense-band" else 3
         inst = gen_impurity_band(n=6, M=M, W=0.5, seed=1)
         z0 = inst.marked[0]
-    bound = _propagator(inst, 1.0, np.ones(1), [z0], z0).bound
+    bound = _propagator(inst, 1.0, z0).bound
     limit = 2.0 ** 52 / bound
     for t in (1.001 * limit, 1e307):
         with pytest.raises(ValueError, match="out of range"):
-            evolve_trotter(inst, [1.0], [z0], EvolutionConfig(
+            evolve_trotter(inst, z0, EvolutionConfig(
                 total_time=t, trotter_steps=1))
     if kind == "glass":
         rungs = []
@@ -709,11 +638,11 @@ def test_band_call_past_the_work_bound_is_refused(monkeypatch, M):
     monkeypatch.setattr(sv, "_MAX_TAU", 8.0)
     inst = gen_impurity_band(n=6, M=M, W=0.5, seed=1)
     z0 = inst.marked[0]
-    limit = 64.0 / _propagator(inst, 1.0, np.ones(1), [z0], z0).half
-    evolve_trotter(inst, [1.0], [z0], EvolutionConfig(
+    limit = 64.0 / _propagator(inst, 1.0, z0).half
+    evolve_trotter(inst, z0, EvolutionConfig(
         total_time=0.99 * limit, trotter_steps=1))
     with pytest.raises(ValueError, match="2\\^28"):
-        evolve_trotter(inst, [1.0], [z0], EvolutionConfig(
+        evolve_trotter(inst, z0, EvolutionConfig(
             total_time=1.01 * limit, trotter_steps=1))
     rungs = []
     with pytest.raises(ValueError, match="2\\^28"):
